@@ -82,9 +82,9 @@ emit(const TextTable &t, const BenchOptions &opt)
 // ---- Host-cost reporting (sweep drivers) ------------------------------
 //
 // Every timing sweep row carries its measure-phase wall-clock and
-// event count; the drivers print both so a perf regression in the
-// simulator itself (not the simulated machine) is visible in the
-// recorded artifacts.
+// record count; the drivers print the resulting simulator throughput
+// so a perf regression in the simulator itself (not the simulated
+// machine) is visible in the recorded artifacts.
 
 /** Wall-clock cell: "12.34s". */
 inline std::string
@@ -93,25 +93,21 @@ fmtWall(double seconds)
     return fmtDouble(seconds, 2) + "s";
 }
 
-/** Throughput cell: "3.21Mev/s" (events per wall second). */
+/** Throughput cell: "123.4krec/s" (measured records per second). */
 inline std::string
-fmtEventsPerSec(double eps)
+fmtRecordsPerSec(double rps)
 {
-    return fmtDouble(eps / 1e6, 2) + "Mev/s";
+    return fmtDouble(rps / 1e3, 1) + "krec/s";
 }
 
-/** One stdout line summarizing a configuration's host cost. */
+/** One stdout line summarizing a timing run's host cost. */
 inline void
-printHostCost(const std::string &label, double wall_seconds,
-              uint64_t events, unsigned shards)
+printHostCost(const std::string &label, const TimedRun &r)
 {
-    std::cout << label << ": wall " << fmtWall(wall_seconds) << ", "
-              << events << " events ("
-              << fmtEventsPerSec(
-                     wall_seconds > 0.0
-                         ? double(events) / wall_seconds
-                         : 0.0)
-              << "), shards=" << shards << "\n";
+    std::cout << label << ": wall " << fmtWall(r.wallSeconds) << ", "
+              << r.records << " records ("
+              << fmtRecordsPerSec(r.recordsPerSec()) << "), "
+              << r.eventsExecuted << " events\n";
 }
 
 } // namespace bench

@@ -21,15 +21,12 @@
  * one machine" picture the per-tenant contracts exist for.
  *
  * Emits a BENCH_qos.json summary (stdout table + file) so
- * successive PRs can compare trajectories. With 16 or more cores
- * the default flips to auto-sharding (--shards 0).
+ * successive PRs can compare trajectories.
  *
  *   qos_contention [--penalty N] [--btb-sets N] [--agt-sets N]
  *                  [--pvcache N] [--pv-prefetch N]
  *                  [--victim-entries N] [--batches N] [--cores N]
  *                  [--warmup-records N] [--measure-records N]
- *                  [--shards N] [--quantum N] [--bank-domains N]
- *                  [--dram-lanes N] [--overlap N]
  *                  [--hetero-cores N] [--hetero-batches N]
  *                  [--hetero-warmup N] [--hetero-measure N]
  *                  [--skip-hetero]
@@ -98,17 +95,6 @@ main(int argc, char **argv)
             args.getUint("warmup-records", smoke ? 1'000 : 20'000);
         opt.measureRecords =
             args.getUint("measure-records", smoke ? 3'000 : 60'000);
-        // 16+ cores default to auto-sharding (--shards 0).
-        opt.timingShards = unsigned(args.getUint(
-            "shards", opt.numCores >= 16 ? 0 : opt.timingShards));
-        opt.syncQuantum =
-            Cycles(args.getUint("quantum", opt.syncQuantum));
-        opt.l2BankDomains = unsigned(
-            args.getUint("bank-domains", opt.l2BankDomains));
-        opt.dramLanes =
-            unsigned(args.getUint("dram-lanes", opt.dramLanes));
-        opt.drainOverlap =
-            unsigned(args.getUint("overlap", opt.drainOverlap));
     }
     const bool skip_hetero =
         args.getBool("skip-hetero", !scenario_file.empty());
@@ -117,13 +103,10 @@ main(int argc, char **argv)
     const std::string json_out =
         args.getString("json-out", "BENCH_qos.json");
 
-    // The heterogeneous matrix runs many-core: always sharded
-    // (auto) unless the user pinned a shard count, with its own
+    // The heterogeneous matrix runs many-core, with its own
     // (smaller) record budget.
     QosOptions hopt = opt;
     hopt.numCores = int(hetero_cores);
-    hopt.timingShards =
-        args.has("shards") ? opt.timingShards : 0;
     hopt.batches = unsigned(std::max<uint64_t>(
         1, args.getUint("hetero-batches", smoke ? 1 : 2)));
     hopt.warmupRecords =
@@ -140,15 +123,14 @@ main(int argc, char **argv)
               << " vs AGT aggressor on one shared proxy per core, "
               << "penalty=" << opt.penalty << " cycles, PVCache="
               << opt.pvCacheEntries << ", " << opt.batches
-              << " batches, jobs=" << jobs_effective
-              << ", shards=" << opt.timingShards << "\n\n";
+              << " batches, jobs=" << jobs_effective << "\n\n";
 
     std::vector<QosRow> rows = qosSweep(opt);
 
     TextTable t;
     t.setColumns({"setting", "IPC", "avail-redir", "BTB hit",
                   "BTB drop", "AGT drop", "fill lat", "IPC delta",
-                  "protection", "wall", "ev/s"});
+                  "protection", "wall", "rec/s"});
     for (const QosRow &r : rows) {
         t.addRow({r.label, fmtDouble(r.ipc, 4),
                   fmtDouble(r.availRedirectPct, 1) + "%",
@@ -159,7 +141,7 @@ main(int argc, char **argv)
                   fmtDouble(r.ipcDeltaPct, 2) + "%",
                   fmtDouble(r.availImprovementPct, 1) + "%",
                   fmtWall(r.wallSeconds),
-                  fmtEventsPerSec(r.eventsPerSec())});
+                  fmtRecordsPerSec(r.recordsPerSec())});
     }
     if (csv)
         t.printCsv(std::cout);
@@ -171,8 +153,7 @@ main(int argc, char **argv)
     if (!skip_hetero) {
         std::cout << "\nHeterogeneous tenant matrix: "
                   << hetero_cores << " cores in 4 cluster groups, "
-                  << hopt.batches << " batch(es), shards="
-                  << hopt.timingShards << " (0=auto)\n";
+                  << hopt.batches << " batch(es)\n";
         het = qosHeterogeneous(hopt);
         TextTable ht;
         ht.setColumns({"cluster", "cores", "avail-redir",
@@ -191,19 +172,8 @@ main(int argc, char **argv)
             ht.printCsv(std::cout);
         else
             ht.print(std::cout);
-        printHostCost("  reference", het.referenceRun.wallSeconds,
-                      het.referenceRun.eventsExecuted,
-                      het.referenceRun.timingShards);
-        printHostCost("  protected", het.protectedRun.wallSeconds,
-                      het.protectedRun.eventsExecuted,
-                      het.protectedRun.timingShards);
-        std::cout << "  bank_domains="
-                  << het.protectedRun.l2BankDomains
-                  << ", serial_fraction="
-                  << fmtDouble(
-                         100.0 * het.protectedRun.serialFraction(),
-                         1)
-                  << "%\n";
+        printHostCost("  reference", het.referenceRun);
+        printHostCost("  protected", het.protectedRun);
     }
 
     std::ostringstream js;
@@ -218,13 +188,6 @@ main(int argc, char **argv)
        << "  \"measure_records\": " << opt.measureRecords << ",\n"
        << "  \"jobs_requested\": " << jobs_requested << ",\n"
        << "  \"jobs_effective\": " << jobs_effective << ",\n"
-       << "  \"timing_shards\": "
-       << (rows.empty() ? opt.timingShards : rows[0].timingShards)
-       << ",\n"
-       << "  \"l2_bank_domains\": "
-       << (rows.empty() ? opt.l2BankDomains : rows[0].l2BankDomains)
-       << ",\n"
-       << "  \"sync_quantum\": " << opt.syncQuantum << ",\n"
        << "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i)
         js << "    " << qosRowJson(rows[i], jobs_effective)

@@ -69,9 +69,36 @@ validateScenario(const Scenario &s)
         throw ConfigError(s.name + ": measure_records must be > 0");
     if (s.kind == "functional" && s.measureRefs == 0)
         throw ConfigError(s.name + ": measure_refs must be > 0");
-    if ((s.kind == "timed" || s.kind == "functional") &&
-        s.system.numCores < 1)
-        throw ConfigError(s.name + ": system.num_cores must be >= 1");
+    if (s.kind == "timed" || s.kind == "functional") {
+        if (s.system.numCores < 1)
+            throw ConfigError(s.name +
+                              ": system.num_cores must be >= 1");
+        // Registry entries the System would abort on: a PHT entry
+        // (the prefetch mode implies that tenant) or a set that the
+        // packing codec cannot lay into one PV line.
+        for (size_t i = 0; i < s.system.virtEngines.size(); ++i) {
+            const VirtEngineConfig &ec = s.system.virtEngines[i];
+            const std::string path = s.name +
+                                     ": system.virt_engines[" +
+                                     std::to_string(i) + "]";
+            if (ec.kind == VirtEngineKind::Pht)
+                throw ConfigError(path + ": a PHT tenant comes from "
+                                         "prefetch \"sms_virtualized\""
+                                         ", not a virt_engines entry");
+            if (ec.assoc < 1 || ec.assoc > kPvMaxWays ||
+                ec.tagBits > 32)
+                throw ConfigError(path + ": assoc must be in [1, " +
+                                  std::to_string(kPvMaxWays) +
+                                  "] and tag_bits at most 32");
+            const unsigned entry_bits = virtEngineEntryBits(ec);
+            if (ec.assoc * entry_bits > kBlockBytes * 8)
+                throw ConfigError(
+                    path + ": a set of " + std::to_string(ec.assoc) +
+                    " x " + std::to_string(entry_bits) +
+                    "-bit entries does not fit a " +
+                    std::to_string(kBlockBytes) + "-byte line");
+        }
+    }
     if (s.kind == "fig9") {
         if (s.fig9.batches == 0)
             throw ConfigError(s.name +

@@ -48,8 +48,7 @@
  * at the L2 ("on the backside of the L1"); the hierarchy is
  * oblivious to what it is caching. Speculative fills are ReadReq
  * packets flagged isPrefetch, taking the exact same path as demand
- * fills — the determinism contract of the sharded timing mode is
- * untouched.
+ * fills.
  */
 
 #ifndef PVSIM_CORE_PV_PROXY_HH

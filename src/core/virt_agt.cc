@@ -6,12 +6,10 @@ namespace pvsim {
 
 namespace {
 
-constexpr unsigned kPayloadBits = 54;
-
 PvSetCodec
 agtCodec(const VirtAgtParams &p)
 {
-    return PvSetCodec(p.assoc, p.tagBits, kPayloadBits);
+    return PvSetCodec(p.assoc, p.tagBits, VirtualizedAgt::kPayloadBits);
 }
 
 } // anonymous namespace

@@ -57,6 +57,10 @@ class VirtualizedAgt : public VirtEngine
     using GenerationSink =
         std::function<void(PhtKey key, SpatialPattern pattern)>;
 
+    /** Packed payload bits per entry (see file header); each entry
+     *  is tagBits + kPayloadBits wide. */
+    static constexpr unsigned kPayloadBits = 54;
+
     /** Register as a tenant of a shared, externally owned proxy. */
     VirtualizedAgt(PvProxy &proxy, const std::string &name,
                    const VirtAgtParams &params,

@@ -4,13 +4,10 @@ namespace pvsim {
 
 namespace {
 
-/** 46 target bits cover a 48-bit VA space of 4-byte-aligned PCs. */
-constexpr unsigned kTargetBits = 46;
-
 PvSetCodec
 btbCodec(unsigned assoc, unsigned tag_bits)
 {
-    return PvSetCodec(assoc, tag_bits, kTargetBits);
+    return PvSetCodec(assoc, tag_bits, VirtualizedBtb::kTargetBits);
 }
 
 } // anonymous namespace

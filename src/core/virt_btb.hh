@@ -37,6 +37,10 @@ class VirtualizedBtb : public VirtEngine, public BtbPredictor
   public:
     using LookupCallback = BtbPredictor::LookupCallback;
 
+    /** 46 target bits cover a 48-bit VA space of 4-byte-aligned
+     *  PCs; each packed entry is tagBits + kTargetBits wide. */
+    static constexpr unsigned kTargetBits = 46;
+
     /** Register as a tenant of a shared, externally owned proxy. */
     VirtualizedBtb(PvProxy &proxy, const std::string &name,
                    unsigned num_sets, unsigned assoc,

@@ -166,6 +166,14 @@ std::unique_ptr<VirtEngine> makeEngine(VirtEngineKind kind,
                                        const VirtEngineConfig &cfg,
                                        PvProxy &proxy);
 
+/**
+ * Width in bits of one packed entry (tag + payload) of the table
+ * makeEngine would build for cfg. A set of cfg.assoc such entries
+ * must fit one PV line; config validation checks that with this
+ * instead of letting the codec's assertion abort the process.
+ */
+unsigned virtEngineEntryBits(const VirtEngineConfig &cfg);
+
 } // namespace pvsim
 
 #endif // PVSIM_CORE_VIRT_ENGINE_HH

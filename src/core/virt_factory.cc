@@ -49,4 +49,22 @@ makeEngine(VirtEngineKind kind, const VirtEngineConfig &cfg,
     return nullptr;
 }
 
+unsigned
+virtEngineEntryBits(const VirtEngineConfig &cfg)
+{
+    switch (cfg.kind) {
+      case VirtEngineKind::Pht:
+        return VirtualizedPht::tagBitsFor(cfg.numSets) +
+               VirtualizedPht::kPatternBits;
+      case VirtEngineKind::Btb:
+        return cfg.tagBits + VirtualizedBtb::kTargetBits;
+      case VirtEngineKind::Stride:
+        return cfg.tagBits + VirtualizedStride::kPayloadBits;
+      case VirtEngineKind::Agt:
+        return cfg.tagBits + VirtualizedAgt::kPayloadBits;
+    }
+    pv_assert(false, "unknown VirtEngineKind %d", int(cfg.kind));
+    return 0;
+}
+
 } // namespace pvsim

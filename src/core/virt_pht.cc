@@ -6,21 +6,21 @@ namespace pvsim {
 
 namespace {
 
-/** Tag bits left of the 21-bit key after the set index. */
+PvSetCodec
+phtCodec(unsigned num_sets, unsigned assoc)
+{
+    return PvSetCodec(assoc, VirtualizedPht::tagBitsFor(num_sets),
+                      VirtualizedPht::kPatternBits);
+}
+
+} // anonymous namespace
+
 unsigned
-phtTagBits(unsigned num_sets)
+VirtualizedPht::tagBitsFor(unsigned num_sets)
 {
     unsigned index_bits = unsigned(ceilLog2(num_sets));
     return index_bits >= kPhtKeyBits ? 1 : kPhtKeyBits - index_bits;
 }
-
-PvSetCodec
-phtCodec(unsigned num_sets, unsigned assoc)
-{
-    return PvSetCodec(assoc, phtTagBits(num_sets), 32);
-}
-
-} // anonymous namespace
 
 VirtualizedPht::VirtualizedPht(PvProxy &proxy,
                                const std::string &name,

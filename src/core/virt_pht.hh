@@ -32,6 +32,13 @@ struct VirtPhtParams {
 class VirtualizedPht : public PatternHistoryTable, public VirtEngine
 {
   public:
+    /** Payload bits per entry: the spatial pattern. */
+    static constexpr unsigned kPatternBits = 32;
+
+    /** Tag bits per entry of a num_sets-set table: what is left of
+     *  the 21-bit PhtKey after the set index. */
+    static unsigned tagBitsFor(unsigned num_sets);
+
     /**
      * Register as a tenant of a shared, externally owned proxy
      * (whose memory side must already be or later be connected).

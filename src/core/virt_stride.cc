@@ -6,12 +6,11 @@ namespace pvsim {
 
 namespace {
 
-constexpr unsigned kPayloadBits = 43;
-
 PvSetCodec
 strideCodec(const VirtStrideParams &p)
 {
-    return PvSetCodec(p.assoc, p.tagBits, kPayloadBits);
+    return PvSetCodec(p.assoc, p.tagBits,
+                      VirtualizedStride::kPayloadBits);
 }
 
 } // anonymous namespace

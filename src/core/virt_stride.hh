@@ -43,6 +43,10 @@ class VirtualizedStride : public VirtEngine
     using PredictCallback =
         std::function<void(bool confident, Addr next_block)>;
 
+    /** Packed payload bits per entry (see file header); each entry
+     *  is tagBits + kPayloadBits wide. */
+    static constexpr unsigned kPayloadBits = 43;
+
     /** Register as a tenant of a shared, externally owned proxy. */
     VirtualizedStride(PvProxy &proxy, const std::string &name,
                       const VirtStrideParams &params,

@@ -305,7 +305,6 @@ TraceCore::advance()
             if (!refill()) {
                 phase_ = Phase::Done;
                 done_ = true;
-                finishTick_ = curTick();
                 return;
             }
             phase_ = Phase::Fetch;

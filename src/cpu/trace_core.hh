@@ -117,12 +117,6 @@ class TraceCore final : public SimObject, public MemClient
     /** True once the record budget / trace is exhausted. */
     bool done() const { return done_; }
 
-    /** Tick at which this core retired its last record (0 before
-     *  finishing). Used by the sharded timing driver, which cannot
-     *  observe the exact global tick a core finished at the way the
-     *  serial loop can. */
-    Tick finishTick() const { return finishTick_; }
-
     // MemClient
     void recvResponse(PacketPtr pkt) override;
     std::string clientName() const override { return name(); }
@@ -236,7 +230,6 @@ class TraceCore final : public SimObject, public MemClient
     Phase phase_ = Phase::NeedRecord;
     uint64_t maxRecords_ = 0;
     bool done_ = false;
-    Tick finishTick_ = 0;
 
     /** Last instruction block fetched (suppresses repeat fetches). */
     Addr lastFetchBlock_ = ~Addr(0);

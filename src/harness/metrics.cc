@@ -167,15 +167,10 @@ runMeasured(System &sys, uint64_t warmup_records,
     r.ipc = aggregateIpc(sys.totalInstructions(), finish - start);
     r.wallSeconds = wall.count();
     r.eventsExecuted = sys.eventsExecuted() - events_before;
-    r.timingShards = sys.timingShardsEffective();
-    r.l2BankDomains = sys.l2BankDomainsEffective();
-    r.dramLanes = sys.dramLanesEffective();
-    r.drainOverlap = sys.drainOverlapEffective();
-    // resetStats() zeroed the phase timers at the measure boundary,
-    // so these are measure-phase-only.
-    r.clusterPhaseSeconds = sys.clusterPhaseSeconds();
-    r.sharedPhaseSeconds = sys.sharedPhaseSeconds();
     for (int c = 0; c < sys.numCores(); ++c) {
+        // resetStats() zeroed the record counters, so these are
+        // measure-phase-only.
+        r.records += sys.core(c).recordsConsumed();
         r.btbHits += sys.core(c).btbHits.value();
         r.btbMispredicts += sys.core(c).btbMispredicts.value();
         r.btbUnavailable += sys.core(c).btbUnavailable.value();
@@ -301,11 +296,6 @@ fig9Config(const WorkloadMix &mix, const Fig9Options &opt,
                            uint64_t(opt.btbSets) * kBlockBytes);
     cfg.pvPrefetch = opt.pvPrefetch;
     cfg.victimEntries = opt.victimEntries;
-    cfg.timingShards = opt.timingShards;
-    cfg.syncQuantum = opt.syncQuantum;
-    cfg.l2BankDomains = opt.l2BankDomains;
-    cfg.dramLanes = opt.dramLanes;
-    cfg.drainOverlap = opt.drainOverlap;
     return cfg;
 }
 
@@ -358,21 +348,14 @@ fig9Sweep(const Fig9Options &opt)
             row.batchPct.resize(batches, 0.0);
             double ded_sum = 0.0, virt_sum = 0.0;
             TimedRun ded_all, virt_all;
-            row.timingShards = ded[0].timingShards;
-            row.l2BankDomains = ded[0].l2BankDomains;
-            row.dramLanes = ded[0].dramLanes;
-            row.drainOverlap = ded[0].drainOverlap;
             for (unsigned b = 0; b < batches; ++b) {
                 ded_sum += ded[b].ipc;
                 virt_sum += virt[b].ipc;
                 row.wallSeconds +=
                     ded[b].wallSeconds + virt[b].wallSeconds;
+                row.records += ded[b].records + virt[b].records;
                 row.eventsExecuted +=
                     ded[b].eventsExecuted + virt[b].eventsExecuted;
-                row.clusterPhaseSeconds += ded[b].clusterPhaseSeconds +
-                                           virt[b].clusterPhaseSeconds;
-                row.sharedPhaseSeconds += ded[b].sharedPhaseSeconds +
-                                          virt[b].sharedPhaseSeconds;
                 ded_all.btbHits += ded[b].btbHits;
                 ded_all.btbMispredicts += ded[b].btbMispredicts;
                 virt_all.btbHits += virt[b].btbHits;
@@ -564,11 +547,6 @@ qosConfig(const QosOptions &opt, const QosSetting &s)
         uint64_t(opt.btbSets + opt.agtSets) * kBlockBytes);
     cfg.pvPrefetch = opt.pvPrefetch;
     cfg.victimEntries = opt.victimEntries;
-    cfg.timingShards = opt.timingShards;
-    cfg.syncQuantum = opt.syncQuantum;
-    cfg.l2BankDomains = opt.l2BankDomains;
-    cfg.dramLanes = opt.dramLanes;
-    cfg.drainOverlap = opt.drainOverlap;
     return cfg;
 }
 
@@ -644,18 +622,11 @@ qosSweep(const QosOptions &opt)
         uint64_t ops = 0, drops = 0, fills = 0, fill_ticks = 0;
         uint64_t agg_ops = 0, agg_drops = 0;
         std::vector<double> delta(batches, 0.0);
-        row.timingShards = mine[0].timed.timingShards;
-        row.l2BankDomains = mine[0].timed.l2BankDomains;
-        row.dramLanes = mine[0].timed.dramLanes;
-        row.drainOverlap = mine[0].timed.drainOverlap;
         for (unsigned b = 0; b < batches; ++b) {
             ipc_sum += mine[b].timed.ipc;
             row.wallSeconds += mine[b].timed.wallSeconds;
+            row.records += mine[b].timed.records;
             row.eventsExecuted += mine[b].timed.eventsExecuted;
-            row.clusterPhaseSeconds +=
-                mine[b].timed.clusterPhaseSeconds;
-            row.sharedPhaseSeconds +=
-                mine[b].timed.sharedPhaseSeconds;
             all.btbHits += mine[b].timed.btbHits;
             all.btbMispredicts += mine[b].timed.btbMispredicts;
             all.btbUnavailable += mine[b].timed.btbUnavailable;
@@ -704,8 +675,7 @@ qosSweep(const QosOptions &opt)
 
 namespace {
 
-/** Cluster group of core c: contiguous quarters, the same grouping
- *  the sharded scheduler uses for its clusters. */
+/** Cluster group of core c: contiguous quarters. */
 unsigned
 hetGroupOf(int core, int num_cores)
 {
@@ -858,13 +828,8 @@ qosHeterogeneous(const QosOptions &opt)
         into.btbMispredicts += from.btbMispredicts;
         into.btbUnavailable += from.btbUnavailable;
         into.wallSeconds += from.wallSeconds;
+        into.records += from.records;
         into.eventsExecuted += from.eventsExecuted;
-        into.clusterPhaseSeconds += from.clusterPhaseSeconds;
-        into.sharedPhaseSeconds += from.sharedPhaseSeconds;
-        into.timingShards = from.timingShards;
-        into.l2BankDomains = from.l2BankDomains;
-        into.dramLanes = from.dramLanes;
-        into.drainOverlap = from.drainOverlap;
     };
     auto merge = [](std::array<HetGroup, 4> &into,
                     const std::array<HetGroup, 4> &from) {

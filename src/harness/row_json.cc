@@ -10,15 +10,9 @@ timedRunJson(const TimedRun &r)
     std::ostringstream os;
     os << "\"ipc\": " << r.ipc
        << ", \"wall_seconds\": " << r.wallSeconds
-       << ", \"events\": " << r.eventsExecuted
-       << ", \"events_per_sec\": " << r.eventsPerSec()
-       << ", \"timing_shards\": " << r.timingShards
-       << ", \"l2_bank_domains\": " << r.l2BankDomains
-       << ", \"dram_lanes\": " << r.dramLanes
-       << ", \"drain_overlap\": " << (r.drainOverlap ? "true" : "false")
-       << ", \"cluster_phase_seconds\": " << r.clusterPhaseSeconds
-       << ", \"shared_phase_seconds\": " << r.sharedPhaseSeconds
-       << ", \"serial_fraction\": " << r.serialFraction();
+       << ", \"records\": " << r.records
+       << ", \"records_per_sec\": " << r.recordsPerSec()
+       << ", \"events\": " << r.eventsExecuted;
     return os.str();
 }
 
@@ -35,16 +29,10 @@ fig9RowJson(const Fig9Row &r, unsigned jobs_effective)
        << ", \"speedup_pct\": " << r.speedupPct
        << ", \"ci_pct\": " << r.ciPct
        << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"records\": " << r.records
+       << ", \"records_per_sec\": " << r.recordsPerSec()
        << ", \"events\": " << r.eventsExecuted
-       << ", \"events_per_sec\": " << r.eventsPerSec()
-       << ", \"jobs_effective\": " << jobs_effective
-       << ", \"timing_shards\": " << r.timingShards
-       << ", \"l2_bank_domains\": " << r.l2BankDomains
-       << ", \"dram_lanes\": " << r.dramLanes
-       << ", \"drain_overlap\": " << (r.drainOverlap ? "true" : "false")
-       << ", \"cluster_phase_seconds\": " << r.clusterPhaseSeconds
-       << ", \"shared_phase_seconds\": " << r.sharedPhaseSeconds
-       << ", \"serial_fraction\": " << r.serialFraction() << "}";
+       << ", \"jobs_effective\": " << jobs_effective << "}";
     return os.str();
 }
 
@@ -64,16 +52,10 @@ qosRowJson(const QosRow &r, unsigned jobs_effective)
        << ", \"ipc_delta_pct\": " << r.ipcDeltaPct
        << ", \"avail_improvement_pct\": " << r.availImprovementPct
        << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"records\": " << r.records
+       << ", \"records_per_sec\": " << r.recordsPerSec()
        << ", \"events\": " << r.eventsExecuted
-       << ", \"events_per_sec\": " << r.eventsPerSec()
-       << ", \"jobs_effective\": " << jobs_effective
-       << ", \"timing_shards\": " << r.timingShards
-       << ", \"l2_bank_domains\": " << r.l2BankDomains
-       << ", \"dram_lanes\": " << r.dramLanes
-       << ", \"drain_overlap\": " << (r.drainOverlap ? "true" : "false")
-       << ", \"cluster_phase_seconds\": " << r.clusterPhaseSeconds
-       << ", \"shared_phase_seconds\": " << r.sharedPhaseSeconds
-       << ", \"serial_fraction\": " << r.serialFraction() << "}";
+       << ", \"jobs_effective\": " << jobs_effective << "}";
     return os.str();
 }
 

@@ -226,64 +226,6 @@ struct SystemConfig {
     /** Reserved PVTable bytes per core (>= numSets * 64). */
     uint64_t pvBytesPerCore = 64 * 1024;
 
-    // ---- Sharded (parallel) timing ---------------------------------------
-    /**
-     * Worker shards for timing mode. 1 (default) is the serial
-     * single-queue loop, bit-identical to the historical timing
-     * results. 0 picks min(PVSIM_JOBS, numCores) the way the
-     * functional harness clamps its job count. Any other value
-     * partitions the cores into that many clusters, each simulated
-     * on its own event queue and synchronized every syncQuantum
-     * ticks. With a fixed quantum, aggregate stats are identical
-     * for every shard count >= 1 engaged on the quantum path
-     * (i.e. whenever syncQuantum > 0 or timingShards != 1).
-     */
-    unsigned timingShards = 1;
-    /**
-     * Barrier quantum in ticks for sharded timing. 0 (auto) uses
-     * the conservative bound: the L2 data latency, the minimum
-     * cross-cluster response latency. Larger requests are clamped
-     * to that bound; responses can then never arrive late.
-     */
-    Cycles syncQuantum = 0;
-    /**
-     * Bank domains for the shared L2 in sharded timing: the L2's
-     * address-interleaved banks are grouped into this many
-     * independently scheduled domains, each run by its own worker
-     * at the quantum edge (directory, MSHRs and send queues are
-     * partitioned per bank so domains share no mutable state).
-     * 0 (auto) picks min(PVSIM_JOBS, l2Banks); any other value is
-     * clamped to [1, l2Banks]. Only meaningful when the sharded
-     * machinery is engaged; with a fixed quantum, aggregate stats
-     * are bit-identical for every domain count >= 1.
-     */
-    unsigned l2BankDomains = 0;
-    /**
-     * DRAM lanes in sharded timing: how the DRAM path is split by
-     * the L2 bank map. 0 (auto) gives one lane per L2 bank; with
-     * more than one lane the DRAM backing store is partitioned per
-     * bank and service runs inside the banked shared phase on the
-     * bank-domain workers — only the channel reservation walk stays
-     * serial. 1 keeps the monolithic serial DRAM tail (the pre-lane
-     * code path, bit-identical to it by construction); any other
-     * value is clamped to [1, l2Banks]. With a fixed quantum,
-     * results are bit-identical for every lane count.
-     */
-    unsigned dramLanes = 0;
-    /**
-     * Overlapped boundary drains in sharded timing: 0 (auto)
-     * overlaps whenever the DRAM lanes are engaged (dramLanes
-     * effective > 1), 1 forces the serial barrier drains, 2 forces
-     * the overlap. When on, each boundary keeps an active/staging
-     * lane pair swapped at the barrier; the window prologues fan
-     * the egress flush out to the cluster workers and the staged
-     * drain out to the bank workers, and the main thread flushes
-     * stat deferrals concurrently with the cluster phase. Delivery
-     * ticks and per-queue orders are unchanged, so results are
-     * bit-identical either way.
-     */
-    unsigned drainOverlap = 0;
-
     /** Short label for reports, e.g. "SMS-1K" or "SMS-PV8". */
     std::string label() const;
 };

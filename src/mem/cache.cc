@@ -67,14 +67,9 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
                    "writebacks below, PVTable addresses"),
       missLatency(this, "miss_latency",
                   "demand miss latency (cycles)", 0, 1600, 50),
-      params_(params), addrMap_(addr_map)
+      params_(params), addrMap_(addr_map),
+      mshrs_(params.numMshrs)
 {
-    mshrs_.emplace_back(params_.numMshrs);
-    pendingLookups_.assign(1, 0);
-    accessCounter_.assign(1, 0);
-    victimScratch_.resize(1);
-    sendQueue_.resize(1);
-    drainScheduled_.assign(1, 0);
     pv_assert(params_.sizeBytes % (uint64_t(params_.assoc) *
                                    kBlockBytes) == 0,
               "cache size must be a multiple of assoc * block size");
@@ -92,37 +87,6 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
     if (params_.dropPvWritebacks)
         pv_assert(addrMap_ != nullptr,
                   "dropPvWritebacks requires an address map");
-}
-
-void
-Cache::enableBankPartition()
-{
-    pv_assert(params_.banks > 0, "bank partition needs banks");
-    pv_assert(numSets_ % params_.banks == 0,
-              "%s: bank partition needs banks to divide the set "
-              "count (%u sets, %u banks) so every set is owned by "
-              "one bank",
-              name().c_str(), numSets_, params_.banks);
-    pv_assert(lruFast_ || params_.replPolicy == "fifo",
-              "%s: bank partition requires a stateless replacement "
-              "policy", name().c_str());
-    pv_assert(outstandingMisses() == 0 && pendingLookups() == 0 &&
-                  sendQueueDepth() == 0 && accessCounter_[0] == 0,
-              "%s: enableBankPartition after traffic",
-              name().c_str());
-    stateBanks_ = params_.banks;
-    const unsigned per_bank =
-        std::max(1u, params_.numMshrs / stateBanks_);
-    mshrs_.clear();
-    for (unsigned b = 0; b < stateBanks_; ++b)
-        mshrs_.emplace_back(per_bank);
-    pendingLookups_.assign(stateBanks_, 0);
-    accessCounter_.assign(stateBanks_, 0);
-    victimScratch_.clear();
-    victimScratch_.resize(stateBanks_);
-    sendQueue_.clear();
-    sendQueue_.resize(stateBanks_);
-    drainScheduled_.assign(stateBanks_, 0);
 }
 
 int
@@ -176,12 +140,7 @@ Cache::numValidBlocks() const
 bool
 Cache::quiesced() const
 {
-    if (outstandingMisses() != 0)
-        return false;
-    for (const auto &q : sendQueue_)
-        if (!q.empty())
-            return false;
-    return true;
+    return mshrs_.used() == 0 && sendQueue_.empty();
 }
 
 // ---------------------------------------------------------------------
@@ -284,12 +243,11 @@ Cache::serveHit(Packet &pkt, CacheBlk &blk)
 void
 Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
 {
-    uint64_t &ctr = accessCounter_[stateBankOf(blk.blockAddr)];
     if (lruFast_) {
-        blk.lastTouch = ++ctr;
+        blk.lastTouch = ++accessCounter_;
         lastTouch_[size_t(&blk - blocks_.data())] = blk.lastTouch;
     } else {
-        repl_->touch(blk, ++ctr);
+        repl_->touch(blk, ++accessCounter_);
     }
 
     switch (pkt.cmd) {
@@ -363,11 +321,10 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
             }
             frame = &blocks_[base + best];
         } else {
-            auto &scratch = victimScratch_[stateBankOf(aligned)];
-            scratch.clear();
+            victimScratch_.clear();
             for (unsigned w = 0; w < assoc; ++w)
-                scratch.push_back(&blocks_[base + w]);
-            frame = scratch[repl_->victim(scratch)];
+                victimScratch_.push_back(&blocks_[base + w]);
+            frame = victimScratch_[repl_->victim(victimScratch_)];
         }
         evictBlock(*frame);
     }
@@ -382,12 +339,11 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
     frame->isPv = is_pv;
     frame->sharers.reset();
     frame->ownerSlot = -1;
-    uint64_t &ctr = accessCounter_[stateBankOf(aligned)];
-    ++ctr;
-    frame->lastTouch = ctr;
-    frame->insertedAt = ctr;
+    ++accessCounter_;
+    frame->lastTouch = accessCounter_;
+    frame->insertedAt = accessCounter_;
     if (lruFast_)
-        lastTouch_[size_t(frame - blocks_.data())] = ctr;
+        lastTouch_[size_t(frame - blocks_.data())] = accessCounter_;
     if (data)
         frame->ensureData() = *data;
     else
@@ -611,20 +567,18 @@ Cache::recvRequest(PacketPtr pkt)
         return true;
     }
 
-    // Structural backpressure: refuse when the bank's MSHR file
-    // (including accepted-but-unresolved lookups) is full and the
-    // request cannot coalesce, or the bank's send queue is clogged.
-    const unsigned bank = stateBankOf(pkt->addr);
-    MshrFile &mshrs = mshrs_[bank];
+    // Structural backpressure: refuse when the MSHR file (including
+    // accepted-but-unresolved lookups) is full and the request
+    // cannot coalesce, or our own send queue is clogged.
     bool mshr_budget_full =
-        mshrs.used() + pendingLookups_[bank] >= mshrs.capacity();
-    if (mshr_budget_full && !mshrs.find(blockAlign(pkt->addr)) &&
+        mshrs_.used() + pendingLookups_ >= mshrs_.capacity();
+    if (mshr_budget_full && !mshrs_.find(blockAlign(pkt->addr)) &&
         !findBlock(pkt->addr)) {
         ++mshrRejects;
         return false;
     }
-    if (sendQueue_[bank].size() >= params_.writeBufferEntries +
-                                       params_.numMshrs) {
+    if (sendQueue_.size() >= params_.writeBufferEntries +
+                                 params_.numMshrs) {
         ++mshrRejects;
         return false;
     }
@@ -632,7 +586,7 @@ Cache::recvRequest(PacketPtr pkt)
     if (pkt->issueTick == 0)
         pkt->issueTick = curTick();
 
-    ++pendingLookups_[bank];
+    ++pendingLookups_;
     Tick ready = bankReadyTick(pkt->addr);
     Tick lookup_done = ready + params_.tagLatency;
     schedule(lookup_done - curTick(),
@@ -681,15 +635,13 @@ Cache::probeAccess(PacketPtr pkt)
 void
 Cache::handleLookup(PacketPtr pkt)
 {
-    unsigned &pending = pendingLookups_[stateBankOf(pkt->addr)];
-    pv_assert(pending > 0, "lookup underflow");
-    --pending;
+    pv_assert(pendingLookups_ > 0, "lookup underflow");
+    --pendingLookups_;
     if (probeAccess(pkt)) {
-        // Let the destination place the delivery event: a client in
-        // another timing domain (sharded mode's cluster boundary)
-        // redirects it into its own queue.
-        pkt->src->scheduleResponse(ctx().events(),
-                                   params_.dataLatency, pkt);
+        MemClient *dst = pkt->src;
+        schedule(params_.dataLatency,
+                 [dst, pkt] { dst->recvResponse(pkt); },
+                 EventQueue::kPrioResponse);
     }
 }
 
@@ -697,8 +649,7 @@ void
 Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
 {
     Addr baddr = blockAlign(pkt->addr);
-    MshrFile &mshrs = mshrs_[stateBankOf(baddr)];
-    Mshr *mshr = mshrs.find(baddr);
+    Mshr *mshr = mshrs_.find(baddr);
     if (mshr) {
         ++mshrCoalesced;
         if (mshr->prefetchOnly && !pkt->isPrefetch) {
@@ -724,7 +675,7 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
         return;
     }
 
-    if (mshrs.full()) {
+    if (mshrs_.full()) {
         // Filled up since acceptance; retry the MSHR allocation only
         // (stats and listener hooks already ran exactly once).
         schedule(1, [this, pkt, down_cmd] {
@@ -733,7 +684,7 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
         return;
     }
 
-    Mshr &m = mshrs.allocate(baddr, curTick());
+    Mshr &m = mshrs_.allocate(baddr, curTick());
     m.needsWritable = pkt->needsWritable();
     m.prefetchOnly = pkt->isPrefetch;
     m.wasPrefetch = pkt->isPrefetch;
@@ -760,56 +711,37 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
 void
 Cache::sendDownstream(PacketPtr pkt)
 {
-    const unsigned bank = stateBankOf(pkt->addr);
-    sendQueue_[bank].push_back(pkt);
-    drainSendQueue(bank);
+    sendQueue_.push_back(pkt);
+    drainSendQueue();
 }
 
 void
-Cache::drainSendQueue(unsigned bank)
+Cache::drainSendQueue()
 {
-    auto &queue = sendQueue_[bank];
-    if (drainScheduled_[bank] || queue.empty())
+    if (drainScheduled_ || sendQueue_.empty())
         return;
     pv_assert(memSide_ != nullptr, "%s: no memory side",
               name().c_str());
-    while (!queue.empty()) {
-        PacketPtr head = queue.front();
+    while (!sendQueue_.empty()) {
+        PacketPtr head = sendQueue_.front();
         if (!memSide_->recvRequest(head))
             break;
-        queue.pop_front();
+        sendQueue_.pop_front();
     }
-    if (!queue.empty()) {
-        drainScheduled_[bank] = 1;
-        schedule(1, [this, bank] {
-            drainScheduled_[bank] = 0;
-            drainSendQueue(bank);
+    if (!sendQueue_.empty()) {
+        drainScheduled_ = true;
+        schedule(1, [this] {
+            drainScheduled_ = false;
+            drainSendQueue();
         });
     }
-}
-
-void
-Cache::scheduleResponse(EventQueue &eq, Cycles delay, PacketPtr pkt)
-{
-    if (responseRouter_) {
-        // Bank-domain mode: the fill must execute in the owning
-        // bank's domain, not the domain of the sender (DRAM on the
-        // base queue). The due tick carries at least the DRAM
-        // latency, so it is always beyond the bank's current window.
-        EventQueue *teq = responseRouter_(pkt->addr);
-        teq->schedule(eq.curTick() + delay, EventQueue::kPrioResponse,
-                      [this, pkt] { recvResponse(pkt); });
-        return;
-    }
-    MemClient::scheduleResponse(eq, delay, pkt);
 }
 
 void
 Cache::recvResponse(PacketPtr pkt)
 {
     Addr baddr = blockAlign(pkt->addr);
-    MshrFile &mshrs = mshrs_[stateBankOf(baddr)];
-    Mshr *mshr = mshrs.find(baddr);
+    Mshr *mshr = mshrs_.find(baddr);
     pv_assert(mshr != nullptr, "%s: response with no MSHR for %llx",
               name().c_str(), (unsigned long long)baddr);
 
@@ -830,7 +762,7 @@ Cache::recvResponse(PacketPtr pkt)
     // Complete the waiting targets in arrival order.
     std::vector<PacketPtr> targets;
     targets.swap(mshr->targets);
-    mshrs.deallocate(*mshr);
+    mshrs_.deallocate(*mshr);
 
     for (PacketPtr t : targets) {
         if (t->isPrefetchReq() && t->src == nullptr) {
@@ -843,7 +775,9 @@ Cache::recvResponse(PacketPtr pkt)
             missLatency.sample(curTick() - t->issueTick);
         MemClient *dst = t->src;
         pv_assert(dst != nullptr, "target with no source client");
-        dst->scheduleResponse(ctx().events(), params_.dataLatency, t);
+        schedule(params_.dataLatency,
+                 [dst, t] { dst->recvResponse(t); },
+                 EventQueue::kPrioResponse);
     }
 
     freePacket(pkt);
@@ -901,19 +835,18 @@ Cache::issuePrefetch(Addr block_addr, Addr pc)
         return true;
     }
 
-    MshrFile &mshrs = mshrs_[stateBankOf(baddr)];
-    if (mshrs.find(baddr)) {
+    if (mshrs_.find(baddr)) {
         ++prefetchDropped;
         return false;
     }
-    if (mshrs.full()) {
+    if (mshrs_.full()) {
         ++prefetchDropped;
         return false;
     }
 
     ++prefetchIssued;
     countRequest_prefetch_(baddr);
-    Mshr &m = mshrs.allocate(baddr, curTick());
+    Mshr &m = mshrs_.allocate(baddr, curTick());
     m.prefetchOnly = true;
     m.wasPrefetch = true;
     m.inService = true;

@@ -17,36 +17,8 @@ Dram::Dram(SimContext &ctx, const DramParams &params,
       writesPv(this, "writes_pv", "block writes, PV data"),
       readBytes(this, "read_bytes", "bytes read from DRAM"),
       writeBytes(this, "write_bytes", "bytes written to DRAM"),
-      params_(params), addrMap_(addr_map), stores_(1)
+      params_(params), addrMap_(addr_map)
 {
-}
-
-void
-Dram::enableBankStores(unsigned banks,
-                       std::function<unsigned(Addr)> bank_of)
-{
-    pv_assert(banks > 0, "need at least one bank store");
-    pv_assert(stores_.size() == 1 && stores_[0].numRegions() == 0,
-              "enableBankStores must precede any block write");
-    stores_.clear();
-    stores_.resize(banks);
-    storeBankOf_ = std::move(bank_of);
-}
-
-DramStore &
-Dram::storeOf(Addr block_addr)
-{
-    if (stores_.size() == 1)
-        return stores_[0];
-    return stores_[storeBankOf_(block_addr)];
-}
-
-const DramStore &
-Dram::storeOf(Addr block_addr) const
-{
-    if (stores_.size() == 1)
-        return stores_[0];
-    return stores_[storeBankOf_(block_addr)];
 }
 
 bool
@@ -67,7 +39,7 @@ Dram::handle(Packet &pkt)
         else
             ++readsApp;
         readBytes += kBlockBytes;
-        if (const uint8_t *bytes = storeOf(baddr).find(baddr))
+        if (const uint8_t *bytes = store_.find(baddr))
             pkt.setData(bytes);
         pkt.grantsWritable = true;
         pkt.makeResponse();
@@ -87,8 +59,8 @@ Dram::handle(Packet &pkt)
             ++writesApp;
         writeBytes += kBlockBytes;
         if (pkt.hasData())
-            std::memcpy(storeOf(baddr).ensure(baddr),
-                        pkt.data->data(), kBlockBytes);
+            std::memcpy(store_.ensure(baddr), pkt.data->data(),
+                        kBlockBytes);
         return false; // consumed, no response
       }
 
@@ -116,43 +88,9 @@ Dram::recvRequest(PacketPtr pkt)
     Tick done = start + params_.latency;
     MemClient *dst = pkt->src;
     pv_assert(dst != nullptr, "dram response with no source");
-    dst->scheduleResponse(ctx().events(), Cycles(done - curTick()),
-                          pkt);
+    ctx().events().schedule(done, EventQueue::kPrioResponse,
+                            [dst, pkt] { dst->recvResponse(pkt); });
     return true;
-}
-
-void
-Dram::serviceSharded(Tick when, PacketPtr pkt, EventQueue &bank_eq)
-{
-    pv_assert(isTiming(), "serviceSharded in functional mode");
-    if (pkt->cmd == MemCmd::Writeback ||
-        pkt->cmd == MemCmd::CleanEvict) {
-        // No channel slot, no response (as in recvRequest). Applied
-        // at the barrier: the inclusive L2 cannot have a fetch of
-        // the same block in flight while it writes the block back,
-        // so the eager store update is unobservable.
-        handle(*pkt);
-        freePacket(pkt);
-        return;
-    }
-    // Channel reservation in canonical arrival order — the same
-    // slot the monolithic DRAM queue would grant at tick `when`.
-    Tick start = std::max(when, channelFreeAt_);
-    if (params_.serviceInterval > 0)
-        channelFreeAt_ = start + params_.serviceInterval;
-    Tick done = start + params_.latency;
-    // The heavy part runs at the response tick on the bank-domain
-    // worker owning the address: stats defer into the worker's
-    // stats::Deferral, and the store partition is bank-private.
-    // Same-tick responses keep canonical order because they are
-    // inserted here in reservation order.
-    bank_eq.schedule(done, EventQueue::kPrioResponse, [this, pkt] {
-        bool respond = handle(*pkt);
-        pv_assert(respond, "sharded service of a no-response cmd");
-        MemClient *dst = pkt->src;
-        pv_assert(dst != nullptr, "dram response with no source");
-        dst->recvResponse(pkt);
-    });
 }
 
 void
@@ -165,8 +103,7 @@ void
 Dram::writeBlock(Addr block_addr, const Packet::Data &data)
 {
     Addr baddr = blockAlign(block_addr);
-    std::memcpy(storeOf(baddr).ensure(baddr), data.data(),
-                kBlockBytes);
+    std::memcpy(store_.ensure(baddr), data.data(), kBlockBytes);
 }
 
 Packet::Data
@@ -174,7 +111,7 @@ Dram::readBlock(Addr block_addr) const
 {
     Packet::Data out;
     Addr baddr = blockAlign(block_addr);
-    if (const uint8_t *bytes = storeOf(baddr).find(baddr))
+    if (const uint8_t *bytes = store_.find(baddr))
         std::memcpy(out.data(), bytes, kBlockBytes);
     else
         out.fill(0);
@@ -185,7 +122,7 @@ bool
 Dram::hasBlock(Addr block_addr) const
 {
     Addr baddr = blockAlign(block_addr);
-    return storeOf(baddr).has(baddr);
+    return store_.has(baddr);
 }
 
 } // namespace pvsim

@@ -9,14 +9,10 @@
 #ifndef PVSIM_MEM_DRAM_HH
 #define PVSIM_MEM_DRAM_HH
 
-#include <functional>
-#include <vector>
-
 #include "mem/addr_map.hh"
 #include "mem/dram_store.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
-#include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 #include "stats/stat.hh"
 
@@ -46,33 +42,6 @@ class Dram : public SimObject, public MemDevice
     void functionalAccess(Packet &pkt) override;
     std::string deviceName() const override { return name(); }
 
-    /**
-     * Partition the backing store into per-bank lanes (sharded
-     * in-phase DRAM): block data is kept in the store of the L2
-     * bank owning the address, so a service event executing on the
-     * bank's domain worker touches storage no other worker can
-     * reach. Must be called before any block is written; bank_of
-     * must match the L2's bank map.
-     */
-    void enableBankStores(unsigned banks,
-                          std::function<unsigned(Addr)> bank_of);
-
-    /**
-     * Sharded in-phase service (see System::runTimingSharded): the
-     * main thread calls this at the quantum barrier for every packet
-     * parked in the DRAM lanes, in the canonical (send-tick, bank,
-     * issue-order) sequence. Channel reservation — the serial part —
-     * happens here, reproducing exactly the slot each request would
-     * get from the monolithic DRAM queue; the heavy service (stats,
-     * store access, response delivery) is deferred to an event at
-     * the response tick in the owning bank's queue, so it runs
-     * inside the banked shared phase on the worker pool. Writebacks
-     * and clean evicts consume no channel slot (as in recvRequest)
-     * and are applied immediately.
-     */
-    void serviceSharded(Tick when, PacketPtr pkt,
-                        EventQueue &bank_eq);
-
     /** Direct backing-store poke for tests and initialization. */
     void writeBlock(Addr block_addr, const Packet::Data &data);
     /** Read back a block; zeros if never written. */
@@ -98,16 +67,9 @@ class Dram : public SimObject, public MemDevice
     /** Shared request handling; returns true if a response is due. */
     bool handle(Packet &pkt);
 
-    /** Backing store owning block_addr (the single store unless
-     *  enableBankStores partitioned it). */
-    DramStore &storeOf(Addr block_addr);
-    const DramStore &storeOf(Addr block_addr) const;
-
     DramParams params_;
     const AddrMap *addrMap_;
-    /** Store partitions; exactly one unless enableBankStores. */
-    std::vector<DramStore> stores_;
-    std::function<unsigned(Addr)> storeBankOf_;
+    DramStore store_;
     Tick channelFreeAt_ = 0;
 };
 

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "mem/packet.hh"
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace pvsim {
@@ -26,22 +25,6 @@ class MemClient
 
     /** A response for a request this client sent (timing mode). */
     virtual void recvResponse(PacketPtr pkt) = 0;
-
-    /**
-     * Schedule recvResponse(pkt) delay cycles from now on eq (the
-     * responding device's event queue). Devices call this instead
-     * of scheduling the delivery themselves so a client living in a
-     * different timing domain can redirect the event into its own
-     * queue — the sharded timing mode's cluster boundaries override
-     * it; everyone else gets the exact event the device would have
-     * scheduled (same tick, same priority, same insertion order).
-     */
-    virtual void
-    scheduleResponse(EventQueue &eq, Cycles delay, PacketPtr pkt)
-    {
-        eq.schedule(eq.curTick() + delay, EventQueue::kPrioResponse,
-                    [this, pkt] { recvResponse(pkt); });
-    }
 
     /**
      * Coherence: drop the block (back-invalidation from an inclusive

@@ -6,29 +6,6 @@
 
 namespace pvsim {
 
-namespace {
-
-thread_local EventQueue *tls_current_queue = nullptr;
-
-} // anonymous namespace
-
-EventQueue *
-EventQueue::current()
-{
-    return tls_current_queue;
-}
-
-EventQueue::CurrentScope::CurrentScope(EventQueue *eq)
-    : prev_(tls_current_queue)
-{
-    tls_current_queue = eq;
-}
-
-EventQueue::CurrentScope::~CurrentScope()
-{
-    tls_current_queue = prev_;
-}
-
 EventQueue::~EventQueue()
 {
     for (Event *e : heap_) {
@@ -187,7 +164,6 @@ EventQueue::runUntil(Tick limit)
         e->invoke(e->storage);
         if (e->destroy)
             e->destroy(e->storage);
-        lastExecuted_ = e->when;
         release(e);
         ++numExecuted_;
         ++executed;

@@ -118,11 +118,6 @@ class EventQueue
     /** Total events ever executed (for microbenchmarks/tests). */
     uint64_t numExecuted() const { return numExecuted_; }
 
-    /** Tick of the most recently executed event (0 before any).
-     *  The sharded timing driver uses this for finish detection at
-     *  window granularity. */
-    Tick lastExecutedTick() const { return lastExecuted_; }
-
     // -- Freelist observability (tests, microbenchmarks) -------------
 
     /** Event nodes ever allocated from the pool's chunks. */
@@ -130,31 +125,6 @@ class EventQueue
 
     /** Event nodes currently on the freelist. */
     size_t poolFree() const { return freeCount_; }
-
-    // -- Thread-local current queue -----------------------------------
-
-    /**
-     * The calling thread's current event queue, or nullptr. The
-     * sharded timing driver points each worker at its cluster's
-     * queue for the duration of a quantum; SimContext::events()
-     * honours the override so every model schedules into — and
-     * reads time from — the domain it executes in, with zero
-     * changes to the models themselves.
-     */
-    static EventQueue *current();
-
-    /** RAII scope installing (and restoring) current(). */
-    class CurrentScope
-    {
-      public:
-        explicit CurrentScope(EventQueue *eq);
-        ~CurrentScope();
-        CurrentScope(const CurrentScope &) = delete;
-        CurrentScope &operator=(const CurrentScope &) = delete;
-
-      private:
-        EventQueue *prev_;
-    };
 
   private:
     /** Inline callable slot: covers every model closure (a few
@@ -271,7 +241,6 @@ class EventQueue
     Tick curTick_ = 0;
     EventId nextId_ = 0;
     uint64_t numExecuted_ = 0;
-    Tick lastExecuted_ = 0;
 };
 
 } // namespace pvsim

@@ -44,31 +44,14 @@ class SimContext
     SimMode mode() const { return mode_; }
     bool isTiming() const { return mode_ == SimMode::Timing; }
 
-    /**
-     * The event queue the calling thread should schedule into: the
-     * thread's current-queue override when one is installed (the
-     * sharded timing driver points each worker at its cluster's
-     * queue for the duration of a quantum), else the context's base
-     * queue. Serial simulation never installs an override, so this
-     * stays the single shared queue.
-     */
-    EventQueue &
-    events()
-    {
-        EventQueue *cur = EventQueue::current();
-        return cur ? *cur : events_;
-    }
+    /** The system's one event queue. */
+    EventQueue &events() { return events_; }
 
-    /** The context's own queue, ignoring any thread-local override
-     *  (the sharded driver's shared L2/DRAM domain). */
+    /** Same queue as events(). Kept for the benchmark job, which
+     *  reads the event pool's size through it. */
     EventQueue &baseEvents() { return events_; }
 
-    Tick
-    curTick() const
-    {
-        EventQueue *cur = EventQueue::current();
-        return cur ? cur->curTick() : events_.curTick();
-    }
+    Tick curTick() const { return events_.curTick(); }
 
     stats::Group &statsRoot() { return root_; }
 

@@ -64,16 +64,6 @@ Distribution::Distribution(Group *parent, const std::string &name,
 void
 Distribution::sample(uint64_t v)
 {
-    if (Deferral *d = Deferral::current()) {
-        d->sample(*this, v);
-        return;
-    }
-    applySample(v);
-}
-
-void
-Distribution::applySample(uint64_t v)
-{
     ++samples_;
     sum_ += double(v);
     minSampled_ = std::min(minSampled_, v);
@@ -119,26 +109,6 @@ Distribution::reset()
     sum_ = 0.0;
     minSampled_ = std::numeric_limits<uint64_t>::max();
     maxSampled_ = 0;
-}
-
-thread_local Deferral *Deferral::tls_ = nullptr;
-
-void
-Deferral::flush()
-{
-    for (auto &[scalar, v] : adds_)
-        scalar->value_ += v;
-    adds_.clear();
-    for (auto &[dist, samples] : distSamples_) {
-        for (uint64_t v : samples)
-            dist->applySample(v);
-    }
-    distSamples_.clear();
-    for (auto &[avg, slot] : avgSamples_) {
-        avg->sum_ += slot.first;
-        avg->count_ += slot.second;
-    }
-    avgSamples_.clear();
 }
 
 Callback::Callback(Group *parent, const std::string &name,

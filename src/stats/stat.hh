@@ -15,15 +15,12 @@
 #include <limits>
 #include <ostream>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace pvsim {
 namespace stats {
 
 class Group;
-class Deferral;
 
 /** Base class for all statistics: identity plus dump/reset hooks. */
 class Stat
@@ -57,8 +54,8 @@ class Scalar : public Stat
   public:
     using Stat::Stat;
 
-    Scalar &operator++();
-    Scalar &operator+=(uint64_t v);
+    Scalar &operator++() { ++value_; return *this; }
+    Scalar &operator+=(uint64_t v) { value_ += v; return *this; }
     void set(uint64_t v) { value_ = v; }
     uint64_t value() const { return value_; }
 
@@ -66,7 +63,6 @@ class Scalar : public Stat
     void reset() override { value_ = 0; }
 
   private:
-    friend class Deferral;
     uint64_t value_ = 0;
 };
 
@@ -76,7 +72,12 @@ class Average : public Stat
   public:
     using Stat::Stat;
 
-    void sample(double v);
+    void
+    sample(double v)
+    {
+        sum_ += v;
+        ++count_;
+    }
 
     double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
     uint64_t count() const { return count_; }
@@ -85,7 +86,6 @@ class Average : public Stat
     void reset() override { sum_ = 0.0; count_ = 0; }
 
   private:
-    friend class Deferral;
     double sum_ = 0.0;
     uint64_t count_ = 0;
 };
@@ -102,14 +102,6 @@ class Distribution : public Stat
                  uint64_t bucket_size);
 
     void sample(uint64_t v);
-
-    friend class Deferral;
-
-  private:
-    /** Unconditional direct sample (flush path). */
-    void applySample(uint64_t v);
-
-  public:
 
     uint64_t samples() const { return samples_; }
     double mean() const { return samples_ ? sum_ / double(samples_) : 0; }
@@ -150,87 +142,6 @@ class Callback : public Stat
   private:
     std::function<double()> fn_;
 };
-
-/**
- * Thread-local stat redirection for worker threads that share stat
- * objects with other workers (the bank-parallel L2 domains: one
- * Cache's counters are bumped from every bank worker). A worker
- * thread with a Deferral installed accumulates Scalar increments and
- * Distribution/Average samples locally instead of touching the
- * shared values; the coordinating thread calls flush() at a barrier
- * (while the owning worker is idle) to apply them. Every deferred
- * merge is commutative — integer adds, bucket counts, min/max, and
- * tick sums that stay exact in a double — so the final values are
- * independent of both flush order and the bank→worker grouping.
- */
-class Deferral
-{
-  public:
-    /** The calling thread's installed deferral (null = direct). */
-    static Deferral *current() { return tls_; }
-
-    /**
-     * Install as the calling thread's sink for the rest of the
-     * thread's lifetime (or until replaced). Only worker threads
-     * that exclusively run shared-domain windows install one.
-     */
-    static void installOnThisThread(Deferral *d) { tls_ = d; }
-
-    void add(Scalar &s, uint64_t v) { adds_[&s] += v; }
-    void sample(Distribution &d, uint64_t v)
-    {
-        distSamples_[&d].push_back(v);
-    }
-    void sample(Average &a, double v)
-    {
-        auto &slot = avgSamples_[&a];
-        slot.first += v;
-        ++slot.second;
-    }
-
-    /**
-     * Apply everything deferred so far and clear. Must run while
-     * the owning worker thread is parked at a barrier.
-     */
-    void flush();
-
-  private:
-    static thread_local Deferral *tls_;
-    std::unordered_map<Scalar *, uint64_t> adds_;
-    std::unordered_map<Distribution *, std::vector<uint64_t>> distSamples_;
-    std::unordered_map<Average *, std::pair<double, uint64_t>> avgSamples_;
-};
-
-inline Scalar &
-Scalar::operator++()
-{
-    if (Deferral *d = Deferral::current())
-        d->add(*this, 1);
-    else
-        ++value_;
-    return *this;
-}
-
-inline Scalar &
-Scalar::operator+=(uint64_t v)
-{
-    if (Deferral *d = Deferral::current())
-        d->add(*this, v);
-    else
-        value_ += v;
-    return *this;
-}
-
-inline void
-Average::sample(double v)
-{
-    if (Deferral *d = Deferral::current()) {
-        d->sample(*this, v);
-        return;
-    }
-    sum_ += v;
-    ++count_;
-}
 
 } // namespace stats
 } // namespace pvsim

@@ -587,126 +587,3 @@ TEST_F(TimingCacheTest, NoLeaksAfterTimingRun)
     client.clearResponses();
     EXPECT_EQ(Packet::liveCount(), before);
 }
-
-// ---------------------------------------------------------------------
-// Bank-partitioned state (PR 7: independently schedulable bank
-// domains need the MSHR file, lookups, send queues and directory
-// sets owned by exactly one bank each)
-// ---------------------------------------------------------------------
-
-TEST_F(TimingCacheTest, BankPartitionedMshrsAreBankLocal)
-{
-    // 4 banks x (8 MSHRs / 4) = 2 MSHRs per bank. Bank of a block
-    // is blockNumber % banks, so blocks 4, 8, 12 all live in bank 0
-    // and block 5 lives in bank 1.
-    params.banks = 4;
-    build(/*mshrs=*/8);
-    cache->enableBankPartition();
-    ASSERT_TRUE(cache->bankPartitioned());
-    EXPECT_EQ(cache->mshrPartitions(), 4u);
-
-    const Addr b0_a = 4 * 64, b0_b = 8 * 64, b0_c = 12 * 64;
-    const Addr b1_a = 5 * 64;
-    ASSERT_EQ(cache->bankOf(b0_a), 0u);
-    ASSERT_EQ(cache->bankOf(b0_c), 0u);
-    ASSERT_EQ(cache->bankOf(b1_a), 1u);
-
-    EXPECT_TRUE(cache->recvRequest(makeRead(b0_a)));
-    EXPECT_TRUE(cache->recvRequest(makeRead(b0_b)));
-    // Bank 0's two MSHRs are busy: a third bank-0 block bounces...
-    PacketPtr third = makeRead(b0_c);
-    EXPECT_FALSE(cache->recvRequest(third));
-    EXPECT_EQ(cache->mshrRejects.value(), 1u);
-    delete third;
-    // ...while bank 1 still has both of its slots free.
-    EXPECT_TRUE(cache->recvRequest(makeRead(b1_a)));
-    // Let the lookups allocate their MSHRs (tag + bank latency),
-    // well before the 400-cycle DRAM fills come back.
-    ctx.events().runUntil(10);
-    EXPECT_EQ(cache->outstandingMisses(0), 2u);
-    EXPECT_EQ(cache->outstandingMisses(1), 1u);
-    EXPECT_EQ(cache->outstandingMisses(), 3u);
-
-    ctx.events().runUntil();
-    EXPECT_EQ(client.responses.size(), 3u);
-    EXPECT_TRUE(cache->quiesced());
-    EXPECT_EQ(cache->outstandingMisses(), 0u);
-}
-
-TEST_F(TimingCacheTest, BankPartitionRequiresCleanDividedState)
-{
-    // Banks must divide the set count (every set owned by one
-    // bank)...
-    params.banks = 3; // 32 sets % 3 != 0
-    build();
-    EXPECT_DEATH(cache->enableBankPartition(),
-                 "divide the set count");
-    // ...and partitioning after traffic would split live state.
-    params.banks = 4;
-    build();
-    cache->recvRequest(makeRead(0x1000));
-    ctx.events().runUntil();
-    client.clearResponses();
-    EXPECT_DEATH(cache->enableBankPartition(), "after traffic");
-}
-
-TEST(BankedCoherenceTest, DirectoryTracksSharersAcrossBanks)
-{
-    // The inclusive directory keeps working when its sets are
-    // partitioned by bank: sharer tracking, invalidation on GetX
-    // and back-invalidation stay exact for blocks in any bank.
-    SimContext ctx{SimMode::Functional};
-    AddrMap amap{1ull << 30, 2, 64 * 1024};
-    Dram dram{ctx, DramParams{"dram", 400, 0}, &amap};
-
-    CacheParams l2p;
-    l2p.name = "l2";
-    l2p.sizeBytes = 16 * 1024;
-    l2p.assoc = 4;
-    l2p.banks = 8;
-    l2p.directory = true;
-    Cache l2(ctx, l2p, &amap);
-    l2.setMemSide(&dram);
-    l2.enableBankPartition();
-    ASSERT_TRUE(l2.bankPartitioned());
-
-    CacheParams l1p;
-    l1p.name = "l1a";
-    l1p.sizeBytes = 2 * 1024;
-    l1p.assoc = 2;
-    Cache l1a(ctx, l1p, &amap);
-    l1p.name = "l1b";
-    Cache l1b(ctx, l1p, &amap);
-    l1a.setMemSide(&l2);
-    l1a.setLowerSlot(l2.attachClient(&l1a));
-    l1b.setMemSide(&l2);
-    l1b.setLowerSlot(l2.attachClient(&l1b));
-
-    auto access = [&](Cache &l1, Addr addr, bool write, int core) {
-        Packet pkt(write ? MemCmd::WriteReq : MemCmd::ReadReq, addr,
-                   core);
-        pkt.pc = 0x1000;
-        l1.functionalAccess(pkt);
-    };
-
-    // One block per bank: block number b has bank b % 8.
-    for (unsigned b = 0; b < 8; ++b) {
-        const Addr x = Addr(0x8000) + Addr(b) * 64;
-        ASSERT_EQ(l2.bankOf(x), b);
-        access(l1a, x, false, 0);
-        access(l1b, x, false, 1);
-        const CacheBlk *blk = l2.peekBlock(x);
-        ASSERT_NE(blk, nullptr);
-        EXPECT_TRUE(blk->sharers.test(0));
-        EXPECT_TRUE(blk->sharers.test(1));
-    }
-    // GetX in every bank invalidates the other sharer exactly once.
-    uint64_t invs = l2.invalidationsSent.value();
-    for (unsigned b = 0; b < 8; ++b) {
-        const Addr x = Addr(0x8000) + Addr(b) * 64;
-        access(l1b, x, true, 1);
-        EXPECT_FALSE(l1a.contains(x));
-        EXPECT_TRUE(l1b.contains(x));
-    }
-    EXPECT_EQ(l2.invalidationsSent.value(), invs + 8);
-}

@@ -128,72 +128,6 @@ TEST(DramTiming, ChannelSpacingSerializesBursts)
         EXPECT_EQ(client.responses[i].second, 100u + 10u * i);
 }
 
-TEST(DramTiming, BankStoresMatchMonolithicTotals)
-{
-    // Same request stream through the monolithic path (recvRequest)
-    // and the sharded in-phase path (enableBankStores +
-    // serviceSharded): response ticks, traffic stats, and backing
-    // store contents must be identical — partitioning the store by
-    // bank changes which worker may touch it, never what it holds
-    // or when the channel serves it.
-    AddrMap amap(1ull << 30, 1, 64 * 1024);
-
-    SimContext mono_ctx(SimMode::Timing);
-    Dram mono(mono_ctx, DramParams{"dram", 100, 10}, &amap);
-    CollectingClient mono_client;
-    mono_client.ctx = &mono_ctx;
-
-    SimContext bank_ctx(SimMode::Timing);
-    Dram banked(bank_ctx, DramParams{"dram", 100, 10}, &amap);
-    banked.enableBankStores(
-        4, [](Addr a) { return unsigned(a >> 6) % 4u; });
-    CollectingClient bank_client;
-    bank_client.ctx = &bank_ctx;
-
-    Packet::Data data;
-    for (unsigned i = 0; i < kBlockBytes; ++i)
-        data[i] = uint8_t(0x50 + i);
-
-    // Eight reads striding across all four store lanes, plus a
-    // writeback (no channel slot on either path).
-    for (int i = 0; i < 8; ++i) {
-        const Addr addr = 0x4000 + Addr(i) * 64;
-        auto *mp = new Packet(MemCmd::ReadReq, addr, 0);
-        mp->src = &mono_client;
-        mono.recvRequest(mp);
-        auto *bp = new Packet(MemCmd::ReadReq, addr, 0);
-        bp->src = &bank_client;
-        banked.serviceSharded(0, bp, bank_ctx.events());
-    }
-    {
-        auto *mw = new Packet(MemCmd::Writeback, 0x8000, 0);
-        mw->src = &mono_client;
-        mw->setData(data.data());
-        mono.recvRequest(mw);
-        auto *bw = new Packet(MemCmd::Writeback, 0x8000, 0);
-        bw->src = &bank_client;
-        bw->setData(data.data());
-        banked.serviceSharded(0, bw, bank_ctx.events());
-    }
-    mono_ctx.events().runUntil();
-    bank_ctx.events().runUntil();
-
-    ASSERT_EQ(bank_client.responses.size(),
-              mono_client.responses.size());
-    for (size_t i = 0; i < mono_client.responses.size(); ++i)
-        EXPECT_EQ(bank_client.responses[i].second,
-                  mono_client.responses[i].second)
-            << "sharded channel reservation diverged at burst " << i;
-    EXPECT_EQ(banked.readsApp.value(), mono.readsApp.value());
-    EXPECT_EQ(banked.writesApp.value(), mono.writesApp.value());
-    EXPECT_EQ(banked.readBytes.value(), mono.readBytes.value());
-    EXPECT_EQ(banked.writeBytes.value(), mono.writeBytes.value());
-    EXPECT_EQ(banked.totalAccesses(), mono.totalAccesses());
-    EXPECT_TRUE(banked.hasBlock(0x8000));
-    EXPECT_EQ(banked.readBlock(0x8000), mono.readBlock(0x8000));
-    EXPECT_FALSE(banked.hasBlock(0x4000));
-}
-
 TEST(DramTiming, WritebacksAreConsumedWithoutResponse)
 {
     SimContext ctx(SimMode::Timing);

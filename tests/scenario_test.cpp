@@ -14,6 +14,7 @@
 
 #include "config/scenario.hh"
 #include "harness/config_presets.hh"
+#include "harness/system.hh"
 
 using namespace pvsim;
 using json::ConfigError;
@@ -42,6 +43,21 @@ baseName(const std::string &path)
     size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? path
                                       : path.substr(slash + 1);
+}
+
+/** Expect fn to throw a ConfigError whose message contains needle. */
+template <class Fn>
+void
+expectConfigError(Fn &&fn, const std::string &needle)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no ConfigError (want one naming " << needle
+                      << ")";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
@@ -83,6 +99,23 @@ TEST(ScenarioCorpusTest, ManifestMatchesCorpusFingerprints)
         EXPECT_EQ(config::fingerprintHex(scenarioFingerprint(s)),
                   want->asString(baseName(file)))
             << "fingerprint drift — regenerate MANIFEST.json";
+    }
+}
+
+TEST(ScenarioCorpusTest, EveryRunnableScenarioBuildsItsSystem)
+{
+    // Validation has to catch everything the System would abort on:
+    // a file that passes `pvsim validate` must at least wire up.
+    for (const std::string &file : listScenarioFiles(scenariosDir())) {
+        SCOPED_TRACE(file);
+        Scenario s = loadScenarioFile(file);
+        if (s.kind != "timed" && s.kind != "functional")
+            continue;
+        SystemConfig cfg = s.system;
+        cfg.mode = s.kind == "timed" ? SimMode::Timing
+                                     : SimMode::Functional;
+        System sys(cfg);
+        EXPECT_EQ(sys.numCores(), cfg.numCores);
     }
 }
 
@@ -181,7 +214,7 @@ TEST(ScenarioRunTest, ParsedConfigMatchesProgrammaticTiming)
                           s.measureRecords);
     EXPECT_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-    EXPECT_EQ(a.timingShards, b.timingShards);
+    EXPECT_EQ(a.records, b.records);
 }
 
 // ---- Validation -------------------------------------------------------
@@ -217,6 +250,27 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
             "{\"name\": \"x\", \"kind\": \"qos_hetero\","
             " \"qos\": {\"cores\": 6}}")),
         ConfigError);
+    // An engine set wider than one PV line: 8 AGT ways of 16-bit
+    // tag + 54-bit payload need 560 of the line's 512 bits.
+    expectConfigError(
+        [&] {
+            validateScenario(parse_only(
+                "{\"name\": \"x\", \"kind\": \"timed\","
+                " \"system\": {\"virt_engines\": ["
+                "   {\"kind\": \"btb\", \"num_sets\": 128},"
+                "   {\"kind\": \"agt\", \"num_sets\": 512,"
+                "    \"assoc\": 8}]}}"));
+        },
+        "system.virt_engines[1]");
+    // A bare PHT entry: the System would assert on it.
+    expectConfigError(
+        [&] {
+            validateScenario(parse_only(
+                "{\"name\": \"x\", \"kind\": \"timed\","
+                " \"system\": {\"virt_engines\": ["
+                "   {\"kind\": \"pht\", \"num_sets\": 1024}]}}"));
+        },
+        "system.virt_engines[0]");
     // The valid spellings pass.
     validateScenario(parse_only(
         "{\"name\": \"x\", \"kind\": \"fig9\","
@@ -224,6 +278,25 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
     validateScenario(parse_only(
         "{\"name\": \"x\", \"kind\": \"qos_hetero\","
         " \"qos\": {\"cores\": 8}}"));
+    validateScenario(parse_only(
+        "{\"name\": \"x\", \"kind\": \"timed\","
+        " \"system\": {\"virt_engines\": ["
+        "   {\"kind\": \"agt\", \"num_sets\": 512,"
+        "    \"assoc\": 4, \"tag_bits\": 12}]}}"));
+}
+
+TEST(ScenarioValidateTest, RemovedTimingKnobIsAnUnknownKey)
+{
+    // Timing always runs one event loop: an old file that still
+    // asks for shards fails with the key's path instead of quietly
+    // running a different machine.
+    expectConfigError(
+        [] {
+            parseScenario("{\"name\": \"x\", \"kind\": \"timed\","
+                          " \"system\": {\"timing_shards\": 4}}",
+                          "old.json");
+        },
+        "old.json.system: unknown key \"timing_shards\"");
 }
 
 TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
