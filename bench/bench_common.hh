@@ -4,7 +4,7 @@
  * CLI flags, run helpers, and result bundles. Every figure/table
  * binary prints the same rows/series the paper reports; absolute
  * values differ (synthetic workloads, simplified cores) but the
- * shapes are the object of comparison — see EXPERIMENTS.md.
+ * shapes are the object of comparison.
  */
 
 #ifndef PVSIM_BENCH_BENCH_COMMON_HH
@@ -54,12 +54,6 @@ struct BenchOptions {
     }
 };
 
-// The standard prefetcher configurations (baselineConfig, smsConfig,
-// smsInfiniteConfig, pvConfig) and FunctionalResult moved to
-// harness/config_presets.hh so the scenario loader and the examples
-// share the exact builders the benches measure. The unqualified names
-// keep resolving here via the enclosing pvsim namespace.
-
 /** Build, warm up, measure one functional configuration. */
 inline FunctionalResult
 runFunctional(SystemConfig cfg, const BenchOptions &opt)
@@ -77,37 +71,6 @@ emit(const TextTable &t, const BenchOptions &opt)
     else
         t.print(std::cout);
     std::cout << "\n";
-}
-
-// ---- Host-cost reporting (sweep drivers) ------------------------------
-//
-// Every timing sweep row carries its measure-phase wall-clock and
-// record count; the drivers print the resulting simulator throughput
-// so a perf regression in the simulator itself (not the simulated
-// machine) is visible in the recorded artifacts.
-
-/** Wall-clock cell: "12.34s". */
-inline std::string
-fmtWall(double seconds)
-{
-    return fmtDouble(seconds, 2) + "s";
-}
-
-/** Throughput cell: "123.4krec/s" (measured records per second). */
-inline std::string
-fmtRecordsPerSec(double rps)
-{
-    return fmtDouble(rps / 1e3, 1) + "krec/s";
-}
-
-/** One stdout line summarizing a timing run's host cost. */
-inline void
-printHostCost(const std::string &label, const TimedRun &r)
-{
-    std::cout << label << ": wall " << fmtWall(r.wallSeconds) << ", "
-              << r.records << " records ("
-              << fmtRecordsPerSec(r.recordsPerSec()) << "), "
-              << r.eventsExecuted << " events\n";
 }
 
 } // namespace bench

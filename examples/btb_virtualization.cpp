@@ -118,8 +118,8 @@ main(int argc, char **argv)
                   << opt.btbSets << "-set BTB cost in IPC at a "
                   << penalty
                   << "-cycle redirect? (2-core matched pair, same "
-                     "seeds; see bench/fig9_sweep for the full "
-                     "sweep)\n";
+                     "seeds; the full sweep is `pvsim run "
+                     "scenarios/bench/fig9/`)\n";
         opt.warmupRecords = 2'000;
         opt.measureRecords = 10'000;
         opt.batches = 2;

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "harness/config_presets.hh"
-#include "harness/row_json.hh"
 
 namespace pvsim {
 
@@ -65,11 +64,41 @@ validateScenario(const Scenario &s)
         throw ConfigError(s.name + ": unknown kind \"" + s.kind +
                           "\" (one of: " + known + ")");
     }
-    if (s.kind == "timed" && s.measureRecords == 0)
+    // A non-default value in a section the kind never reads would
+    // be dropped silently: the run would not be the one the file
+    // describes.
+    const Scenario d;
+    const bool timed = s.kind == "timed";
+    const bool functional = s.kind == "functional";
+    const bool qos = s.kind == "qos" || s.kind == "qos_hetero";
+    auto differs = [](const auto &a, const auto &b) {
+        return config::dumpConfig(a) != config::dumpConfig(b);
+    };
+    auto reject_if = [&](bool unread, const std::string &path) {
+        if (unread)
+            throw ConfigError(s.name + ": " + path +
+                              " is set, but kind \"" + s.kind +
+                              "\" never reads it");
+    };
+    reject_if(!timed && s.warmupRecords != d.warmupRecords,
+              "warmup_records");
+    reject_if(!timed && s.measureRecords != d.measureRecords,
+              "measure_records");
+    reject_if(!functional && s.warmupRefs != d.warmupRefs,
+              "warmup_refs");
+    reject_if(!functional && s.measureRefs != d.measureRefs,
+              "measure_refs");
+    reject_if(!timed && !functional && differs(s.system, d.system),
+              "system");
+    reject_if(s.kind != "fig9" && differs(s.fig9, d.fig9), "fig9");
+    reject_if(!qos && differs(s.qos, d.qos), "qos");
+    reject_if(s.kind == "qos_hetero" && !s.qos.settings.empty(),
+              "qos.settings");
+    if (timed && s.measureRecords == 0)
         throw ConfigError(s.name + ": measure_records must be > 0");
-    if (s.kind == "functional" && s.measureRefs == 0)
+    if (functional && s.measureRefs == 0)
         throw ConfigError(s.name + ": measure_refs must be > 0");
-    if (s.kind == "timed" || s.kind == "functional") {
+    if (timed || functional) {
         if (s.system.numCores < 1)
             throw ConfigError(s.name +
                               ": system.num_cores must be >= 1");
@@ -116,7 +145,7 @@ validateScenario(const Scenario &s)
                     "] must be in [0, 1] or -1 (mix default)");
         }
     }
-    if (s.kind == "qos" || s.kind == "qos_hetero") {
+    if (qos) {
         if (s.qos.batches == 0)
             throw ConfigError(s.name + ": qos.batches must be >= 1");
         if (s.qos.measureRecords == 0)
@@ -165,28 +194,9 @@ listScenarioFiles(const std::string &path)
     return files;
 }
 
-unsigned
-fig9JobsEffective(const Fig9Options &opt)
-{
-    size_t mixes =
-        opt.mixes.empty() ? presetMixes().size() : opt.mixes.size();
-    size_t stabilities = opt.edgeStabilities.empty()
-                             ? 1
-                             : opt.edgeStabilities.size();
-    return effectiveHarnessJobs(
-        unsigned(mixes * stabilities * 2 * opt.batches));
-}
-
-unsigned
-qosJobsEffective(const QosOptions &opt)
-{
-    size_t settings = opt.settings.empty()
-                          ? presetQosSettings().size()
-                          : opt.settings.size();
-    return effectiveHarnessJobs(unsigned(settings * opt.batches));
-}
-
 namespace {
+
+// The artifact row schema, one emitter per row kind.
 
 std::string
 functionalRowJson(const FunctionalResult &r)
@@ -202,6 +212,89 @@ functionalRowJson(const FunctionalResult &r)
        << ", \"l2_writebacks\": " << r.traffic.l2Writebacks()
        << ", \"offchip_bytes\": " << r.traffic.offChipBytes()
        << ", \"pv_l2_fill_rate\": " << r.pvL2FillRate << "}";
+    return os.str();
+}
+
+/** IPC + host-cost body of one TimedRun (no braces): a timed row,
+ *  and the qos_hetero "reference"/"protected" objects. */
+std::string
+timedRunJson(const TimedRun &r)
+{
+    std::ostringstream os;
+    os << "\"ipc\": " << r.ipc
+       << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"records\": " << r.records
+       << ", \"records_per_sec\": " << r.recordsPerSec()
+       << ", \"events\": " << r.eventsExecuted;
+    return os.str();
+}
+
+std::string
+fig9RowJson(const Fig9Row &r)
+{
+    std::ostringstream os;
+    os << "{\"mix\": \"" << r.mix
+       << "\", \"edge_stability\": " << r.edgeStability
+       << ", \"dedicated_ipc\": " << r.dedicatedIpc
+       << ", \"virtualized_ipc\": " << r.virtualizedIpc
+       << ", \"dedicated_hit_pct\": " << r.dedicatedHitPct
+       << ", \"virtualized_hit_pct\": " << r.virtualizedHitPct
+       << ", \"speedup_pct\": " << r.speedupPct
+       << ", \"ci_pct\": " << r.ciPct
+       << ", \"virtualized_avail_redirect_pct\": "
+       << r.virtualizedAvailRedirectPct
+       << ", \"prefetch_fills\": " << r.prefetchFills
+       << ", \"prefetch_useful\": " << r.prefetchUseful
+       << ", \"prefetch_drops\": " << r.prefetchDrops
+       << ", \"victim_hits\": " << r.victimHits
+       << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"records\": " << r.records
+       << ", \"records_per_sec\": " << r.recordsPerSec()
+       << ", \"events\": " << r.eventsExecuted
+       << ", \"jobs_effective\": " << r.jobsEffective << "}";
+    return os.str();
+}
+
+std::string
+qosRowJson(const QosRow &r)
+{
+    std::ostringstream os;
+    os << "{\"setting\": \"" << r.label
+       << "\", \"btb_weight\": " << r.btbWeight
+       << ", \"aggressor_weight\": " << r.aggressorWeight
+       << ", \"ipc\": " << r.ipc
+       << ", \"avail_redirect_pct\": " << r.availRedirectPct
+       << ", \"btb_hit_pct\": " << r.btbHitPct
+       << ", \"btb_drop_pct\": " << r.btbDropPct
+       << ", \"aggressor_drop_pct\": " << r.aggressorDropPct
+       << ", \"btb_fill_latency\": " << r.btbFillLatency
+       << ", \"ipc_delta_pct\": " << r.ipcDeltaPct
+       << ", \"avail_improvement_pct\": " << r.availImprovementPct
+       << ", \"wall_seconds\": " << r.wallSeconds
+       << ", \"records\": " << r.records
+       << ", \"records_per_sec\": " << r.recordsPerSec()
+       << ", \"events\": " << r.eventsExecuted
+       << ", \"jobs_effective\": " << r.jobsEffective << "}";
+    return os.str();
+}
+
+std::string
+qosClusterRowJson(const QosClusterRow &c)
+{
+    std::ostringstream os;
+    os << "{\"cluster\": \"" << c.cluster
+       << "\", \"mix\": \"" << c.mix
+       << "\", \"contract\": \"" << c.contract
+       << "\", \"btb_weight\": " << c.btbWeight
+       << ", \"aggressor_weight\": " << c.aggressorWeight
+       << ", \"cores\": " << c.cores
+       << ", \"avail_redirect_pct\": " << c.availRedirectPct
+       << ", \"ref_avail_redirect_pct\": " << c.refAvailRedirectPct
+       << ", \"avail_improvement_pct\": " << c.availImprovementPct
+       << ", \"btb_hit_pct\": " << c.btbHitPct
+       << ", \"btb_drop_pct\": " << c.btbDropPct
+       << ", \"ref_btb_drop_pct\": " << c.refBtbDropPct
+       << ", \"aggressor_drop_pct\": " << c.aggressorDropPct << "}";
     return os.str();
 }
 
@@ -221,13 +314,11 @@ runScenarioJson(const Scenario &s, const std::string &file_label)
         rows.push_back(functionalRowJson(runFunctionalMeasured(
             s.system, s.warmupRefs, s.measureRefs)));
     } else if (s.kind == "fig9") {
-        unsigned jobs = fig9JobsEffective(s.fig9);
         for (const Fig9Row &r : fig9Sweep(s.fig9))
-            rows.push_back(fig9RowJson(r, jobs));
+            rows.push_back(fig9RowJson(r));
     } else if (s.kind == "qos") {
-        unsigned jobs = qosJobsEffective(s.qos);
         for (const QosRow &r : qosSweep(s.qos))
-            rows.push_back(qosRowJson(r, jobs));
+            rows.push_back(qosRowJson(r));
     } else if (s.kind == "qos_hetero") {
         QosHeterogeneousResult het = qosHeterogeneous(s.qos);
         for (const QosClusterRow &c : het.clusters)

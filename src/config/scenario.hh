@@ -1,20 +1,19 @@
 /**
  * @file
  * Declarative scenarios: a JSON file under scenarios/ is one
- * experiment
- * — a plain timed or functional run of a SystemConfig, or a whole
- * fig9/qos/qos_hetero sweep — expressed as data and executed
- * through the exact same harness entry points (timedRun, fig9Sweep,
- * qosSweep, qosHeterogeneous) the compiled bench drivers use. The
- * runner emits the same JSON row schema as the drivers
- * (harness/row_json.hh), so a scenario's rows are byte-identical
- * to the corresponding BENCH_*.json rows for the same options.
+ * experiment — a plain timed or functional run of a SystemConfig,
+ * or a whole fig9/qos/qos_hetero sweep — expressed as data and
+ * executed through the harness entry points (timedRun, fig9Sweep,
+ * qosSweep, qosHeterogeneous). The runner is the only producer of
+ * sweep artifacts: every BENCH_*.json is a `pvsim run` of the
+ * scenarios under scenarios/bench/, in the one row schema
+ * runScenarioJson emits.
  *
  * Every field of every nested config is reflected
  * (config/fields.hh): absent keys default, unknown keys are
  * rejected with a full path, and the canonical serialization yields
  * a stable fingerprint() recorded in scenarios/MANIFEST.json — a
- * scenario edit without a manifest refresh fails the bench gate.
+ * scenario edit without a manifest refresh fails scenario_test.
  */
 
 #ifndef PVSIM_CONFIG_SCENARIO_HH
@@ -27,9 +26,9 @@
 
 namespace pvsim {
 
-/** One scenario file's contents. Only the section named by `kind`
- *  is consulted at run time; the others stay at their defaults and
- *  cost nothing. */
+/** One scenario file's contents. Only the sections `kind` runs are
+ *  read; validateScenario rejects a non-default value anywhere
+ *  else. */
 struct Scenario {
     std::string name;
     /** "timed" | "functional" | "fig9" | "qos" | "qos_hetero". */
@@ -84,8 +83,9 @@ uint64_t scenarioFingerprint(const Scenario &s);
 
 /**
  * Structural validation beyond field types: known kind, nonempty
- * name, nonzero budgets for the kind that runs, the qos_hetero
- * cores%4 precondition. Throws json::ConfigError.
+ * name, no non-default value in a section the kind never reads,
+ * nonzero budgets for the kind that runs, the qos_hetero cores%4
+ * precondition. Throws json::ConfigError naming the dotted path.
  */
 void validateScenario(const Scenario &s);
 
@@ -101,15 +101,6 @@ int scenarioCores(const Scenario &s);
  * MANIFEST.json. Throws json::ConfigError when nothing matches.
  */
 std::vector<std::string> listScenarioFiles(const std::string &path);
-
-/**
- * The sweep drivers' jobs_effective bookkeeping (one System per
- * (mix, stability, side, batch) resp. (setting, batch) job),
- * honoring the empty-means-presets convention — shared so a
- * scenario row is byte-identical to the compiled driver's.
- */
-unsigned fig9JobsEffective(const Fig9Options &opt);
-unsigned qosJobsEffective(const QosOptions &opt);
 
 /**
  * Execute one scenario and return its complete result object

@@ -143,7 +143,59 @@ meanCi(const std::vector<double> &samples)
     return r;
 }
 
+TimedRun &
+TimedRun::operator+=(const TimedRun &o)
+{
+    ipc += o.ipc;
+    btbHits += o.btbHits;
+    btbMispredicts += o.btbMispredicts;
+    btbUnavailable += o.btbUnavailable;
+    btbOps += o.btbOps;
+    btbDrops += o.btbDrops;
+    btbFills += o.btbFills;
+    btbFillTicks += o.btbFillTicks;
+    aggressorOps += o.aggressorOps;
+    aggressorDrops += o.aggressorDrops;
+    prefetchFills += o.prefetchFills;
+    prefetchUseful += o.prefetchUseful;
+    prefetchDrops += o.prefetchDrops;
+    victimHits += o.victimHits;
+    wallSeconds += o.wallSeconds;
+    records += o.records;
+    eventsExecuted += o.eventsExecuted;
+    return *this;
+}
+
 namespace {
+
+/** Add core c's counters to r. Called after the measure phase:
+ *  resetStats() zeroed them at its start. */
+void
+addCoreCounters(TimedRun &r, System &sys, int c)
+{
+    r.records += sys.core(c).recordsConsumed();
+    r.btbHits += sys.core(c).btbHits.value();
+    r.btbMispredicts += sys.core(c).btbMispredicts.value();
+    r.btbUnavailable += sys.core(c).btbUnavailable.value();
+    if (VirtualizedBtb *btb = sys.virtBtb(c)) {
+        PvProxy::EngineStats &s = btb->engineStats();
+        r.btbOps += s.operations.value();
+        r.btbDrops += s.drops.value();
+        r.btbFills += s.fills.value();
+        r.btbFillTicks += s.fillLatencyTicks.value();
+    }
+    if (VirtualizedAgt *agt = sys.virtAgt(c)) {
+        PvProxy::EngineStats &s = agt->engineStats();
+        r.aggressorOps += s.operations.value();
+        r.aggressorDrops += s.drops.value();
+    }
+    if (PvProxy *p = sys.pvProxy(c)) {
+        r.prefetchFills += p->prefetchFills.value();
+        r.prefetchUseful += p->prefetchUseful.value();
+        r.prefetchDrops += p->prefetchDrops.value();
+        r.victimHits += p->victimHits.value();
+    }
+}
 
 /**
  * The one warmup -> resetStats -> measure protocol every timing
@@ -167,15 +219,16 @@ runMeasured(System &sys, uint64_t warmup_records,
     r.ipc = aggregateIpc(sys.totalInstructions(), finish - start);
     r.wallSeconds = wall.count();
     r.eventsExecuted = sys.eventsExecuted() - events_before;
-    for (int c = 0; c < sys.numCores(); ++c) {
-        // resetStats() zeroed the record counters, so these are
-        // measure-phase-only.
-        r.records += sys.core(c).recordsConsumed();
-        r.btbHits += sys.core(c).btbHits.value();
-        r.btbMispredicts += sys.core(c).btbMispredicts.value();
-        r.btbUnavailable += sys.core(c).btbUnavailable.value();
-    }
+    for (int c = 0; c < sys.numCores(); ++c)
+        addCoreCounters(r, sys, c);
     return r;
+}
+
+/** 100 * num / den, or 0 when den is 0. */
+double
+pct(uint64_t num, uint64_t den)
+{
+    return den ? 100.0 * double(num) / double(den) : 0.0;
 }
 
 } // anonymous namespace
@@ -320,6 +373,7 @@ fig9Sweep(const Fig9Options &opt)
     const unsigned per_mix = 2 * batches;
     const unsigned per_stab = unsigned(mixes.size()) * per_mix;
     std::vector<TimedRun> runs(stabilities.size() * per_stab);
+    const unsigned jobs = effectiveHarnessJobs(unsigned(runs.size()));
     forEachBatch(unsigned(runs.size()), [&](unsigned j) {
         const double stability = stabilities[j / per_stab];
         const WorkloadMix &mix =
@@ -346,29 +400,30 @@ fig9Sweep(const Fig9Options &opt)
             row.edgeStability =
                 fig9EffectiveStability(mixes[m], stabilities[s]);
             row.batchPct.resize(batches, 0.0);
-            double ded_sum = 0.0, virt_sum = 0.0;
             TimedRun ded_all, virt_all;
             for (unsigned b = 0; b < batches; ++b) {
-                ded_sum += ded[b].ipc;
-                virt_sum += virt[b].ipc;
-                row.wallSeconds +=
-                    ded[b].wallSeconds + virt[b].wallSeconds;
-                row.records += ded[b].records + virt[b].records;
-                row.eventsExecuted +=
-                    ded[b].eventsExecuted + virt[b].eventsExecuted;
-                ded_all.btbHits += ded[b].btbHits;
-                ded_all.btbMispredicts += ded[b].btbMispredicts;
-                virt_all.btbHits += virt[b].btbHits;
-                virt_all.btbMispredicts += virt[b].btbMispredicts;
+                ded_all += ded[b];
+                virt_all += virt[b];
                 row.batchPct[b] =
                     ded[b].ipc > 0.0
                         ? 100.0 * (virt[b].ipc / ded[b].ipc - 1.0)
                         : 0.0;
             }
-            row.dedicatedIpc = ded_sum / double(batches);
-            row.virtualizedIpc = virt_sum / double(batches);
+            row.dedicatedIpc = ded_all.ipc / double(batches);
+            row.virtualizedIpc = virt_all.ipc / double(batches);
             row.dedicatedHitPct = 100.0 * ded_all.btbHitRate();
             row.virtualizedHitPct = 100.0 * virt_all.btbHitRate();
+            row.virtualizedAvailRedirectPct =
+                100.0 * virt_all.btbAvailabilityRedirectRate();
+            row.prefetchFills = virt_all.prefetchFills;
+            row.prefetchUseful = virt_all.prefetchUseful;
+            row.prefetchDrops = virt_all.prefetchDrops;
+            row.victimHits = virt_all.victimHits;
+            row.wallSeconds = ded_all.wallSeconds + virt_all.wallSeconds;
+            row.records = ded_all.records + virt_all.records;
+            row.eventsExecuted =
+                ded_all.eventsExecuted + virt_all.eventsExecuted;
+            row.jobsEffective = jobs;
             MeanCi ci = meanCi(row.batchPct);
             row.speedupPct = ci.mean;
             row.ciPct = ci.halfWidth;
@@ -376,99 +431,6 @@ fig9Sweep(const Fig9Options &opt)
         }
     }
     return rows;
-}
-
-// ---- PVCache locality prefetch comparison -----------------------------
-
-Fig9PrefetchResult
-fig9PrefetchCompare(const Fig9Options &opt)
-{
-    pv_assert(opt.batches > 0,
-              "fig9PrefetchCompare needs at least one batch");
-    WorkloadMix mix;
-    for (const WorkloadMix &m : presetMixes()) {
-        if (m.name == "mixed")
-            mix = m;
-    }
-    pv_assert(!mix.workloads.empty(), "preset mix 'mixed' missing");
-
-    Fig9PrefetchResult res;
-    res.mix = mix.name;
-    res.depth = opt.pvPrefetch ? opt.pvPrefetch : 2;
-    res.victimEntries = opt.victimEntries ? opt.victimEntries : 8;
-
-    // One self-contained System per (side, batch) job, matched
-    // seeds. Job layout is side-major (0 = off, 1 = on), so the
-    // batch index — and with it the seed — is j % batches on both
-    // sides; the runs vector is bit-identical to a serial loop.
-    struct Run {
-        TimedRun timed;
-        uint64_t prefetchFills = 0;
-        uint64_t prefetchUseful = 0;
-        uint64_t prefetchDrops = 0;
-        uint64_t victimHits = 0;
-    };
-    const unsigned batches = opt.batches;
-    std::vector<Run> runs(2 * batches);
-    forEachBatch(unsigned(runs.size()), [&](unsigned j) {
-        const bool on = j >= batches;
-        SystemConfig cfg =
-            fig9Config(mix, opt, BtbMode::Virtualized);
-        cfg.pvPrefetch = on ? res.depth : 0;
-        cfg.victimEntries = on ? res.victimEntries : 0;
-        cfg.seedOffset = j % batches;
-        System sys(cfg);
-        Run &r = runs[j];
-        r.timed = runMeasured(sys, opt.warmupRecords,
-                              opt.measureRecords);
-        for (int c = 0; c < sys.numCores(); ++c) {
-            PvProxy *p = sys.pvProxy(c);
-            if (!p)
-                continue;
-            r.prefetchFills += p->prefetchFills.value();
-            r.prefetchUseful += p->prefetchUseful.value();
-            r.prefetchDrops += p->prefetchDrops.value();
-            r.victimHits += p->victimHits.value();
-        }
-    });
-
-    auto fold = [&](Fig9PrefetchSide &side, const Run *first) {
-        TimedRun all;
-        double ipc_sum = 0.0;
-        for (unsigned b = 0; b < batches; ++b) {
-            const Run &r = first[b];
-            ipc_sum += r.timed.ipc;
-            side.wallSeconds += r.timed.wallSeconds;
-            all.btbHits += r.timed.btbHits;
-            all.btbMispredicts += r.timed.btbMispredicts;
-            all.btbUnavailable += r.timed.btbUnavailable;
-            side.prefetchFills += r.prefetchFills;
-            side.prefetchUseful += r.prefetchUseful;
-            side.prefetchDrops += r.prefetchDrops;
-            side.victimHits += r.victimHits;
-        }
-        side.ipc = ipc_sum / double(batches);
-        side.availRedirectPct =
-            100.0 * all.btbAvailabilityRedirectRate();
-    };
-    fold(res.off, runs.data());
-    fold(res.on, runs.data() + batches);
-
-    std::vector<double> delta(batches, 0.0);
-    for (unsigned b = 0; b < batches; ++b)
-        delta[b] = runs[b].timed.ipc > 0.0
-                       ? 100.0 * (runs[batches + b].timed.ipc /
-                                      runs[b].timed.ipc -
-                                  1.0)
-                       : 0.0;
-    res.ipcDeltaPct = meanCi(delta).mean;
-    res.availImprovementPct =
-        res.off.availRedirectPct > 0.0
-            ? 100.0 * (res.off.availRedirectPct -
-                       res.on.availRedirectPct) /
-                  res.off.availRedirectPct
-            : 0.0;
-    return res;
 }
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
@@ -550,43 +512,6 @@ qosConfig(const QosOptions &opt, const QosSetting &s)
     return cfg;
 }
 
-namespace {
-
-/** Everything one QoS run yields beyond TimedRun: per-tenant proxy
- *  pressure summed over the cores' proxies. */
-struct QosRun {
-    TimedRun timed;
-    uint64_t btbOps = 0;
-    uint64_t btbDrops = 0;
-    uint64_t btbFills = 0;
-    uint64_t btbFillTicks = 0;
-    uint64_t aggOps = 0;
-    uint64_t aggDrops = 0;
-};
-
-QosRun
-qosRun(SystemConfig cfg, uint64_t warmup_records,
-       uint64_t measure_records)
-{
-    cfg.mode = SimMode::Timing;
-    System sys(cfg);
-    QosRun r;
-    r.timed = runMeasured(sys, warmup_records, measure_records);
-    for (int c = 0; c < sys.numCores(); ++c) {
-        PvProxy::EngineStats &bs = sys.virtBtb(c)->engineStats();
-        r.btbOps += bs.operations.value();
-        r.btbDrops += bs.drops.value();
-        r.btbFills += bs.fills.value();
-        r.btbFillTicks += bs.fillLatencyTicks.value();
-        PvProxy::EngineStats &as = sys.virtAgt(c)->engineStats();
-        r.aggOps += as.operations.value();
-        r.aggDrops += as.drops.value();
-    }
-    return r;
-}
-
-} // anonymous namespace
-
 std::vector<QosRow>
 qosSweep(const QosOptions &opt)
 {
@@ -598,66 +523,50 @@ qosSweep(const QosOptions &opt)
     // Job layout: setting-major, then batch; every run is a
     // self-contained System, so the (setting, batch) grid shards
     // flat across the worker pool with bit-identical results.
-    std::vector<QosRun> runs(settings.size() * batches);
+    std::vector<TimedRun> runs(settings.size() * batches);
+    const unsigned jobs = effectiveHarnessJobs(unsigned(runs.size()));
     forEachBatch(unsigned(runs.size()), [&](unsigned j) {
         SystemConfig cfg =
             qosConfig(opt, settings[j / batches]);
         cfg.seedOffset = j % batches;
-        runs[j] = qosRun(cfg, opt.warmupRecords,
-                         opt.measureRecords);
+        runs[j] = timedRun(cfg, opt.warmupRecords,
+                           opt.measureRecords);
     });
 
     std::vector<QosRow> rows;
     rows.reserve(settings.size());
     for (size_t s = 0; s < settings.size(); ++s) {
-        const QosRun *mine = &runs[s * batches];
-        const QosRun *base = &runs[0]; // first setting, same seeds
+        const TimedRun *mine = &runs[s * batches];
+        const TimedRun *base = &runs[0]; // first setting, same seeds
         QosRow row;
         row.label = settings[s].label;
         row.btbWeight = settings[s].btb.weight;
         row.aggressorWeight = settings[s].aggressor.weight;
 
         TimedRun all, base_all;
-        double ipc_sum = 0.0;
-        uint64_t ops = 0, drops = 0, fills = 0, fill_ticks = 0;
-        uint64_t agg_ops = 0, agg_drops = 0;
         std::vector<double> delta(batches, 0.0);
         for (unsigned b = 0; b < batches; ++b) {
-            ipc_sum += mine[b].timed.ipc;
-            row.wallSeconds += mine[b].timed.wallSeconds;
-            row.records += mine[b].timed.records;
-            row.eventsExecuted += mine[b].timed.eventsExecuted;
-            all.btbHits += mine[b].timed.btbHits;
-            all.btbMispredicts += mine[b].timed.btbMispredicts;
-            all.btbUnavailable += mine[b].timed.btbUnavailable;
-            base_all.btbHits += base[b].timed.btbHits;
-            base_all.btbMispredicts +=
-                base[b].timed.btbMispredicts;
-            base_all.btbUnavailable +=
-                base[b].timed.btbUnavailable;
-            ops += mine[b].btbOps;
-            drops += mine[b].btbDrops;
-            fills += mine[b].btbFills;
-            fill_ticks += mine[b].btbFillTicks;
-            agg_ops += mine[b].aggOps;
-            agg_drops += mine[b].aggDrops;
-            delta[b] = base[b].timed.ipc > 0.0
-                           ? 100.0 * (mine[b].timed.ipc /
-                                          base[b].timed.ipc -
-                                      1.0)
+            all += mine[b];
+            base_all += base[b];
+            delta[b] = base[b].ipc > 0.0
+                           ? 100.0 * (mine[b].ipc / base[b].ipc - 1.0)
                            : 0.0;
         }
-        row.ipc = ipc_sum / double(batches);
+        row.ipc = all.ipc / double(batches);
+        row.wallSeconds = all.wallSeconds;
+        row.records = all.records;
+        row.eventsExecuted = all.eventsExecuted;
+        row.jobsEffective = jobs;
         row.availRedirectPct =
             100.0 * all.btbAvailabilityRedirectRate();
         row.btbHitPct = 100.0 * all.btbHitRate();
-        row.btbDropPct =
-            ops ? 100.0 * double(drops) / double(ops) : 0.0;
+        row.btbDropPct = pct(all.btbDrops, all.btbOps);
         row.aggressorDropPct =
-            agg_ops ? 100.0 * double(agg_drops) / double(agg_ops)
-                    : 0.0;
+            pct(all.aggressorDrops, all.aggressorOps);
         row.btbFillLatency =
-            fills ? double(fill_ticks) / double(fills) : 0.0;
+            all.btbFills ? double(all.btbFillTicks) /
+                               double(all.btbFills)
+                         : 0.0;
         row.ipcDeltaPct = meanCi(delta).mean;
         double base_rate =
             100.0 * base_all.btbAvailabilityRedirectRate();
@@ -682,51 +591,11 @@ hetGroupOf(int core, int num_cores)
     return unsigned(core) * 4u / unsigned(num_cores);
 }
 
-/** Per-group tenant counters of one heterogeneous run. */
-struct HetGroup {
-    uint64_t btbHits = 0;
-    uint64_t btbMispredicts = 0;
-    uint64_t btbUnavailable = 0;
-    uint64_t btbOps = 0;
-    uint64_t btbDrops = 0;
-    uint64_t aggOps = 0;
-    uint64_t aggDrops = 0;
-
-    double
-    availRedirectPct() const
-    {
-        uint64_t scored = btbHits + btbMispredicts;
-        return scored ? 100.0 * double(btbUnavailable) /
-                            double(scored)
-                      : 0.0;
-    }
-
-    double
-    btbHitPct() const
-    {
-        uint64_t scored = btbHits + btbMispredicts;
-        return scored ? 100.0 * double(btbHits) / double(scored)
-                      : 0.0;
-    }
-
-    double
-    btbDropPct() const
-    {
-        return btbOps ? 100.0 * double(btbDrops) / double(btbOps)
-                      : 0.0;
-    }
-
-    double
-    aggressorDropPct() const
-    {
-        return aggOps ? 100.0 * double(aggDrops) / double(aggOps)
-                      : 0.0;
-    }
-};
-
+/** Scoreboard of one heterogeneous run, whole machine and per
+ *  cluster group. */
 struct HetRun {
     TimedRun timed;
-    std::array<HetGroup, 4> groups;
+    std::array<TimedRun, 4> groups;
 };
 
 /**
@@ -766,18 +635,8 @@ hetRun(const QosOptions &opt,
     HetRun r;
     r.timed = runMeasured(sys, opt.warmupRecords,
                           opt.measureRecords);
-    for (int c = 0; c < sys.numCores(); ++c) {
-        HetGroup &g = r.groups[hetGroupOf(c, opt.numCores)];
-        g.btbHits += sys.core(c).btbHits.value();
-        g.btbMispredicts += sys.core(c).btbMispredicts.value();
-        g.btbUnavailable += sys.core(c).btbUnavailable.value();
-        PvProxy::EngineStats &bs = sys.virtBtb(c)->engineStats();
-        g.btbOps += bs.operations.value();
-        g.btbDrops += bs.drops.value();
-        PvProxy::EngineStats &as = sys.virtAgt(c)->engineStats();
-        g.aggOps += as.operations.value();
-        g.aggDrops += as.drops.value();
-    }
+    for (int c = 0; c < sys.numCores(); ++c)
+        addCoreCounters(r.groups[hetGroupOf(c, opt.numCores)], sys, c);
     return r;
 }
 
@@ -821,38 +680,17 @@ qosHeterogeneous(const QosOptions &opt)
     QosHeterogeneousResult res;
     const HetRun *ref = &runs[0];
     const HetRun *prot = &runs[batches];
-    double ref_ipc = 0.0, prot_ipc = 0.0;
-    std::array<HetGroup, 4> ref_g, prot_g;
-    auto accumulate = [](TimedRun &into, const TimedRun &from) {
-        into.btbHits += from.btbHits;
-        into.btbMispredicts += from.btbMispredicts;
-        into.btbUnavailable += from.btbUnavailable;
-        into.wallSeconds += from.wallSeconds;
-        into.records += from.records;
-        into.eventsExecuted += from.eventsExecuted;
-    };
-    auto merge = [](std::array<HetGroup, 4> &into,
-                    const std::array<HetGroup, 4> &from) {
-        for (size_t g = 0; g < 4; ++g) {
-            into[g].btbHits += from[g].btbHits;
-            into[g].btbMispredicts += from[g].btbMispredicts;
-            into[g].btbUnavailable += from[g].btbUnavailable;
-            into[g].btbOps += from[g].btbOps;
-            into[g].btbDrops += from[g].btbDrops;
-            into[g].aggOps += from[g].aggOps;
-            into[g].aggDrops += from[g].aggDrops;
-        }
-    };
+    std::array<TimedRun, 4> ref_g, prot_g;
     for (unsigned b = 0; b < batches; ++b) {
-        ref_ipc += ref[b].timed.ipc;
-        prot_ipc += prot[b].timed.ipc;
-        accumulate(res.referenceRun, ref[b].timed);
-        accumulate(res.protectedRun, prot[b].timed);
-        merge(ref_g, ref[b].groups);
-        merge(prot_g, prot[b].groups);
+        res.referenceRun += ref[b].timed;
+        res.protectedRun += prot[b].timed;
+        for (size_t g = 0; g < 4; ++g) {
+            ref_g[g] += ref[b].groups[g];
+            prot_g[g] += prot[b].groups[g];
+        }
     }
-    res.referenceRun.ipc = ref_ipc / double(batches);
-    res.protectedRun.ipc = prot_ipc / double(batches);
+    res.referenceRun.ipc /= double(batches);
+    res.protectedRun.ipc /= double(batches);
 
     for (size_t g = 0; g < 4; ++g) {
         QosClusterRow row;
@@ -862,12 +700,15 @@ qosHeterogeneous(const QosOptions &opt)
         row.btbWeight = contracts[g]->btb.weight;
         row.aggressorWeight = contracts[g]->aggressor.weight;
         row.cores = opt.numCores / 4;
-        row.availRedirectPct = prot_g[g].availRedirectPct();
-        row.btbHitPct = prot_g[g].btbHitPct();
-        row.btbDropPct = prot_g[g].btbDropPct();
-        row.aggressorDropPct = prot_g[g].aggressorDropPct();
-        row.refAvailRedirectPct = ref_g[g].availRedirectPct();
-        row.refBtbDropPct = ref_g[g].btbDropPct();
+        const TimedRun &p = prot_g[g], &r = ref_g[g];
+        row.availRedirectPct =
+            pct(p.btbUnavailable, p.btbHits + p.btbMispredicts);
+        row.btbHitPct = pct(p.btbHits, p.btbHits + p.btbMispredicts);
+        row.btbDropPct = pct(p.btbDrops, p.btbOps);
+        row.aggressorDropPct = pct(p.aggressorDrops, p.aggressorOps);
+        row.refAvailRedirectPct =
+            pct(r.btbUnavailable, r.btbHits + r.btbMispredicts);
+        row.refBtbDropPct = pct(r.btbDrops, r.btbOps);
         row.availImprovementPct =
             row.refAvailRedirectPct > 0.0
                 ? 100.0 * (row.refAvailRedirectPct -

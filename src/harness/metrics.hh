@@ -108,23 +108,44 @@ struct SpeedupResult {
     std::vector<double> batchPct;
 };
 
-/** Everything one timing run reports (fig9-style sweeps want the
- *  BTB scoring alongside the IPC). */
+/**
+ * Everything one timing run reports: the IPC plus the measure-phase
+ * counters of the BTB, the per-tenant proxy pressure and the host
+ * cost, each summed over cores. A sweep folds its runs with += and
+ * derives every row field from the sums.
+ */
 struct TimedRun {
     double ipc = 0.0;
-    uint64_t btbHits = 0;        ///< summed over cores, measure phase
+    uint64_t btbHits = 0;
     uint64_t btbMispredicts = 0;
     /** Lookups unanswered at fetch (virtualized BTB waiting on its
      *  PV fill) — the availability redirects QoS protects. */
     uint64_t btbUnavailable = 0;
+    /** Virtualized-BTB tenant: proxy operations, drops, demand
+     *  fills and the ticks those fills took (0 on a dedicated BTB). */
+    uint64_t btbOps = 0;
+    uint64_t btbDrops = 0;
+    uint64_t btbFills = 0;
+    uint64_t btbFillTicks = 0;
+    /** AGT aggressor tenant: proxy operations and drops. */
+    uint64_t aggressorOps = 0;
+    uint64_t aggressorDrops = 0;
+    /** PVCache locality prefetch and victim buffer (all tenants). */
+    uint64_t prefetchFills = 0;
+    uint64_t prefetchUseful = 0;
+    uint64_t prefetchDrops = 0;
+    uint64_t victimHits = 0;
     /** Wall-clock seconds of the measure phase (host time). */
     double wallSeconds = 0.0;
-    /** Trace records consumed in the measure phase, summed over
-     *  cores. */
+    /** Trace records consumed in the measure phase. */
     uint64_t records = 0;
     /** Events executed during the measure phase (a diagnostic: a
      *  wasted event raises it without simulating anything more). */
     uint64_t eventsExecuted = 0;
+
+    /** Add every field, ipc included: the sum of n runs divided by
+     *  n in ipc is their mean IPC. */
+    TimedRun &operator+=(const TimedRun &o);
 
     /** Simulator throughput: measured records per wall second. */
     double
@@ -173,11 +194,11 @@ double timedIpc(SystemConfig cfg, uint64_t warmup_records,
 unsigned harnessJobs();
 
 /**
- * Worker threads the drivers actually spawn for `batches` batches:
+ * Worker threads the harness actually spawns for `batches` batches:
  * harnessJobs() clamped to the hardware thread count (threads
  * beyond physical cores only add contention — an oversubscribed
  * pool measured 0.77x of serial) and to the batch count (idle
- * workers are pure overhead). When this is 1, the drivers take the
+ * workers are pure overhead). When this is 1, the harness takes the
  * serial path outright — no pool, no atomics.
  */
 unsigned effectiveHarnessJobs(unsigned batches);
@@ -257,11 +278,19 @@ struct Fig9Row {
     /** Taken-branch target hit rates (batch-aggregated). */
     double dedicatedHitPct = 0.0;
     double virtualizedHitPct = 0.0;
+    /** Virtualized side: availability-redirect rate (percent) and
+     *  the PVCache prefetch/victim counters, summed over batches. */
+    double virtualizedAvailRedirectPct = 0.0;
+    uint64_t prefetchFills = 0;
+    uint64_t prefetchUseful = 0;
+    uint64_t prefetchDrops = 0;
+    uint64_t victimHits = 0;
     std::vector<double> batchPct;
     /** Host-side cost of the row (both sides, all batches). */
     double wallSeconds = 0.0;
     uint64_t records = 0;
     uint64_t eventsExecuted = 0;
+    unsigned jobsEffective = 1; ///< worker threads the sweep ran on
 
     /** Simulator throughput over the row's measure phases. */
     double
@@ -290,44 +319,6 @@ SystemConfig fig9Config(const WorkloadMix &mix,
  * and independent of the worker count.
  */
 std::vector<Fig9Row> fig9Sweep(const Fig9Options &opt);
-
-/** One side (prefetch off / on) of the PVCache locality-prefetch
- *  comparison: virtualized-BTB runs, batch-aggregated. */
-struct Fig9PrefetchSide {
-    double ipc = 0.0; ///< mean aggregate IPC across batches
-    /** BTB availability-redirect rate (percent): lookups unanswered
-     *  at fetch because the PV line was still in flight. */
-    double availRedirectPct = 0.0;
-    /** Proxy prefetch/victim counters summed over cores+batches. */
-    uint64_t prefetchFills = 0;
-    uint64_t prefetchUseful = 0;
-    uint64_t prefetchDrops = 0;
-    uint64_t victimHits = 0;
-    double wallSeconds = 0.0;
-};
-
-/** Outcome of fig9PrefetchCompare: the off/on matched pair. */
-struct Fig9PrefetchResult {
-    std::string mix;            ///< preset the comparison ran
-    unsigned depth = 0;         ///< prefetch depth of the on side
-    unsigned victimEntries = 0; ///< victim entries of the on side
-    Fig9PrefetchSide off, on;
-    /** Relative reduction of the availability-redirect rate,
-     *  off -> on (positive = the prefetcher hides fill latency). */
-    double availImprovementPct = 0.0;
-    /** Mean matched-seed IPC delta of on over off (percent). */
-    double ipcDeltaPct = 0.0;
-};
-
-/**
- * PVCache locality prefetch (paper Section 4.3) off-vs-on matched
- * pair: the virtualized side of the "mixed" preset, identical seeds
- * per batch, prefetch disabled vs opt.pvPrefetch/opt.victimEntries
- * (0 falls back to depth 2 / 8 victim entries so the default sweep
- * still exercises the detector). The off side is bit-identical to
- * the pre-prefetch proxy, so the delta is the prefetcher's doing.
- */
-Fig9PrefetchResult fig9PrefetchCompare(const Fig9Options &opt);
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
 
@@ -406,6 +397,7 @@ struct QosRow {
     double wallSeconds = 0.0;
     uint64_t records = 0;
     uint64_t eventsExecuted = 0;
+    unsigned jobsEffective = 1; ///< worker threads the sweep ran on
 
     /** Simulator throughput over the setting's measure phases. */
     double

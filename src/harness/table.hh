@@ -3,7 +3,7 @@
  * Plain-text table formatter for the bench harnesses: aligned
  * columns, optional CSV emission, numeric helpers. Every bench
  * prints its paper table/figure through this so outputs are easy to
- * diff against EXPERIMENTS.md.
+ * diff.
  */
 
 #ifndef PVSIM_HARNESS_TABLE_HH

@@ -18,7 +18,7 @@
  *
  * Presets named after the paper's workloads are tuned so each one's
  * coverage-vs-table-size curve matches the paper's qualitative
- * behaviour (see DESIGN.md Section 2 and EXPERIMENTS.md).
+ * behaviour (tuning notes in workload_presets.cc).
  */
 
 #ifndef PVSIM_TRACE_WORKLOAD_HH

@@ -5,7 +5,7 @@
 namespace pvsim {
 
 /*
- * Preset tuning notes (see DESIGN.md Section 2 for the rationale):
+ * Preset tuning notes:
  *
  * The paper's observed behaviour per workload drives the knobs:
  *  - Oracle's coverage collapses 44% -> <4% when the PHT shrinks to

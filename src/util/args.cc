@@ -30,28 +30,46 @@ Args::Args(int argc, char **argv)
     }
 }
 
+std::map<std::string, std::string>::const_iterator
+Args::find(const std::string &name) const
+{
+    read_.insert(name);
+    return options_.find(name);
+}
+
+std::vector<std::string>
+Args::unreadKeys() const
+{
+    std::vector<std::string> keys;
+    for (const auto &kv : options_) {
+        if (!read_.count(kv.first))
+            keys.push_back(kv.first);
+    }
+    return keys;
+}
+
 bool
 Args::has(const std::string &name) const
 {
-    return options_.count(name) > 0;
+    return find(name) != options_.end();
 }
 
 std::string
 Args::getString(const std::string &name, const std::string &def) const
 {
-    auto it = options_.find(name);
+    auto it = find(name);
     return it == options_.end() ? def : it->second;
 }
 
 int64_t
 Args::getInt(const std::string &name, int64_t def) const
 {
-    auto it = options_.find(name);
+    auto it = find(name);
     if (it == options_.end())
         return def;
     char *end = nullptr;
     int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str())
+    if (end == it->second.c_str() || *end != '\0')
         fatal("option --%s expects an integer, got '%s'", name.c_str(),
               it->second.c_str());
     return v;
@@ -60,12 +78,12 @@ Args::getInt(const std::string &name, int64_t def) const
 uint64_t
 Args::getUint(const std::string &name, uint64_t def) const
 {
-    auto it = options_.find(name);
+    auto it = find(name);
     if (it == options_.end())
         return def;
     char *end = nullptr;
     uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str())
+    if (end == it->second.c_str() || *end != '\0')
         fatal("option --%s expects an unsigned integer, got '%s'",
               name.c_str(), it->second.c_str());
     return v;
@@ -74,12 +92,12 @@ Args::getUint(const std::string &name, uint64_t def) const
 double
 Args::getDouble(const std::string &name, double def) const
 {
-    auto it = options_.find(name);
+    auto it = find(name);
     if (it == options_.end())
         return def;
     char *end = nullptr;
     double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str())
+    if (end == it->second.c_str() || *end != '\0')
         fatal("option --%s expects a number, got '%s'", name.c_str(),
               it->second.c_str());
     return v;
@@ -88,7 +106,7 @@ Args::getDouble(const std::string &name, double def) const
 bool
 Args::getBool(const std::string &name, bool def) const
 {
-    auto it = options_.find(name);
+    auto it = find(name);
     if (it == options_.end())
         return def;
     const std::string &v = it->second;
@@ -104,7 +122,7 @@ std::vector<std::string>
 Args::getList(const std::string &name,
               const std::vector<std::string> &def) const
 {
-    auto it = options_.find(name);
+    auto it = find(name);
     if (it == options_.end())
         return def;
     std::vector<std::string> out;

@@ -2,7 +2,10 @@
  * @file
  * Minimal command-line argument parser used by the bench harnesses
  * and examples. Supports --key=value, --key value and boolean flags
- * (--flag / --no-flag), with typed accessors and defaults.
+ * (--flag / --no-flag), with typed accessors and defaults. Numeric
+ * accessors reject a value with trailing characters, and the parser
+ * remembers which keys its accessors read, so a tool can fail on a
+ * flag it never looks at (unreadKeys()).
  */
 
 #ifndef PVSIM_UTIL_ARGS_HH
@@ -10,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -58,10 +62,19 @@ class Args
     /** The program name (argv[0]), empty if default-constructed. */
     const std::string &program() const { return program_; }
 
+    /** Options given on the command line that no accessor has read
+     *  so far, sorted. */
+    std::vector<std::string> unreadKeys() const;
+
   private:
+    /** options_ entry for name (end() when absent), marked read. */
+    std::map<std::string, std::string>::const_iterator
+    find(const std::string &name) const;
+
     std::string program_;
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
+    mutable std::set<std::string> read_;
 };
 
 } // namespace pvsim

@@ -123,7 +123,7 @@ TEST(PhtGeometryTest, PaperTable3StorageValues)
     //   8-11:  198B tags (matches 18-bit tags)
     // The paper's pattern column for the small tables implies 40
     // bits per pattern, inconsistent with its own 1K rows; this
-    // model uses 32-bit patterns throughout (see EXPERIMENTS.md).
+    // model uses 32-bit patterns throughout.
     PhtGeometry g1k16{1024, 16};
     EXPECT_EQ(g1k16.tagBits(), 11u);
     EXPECT_EQ(g1k16.storageBits(), 86ull * 1024 * 8);

@@ -2,14 +2,16 @@
  * @file
  * Tests for the declarative scenario layer: the committed corpus
  * parses, validates, round-trips byte-stably and matches the
- * fingerprint manifest; a parsed config is bit-identical to its
- * programmatic twin in both functional and timing runs; and the
- * acceptance scenario's options equal the fig9 smoke driver's.
+ * fingerprint manifest; the bench scenarios match the fingerprints
+ * recorded in the committed BENCH_*.json artifacts; and a parsed
+ * config is bit-identical to its programmatic twin in both
+ * functional and timing runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "config/scenario.hh"
@@ -27,6 +29,9 @@ scenariosDir()
     return std::string(PVSIM_SOURCE_DIR) + "/scenarios";
 }
 
+/** scenarios/bench/<sweep>/ is recorded in BENCH_<sweep>.json. */
+const char *const kBenchSweeps[] = {"fig9", "qos"};
+
 std::string
 readFile(const std::string &path)
 {
@@ -43,6 +48,15 @@ baseName(const std::string &path)
     size_t slash = path.find_last_of('/');
     return slash == std::string::npos ? path
                                       : path.substr(slash + 1);
+}
+
+/** String member key of v ("" and a test failure when absent). */
+std::string
+member(const json::Value &v, const std::string &key)
+{
+    const json::Value *m = v.find(key);
+    EXPECT_NE(m, nullptr) << "no \"" << key << "\"";
+    return m ? m->asString(key) : "";
 }
 
 /** Expect fn to throw a ConfigError whose message contains needle. */
@@ -66,8 +80,14 @@ expectConfigError(Fn &&fn, const std::string &needle)
 
 TEST(ScenarioCorpusTest, EveryScenarioLoadsValidatesAndRoundTrips)
 {
+    // The corpus, then the bench scenarios.
     std::vector<std::string> files = listScenarioFiles(scenariosDir());
-    EXPECT_GE(files.size(), 12u);
+    EXPECT_GE(files.size(), 14u);
+    for (const char *sweep : kBenchSweeps) {
+        std::vector<std::string> more =
+            listScenarioFiles(scenariosDir() + "/bench/" + sweep);
+        files.insert(files.end(), more.begin(), more.end());
+    }
     for (const std::string &file : files) {
         SCOPED_TRACE(file);
         Scenario s = loadScenarioFile(file); // throws on any defect
@@ -134,29 +154,37 @@ TEST(ScenarioCorpusTest, ListingSortsAndExcludesManifest)
                  ConfigError);
 }
 
-// ---- The acceptance scenario mirrors the smoke driver -----------------
+// ---- The bench scenarios and their recorded artifacts ---------------
 
-TEST(ScenarioCorpusTest, Fig9MixedEqualsTheSmokeSweepOptions)
+TEST(ScenarioBenchTest, CommittedArtifactsCarryTheLiveFingerprints)
 {
-    Scenario s =
-        loadScenarioFile(scenariosDir() + "/fig9-mixed.json");
-    ASSERT_EQ(s.kind, "fig9");
-
-    // The options `fig9_sweep --smoke` builds from its flags.
-    Fig9Options smoke;
-    smoke.penalty = 8;
-    smoke.numCores = 4;
-    smoke.batches = 2;
-    smoke.warmupRecords = 1'000;
-    smoke.measureRecords = 3'000;
-    smoke.edgeStabilities = {kFig9MixStability};
-
-    // Identical canonical form => fig9Sweep receives bit-identical
-    // inputs, so its rows are bit-identical too (fig9Sweep is
-    // deterministic given its options; only wall-clock fields vary).
-    EXPECT_EQ(config::dumpConfig(s.fig9),
-              config::dumpConfig(smoke));
-    EXPECT_EQ(fig9JobsEffective(s.fig9), fig9JobsEffective(smoke));
+    // Each BENCH_<name>.json is `pvsim run scenarios/bench/<name>`:
+    // editing a bench scenario without re-recording its artifact
+    // fails here.
+    for (const std::string name : kBenchSweeps) {
+        SCOPED_TRACE(name);
+        const std::string dir = scenariosDir() + "/bench/" + name;
+        json::Value artifact = json::Value::parse(readFile(
+            std::string(PVSIM_SOURCE_DIR) + "/BENCH_" + name +
+            ".json"));
+        const json::Value *entries = artifact.find("scenarios");
+        ASSERT_NE(entries, nullptr);
+        std::set<std::string> recorded;
+        for (const json::Value &e : entries->items()) {
+            const std::string file = member(e, "file");
+            recorded.insert(file);
+            Scenario s = loadScenarioFile(dir + "/" + file);
+            EXPECT_EQ(member(e, "name"), s.name);
+            EXPECT_EQ(member(e, "fingerprint"),
+                      config::fingerprintHex(scenarioFingerprint(s)))
+                << file << " changed since BENCH_" << name
+                << ".json was recorded: re-record it";
+        }
+        std::set<std::string> live;
+        for (const std::string &f : listScenarioFiles(dir))
+            live.insert(baseName(f));
+        EXPECT_EQ(recorded, live);
+    }
 }
 
 // ---- Parsed-vs-programmatic bit-identity ------------------------------
@@ -271,10 +299,33 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
                 "   {\"kind\": \"pht\", \"num_sets\": 1024}]}}"));
         },
         "system.virt_engines[0]");
+    // A non-default value in a section the kind never reads.
+    const std::pair<const char *, const char *> unread[] = {
+        {"\"kind\": \"fig9\", \"warmup_records\": 100", "warmup_records"},
+        {"\"kind\": \"qos\", \"measure_refs\": 100", "measure_refs"},
+        {"\"kind\": \"qos_hetero\", \"system\": {\"num_cores\": 2}",
+         "system"},
+        {"\"kind\": \"timed\", \"warmup_refs\": 100", "warmup_refs"},
+        {"\"kind\": \"functional\", \"measure_records\": 100",
+         "measure_records"},
+        {"\"kind\": \"timed\", \"fig9\": {\"batches\": 3}", "fig9"},
+        {"\"kind\": \"fig9\", \"qos\": {\"cores\": 4}", "qos"},
+        {"\"kind\": \"qos_hetero\", \"qos\": {\"settings\": [\"4:1\"]}",
+         "qos.settings"},
+    };
+    for (const auto &[body, path] : unread) {
+        const std::string text =
+            std::string("{\"name\": \"x\", ") + body + "}";
+        expectConfigError([&] { validateScenario(parse_only(text)); },
+                          std::string("x: ") + path + " is set");
+    }
     // The valid spellings pass.
     validateScenario(parse_only(
         "{\"name\": \"x\", \"kind\": \"fig9\","
         " \"fig9\": {\"edge_stabilities\": [-1.0, 0.0, 1.0]}}"));
+    validateScenario(parse_only(
+        "{\"name\": \"x\", \"kind\": \"qos\","
+        " \"qos\": {\"settings\": [\"4:1\"]}}"));
     validateScenario(parse_only(
         "{\"name\": \"x\", \"kind\": \"qos_hetero\","
         " \"qos\": {\"cores\": 8}}"));
@@ -313,21 +364,4 @@ TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
     EXPECT_EQ(scenarioCores(s), 9);
     s.kind = "qos_hetero";
     EXPECT_EQ(scenarioCores(s), 9);
-}
-
-TEST(ScenarioValidateTest, JobsBookkeepingHonorsPresetDefaults)
-{
-    // Empty mixes/settings mean "all presets" — the shared helpers
-    // must agree with the drivers' bookkeeping on that.
-    Fig9Options f;
-    f.batches = 1;
-    unsigned with_presets = fig9JobsEffective(f);
-    f.mixes = presetMixes();
-    EXPECT_EQ(fig9JobsEffective(f), with_presets);
-
-    QosOptions q;
-    q.batches = 1;
-    unsigned with_settings = qosJobsEffective(q);
-    q.settings = presetQosSettings();
-    EXPECT_EQ(qosJobsEffective(q), with_settings);
 }

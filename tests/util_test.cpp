@@ -285,3 +285,25 @@ TEST(Args, ListsAndPositional)
     ASSERT_EQ(a.positional().size(), 2u);
     EXPECT_EQ(a.positional()[1], "pos2");
 }
+
+TEST(Args, ReportsKeysNoAccessorRead)
+{
+    Args a = makeArgs({"prog", "run", "--max-core", "8", "--smoke"});
+    EXPECT_EQ(a.getUint("max-cores", 0), 0u); // the typo is not read
+    EXPECT_EQ(a.unreadKeys(),
+              (std::vector<std::string>{"max-core", "smoke"}));
+    EXPECT_TRUE(a.has("smoke"));
+    EXPECT_EQ(a.unreadKeys(), std::vector<std::string>{"max-core"});
+}
+
+TEST(Args, NumbersRejectTrailingCharacters)
+{
+    Args a = makeArgs({"prog", "--max-cores=2x", "--n=-3k",
+                       "--alpha=0.5s", "--ok=0x10"});
+    EXPECT_EXIT(a.getUint("max-cores"), testing::ExitedWithCode(1),
+                "expects an unsigned integer, got '2x'");
+    EXPECT_EXIT(a.getInt("n"), testing::ExitedWithCode(1), "'-3k'");
+    EXPECT_EXIT(a.getDouble("alpha"), testing::ExitedWithCode(1),
+                "'0.5s'");
+    EXPECT_EQ(a.getUint("ok"), 16u);
+}

@@ -1,65 +1,38 @@
 #!/usr/bin/env python3
-"""Bench-regression gate for the CI smoke runs.
+"""Bench-regression gate over `pvsim run` artifacts.
 
-Compares freshly produced BENCH_*.json artifacts against the
-committed baselines in tools/baselines/ with a tolerance band, and
-fails (exit 1) on drift — so a PR that silently degrades the
-dedicated-vs-virtualized deltas, the stepping harness, or the QoS
-protection result breaks the build instead of only uploading a
-different artifact.
+Every sweep artifact is a `pvsim run` of fingerprinted scenarios
+(BENCH_fig9.json is `pvsim run scenarios/bench/fig9`), so one pass
+gates them all. Invariants, on every scenario of every artifact:
 
-What is gated, and why these tolerances:
+  - no scenario failed, and every IPC (`ipc`, `*_ipc`) is > 0;
+  - fig9: dedicated hit rate >= 60% wherever edge stability >= 0.9;
+  - qos: the first (baseline) setting has availability redirects,
+    and the best setting protects the BTB by >= 10%;
+  - qos_hetero: 4 clusters, reference and protected runs, BTB hits
+    in every cluster, protection > 0 in a protected cluster;
+  - a fig9 scenario `X-prefetch` and its `X` share a `mixed` row,
+    on which the prefetch-on virtualized availability-redirect rate
+    is strictly below the off side's, prefetch fills are > 0, and
+    the on/off virtualized IPC change is >= -3%.
 
-* fig9 (BENCH_fig9.json): per-(mix, stability) row, the
-  dedicated-vs-virtualized speedup delta must stay within
-  --fig9-tol-pp percentage points of the baseline, hit rates within
-  --hit-tol-pp, and IPCs within --ipc-rel-tol relative. The smoke
-  run is deterministic for a given source tree (fixed seeds,
-  matched pairs), so the band only needs to absorb
-  compiler/platform floating-point wiggle.
-* stepping (BENCH_stepping.json): the threaded harness must report
-  bit_identical=true (the correctness property), every throughput
-  must be positive, and the structural speedups that PRs 2/4 bought
-  (bulk-fread trace replay, pooled payload allocation) must not
-  collapse; wall-clock noise on shared CI runners is absorbed by
-  generous floors on the *ratios*, never on absolute rates.
-* qos (BENCH_qos.json): per-setting row, availability-redirect and
-  protection percentages within --hit-tol-pp of the baseline, and
-  the best protection across settings must stay positive — the
-  experiment's reason to exist.
-* fig9 prefetch section: the PVCache locality prefetch comparison
-  (off-vs-on matched pair on the mixed preset) is gated within the
-  fresh artifact itself, so it is host-independent: the prefetch-on
-  side's availability-redirect rate must land strictly below the
-  prefetch-off side's (the mechanism's reason to exist), the
-  detector must actually have fired (nonzero prefetch fills), and
-  the matched-seed IPC delta must not fall below
-  --prefetch-ipc-tol-pp percent — locality prefetch is allowed to
-  be IPC-neutral, never an IPC tax.
-* simulator throughput: every fig9/qos row carries records_per_sec
-  (measured trace records, summed over cores, per measure-phase
-  wall second). It depends on the host, so it is printed with its
-  delta against the committed baseline rather than gated.
-* scenarios (--pvsim + --scenarios): the committed scenario corpus
-  must pass `pvsim validate` (strict parse, unknown-key rejection,
-  round-trip stability) and every file's fingerprint must match the
-  committed scenarios/MANIFEST.json — a scenario edit without a
-  manifest refresh (or a serialization change that silently moves
-  canonical forms) fails the build. Regenerate with:
-      pvsim fingerprint scenarios --json > scenarios/MANIFEST.json
+--baseline matches rows to a committed artifact by scenario name,
+fingerprint and row key (mix@edge_stability, setting, cluster, or
+reference/protected). A fingerprint mismatch or a scenario on one
+side only fails: re-record the baseline with
+  PVSIM_JOBS=4 pvsim run scenarios \\
+      --json-out tools/baselines/PVSIM_scenarios.smoke.json
+Field rule: speedup_pct within 1 point, other *_pct within 6 points,
+IPCs within 15% relative (the runs are deterministic for a tree, so
+the bands only absorb compiler floating-point wiggle); records/s is
+host time, printed against the baseline, never gated.
 
-Usage (CI runs this from build-release/):
-  check_bench.py --baseline-dir ../tools/baselines \
-      --fig9 BENCH_fig9.json --stepping BENCH_stepping.json \
-      --qos BENCH_qos.json \
-      --pvsim ./pvsim --scenarios ../scenarios \
-      --scenario-manifest ../scenarios/MANIFEST.json
-Any artifact flag may be omitted to skip that gate.
+--stepping gates BENCH_stepping.json: bit-identical threaded
+harness, positive throughputs, structural speedups above floors.
 """
 
 import argparse
 import json
-import subprocess
 import sys
 
 
@@ -78,114 +51,164 @@ class Gate:
         if not ok:
             self.failures.append(msg)
             print(f"FAIL: {msg}")
-
-    def close(self, band, tol, label):
-        self.check(
-            abs(band) <= tol,
-            f"{label}: drift {band:+.4f} exceeds tolerance {tol}",
-        )
+        return ok
 
 
-def check_fig9(gate, current, baseline, tol_pp, hit_tol_pp, ipc_rel):
-    base_rows = {
-        (r["mix"], round(r["edge_stability"], 6)): r
-        for r in baseline["rows"]
-    }
-    cur_rows = {
-        (r["mix"], round(r["edge_stability"], 6)): r
-        for r in current["rows"]
-    }
-    gate.check(
-        set(base_rows) <= set(cur_rows),
-        f"fig9: rows missing vs baseline: "
-        f"{sorted(set(base_rows) - set(cur_rows))}",
-    )
-    for key, base in base_rows.items():
-        cur = cur_rows.get(key)
-        if cur is None:
-            continue
-        label = f"fig9 {key[0]}@{key[1]}"
-        print_throughput(label, cur, base)
-        gate.close(
-            cur["speedup_pct"] - base["speedup_pct"],
-            tol_pp,
-            f"{label} speedup_pct",
-        )
-        for field in ("dedicated_hit_pct", "virtualized_hit_pct"):
-            gate.close(
-                cur[field] - base[field], hit_tol_pp,
-                f"{label} {field}",
-            )
-        for field in ("dedicated_ipc", "virtualized_ipc"):
-            b = base[field]
-            gate.check(b > 0, f"{label} baseline {field} is zero")
-            if b > 0:
-                gate.close(
-                    cur[field] / b - 1.0, ipc_rel,
-                    f"{label} {field} (relative)",
-                )
+def is_ipc(field):
+    return field == "ipc" or field.endswith("_ipc")
 
 
-def check_fig9_prefetch(gate, current, ipc_tol_pp):
-    """Gate the PVCache locality-prefetch comparison within the
-    fresh artifact (off vs on is a matched pair produced by the same
-    host and tree, so no committed baseline is needed)."""
-    pf = current.get("prefetch")
-    gate.check(
-        isinstance(pf, dict),
-        "fig9: prefetch section missing from artifact",
-    )
-    if not isinstance(pf, dict):
+def tolerance(field):
+    """(relative?, band) a row field is gated with, or None."""
+    if field == "speedup_pct":
+        return (False, 1.0)
+    if field.endswith("_pct"):
+        return (False, 6.0)
+    return (True, 0.15) if is_ipc(field) else None
+
+
+def row_key(row):
+    for field in ("cluster", "setting"):
+        if field in row:
+            return row[field]
+    if "mix" in row:
+        return f"{row['mix']}@{round(row['edge_stability'], 6)}"
+    return "run"
+
+
+def keyed_rows(sc):
+    """A scenario's rows by key, plus its qos_hetero runs."""
+    rows = {row_key(row): row for row in sc["rows"]}
+    for side in ("reference", "protected"):
+        if side in sc:
+            rows[side] = sc[side]
+    return rows
+
+
+def load_artifacts(gate, paths):
+    """Every scenario of the artifacts at paths, by name."""
+    scenarios = {}
+    for path in paths:
+        art = load(path)
+        gate.check(art.get("failed") == 0 and art.get("scenarios"),
+                   f"{path}: not a clean pvsim artifact")
+        for sc in art.get("scenarios", []):
+            name = sc["name"]
+            gate.check(name not in scenarios,
+                       f"{path}: scenario {name} given twice")
+            sides = ("reference" in sc) + ("protected" in sc)
+            gate.check(len(keyed_rows(sc)) == len(sc["rows"]) + sides,
+                       f"{path}: {name} repeats a row key")
+            scenarios[name] = sc
+    return scenarios
+
+
+def check_invariants(gate, scenarios):
+    for name, sc in sorted(scenarios.items()):
+        rows = sc["rows"]
+        for key, row in keyed_rows(sc).items():
+            for field, v in row.items():
+                if is_ipc(field):
+                    gate.check(v > 0, f"{name} {key}: {field} {v}")
+        if sc["kind"] == "fig9":
+            for r in rows:
+                gate.check(r["edge_stability"] < 0.9 or
+                           r["dedicated_hit_pct"] >= 60.0,
+                           f"{name} {row_key(r)}: dedicated hit rate "
+                           f"{r['dedicated_hit_pct']:.1f}% < 60% — "
+                           f"the branch stream is no longer learnable")
+            if name.endswith("-prefetch"):
+                check_prefetch_pair(gate, scenarios, name)
+        elif sc["kind"] == "qos":
+            gate.check(rows and rows[0]["avail_redirect_pct"] > 0,
+                       f"{name}: no availability redirects at the "
+                       f"baseline setting — nothing to protect")
+            best = max((r["avail_improvement_pct"] for r in rows),
+                       default=0.0)
+            gate.check(best >= 10.0,
+                       f"{name}: best protection {best:.1f}% < 10%")
+        elif sc["kind"] == "qos_hetero":
+            gate.check(len(rows) == 4 and "reference" in sc and
+                       "protected" in sc,
+                       f"{name}: want 4 clusters and both runs")
+            for c in rows:
+                gate.check(c["btb_hit_pct"] > 0,
+                           f"{name} {c['cluster']}: no BTB hits")
+            best = max((c["avail_improvement_pct"] for c in rows
+                        if c["btb_weight"] > c["aggressor_weight"]
+                        or c["contract"] == "equal+floor"),
+                       default=0.0)
+            gate.check(best > 0.0, f"{name}: no protected cluster "
+                                   f"improves ({best:.1f}%)")
+
+
+def check_prefetch_pair(gate, scenarios, name):
+    off_name = name[: -len("-prefetch")]
+    if not gate.check(off_name in scenarios,
+                      f"{name}: its off side {off_name} is missing"):
         return
-    off = pf.get("off", {})
-    on = pf.get("on", {})
-    label = (
-        f"fig9 prefetch ({pf.get('mix', '?')}, depth "
-        f"{pf.get('depth', '?')}, victims "
-        f"{pf.get('victim_entries', '?')})"
-    )
-    for side, run in (("off", off), ("on", on)):
-        gate.check(
-            run.get("ipc", 0) > 0, f"{label}: {side} side zero IPC"
-        )
-    gate.check(
-        on.get("prefetch_fills", 0) > 0,
-        f"{label}: stride detector never fired "
-        f"(zero prefetch fills on the on side)",
-    )
-    off_redir = off.get("avail_redirect_pct", 0.0)
-    on_redir = on.get("avail_redirect_pct", 100.0)
-    gate.check(
-        on_redir < off_redir,
-        f"{label}: on-side availability redirects "
-        f"{on_redir:.2f}% not strictly below off-side "
-        f"{off_redir:.2f}% — the prefetcher buys nothing",
-    )
-    ipc_delta = pf.get("ipc_delta_pct", 0.0)
-    gate.check(
-        ipc_delta >= -ipc_tol_pp,
-        f"{label}: matched-seed IPC delta {ipc_delta:+.2f}% below "
-        f"-{ipc_tol_pp}% — prefetch has become an IPC tax",
-    )
-    print(
-        f"{label}: redirects {off_redir:.2f}% -> {on_redir:.2f}% "
-        f"({pf.get('avail_improvement_pct', 0.0):+.1f}% relative), "
-        f"ipc {ipc_delta:+.2f}%, fills {on.get('prefetch_fills', 0)}, "
-        f"useful {on.get('prefetch_useful', 0)}, victim hits "
-        f"{on.get('victim_hits', 0)}"
-    )
+    off_rows = keyed_rows(scenarios[off_name])
+    pairs = [(key, on, off_rows[key])
+             for key, on in keyed_rows(scenarios[name]).items()
+             if on["mix"] == "mixed" and key in off_rows]
+    gate.check(pairs, f"{name}: no mixed row shared with {off_name}")
+    for key, on, off in pairs:
+        label = f"prefetch {off_name} -> {name} {key}"
+        off_r = off["virtualized_avail_redirect_pct"]
+        on_r = on["virtualized_avail_redirect_pct"]
+        change = 100.0 * (on["virtualized_ipc"] /
+                          off["virtualized_ipc"] - 1.0)
+        print(f"{label}: redirects {off_r:.2f}% -> {on_r:.2f}%, "
+              f"IPC {change:+.2f}%, fills {on['prefetch_fills']}, "
+              f"victim hits {on['victim_hits']}")
+        gate.check(on_r < off_r, f"{label}: on-side redirects not "
+                                 f"strictly below off-side")
+        gate.check(on["prefetch_fills"] > 0,
+                   f"{label}: the stride detector never fired")
+        gate.check(change >= -3.0,
+                   f"{label}: IPC change {change:+.2f}% below -3%")
 
 
-def print_throughput(label, cur, base=None):
-    """Print a row's records/sec, with its delta against the baseline
-    row when the baseline carries the field (host-dependent, so it is
-    reported, never gated)."""
-    rate = cur.get("records_per_sec", 0.0)
-    line = f"{label}: {rate:,.0f} records/s"
-    base_rate = (base or {}).get("records_per_sec", 0.0)
-    if base_rate > 0:
-        line += f" ({100.0 * (rate / base_rate - 1.0):+.1f}% vs baseline)"
-    print(line)
+def check_baseline(gate, scenarios, baseline):
+    base = {sc["name"]: sc for sc in baseline["scenarios"]}
+    gate.check(base.keys() == scenarios.keys(),
+               f"scenarios only in the baseline "
+               f"{sorted(base.keys() - scenarios.keys())}, only in "
+               f"the artifacts {sorted(scenarios.keys() - base.keys())}"
+               f" — re-record the baseline")
+    for name in sorted(base.keys() & scenarios.keys()):
+        b, c = base[name], scenarios[name]
+        if not gate.check(b["fingerprint"] == c["fingerprint"],
+                          f"{name}: fingerprint {c['fingerprint']} != "
+                          f"baseline {b['fingerprint']} — re-record "
+                          f"the baseline"):
+            continue
+        b_rows, c_rows = keyed_rows(b), keyed_rows(c)
+        gate.check(b_rows.keys() == c_rows.keys(),
+                   f"{name}: rows {sorted(c_rows)} != baseline "
+                   f"{sorted(b_rows)}")
+        for key in sorted(b_rows.keys() & c_rows.keys()):
+            label = f"{name} {key}"
+            cur, old = c_rows[key], b_rows[key]
+            rate = cur.get("records_per_sec")
+            if rate is not None and old.get("records_per_sec"):
+                delta = 100.0 * (rate / old["records_per_sec"] - 1.0)
+                print(f"{label}: {rate:,.0f} records/s "
+                      f"({delta:+.1f}% vs baseline)")
+            for field, bv in old.items():
+                tol = tolerance(field)
+                if tol is None:
+                    continue
+                relative, band = tol
+                cv = cur.get(field, float("nan"))
+                if relative:
+                    drift = cv / bv - 1.0 if bv > 0 else float("inf")
+                else:
+                    drift = cv - bv
+                gate.check(abs(drift) <= band,
+                           f"{label} {field}: {bv} -> {cv} exceeds "
+                           f"{'relative ' if relative else ''}"
+                           f"tolerance {band}")
 
 
 def check_stepping(gate, current):
@@ -218,176 +241,35 @@ def check_stepping(gate, current):
         )
 
 
-def check_qos(gate, current, baseline, hit_tol_pp):
-    base_rows = {r["setting"]: r for r in baseline["rows"]}
-    cur_rows = {r["setting"]: r for r in current["rows"]}
-    gate.check(
-        set(base_rows) <= set(cur_rows),
-        f"qos: settings missing vs baseline: "
-        f"{sorted(set(base_rows) - set(cur_rows))}",
-    )
-    for label, base in base_rows.items():
-        cur = cur_rows.get(label)
-        if cur is None:
-            continue
-        gate.check(
-            cur["ipc"] > 0, f"qos {label}: zero IPC"
-        )
-        print_throughput(f"qos {label}", cur, base)
-        for field in ("avail_redirect_pct", "avail_improvement_pct"):
-            gate.close(
-                cur[field] - base[field], hit_tol_pp,
-                f"qos {label} {field}",
-            )
-    best = max(
-        (r["avail_improvement_pct"] for r in current["rows"]),
-        default=0.0,
-    )
-    gate.check(
-        best > 0.0,
-        f"qos: no setting protects the BTB (best {best:.1f}%)",
-    )
-    het = current.get("heterogeneous")
-    base_het = baseline.get("heterogeneous", {})
-    if isinstance(het, dict):
-        clusters = het.get("clusters", [])
-        gate.check(
-            len(clusters) == 4,
-            f"qos heterogeneous: expected 4 cluster rows, got "
-            f"{len(clusters)}",
-        )
-        for side in ("reference", "protected"):
-            run = het.get(side, {})
-            gate.check(
-                run.get("ipc", 0) > 0,
-                f"qos heterogeneous {side}: zero IPC",
-            )
-            print_throughput(
-                f"qos heterogeneous {side}", run, base_het.get(side)
-            )
-        for c in clusters:
-            gate.check(
-                c.get("btb_hit_pct", 0) > 0,
-                f"qos heterogeneous {c.get('cluster')}: BTB tenant "
-                f"starved (zero hit rate)",
-            )
-            print(
-                f"qos heterogeneous {c.get('cluster')}: protection "
-                f"{c.get('avail_improvement_pct', 0):+.1f}%"
-            )
-
-
-def check_scenarios(gate, pvsim, scenarios_dir, manifest_path):
-    """Validate the scenario corpus and pin its fingerprints."""
-    res = subprocess.run(
-        [pvsim, "validate", scenarios_dir],
-        capture_output=True, text=True,
-    )
-    sys.stdout.write(res.stdout)
-    sys.stderr.write(res.stderr)
-    gate.check(
-        res.returncode == 0,
-        f"scenarios: `pvsim validate {scenarios_dir}` failed "
-        f"(exit {res.returncode})",
-    )
-
-    res = subprocess.run(
-        [pvsim, "fingerprint", scenarios_dir, "--json"],
-        capture_output=True, text=True,
-    )
-    gate.check(
-        res.returncode == 0,
-        f"scenarios: `pvsim fingerprint` failed "
-        f"(exit {res.returncode}): {res.stderr.strip()}",
-    )
-    if res.returncode != 0:
-        return
-    live = json.loads(res.stdout)
-    committed = load(manifest_path)
-    gate.check(
-        set(live) == set(committed),
-        f"scenarios: corpus/manifest file sets differ "
-        f"(only in corpus: {sorted(set(live) - set(committed))}, "
-        f"only in manifest: {sorted(set(committed) - set(live))}) "
-        f"— regenerate {manifest_path}",
-    )
-    for name in sorted(set(live) & set(committed)):
-        gate.check(
-            live[name] == committed[name],
-            f"scenarios: {name} fingerprint drift "
-            f"(manifest {committed[name]}, live {live[name]}) — "
-            f"regenerate {manifest_path}",
-        )
-
-
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--baseline-dir", default="tools/baselines")
-    ap.add_argument("--fig9", help="fresh BENCH_fig9.json")
+    ap.add_argument("artifacts", nargs="*",
+                    help="pvsim run artifacts (--json-out) to gate")
+    ap.add_argument("--baseline", help="committed pvsim artifact the "
+                    "artifacts' rows must reproduce")
     ap.add_argument("--stepping", help="fresh BENCH_stepping.json")
-    ap.add_argument("--qos", help="fresh BENCH_qos.json")
-    ap.add_argument("--pvsim", help="path to the pvsim binary")
-    ap.add_argument(
-        "--scenarios", help="scenario corpus directory to validate"
-    )
-    ap.add_argument(
-        "--scenario-manifest",
-        help="committed fingerprint manifest (MANIFEST.json)",
-    )
-    ap.add_argument(
-        "--fig9-tol-pp", type=float, default=1.0,
-        help="abs tolerance on fig9 speedup_pct (percentage points)",
-    )
-    ap.add_argument(
-        "--hit-tol-pp", type=float, default=6.0,
-        help="abs tolerance on hit/redirect percentages (points)",
-    )
-    ap.add_argument(
-        "--ipc-rel-tol", type=float, default=0.15,
-        help="relative tolerance on per-row IPC values",
-    )
-    ap.add_argument(
-        "--prefetch-ipc-tol-pp", type=float, default=3.0,
-        help="max matched-seed IPC loss of the prefetch-on side "
-        "over prefetch-off (percent)",
-    )
     args = ap.parse_args()
+    if args.baseline and not args.artifacts:
+        ap.error("--baseline needs an artifact")
 
     gate = Gate()
-    if args.fig9:
-        fig9_cur = load(args.fig9)
-        fig9_base = load(f"{args.baseline_dir}/BENCH_fig9.smoke.json")
-        check_fig9(
-            gate, fig9_cur, fig9_base,
-            args.fig9_tol_pp, args.hit_tol_pp, args.ipc_rel_tol,
-        )
-        check_fig9_prefetch(gate, fig9_cur, args.prefetch_ipc_tol_pp)
+    if args.artifacts:
+        scenarios = load_artifacts(gate, args.artifacts)
+        check_invariants(gate, scenarios)
+        if args.baseline:
+            check_baseline(gate, scenarios, load(args.baseline))
     if args.stepping:
         check_stepping(gate, load(args.stepping))
-    if args.pvsim and args.scenarios:
-        manifest = (
-            args.scenario_manifest
-            or f"{args.scenarios}/MANIFEST.json"
-        )
-        check_scenarios(gate, args.pvsim, args.scenarios, manifest)
-    if args.qos:
-        check_qos(
-            gate, load(args.qos),
-            load(f"{args.baseline_dir}/BENCH_qos.smoke.json"),
-            args.hit_tol_pp,
-        )
 
     if not gate.checks:
-        print("check_bench: nothing to check (pass --fig9/...)")
+        print("check_bench: nothing to check")
         return 1
     if gate.failures:
-        print(
-            f"check_bench: {len(gate.failures)} of {gate.checks} "
-            f"checks FAILED"
-        )
+        print(f"check_bench: {len(gate.failures)} of {gate.checks} "
+              f"checks FAILED")
         return 1
     print(f"check_bench: all {gate.checks} checks passed")
     return 0

@@ -8,15 +8,17 @@
  *   pvsim validate scenarios              strict-parse + round-trip
  *   pvsim fingerprint scenarios --json    manifest of fingerprints
  *
- * `run` executes each scenario through the same harness paths the
- * compiled bench drivers use and emits the same JSON row schema
- * (BENCH_*.json rows); `validate` fails on any syntax error,
- * unknown key, structural violation, or canonical-form round-trip
- * instability; `fingerprint --json` prints the {file: fingerprint}
- * object committed as scenarios/MANIFEST.json, which the
- * check_bench.py gate compares against the live corpus.
+ * `run` executes each scenario through the harness and emits its
+ * rows (every BENCH_*.json is `pvsim run scenarios/bench/<name>`);
+ * `validate` fails on any syntax error, unknown key, structural
+ * violation, or canonical-form round-trip instability;
+ * `fingerprint --json` prints the {file: fingerprint} object
+ * committed as scenarios/MANIFEST.json, which scenario_test
+ * compares against the live corpus.
  *
- * Exit status: 0 all good, 1 any scenario failed, 2 bad usage.
+ * Exit status: 0 all good, 1 any scenario failed or the artifact
+ * could not be written, 2 bad usage (including any option the
+ * command does not read).
  */
 
 #include <filesystem>
@@ -69,10 +71,21 @@ baseName(const std::string &path)
 }
 
 int
-cmdRun(const std::vector<std::string> &files, const Args &args)
+cmdRun(const std::vector<std::string> &files, uint64_t max_cores,
+       const std::string &json_out)
 {
-    const uint64_t max_cores = args.getUint("max-cores", 0);
-    const std::string json_out = args.getString("json-out", "");
+    // Open the artifact before running anything: an unwritable path
+    // fails now, not after the whole sweep.
+    std::ofstream out;
+    auto cannot_write = [&] {
+        std::cerr << "pvsim: cannot write " << json_out << "\n";
+        return 1;
+    };
+    if (!json_out.empty()) {
+        out.open(json_out);
+        if (!out)
+            return cannot_write();
+    }
 
     std::ostringstream js;
     js << "{\n  \"bench\": \"pvsim\",\n  \"scenarios\": [\n";
@@ -109,10 +122,8 @@ cmdRun(const std::vector<std::string> &files, const Args &args)
        << ",\n  \"failed\": " << failures << "\n}\n";
 
     std::cout << "\n" << js.str();
-    if (!json_out.empty()) {
-        std::ofstream out(json_out);
-        out << js.str();
-    }
+    if (!json_out.empty() && !(out << js.str() << std::flush))
+        return cannot_write();
     return failures ? 1 : 0;
 }
 
@@ -147,9 +158,8 @@ cmdValidate(const std::vector<std::string> &files)
 }
 
 int
-cmdFingerprint(const std::vector<std::string> &files, const Args &args)
+cmdFingerprint(const std::vector<std::string> &files, bool as_json)
 {
-    const bool as_json = args.getBool("json", false);
     int failures = 0;
     std::ostringstream js;
     js << "{\n";
@@ -193,6 +203,28 @@ main(int argc, char **argv)
     if (paths.empty())
         return usage();
 
+    // Read every option the command takes up front, so a flag it
+    // does not take (a typo, a retired flag) fails before any work.
+    uint64_t max_cores = 0;
+    std::string json_out;
+    bool as_json = false;
+    if (cmd == "run") {
+        max_cores = args.getUint("max-cores", 0);
+        json_out = args.getString("json-out", "");
+    } else if (cmd == "fingerprint") {
+        as_json = args.getBool("json", false);
+    } else if (cmd != "validate") {
+        return usage();
+    }
+    const std::vector<std::string> unread = args.unreadKeys();
+    if (!unread.empty()) {
+        std::cerr << "pvsim " << cmd << ": unknown option";
+        for (const std::string &k : unread)
+            std::cerr << " --" << k;
+        std::cerr << "\n";
+        return 2;
+    }
+
     std::vector<std::string> files;
     try {
         files = expandPaths(paths);
@@ -202,10 +234,8 @@ main(int argc, char **argv)
     }
 
     if (cmd == "run")
-        return cmdRun(files, args);
+        return cmdRun(files, max_cores, json_out);
     if (cmd == "validate")
         return cmdValidate(files);
-    if (cmd == "fingerprint")
-        return cmdFingerprint(files, args);
-    return usage();
+    return cmdFingerprint(files, as_json);
 }
