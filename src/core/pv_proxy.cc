@@ -68,7 +68,8 @@ PvProxy::PvProxy(SimContext &ctx, const PvProxyParams &params,
                     "prefetches dropped by headroom/entitlement"),
       victimHits(this, "victim_hits",
                  "demand misses served from the victim buffer"),
-      params_(params), region_(region_start, region_bytes)
+      params_(params), region_(region_start, region_bytes),
+      sendQueue_(ctx.events(), name())
 {
     pv_assert(params_.pvCacheEntries > 0, "PVCache needs entries");
     entries_.resize(params_.pvCacheEntries);
@@ -702,28 +703,7 @@ PvProxy::sendDown(PacketPtr pkt)
         freePacket(pkt);
         return;
     }
-    sendQueue_.push_back(pkt);
-    drainSendQueue();
-}
-
-void
-PvProxy::drainSendQueue()
-{
-    if (drainScheduled_)
-        return;
-    while (!sendQueue_.empty()) {
-        PacketPtr head = sendQueue_.front();
-        if (!memSide_->recvRequest(head))
-            break;
-        sendQueue_.pop_front();
-    }
-    if (!sendQueue_.empty()) {
-        drainScheduled_ = true;
-        schedule(1, [this] {
-            drainScheduled_ = false;
-            drainSendQueue();
-        });
-    }
+    sendQueue_.push(pkt);
 }
 
 void

@@ -55,7 +55,6 @@
 #define PVSIM_CORE_PV_PROXY_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -202,7 +201,12 @@ class PvProxy : public SimObject, public MemClient
     const PvTableLayout &layout() const { return engineLayout(0); }
 
     /** Connect the level the proxy injects requests into (the L2). */
-    void setMemSide(MemDevice *dev) { memSide_ = dev; }
+    void
+    setMemSide(MemDevice *dev)
+    {
+        memSide_ = dev;
+        sendQueue_.setDevice(dev);
+    }
 
     /**
      * Perform one request (see PvRequest). Demand requests fetch
@@ -416,7 +420,6 @@ class PvProxy : public SimObject, public MemClient
     /** Victim-buffer entries tenant `table` may occupy. */
     unsigned victimShare(unsigned table) const;
     void sendDown(PacketPtr pkt);
-    void drainSendQueue();
     void fetchLine(unsigned line, unsigned table, SetOp op);
     unsigned pendingOpCount() const;
     unsigned pendingOpCount(unsigned table) const;
@@ -457,8 +460,8 @@ class PvProxy : public SimObject, public MemClient
     std::vector<CacheEntry> entries_;
     std::vector<CacheEntry> victims_;
     std::vector<InFlight> inFlight_;
-    std::deque<PacketPtr> sendQueue_;
-    bool drainScheduled_ = false;
+    /** Requests (fetches, writebacks) toward the L2. */
+    SendQueue sendQueue_;
     uint64_t touchCounter_ = 0;
 };
 

@@ -334,6 +334,17 @@ System::runTiming(uint64_t records_per_core)
             // Keep draining in-flight prefetches and writebacks.
         }
     }
+    // A drained queue with a retry still parked means a device
+    // refused it and never noted the release that would wake it.
+    if (eq.numParked() != 0) {
+        std::string who;
+        for (const std::string &n : eq.parkedNames())
+            who += (who.empty() ? "" : ", ") + n;
+        panic("event queue drained with %zu retr%s still parked "
+              "(lost wake-up): %s",
+              eq.numParked(), eq.numParked() == 1 ? "y" : "ies",
+              who.c_str());
+    }
     // A drained queue with a core still running means a response
     // was lost somewhere below — fail loudly instead of returning
     // a silently truncated (and wildly wrong) measurement.
@@ -373,7 +384,7 @@ System::totalInstructions() const
 bool
 System::quiesced() const
 {
-    bool q = l2_->quiesced();
+    bool q = ctx_.events().numParked() == 0 && l2_->quiesced();
     for (const auto &c : l1ds_)
         q = q && c->quiesced();
     for (const auto &c : l1is_)

@@ -130,7 +130,8 @@ class System
     /** Sum of instructions retired across cores. */
     uint64_t totalInstructions() const;
 
-    /** True when caches and proxies have nothing in flight. */
+    /** True when caches and proxies have nothing in flight and no
+     *  retry is parked. */
     bool quiesced() const;
 
   private:

@@ -68,7 +68,7 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
       missLatency(this, "miss_latency",
                   "demand miss latency (cycles)", 0, 1600, 50),
       params_(params), addrMap_(addr_map),
-      mshrs_(params.numMshrs)
+      mshrs_(params.numMshrs), sendQueue_(ctx.events(), name())
 {
     pv_assert(params_.sizeBytes % (uint64_t(params_.assoc) *
                                    kBlockBytes) == 0,
@@ -76,6 +76,8 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
     numSets_ = unsigned(params_.sizeBytes /
                         (uint64_t(params_.assoc) * kBlockBytes));
     pv_assert(numSets_ > 0, "cache must have at least one set");
+    pv_assert(params_.tagLatency > 0,
+              "%s: a tag lookup cannot take zero ticks", name().c_str());
     if ((numSets_ & (numSets_ - 1)) == 0)
         setMask_ = numSets_ - 1;
     blocks_.resize(size_t(numSets_) * params_.assoc);
@@ -350,6 +352,7 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
         frame->data.reset();
     if (was_prefetch)
         ++prefetchFills;
+    ctx().events().noteRelease(); // the block may now hit
     return *frame;
 }
 
@@ -587,10 +590,16 @@ Cache::recvRequest(PacketPtr pkt)
         pkt->issueTick = curTick();
 
     ++pendingLookups_;
-    Tick ready = bankReadyTick(pkt->addr);
-    Tick lookup_done = ready + params_.tagLatency;
-    schedule(lookup_done - curTick(),
-             [this, pkt] { handleLookup(pkt); });
+    const Cycles delay =
+        bankReadyTick(pkt->addr) + params_.tagLatency - curTick();
+    if (delay == 1) {
+        // A one-tick lookup keeps its place among the next tick's
+        // retries (event_queue.hh).
+        ctx().events().deferToNextPass(
+            name(), [this, pkt] { handleLookup(pkt); });
+    } else {
+        schedule(delay, [this, pkt] { handleLookup(pkt); });
+    }
     return true;
 }
 
@@ -637,6 +646,7 @@ Cache::handleLookup(PacketPtr pkt)
 {
     pv_assert(pendingLookups_ > 0, "lookup underflow");
     --pendingLookups_;
+    ctx().events().noteRelease();
     if (probeAccess(pkt)) {
         MemClient *dst = pkt->src;
         schedule(params_.dataLatency,
@@ -677,14 +687,16 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
 
     if (mshrs_.full()) {
         // Filled up since acceptance; retry the MSHR allocation only
-        // (stats and listener hooks already ran exactly once).
-        schedule(1, [this, pkt, down_cmd] {
+        // (stats and listener hooks already ran exactly once) after
+        // an MSHR frees or one for this block appears.
+        ctx().events().park(name(), [this, pkt, down_cmd] {
             missToMshr_(pkt, down_cmd);
         });
         return;
     }
 
     Mshr &m = mshrs_.allocate(baddr, curTick());
+    ctx().events().noteRelease(); // later misses may coalesce
     m.needsWritable = pkt->needsWritable();
     m.prefetchOnly = pkt->isPrefetch;
     m.wasPrefetch = pkt->isPrefetch;
@@ -711,30 +723,9 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
 void
 Cache::sendDownstream(PacketPtr pkt)
 {
-    sendQueue_.push_back(pkt);
-    drainSendQueue();
-}
-
-void
-Cache::drainSendQueue()
-{
-    if (drainScheduled_ || sendQueue_.empty())
-        return;
     pv_assert(memSide_ != nullptr, "%s: no memory side",
               name().c_str());
-    while (!sendQueue_.empty()) {
-        PacketPtr head = sendQueue_.front();
-        if (!memSide_->recvRequest(head))
-            break;
-        sendQueue_.pop_front();
-    }
-    if (!sendQueue_.empty()) {
-        drainScheduled_ = true;
-        schedule(1, [this] {
-            drainScheduled_ = false;
-            drainSendQueue();
-        });
-    }
+    sendQueue_.push(pkt);
 }
 
 void
@@ -763,6 +754,7 @@ Cache::recvResponse(PacketPtr pkt)
     std::vector<PacketPtr> targets;
     targets.swap(mshr->targets);
     mshrs_.deallocate(*mshr);
+    ctx().events().noteRelease();
 
     for (PacketPtr t : targets) {
         if (t->isPrefetchReq() && t->src == nullptr) {
@@ -847,6 +839,7 @@ Cache::issuePrefetch(Addr block_addr, Addr pc)
     ++prefetchIssued;
     countRequest_prefetch_(baddr);
     Mshr &m = mshrs_.allocate(baddr, curTick());
+    ctx().events().noteRelease();
     m.prefetchOnly = true;
     m.wasPrefetch = true;
     m.inService = true;

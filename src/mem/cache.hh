@@ -16,7 +16,6 @@
 #ifndef PVSIM_MEM_CACHE_HH
 #define PVSIM_MEM_CACHE_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,7 +95,12 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     // -- Wiring -----------------------------------------------------
 
     /** Connect the next level down (L2 for an L1; DRAM for the L2). */
-    void setMemSide(MemDevice *dev) { memSide_ = dev; }
+    void
+    setMemSide(MemDevice *dev)
+    {
+        memSide_ = dev;
+        sendQueue_.setDevice(dev);
+    }
 
     /**
      * Register an upstream coherent client (an L1 registering with
@@ -114,6 +118,7 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     // -- MemDevice (requests from above) ----------------------------
 
     bool recvRequest(PacketPtr pkt) override;
+    void creditRejects(uint64_t n) override { mshrRejects += n; }
     void functionalAccess(Packet &pkt) override;
     std::string deviceName() const override { return name(); }
 
@@ -323,7 +328,6 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     void handleLookup(PacketPtr pkt);
     void handleMiss(PacketPtr pkt);
     void sendDownstream(PacketPtr pkt);
-    void drainSendQueue();
     Tick bankReadyTick(Addr block_addr);
 
     // -- Members --------------------------------------------------------
@@ -371,8 +375,7 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Reused victim-candidate buffer (avoids per-miss allocation). */
     std::vector<CacheBlk *> victimScratch_;
     /** Downstream packets awaiting acceptance (misses, writebacks). */
-    std::deque<PacketPtr> sendQueue_;
-    bool drainScheduled_ = false;
+    SendQueue sendQueue_;
 
     std::vector<Tick> bankFreeAt_;
 };

@@ -8,22 +8,25 @@ namespace pvsim {
 
 EventQueue::~EventQueue()
 {
-    for (Event *e : heap_) {
+    // Heap entries (live or cancelled) and parked lane entries still
+    // own their callables. Chunk storage is released by chunks_.
+    auto destroy = [](Event *e) {
         if (e->destroy)
             e->destroy(e->storage);
-    }
-    // Chunk storage is released by chunks_; no per-node delete.
+    };
+    std::for_each(heap_.begin(), heap_.end(), destroy);
+    std::for_each(lane_.begin(), lane_.end(), destroy);
+    std::for_each(front_.begin(), front_.end(), destroy);
 }
 
 EventQueue::Event *
-EventQueue::acquire(Tick when, int priority)
+EventQueue::acquire()
 {
-    pv_assert(when >= curTick_,
-              "event scheduled in the past (%llu < %llu)",
-              (unsigned long long)when, (unsigned long long)curTick_);
     if (!freeHead_) {
         auto chunk = std::make_unique<Event[]>(kChunkEvents);
+        const size_t base = chunks_.size() * kChunkEvents;
         for (size_t i = 0; i < kChunkEvents; ++i) {
+            chunk[i].index = uint32_t(base + i);
             chunk[i].nextFree = freeHead_;
             freeHead_ = &chunk[i];
         }
@@ -33,23 +36,43 @@ EventQueue::acquire(Tick when, int priority)
     Event *e = freeHead_;
     freeHead_ = e->nextFree;
     --freeCount_;
-    e->when = when;
-    e->priority = priority;
-    e->id = nextId_++;
+    e->dead = false;
     return e;
 }
 
 void
 EventQueue::commit(Event *e)
 {
+    pv_assert(e->when >= curTick_,
+              "event scheduled in the past (%llu < %llu)",
+              (unsigned long long)e->when,
+              (unsigned long long)curTick_);
+    // The lane stands in for the default-priority polls of each
+    // tick only if nothing else of that priority interleaves with
+    // them, and only if nothing runs ahead of the pass slot once it
+    // has gone by (scheduled by the pass itself, by a CPU event, or
+    // from outside any event).
+    pv_assert(parked_ == 0 || e->priority != kPrioDefault ||
+                  e->when >= curTick_ + 2,
+              "default-priority event %llu tick(s) ahead while "
+              "retries are parked: it would run out of order with "
+              "the retry pass",
+              (unsigned long long)(e->when - curTick_));
+    pv_assert(e->when > curTick_ || e->priority > kPrioRetry ||
+                  runningPrio_ < kPrioRetry ||
+                  (parked_ == 0 && runningPrio_ != kPrioRetry),
+              "priority %d scheduled at the current tick after its "
+              "retry pass slot", e->priority);
+    e->seq = nextSeq_++;
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    pending_.insert(e->id);
+    ++live_;
 }
 
 void
 EventQueue::release(Event *e)
 {
+    ++e->gen; // stale EventIds of this node no longer match
     e->nextFree = freeHead_;
     freeHead_ = e;
     ++freeCount_;
@@ -66,26 +89,26 @@ EventQueue::discard(Event *e)
 void
 EventQueue::cancel(EventId id)
 {
-    if (pending_.erase(id) == 0)
-        return; // already ran (or already cancelled)
+    const uint32_t index = uint32_t(id >> 32);
+    if (index >= poolCapacity())
+        return;
+    Event &e = nodeAt(index);
+    if (e.gen != uint32_t(id) || e.dead)
+        return; // already ran, already cancelled, or reused
+    e.dead = true;
+    --live_;
     maybeCompact();
 }
 
 void
 EventQueue::maybeCompact()
 {
-    // Every heap entry's id was added to pending_ at schedule() and
-    // leaves both structures together (popNext, stale-top discard),
-    // except on cancel — so the dead-entry count is exactly the
-    // size difference.
-    size_t dead = heap_.size() - pending_.size();
+    size_t dead = heap_.size() - live_;
     if (heap_.size() < kCompactMinHeap || dead * 2 <= heap_.size())
         return;
     auto live_end =
         std::partition(heap_.begin(), heap_.end(),
-                       [this](const Event *e) {
-                           return pending_.count(e->id) != 0;
-                       });
+                       [](const Event *e) { return !e->dead; });
     for (auto it = live_end; it != heap_.end(); ++it)
         discard(*it);
     heap_.erase(live_end, heap_.end());
@@ -105,35 +128,26 @@ Tick
 EventQueue::nextTick() const
 {
     pv_assert(!heap_.empty(), "nextTick on an empty queue");
-    // The heap may have stale (cancelled) entries at the top; they
-    // can only be earlier than the earliest live event, so scanning
-    // is needed for exactness. The common case has no stale top.
-    if (pending_.count(heap_.front()->id))
+    // Cancelled entries at the top can only be earlier than the
+    // earliest live event, so scanning is needed for exactness. The
+    // common case has no dead top.
+    if (!heap_.front()->dead)
         return heap_.front()->when;
     Tick best = kMaxTick;
     for (const Event *e : heap_) {
-        if (e->when < best && pending_.count(e->id))
+        if (e->when < best && !e->dead)
             best = e->when;
     }
     return best;
 }
 
 EventQueue::Event *
-EventQueue::popNext()
+EventQueue::popTop()
 {
-    while (!heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        Event *e = heap_.back();
-        heap_.pop_back();
-        auto it = pending_.find(e->id);
-        if (it == pending_.end()) {
-            discard(e); // cancelled; reclaim silently
-            continue;
-        }
-        pending_.erase(it);
-        return e;
-    }
-    return nullptr;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event *e = heap_.back();
+    heap_.pop_back();
+    return e;
 }
 
 uint64_t
@@ -144,24 +158,24 @@ EventQueue::runUntil(Tick limit)
         // Peek: stop without popping if the earliest live event is
         // beyond the limit.
         Event *top = heap_.front();
-        if (!pending_.count(top->id)) {
-            // Stale top; pop and reclaim.
-            std::pop_heap(heap_.begin(), heap_.end(), Later{});
-            heap_.pop_back();
-            discard(top);
+        if (top->dead) {
+            discard(popTop()); // cancelled; reclaim silently
             continue;
         }
         if (top->when > limit)
             break;
-        Event *e = popNext();
-        if (!e)
-            break;
+        Event *e = popTop();
+        // Out of the queue: cancel() on its id is now a no-op.
+        e->dead = true;
+        --live_;
         pv_assert(e->when >= curTick_, "event queue went backwards");
         curTick_ = e->when;
         // The callable may schedule (allocating nodes) or cancel
         // (compacting the heap); this node is in neither structure
         // any more, so its storage stays valid until released below.
+        runningPrio_ = e->priority;
         e->invoke(e->storage);
+        runningPrio_ = kIdle;
         if (e->destroy)
             e->destroy(e->storage);
         release(e);
@@ -185,8 +199,114 @@ EventQueue::reset()
     for (Event *e : heap_)
         discard(e);
     heap_.clear();
-    pending_.clear();
+    live_ = 0;
+    for (Event *e : front_)
+        discard(e);
+    for (Event *e : lane_)
+        discard(e);
+    front_.clear();
+    lane_.clear();
+    parked_ = 0;
+    passAt_[0] = passAt_[1] = kMaxTick;
+    lastParkTick_ = kMaxTick;
     curTick_ = 0;
+}
+
+// ---------------------------------------------------------------------
+// Retry lane
+// ---------------------------------------------------------------------
+
+void
+EventQueue::enqueueLane(Event *e)
+{
+    ++parked_;
+    lastParkTick_ = curTick_;
+    if (runningPrio_ < kPrioRetry) {
+        // Refused before this tick's pass: retried from the next
+        // tick on, ahead of the entries carried over.
+        mergeStaleFront();
+        front_.push_back(e);
+    } else {
+        // During a pass, lane_ is the pass's outcome in order;
+        // after it (CPU events, outside any event) the back.
+        mergeFront();
+        lane_.push_back(e);
+    }
+}
+
+void
+EventQueue::mergeFront()
+{
+    if (front_.empty())
+        return;
+    lane_.insert(lane_.begin(), front_.begin(), front_.end());
+    front_.clear();
+}
+
+void
+EventQueue::mergeStaleFront()
+{
+    if (!front_.empty() && front_.back()->when < curTick_)
+        mergeFront();
+}
+
+void
+EventQueue::scheduleReleasePasses()
+{
+    // Entries parked before this tick are due now: this tick's pass
+    // sees the release unless it has run already. Entries parked
+    // earlier this tick (and those a running pass already
+    // re-attempted) are never retried before the next tick.
+    if (runningPrio_ < kPrioRetry) {
+        mergeStaleFront();
+        if (!lane_.empty())
+            schedulePass(curTick_);
+        if (lastParkTick_ == curTick_)
+            schedulePass(curTick_ + 1);
+    } else if (runningPrio_ > kPrioRetry ||
+               lastParkTick_ == curTick_) {
+        schedulePass(curTick_ + 1);
+    }
+}
+
+void
+EventQueue::schedulePass(Tick when)
+{
+    if (passAt_[0] == when || passAt_[1] == when)
+        return;
+    passAt_[1] = passAt_[0];
+    passAt_[0] = when;
+    schedule(when, kPrioRetry, [this] { runPass(); });
+}
+
+void
+EventQueue::runPass()
+{
+    const Tick now = curTick_;
+    mergeFront();
+    passWork_.swap(lane_);
+    for (Event *e : passWork_) {
+        if (e->when >= now) {
+            lane_.push_back(e); // parked this tick: due next tick
+            continue;
+        }
+        --parked_;
+        e->invoke(e->storage);
+        if (e->destroy)
+            e->destroy(e->storage);
+        release(e);
+    }
+    passWork_.clear();
+}
+
+std::vector<std::string>
+EventQueue::parkedNames() const
+{
+    std::vector<std::string> names;
+    for (const auto *seg : {&front_, &lane_})
+        for (const Event *e : *seg)
+            names.push_back(*e->who);
+    return names;
 }
 
 } // namespace pvsim

@@ -7,21 +7,73 @@
  * Event nodes are pooled: each node carries inline storage for the
  * scheduled callable, and executed/cancelled nodes return to an
  * intrusive freelist instead of the heap — doing for events what
- * PacketPool did for packets. Timing mode used to pay one heap node
- * plus a std::function allocation per event; steady-state scheduling
- * now allocates nothing (asserted in tests). Callables larger than
- * the inline slot are boxed on the heap transparently.
+ * PacketPool did for packets. Steady-state scheduling allocates
+ * nothing (asserted in tests). Callables larger than the inline slot
+ * are boxed on the heap transparently.
+ *
+ * Generation stamps. An EventId is (node index, generation). A node
+ * bumps its generation when it returns to the pool and is marked
+ * dead when it leaves the queue (popped to run, or cancelled), so
+ * cancel() looks the node up by index and acts only on a live node
+ * whose generation still matches: cancelling an event that already
+ * ran, or whose node has since been reused, is a no-op. Cancelled
+ * nodes are reclaimed lazily; a live count stands in for a set of
+ * pending ids, and the heap is compacted when dead entries
+ * outnumber live ones.
+ *
+ * The retry lane. A memory device that refuses a request
+ * (MSHRs full, send queue clogged) changes nothing but a reject
+ * counter, so re-asking it every cycle is wasted work until the
+ * device releases something. Instead the refused sender park()s a
+ * retry closure in the lane, and the device calls noteRelease()
+ * wherever acceptance can move toward "accept" (an MSHR allocated
+ * or freed, a lookup resolved, a block installed, a send-queue
+ * slot opened). A release schedules a *pass*: one event at
+ * kPrioRetry that re-attempts the parked entries in lane order.
+ *
+ * Why this is exact. The reference is a sender that re-asks every
+ * cycle: each refusal re-arms a default-priority poll one tick
+ * later. Every other default-priority event the models schedule
+ * lies at least two ticks ahead, so the polls of tick t form one
+ * block: after the other default-priority events of t, before
+ * every kPrioCpu event, ordered by when they were refused during
+ * t-1. A pass at kPrioRetry sits exactly there, and the lane keeps
+ * that order:
+ *
+ *  - an entry refused during the response- or default-priority
+ *    events of tick t is not re-attempted at t; at t+1 it goes
+ *    ahead of the entries carried over;
+ *  - entries refused during a pass keep the pass's order;
+ *  - entries refused during CPU events (or outside any event) go
+ *    to the back.
+ *
+ * A poll could only have succeeded after a release, so passes run
+ * only then: this tick if the release came from a response- or
+ * default-priority event, else (during a pass, a CPU event, or
+ * after an entry refused earlier this tick) the next tick too. The
+ * polls a parked sender skipped are credited to the refusing
+ * device's reject count by the sender (MemDevice::creditRejects),
+ * so every statistic matches the polling protocol bit for bit.
+ *
+ * A one-tick default-priority event would interleave with that
+ * block by scheduling order, so such events (one-tick cache
+ * lookups) enter the lane through deferToNextPass() instead, which
+ * forces a pass on the next tick. commit() asserts the premises:
+ * while anything is parked, no default-priority heap event is
+ * scheduled fewer than two ticks ahead, and nothing is scheduled to
+ * run ahead of a tick's pass slot once that slot has gone by.
  */
 
 #ifndef PVSIM_SIM_EVENT_QUEUE_HH
 #define PVSIM_SIM_EVENT_QUEUE_HH
 
+#include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <string>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -33,13 +85,15 @@ namespace pvsim {
 class EventQueue
 {
   public:
+    /** (node index << 32) | node generation. */
     using EventId = uint64_t;
 
     /** Standard event priorities (lower executes first). */
     enum Priority {
         kPrioResponse = -10, ///< deliver responses before new requests
         kPrioDefault = 0,
-        kPrioCpu = 10, ///< CPU ticks run after memory-system events
+        kPrioRetry = 5, ///< retry-lane passes (see the file comment)
+        kPrioCpu = 10,  ///< CPU ticks run after memory-system events
     };
 
     EventQueue() = default;
@@ -57,10 +111,12 @@ class EventQueue
     EventId
     schedule(Tick when, int priority, F &&fn)
     {
-        Event *e = acquire(when, priority);
+        Event *e = acquire();
+        e->when = when;
+        e->priority = priority;
         emplaceCallable(*e, std::forward<F>(fn));
         commit(e);
-        return e->id;
+        return (EventId(e->index) << 32) | e->gen;
     }
 
     template <typename F>
@@ -71,14 +127,62 @@ class EventQueue
     }
 
     /**
-     * Cancel a pending event; no-op if it already ran. Cancellation
-     * is lazy — the heap entry (and its closure) stays until popped
-     * — but the heap is compacted whenever dead entries outnumber
+     * Cancel a pending event; no-op if it already ran, was already
+     * cancelled, or its node has been reused since. Cancellation is
+     * lazy — the heap entry (and its closure) stays until popped —
+     * but the heap is compacted whenever dead entries outnumber
      * live ones, so cancel-heavy callers cannot grow it without
      * bound. (No current model cancels events; the bound is for
      * what speculative timing models will need.)
      */
     void cancel(EventId id);
+
+    // -- Retry lane (see the file comment) ----------------------------
+
+    /**
+     * Park a refused attempt: a later pass calls fn, which
+     * re-attempts and parks again if refused. `who` names the sender
+     * in diagnostics and must outlive the entry.
+     */
+    template <typename F>
+    void
+    park(const std::string &who, F &&fn)
+    {
+        enqueueLane(laneNode(who, std::forward<F>(fn)));
+    }
+
+    /**
+     * Run fn in the next tick's pass, in lane order: the slot a
+     * one-tick default-priority event would have had among the
+     * retries. Forces that pass.
+     */
+    template <typename F>
+    void
+    deferToNextPass(const std::string &who, F &&fn)
+    {
+        enqueueLane(laneNode(who, std::forward<F>(fn)));
+        schedulePass(curTick_ + 1);
+    }
+
+    /**
+     * Something a parked entry may be waiting for was released:
+     * schedule the pass(es) that would see it. Free when nothing
+     * is parked.
+     */
+    void
+    noteRelease()
+    {
+        if (parked_ != 0)
+            scheduleReleasePasses();
+    }
+
+    /** Entries waiting in the lane. */
+    size_t numParked() const { return parked_; }
+
+    /** Names of the parked entries (diagnostics; outside a pass). */
+    std::vector<std::string> parkedNames() const;
+
+    // -- Time ---------------------------------------------------------
 
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
@@ -89,11 +193,12 @@ class EventQueue
      */
     void setCurTick(Tick to);
 
-    /** True if no pending (non-cancelled) events remain. */
-    bool empty() const { return pending_.empty(); }
+    /** True if no pending (non-cancelled) events remain. Parked
+     *  lane entries do not count: only a release wakes them. */
+    bool empty() const { return live_ == 0; }
 
     /** Number of pending events. */
-    size_t numPending() const { return pending_.size(); }
+    size_t numPending() const { return live_; }
 
     /** Heap entries, live plus not-yet-reclaimed cancelled ones
      *  (observability for the compaction tests). */
@@ -112,7 +217,8 @@ class EventQueue
     /** Execute exactly the events of the current earliest tick. */
     uint64_t runOneTick();
 
-    /** Drop all pending events and rewind time to zero. */
+    /** Drop all pending events and parked entries; rewind time to
+     *  zero. */
     void reset();
 
     /** Total events ever executed (for microbenchmarks/tests). */
@@ -133,17 +239,31 @@ class EventQueue
     static constexpr size_t kInlineBytes = 48;
     /** Event nodes per pool chunk. */
     static constexpr size_t kChunkEvents = 128;
+    /** runningPrio_ outside any event. */
+    static constexpr int kIdle = INT_MAX;
 
     struct Event {
+        /** Heap: due tick. Lane: tick the entry was parked. */
         Tick when;
-        int priority;
-        EventId id;
+        union {
+            /** Heap: scheduling order (same-tick tie-break). */
+            uint64_t seq;
+            /** Lane: the sender's name (diagnostics). */
+            const std::string *who;
+            /** Intrusive freelist link (only while free). */
+            Event *nextFree;
+        };
         /** Run the stored callable. */
         void (*invoke)(void *storage);
         /** Destroy it without running (nullptr when trivial). */
         void (*destroy)(void *storage);
-        /** Intrusive freelist link (only while free). */
-        Event *nextFree;
+        int priority;
+        /** Bumped whenever the node returns to the pool. */
+        uint32_t gen;
+        /** Position in the pool (chunk * kChunkEvents + slot). */
+        uint32_t index;
+        /** Cancelled, or popped to run: cancel() no longer applies. */
+        bool dead;
         alignas(std::max_align_t) unsigned char storage[kInlineBytes];
     };
 
@@ -196,11 +316,23 @@ class EventQueue
         }
     }
 
-    /** Take a node from the pool, stamped with (when, priority, id).
-     *  Asserts when >= curTick(). */
-    Event *acquire(Tick when, int priority);
+    /** A lane node parked now by `who`. */
+    template <typename F>
+    Event *
+    laneNode(const std::string &who, F &&fn)
+    {
+        Event *e = acquire();
+        e->when = curTick_;
+        e->who = &who;
+        emplaceCallable(*e, std::forward<F>(fn));
+        return e;
+    }
 
-    /** Insert an initialized node into the heap and pending set. */
+    /** Take a node from the pool (growing it by a chunk if empty). */
+    Event *acquire();
+
+    /** Insert an initialized node into the heap; checks the lane's
+     *  ordering premises. */
     void commit(Event *e);
 
     /** Destroy an unexecuted node's callable and recycle the node. */
@@ -209,8 +341,15 @@ class EventQueue
     /** Recycle a node whose callable has already been consumed. */
     void release(Event *e);
 
+    /** Node by pool index. */
+    Event &
+    nodeAt(uint32_t index) const
+    {
+        return chunks_[index / kChunkEvents][index % kChunkEvents];
+    }
+
     /** Min-heap comparator: earliest tick, then lowest priority
-     *  value, then insertion order for stability. */
+     *  value, then scheduling order for stability. */
     struct Later {
         bool
         operator()(const Event *a, const Event *b) const
@@ -219,13 +358,12 @@ class EventQueue
                 return a->when > b->when;
             if (a->priority != b->priority)
                 return a->priority > b->priority;
-            return a->id > b->id;
+            return a->seq > b->seq;
         }
     };
 
-    /** Pop the earliest live entry; nullptr if none. Discards and
-     *  recycles stale (cancelled) entries along the way. */
-    Event *popNext();
+    /** Pop the heap top and stamp it out of the heap. */
+    Event *popTop();
 
     /** Drop cancelled entries when they exceed half the heap. */
     void maybeCompact();
@@ -233,14 +371,55 @@ class EventQueue
     /** Below this size compaction is not worth the re-heapify. */
     static constexpr size_t kCompactMinHeap = 64;
 
+    // -- Lane internals -------------------------------------------------
+
+    /** Append a parked node where the running phase puts it. */
+    void enqueueLane(Event *e);
+
+    /** Move the front segment (entries parked during an earlier
+     *  tick's response/default events, or during this tick's once
+     *  its pass has begun) ahead of the carried-over entries. */
+    void mergeFront();
+
+    /** mergeFront() if the front segment is from an earlier tick. */
+    void mergeStaleFront();
+
+    /** The pass(es) a release at the current point needs. */
+    void scheduleReleasePasses();
+
+    /** Schedule a pass at `when` unless one is already due then. */
+    void schedulePass(Tick when);
+
+    /** Re-attempt every due parked entry, in lane order. */
+    void runPass();
+
     std::vector<Event *> heap_;
-    std::unordered_set<EventId> pending_;
+    /** Live (scheduled, not cancelled) heap entries. */
+    size_t live_ = 0;
     std::vector<std::unique_ptr<Event[]>> chunks_;
     Event *freeHead_ = nullptr;
     size_t freeCount_ = 0;
     Tick curTick_ = 0;
-    EventId nextId_ = 0;
+    uint64_t nextSeq_ = 0;
     uint64_t numExecuted_ = 0;
+    /** Priority of the executing event; kIdle outside events. */
+    int runningPrio_ = kIdle;
+
+    /** Parked entries in pass order (the carried-over segment). */
+    std::vector<Event *> lane_;
+    /** Entries parked during the response/default events of one
+     *  tick: they lead the lane from the next tick on. */
+    std::vector<Event *> front_;
+    /** The running pass's entries (kept for its capacity); lane_
+     *  collects the pass's outcome. */
+    std::vector<Event *> passWork_;
+    /** Entries in lane_, front_ and the rest of passWork_. */
+    size_t parked_ = 0;
+    /** Tick of the latest park (kMaxTick: none yet). */
+    Tick lastParkTick_ = kMaxTick;
+    /** Ticks with a pass already scheduled (at most two are ever
+     *  outstanding: this tick and the next). */
+    Tick passAt_[2] = {kMaxTick, kMaxTick};
 };
 
 } // namespace pvsim

@@ -46,6 +46,7 @@ class SimContext
 
     /** The system's one event queue. */
     EventQueue &events() { return events_; }
+    const EventQueue &events() const { return events_; }
 
     /** Same queue as events(). Kept for the benchmark job, which
      *  reads the event pool's size through it. */

@@ -12,6 +12,7 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "mem/packet_pool.hh"
 #include "sim/sim_object.hh"
 
 using namespace pvsim;
@@ -516,6 +517,62 @@ TEST_F(TimingCacheTest, MshrFullRejectsNewBlocks)
     delete third;
     ctx.events().runUntil();
     EXPECT_EQ(client.responses.size(), 2u);
+}
+
+TEST_F(TimingCacheTest, MshrFullRetryWakesOnTheFreeingFill)
+{
+    // One frame, one MSHR. A read accepted as a hit while the MSHR
+    // is busy loses its block to an allocate-on-writeback before its
+    // lookup resolves, so its miss finds the MSHR file full. It must
+    // retry when the fill frees the MSHR — the tick a per-cycle
+    // retry would have succeeded at.
+    build(1);
+    params.sizeBytes = kBlockBytes;
+    params.assoc = 1;
+    params.tagLatency = 2;
+    cache = std::make_unique<Cache>(ctx, params, &amap);
+    cache->setMemSide(&dram);
+    struct Sink : MemClient {
+        SimContext *ctx;
+        std::vector<std::pair<Addr, Tick>> at;
+        void
+        recvResponse(PacketPtr pkt) override
+        {
+            at.emplace_back(pkt->addr, ctx->curTick());
+            delete pkt;
+        }
+        std::string clientName() const override { return "sink"; }
+    } sink;
+    sink.ctx = &ctx;
+    auto read = [&](Addr a) {
+        auto *pkt = new Packet(MemCmd::ReadReq, a, 0);
+        pkt->src = &sink;
+        return pkt;
+    };
+    const Addr a = 0x1000, b = 0x2000, c = 0x3000;
+    ASSERT_TRUE(cache->recvRequest(read(b)));
+    ctx.events().runUntil();
+    sink.at.clear();
+
+    const Tick start = ctx.curTick();
+    ASSERT_TRUE(cache->recvRequest(read(a)));
+    ctx.events().runUntil(start + params.tagLatency);
+    ASSERT_EQ(cache->outstandingMisses(), 1u);
+    ASSERT_TRUE(cache->recvRequest(read(b))) << "a hit is accepted";
+    PacketPtr wb = allocPacket(MemCmd::Writeback, c, kInvalidCore);
+    ASSERT_TRUE(cache->recvRequest(wb));
+    ASSERT_FALSE(cache->contains(b)) << "the writeback evicted b";
+    ctx.events().runUntil();
+
+    ASSERT_EQ(sink.at.size(), 2u);
+    EXPECT_EQ(sink.at[0].first, a);
+    EXPECT_EQ(sink.at[1].first, b);
+    // a: lookup at +2, DRAM 400, data 1. b's retry rides a's fill
+    // (same tick), then its own DRAM trip and data cycle.
+    EXPECT_EQ(sink.at[0].second - start, 403u);
+    EXPECT_EQ(sink.at[1].second - start, 803u);
+    EXPECT_TRUE(cache->quiesced());
+    EXPECT_EQ(ctx.events().numParked(), 0u);
 }
 
 TEST_F(TimingCacheTest, ProbeAccessHitIsSynchronous)

@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for the discrete-event queue: ordering, priorities, stable
- * same-tick order, cancellation, bounded runs, and time control.
+ * same-tick order, cancellation, bounded runs, time control, and the
+ * retry lane that stands in for per-cycle backpressure polling.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "mem/port.hh"
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 
@@ -318,4 +324,216 @@ TEST(EventPool, CancelledClosureIsDestroyedOnReclaim)
     q.runUntil();
     EXPECT_EQ(token.use_count(), 1);
     EXPECT_EQ(q.poolFree(), q.poolCapacity());
+}
+
+TEST(EventQueue, CancelOfExecutedReusedNodeIsNoOp)
+{
+    EventQueue q;
+    int fired = 0;
+    auto first = q.schedule(1, [&] { ++fired; });
+    q.runUntil();
+    auto second = q.schedule(2, [&] { ++fired; });
+    ASSERT_EQ(first >> 32, second >> 32) << "the freed node is reused";
+    EXPECT_NE(first, second) << "under a new generation";
+    q.cancel(first);
+    EXPECT_EQ(q.numPending(), 1u);
+    q.runUntil();
+    EXPECT_EQ(fired, 2);
+}
+
+// ---------------------------------------------------------------------
+// Retry lane
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A sender whose attempts succeed only while `open`; a refused
+ *  attempt parks a retry. Logs (name, tick) of every attempt. */
+struct Gate {
+    explicit Gate(EventQueue &eq) : q(eq) {}
+
+    EventQueue &q;
+    bool open = false;
+    std::vector<std::pair<std::string, Tick>> attempts;
+
+    void
+    attempt(const std::string &who)
+    {
+        attempts.emplace_back(who, q.curTick());
+        if (!open)
+            q.park(who, [this, &who] { attempt(who); });
+    }
+};
+
+using Log = std::vector<std::pair<std::string, Tick>>;
+
+const std::string kA = "a", kB = "b", kOld = "old", kNew = "new";
+
+} // namespace
+
+TEST(RetryLane, RetriesOnlyAfterReleaseInRefusalOrder)
+{
+    EventQueue q;
+    Gate g(q);
+    q.schedule(1, EventQueue::kPrioCpu, [&] {
+        g.attempt(kA);
+        g.attempt(kB);
+    });
+    for (Tick t = 2; t < 10; ++t)
+        q.schedule(t, [] {}); // time passes, nothing is released
+    q.schedule(10, [&] {
+        g.open = true;
+        q.noteRelease();
+    });
+    q.runUntil();
+    EXPECT_EQ(g.attempts, (Log{{"a", 1}, {"b", 1}, {"a", 10}, {"b", 10}}));
+    EXPECT_EQ(q.numParked(), 0u);
+}
+
+TEST(RetryLane, CpuPriorityReleaseDefersPassToNextTick)
+{
+    EventQueue q;
+    Gate g(q);
+    q.schedule(1, EventQueue::kPrioCpu, [&] { g.attempt(kA); });
+    q.schedule(5, EventQueue::kPrioCpu, [&] {
+        g.open = true;
+        q.noteRelease(); // this tick's pass slot has gone by
+    });
+    q.runUntil();
+    EXPECT_EQ(g.attempts, (Log{{"a", 1}, {"a", 6}}));
+}
+
+TEST(RetryLane, EarlyRefusalSkipsItsTickThenLeads)
+{
+    EventQueue q;
+    Gate g(q);
+    q.schedule(1, EventQueue::kPrioCpu, [&] { g.attempt(kOld); });
+    q.schedule(5, EventQueue::kPrioResponse,
+               [&] { g.attempt(kNew); });
+    q.schedule(5, [&] { q.noteRelease(); }); // gate stays shut
+    q.schedule(6, EventQueue::kPrioCpu, [&] {
+        g.open = true;
+        q.noteRelease();
+    });
+    q.runUntil();
+    // Tick 5's pass retries only the carried-over entry; the one
+    // refused earlier that tick leads from tick 6 on.
+    EXPECT_EQ(g.attempts, (Log{{"old", 1},
+                               {"new", 5},
+                               {"old", 5},
+                               {"new", 6},
+                               {"old", 6},
+                               {"new", 7},
+                               {"old", 7}}));
+}
+
+TEST(RetryLane, OneTickEntryKeepsItsSlotBetweenRetries)
+{
+    EventQueue q;
+    Gate g(q);
+    static const std::string kLookup = "lookup";
+    q.schedule(1, EventQueue::kPrioCpu, [&] {
+        g.attempt(kA);
+        q.deferToNextPass(kLookup, [&] {
+            g.attempts.emplace_back(kLookup, q.curTick());
+        });
+        g.attempt(kB);
+    });
+    q.schedule(3, [&] {
+        g.open = true;
+        q.noteRelease();
+    });
+    q.runUntil();
+    // Tick 2's pass is forced by the one-tick entry alone.
+    EXPECT_EQ(g.attempts, (Log{{"a", 1},
+                               {"b", 1},
+                               {"a", 2},
+                               {"lookup", 2},
+                               {"b", 2},
+                               {"a", 3},
+                               {"b", 3}}));
+}
+
+namespace {
+
+/** A device holding each accepted request for a while; refusals
+ *  (and credited ones) are counted like Cache::mshrRejects. */
+struct Bouncer : MemDevice {
+    EventQueue &q;
+    unsigned capacity;
+    unsigned busy = 0;
+    uint64_t rejects = 0;
+    std::vector<Tick> accepted;
+
+    Bouncer(EventQueue &eq, unsigned cap) : q(eq), capacity(cap) {}
+
+    bool
+    recvRequest(PacketPtr pkt) override
+    {
+        if (busy >= capacity) {
+            ++rejects;
+            return false;
+        }
+        ++busy;
+        accepted.push_back(q.curTick());
+        Tick hold = 7 + 3 * (accepted.size() % 4);
+        q.schedule(q.curTick() + hold, EventQueue::kPrioResponse,
+                   [this, pkt] {
+                       delete pkt;
+                       --busy;
+                       q.noteRelease();
+                   });
+        return true;
+    }
+
+    void creditRejects(uint64_t n) override { rejects += n; }
+    void functionalAccess(Packet &) override {}
+    std::string deviceName() const override { return "bouncer"; }
+};
+
+PacketPtr
+request(int i)
+{
+    return new Packet(MemCmd::ReadReq, Addr(0x1000 + 64 * i), 0);
+}
+
+} // namespace
+
+TEST(RetryLane, CreditedRejectsEqualPolling)
+{
+    // Reference: a sender that re-asks the device every cycle.
+    EventQueue pq;
+    Bouncer polled(pq, 2);
+    std::deque<PacketPtr> pending;
+    std::function<void()> poll = [&] {
+        while (!pending.empty() && polled.recvRequest(pending.front()))
+            pending.pop_front();
+        if (!pending.empty())
+            pq.schedule(pq.curTick() + 1, poll);
+    };
+    pq.schedule(0, EventQueue::kPrioCpu, [&] {
+        for (int i = 0; i < 10; ++i)
+            pending.push_back(request(i));
+        poll();
+    });
+    pq.runUntil();
+
+    // The same traffic through a SendQueue, which parks instead.
+    EventQueue lq;
+    Bouncer parked(lq, 2);
+    static const std::string kSender = "sender";
+    SendQueue sq(lq, kSender);
+    sq.setDevice(&parked);
+    lq.schedule(0, EventQueue::kPrioCpu, [&] {
+        for (int i = 0; i < 10; ++i)
+            sq.push(request(i));
+    });
+    lq.runUntil();
+
+    EXPECT_TRUE(sq.empty());
+    EXPECT_EQ(parked.accepted, polled.accepted);
+    EXPECT_GT(polled.rejects, 20u);
+    EXPECT_EQ(parked.rejects, polled.rejects);
+    EXPECT_LT(lq.numExecuted(), pq.numExecuted())
+        << "parking must save the futile polls";
 }

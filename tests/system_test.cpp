@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "harness/metrics.hh"
 #include "harness/system.hh"
@@ -184,6 +185,44 @@ TEST(SystemTiming, VirtualizedRunsAndDrains)
     EXPECT_TRUE(sys.ctx().events().empty());
     TrafficMetrics t = trafficOf(sys);
     EXPECT_GT(t.l2RequestsPv, 0u);
+}
+
+namespace {
+
+const std::string kStuck = "stuck.sender";
+
+/** A retry no device ever accepts: every pass parks it again. */
+struct StuckRetry {
+    EventQueue *q;
+    void operator()() const { q->park(kStuck, *this); }
+};
+
+} // namespace
+
+TEST(SystemTiming, ParkedRetryIsNotQuiesced)
+{
+    SystemConfig cfg = smallConfig("qry2", PrefetchMode::None);
+    cfg.mode = SimMode::Timing;
+    System sys(cfg);
+    EXPECT_TRUE(sys.quiesced());
+    StuckRetry{&sys.ctx().events()}();
+    EXPECT_FALSE(sys.quiesced()) << "a parked retry is work in flight";
+}
+
+TEST(SystemTimingDeathTest, LostWakeUpNamesTheParkedRetrier)
+{
+    // A refusal whose release is never noted leaves its sender
+    // parked after everything else drained: the run must fail and
+    // say who is stuck, not report a lost response or hang.
+    SystemConfig cfg = smallConfig("qry2", PrefetchMode::None);
+    cfg.mode = SimMode::Timing;
+    EXPECT_DEATH(
+        {
+            System sys(cfg);
+            StuckRetry{&sys.ctx().events()}();
+            sys.runTiming(200);
+        },
+        "1 retry still parked \\(lost wake-up\\): stuck.sender");
 }
 
 TEST(SystemLifecycle, NoPacketLeaksAcrossSystemLifetimes)

@@ -9,14 +9,20 @@ matched scenario by scenario and row by row. An OLD single-sweep
 artifact (top-level "rows", optional "prefetch" off/on sides of the
 virtualized BTB and "heterogeneous" runs and clusters) is matched row
 by row against every NEW row of the same kind and key. Host fields
-(wall time, records/s, worker counts) are skipped; every other field
-must be exactly equal. Exit 1 on any mismatch.
+(wall time, records/s, worker counts) are skipped. `events` counts
+the simulator's callbacks, not anything in the modelled machine, so
+it is reported (old -> new and the ratio, for every row) instead of
+compared. Every other field must be exactly equal. Exit 1 on any
+mismatch.
 """
 
 import json
 import sys
 
 HOST = {"wall_seconds", "records_per_sec", "jobs_effective"}
+# Reported, never compared: a simulator change may do the same
+# simulation with fewer callbacks.
+DIAGNOSTIC = {"events"}
 # A prefetch side's fields under their fig9 row names.
 PREFETCH_SIDE = {
     "ipc": "virtualized_ipc",
@@ -36,7 +42,16 @@ def key(row):
 
 def differing(old, new, rename):
     return [k for k, v in old.items()
-            if k not in HOST and new.get(rename.get(k, k)) != v]
+            if k not in HOST and k not in DIAGNOSTIC
+            and new.get(rename.get(k, k)) != v]
+
+
+def report_events(path, label, old, new):
+    if "events" not in old or "events" not in new:
+        return
+    o, n = old["events"], new["events"]
+    ratio = f"{n / o:.3f}" if o else "n/a"
+    print(f"events {path}: {label}: {o} -> {n} (x{ratio})")
 
 
 def expectations(old, new):
@@ -94,6 +109,7 @@ def main():
                 print(f"MISMATCH {path}: {label}: {diff}")
             elif not rename:
                 added |= match.keys() - row.keys()
+                report_events(path, label, row, match)
     if added:
         print(f"fields only in NEW rows: {', '.join(sorted(added))}")
     print(f"diff_rows: {compared} rows compared, {failures} mismatched")
