@@ -50,6 +50,7 @@ struct BenchOptions {
         o.workloads = args.getList("workloads", paperWorkloads());
         o.csv = args.getBool("csv", false);
         o.verbose = args.getBool("verbose", false);
+        args.rejectUnread();
         return o;
     }
 };

@@ -314,6 +314,7 @@ main(int argc, char **argv)
         args.getUint("measure-records", smoke ? 1'500 : 15'000);
     const std::string json_out =
         args.getString("json-out", "BENCH_stepping.json");
+    args.rejectUnread();
 
     // The environment's worker request (PVSIM_JOBS or the hardware
     // count), captured before benchHarness overrides the variable:

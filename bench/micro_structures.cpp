@@ -86,8 +86,9 @@ BM_PvProxyHit(benchmark::State &state)
     l2p.assoc = 8;
     Cache l2(ctx, l2p, &amap);
     l2.setMemSide(&dram);
-    PvProxyParams pp;
-    PvProxy proxy(ctx, pp, PvTableLayout(amap.pvStart(0), 1024));
+    PvProxy proxy(ctx, PvProxyParams{}, amap.pvStart(0),
+                  1024 * kBlockBytes);
+    proxy.registerEngine({"table0", 1024, 0, {}});
     proxy.setMemSide(&l2);
     proxy.access({0, 3, PvReqClass::Demand, [](PvLineView) {}});
     for (auto _ : state) {
@@ -169,9 +170,7 @@ BM_SharedProxyTenants(benchmark::State &state)
     Cache l2(ctx, l2p, &amap);
     l2.setMemSide(&dram);
 
-    PvProxyParams pp;
-    pp.usedBitsPerLine = 0;
-    PvProxy proxy(ctx, pp, amap.pvStart(0),
+    PvProxy proxy(ctx, PvProxyParams{}, amap.pvStart(0),
                   amap.pvBytesPerCore());
     proxy.setMemSide(&l2);
 

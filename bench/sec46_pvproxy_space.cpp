@@ -19,10 +19,12 @@ main(int argc, char **argv)
 {
     BenchOptions opt = BenchOptions::parse(argc, argv);
 
+    // Paper design: a 1K-11a PHT, the proxy's only tenant, behind
+    // the default 8-entry PVCache.
     SimContext ctx(SimMode::Functional);
-    VirtPhtParams vp; // paper design: 1K-11a behind an 8-set PVCache
-    VirtualizedPht vpht(ctx, vp, 0xB0000000);
-    auto b = vpht.proxy().storageBreakdown();
+    PvProxy proxy(ctx, PvProxyParams{}, 0xB0000000, 1024 * kBlockBytes);
+    VirtualizedPht vpht(proxy, "pht", 1024, 11);
+    auto b = proxy.storageBreakdown();
 
     std::cout << "Section 4.6: PVProxy space requirements per "
                  "core\n\n";
@@ -48,7 +50,7 @@ main(int argc, char **argv)
               << fmtDouble(dedicated / b.totalBytes(), 1)
               << "x (paper: 68x)\n"
               << "In-memory PVTable: "
-              << fmtBytes(double(vpht.proxy().layout().tableBytes()))
+              << fmtBytes(double(vpht.tableBytes()))
               << " per core (paper: 64KB)\n";
     return 0;
 }

@@ -53,15 +53,16 @@ main(int argc, char **argv)
     }
     emit(t, opt);
 
-    // The virtualized design's dedicated cost, for contrast.
+    // The virtualized design's dedicated cost, for contrast: a
+    // 1K-11a PHT alone behind the default 8-entry PVCache.
     SimContext ctx(SimMode::Functional);
-    VirtPhtParams vp; // defaults: 1K-11a, 8-entry PVCache
-    VirtualizedPht vpht(ctx, vp, 0xB0000000);
-    auto b = vpht.proxy().storageBreakdown();
+    PvProxy proxy(ctx, PvProxyParams{}, 0xB0000000, 1024 * kBlockBytes);
+    VirtualizedPht vpht(proxy, "pht", 1024, 11);
+    auto b = proxy.storageBreakdown();
     std::cout << "Virtualized 1K-11a (SMS-PV8): "
               << fmtBytes(b.totalBytes())
               << " dedicated on-chip (paper: 889B), "
-              << fmtBytes(double(vpht.proxy().layout().tableBytes()))
+              << fmtBytes(double(vpht.tableBytes()))
               << " reserved in main memory per core (paper: 64KB)\n"
               << "Reduction vs dedicated 1K-11a: "
               << fmtDouble((PhtGeometry{1024, 11}.storageBits()) /

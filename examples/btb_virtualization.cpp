@@ -35,6 +35,7 @@ main(int argc, char **argv)
     uint64_t refs = args.getUint("refs", 300'000);
     unsigned btb_sets = unsigned(args.getUint("btb-sets", 2048));
     Cycles penalty = args.getUint("penalty", 8);
+    args.rejectUnread();
 
     // The paper's machine with SMS-PV prefetching, plus a BTB
     // tenant on every core's proxy.

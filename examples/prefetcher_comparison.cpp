@@ -45,6 +45,7 @@ main(int argc, char **argv)
     uint64_t refs = args.getUint("refs", 600'000);
     uint64_t warm_rec = args.getUint("warmup-records", 40'000);
     uint64_t meas_rec = args.getUint("measure-records", 120'000);
+    args.rejectUnread();
 
     SystemConfig base;
     base.workload = workload;

@@ -34,6 +34,7 @@ main(int argc, char **argv)
     std::string workload = args.getString("workload", "db2");
     uint64_t warmup = args.getUint("warmup", 200'000);
     uint64_t refs = args.getUint("refs", 400'000);
+    args.rejectUnread();
 
     SystemConfig pv;
     pv.workload = workload;

@@ -72,6 +72,8 @@ main(int argc, char **argv)
 
     // The virtualized machine, from a scenario file when available.
     std::string scenario_file = args.getString("scenario", "");
+    const std::string workload_flag = args.getString("workload", "");
+    args.rejectUnread();
     if (scenario_file.empty()) {
         for (const char *p : {"scenarios/quickstart.json",
                               "../scenarios/quickstart.json"}) {
@@ -100,8 +102,8 @@ main(int argc, char **argv)
     } else {
         pv = pvConfig("oracle", 8);
     }
-    if (args.has("workload"))
-        pv.workload = args.getString("workload", pv.workload);
+    if (!workload_flag.empty())
+        pv.workload = workload_flag;
     const std::string workload = pv.workload;
 
     std::cout << "pvsim quickstart: workload '" << workload << "', "

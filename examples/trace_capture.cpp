@@ -32,6 +32,7 @@ main(int argc, char **argv)
     std::string dir = args.getString("dir", "/tmp/pvsim_traces");
     bool keep = args.getBool("keep", false);
     int cores = int(args.getInt("cores", 4));
+    args.rejectUnread();
 
     // ---- Capture ------------------------------------------------------
     std::string mkdir = "mkdir -p " + dir;

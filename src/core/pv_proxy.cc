@@ -78,14 +78,6 @@ PvProxy::PvProxy(SimContext &ctx, const PvProxyParams &params,
                        params_.patternBufferEntries);
 }
 
-PvProxy::PvProxy(SimContext &ctx, const PvProxyParams &params,
-                 const PvTableLayout &layout)
-    : PvProxy(ctx, params, layout.pvStart(), layout.tableBytes())
-{
-    registerEngine({"table0", layout.numSets(),
-                    params.usedBitsPerLine, {}});
-}
-
 unsigned
 PvProxy::registerEngine(const PvEngineInfo &info)
 {
@@ -771,8 +763,6 @@ PvProxy::storageBreakdown() const
     unsigned used_bits = 0;
     for (const auto &e : engines_)
         used_bits = std::max(used_bits, e.info.usedBitsPerLine);
-    if (used_bits == 0)
-        used_bits = params_.usedBitsPerLine;
     b.pvCacheData = uint64_t(params_.pvCacheEntries) * used_bits;
     // One tag per PVCache entry identifies the region line it holds:
     // log2(lines) bits plus a valid bit (the line index encodes the

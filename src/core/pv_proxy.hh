@@ -81,10 +81,6 @@ struct PvProxyParams {
     unsigned evictBufferEntries = 4;
     /** Pending operations staged while sets are in flight. */
     unsigned patternBufferEntries = 16;
-    /** Bits of each packed line that hold live data (storage acct).
-     *  Used by the legacy single-tenant constructor; engines
-     *  registered explicitly report their own codec's usedBits(). */
-    unsigned usedBitsPerLine = 473;
     /** Sets prefetched ahead on a detected sequential-set stride
      *  (paper Section 4.3 locality prefetch). 0 disables the
      *  detector entirely — bit-identical to the pre-prefetch proxy. */
@@ -158,21 +154,12 @@ class PvProxy : public SimObject, public MemClient
     using SetOp = PvSetOp;
 
     /**
-     * Multi-tenant constructor: the proxy fronts the PV region
-     * [region_start, region_start + region_bytes). Engines claim
-     * segments with registerEngine() before issuing accesses.
+     * The proxy fronts the PV region [region_start, region_start +
+     * region_bytes). Engines claim segments with registerEngine()
+     * before issuing accesses.
      */
     PvProxy(SimContext &ctx, const PvProxyParams &params,
             Addr region_start, uint64_t region_bytes);
-
-    /**
-     * Single-tenant convenience constructor (the paper's original
-     * one-PHT-per-proxy shape): the region spans exactly `layout`
-     * and one engine named "table0" covering it is pre-registered
-     * as table-id 0.
-     */
-    PvProxy(SimContext &ctx, const PvProxyParams &params,
-            const PvTableLayout &layout);
 
     /**
      * Register a tenant; returns its table-id. The engine's segment
@@ -196,9 +183,6 @@ class PvProxy : public SimObject, public MemClient
     {
         return engines_.at(table).info;
     }
-
-    /** Legacy accessor: the layout of table 0. */
-    const PvTableLayout &layout() const { return engineLayout(0); }
 
     /** Connect the level the proxy injects requests into (the L2). */
     void

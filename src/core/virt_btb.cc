@@ -22,16 +22,6 @@ VirtualizedBtb::VirtualizedBtb(PvProxy &proxy,
 {
 }
 
-VirtualizedBtb::VirtualizedBtb(SimContext &ctx,
-                               const VirtBtbParams &params,
-                               Addr pv_start)
-    : VirtEngine(makeSingleTenantProxy(ctx, params.proxy, pv_start,
-                                       params.numSets),
-                 "btb", btbCodec(params.assoc, params.tagBits),
-                 params.numSets)
-{
-}
-
 void
 VirtualizedBtb::lookup(Addr pc, LookupCallback cb)
 {

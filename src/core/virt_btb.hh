@@ -15,21 +15,11 @@
 #define PVSIM_CORE_VIRT_BTB_HH
 
 #include <functional>
-#include <memory>
 
 #include "core/virt_engine.hh"
 #include "cpu/btb.hh"
 
 namespace pvsim {
-
-/** Virtualized BTB configuration. */
-struct VirtBtbParams {
-    unsigned numSets = 2048;
-    unsigned assoc = 8;
-    unsigned tagBits = 16;
-    /** PVProxy sizing; owning ctor only. */
-    PvProxyParams proxy;
-};
 
 /** Branch PC -> target predictor backed by the memory hierarchy. */
 class VirtualizedBtb : public VirtEngine, public BtbPredictor
@@ -45,10 +35,6 @@ class VirtualizedBtb : public VirtEngine, public BtbPredictor
     VirtualizedBtb(PvProxy &proxy, const std::string &name,
                    unsigned num_sets, unsigned assoc,
                    unsigned tag_bits, const PvTenantQos &qos = {});
-
-    /** Own a private single-tenant proxy (original shape). */
-    VirtualizedBtb(SimContext &ctx, const VirtBtbParams &params,
-                   Addr pv_start);
 
     /**
      * Predict the target of the branch at pc. In timing mode the

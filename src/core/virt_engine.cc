@@ -14,16 +14,6 @@ virtEngineKindName(VirtEngineKind kind)
     return "unknown";
 }
 
-std::unique_ptr<PvProxy>
-VirtEngine::makeSingleTenantProxy(SimContext &ctx,
-                                  PvProxyParams params,
-                                  Addr pv_start, unsigned num_sets)
-{
-    params.usedBitsPerLine = 0; // the tenant reports its codec
-    return std::make_unique<PvProxy>(
-        ctx, params, pv_start, uint64_t(num_sets) * kBlockBytes);
-}
-
 VirtEngine::VirtEngine(PvProxy &proxy, const std::string &name,
                        const PvSetCodec &codec, unsigned num_sets,
                        const PvTenantQos &qos)
@@ -32,14 +22,6 @@ VirtEngine::VirtEngine(PvProxy &proxy, const std::string &name,
           {name, num_sets, codec.usedBits(), qos})),
       table_(&proxy, tableId_, codec_)
 {
-}
-
-VirtEngine::VirtEngine(std::unique_ptr<PvProxy> proxy,
-                       const std::string &name,
-                       const PvSetCodec &codec, unsigned num_sets)
-    : VirtEngine(*proxy, name, codec, num_sets)
-{
-    owned_ = std::move(proxy);
 }
 
 } // namespace pvsim

@@ -73,29 +73,10 @@ class VirtEngine
                const PvSetCodec &codec, unsigned num_sets,
                const PvTenantQos &qos = {});
 
-    /**
-     * Single-tenant convenience: build and own a private proxy whose
-     * region exactly spans this engine's table (the seed's original
-     * one-engine-per-proxy shape, still used by focused tests and
-     * storage studies).
-     */
-    VirtEngine(std::unique_ptr<PvProxy> proxy,
-               const std::string &name, const PvSetCodec &codec,
-               unsigned num_sets);
-
     virtual ~VirtEngine() = default;
 
     VirtEngine(const VirtEngine &) = delete;
     VirtEngine &operator=(const VirtEngine &) = delete;
-
-    /**
-     * Build the private proxy for the owning constructor: region
-     * sized to exactly num_sets lines, tenants reporting their own
-     * codecs' live bits (usedBitsPerLine = 0).
-     */
-    static std::unique_ptr<PvProxy>
-    makeSingleTenantProxy(SimContext &ctx, PvProxyParams params,
-                          Addr pv_start, unsigned num_sets);
 
     /** What kind of predictor this engine virtualizes. */
     virtual std::string kindName() const = 0;
@@ -147,7 +128,6 @@ class VirtEngine
     }
 
   private:
-    std::unique_ptr<PvProxy> owned_; ///< only for the owning ctor
     PvProxy *proxy_;
     std::string name_;
     PvSetCodec codec_;

@@ -31,16 +31,6 @@ VirtualizedPht::VirtualizedPht(PvProxy &proxy,
 {
 }
 
-VirtualizedPht::VirtualizedPht(SimContext &ctx,
-                               const VirtPhtParams &params,
-                               Addr pv_start)
-    : VirtEngine(makeSingleTenantProxy(ctx, params.proxy, pv_start,
-                                       params.numSets),
-                 "pht", phtCodec(params.numSets, params.assoc),
-                 params.numSets)
-{
-}
-
 void
 VirtualizedPht::lookup(PhtKey key, LookupCallback cb)
 {

@@ -4,29 +4,18 @@
  * the PHT stored in main memory behind a PVProxy, packed 11 entries
  * (11-bit tag + 32-bit pattern = 43 bits each) per 64-byte line.
  * Plugs into SmsPrefetcher wherever a dedicated SetAssocPht would —
- * the optimization engine is unchanged. A VirtEngine adapter: it can
- * share a multi-tenant proxy with other virtualized structures or
- * own a private one.
+ * the optimization engine is unchanged. A VirtEngine adapter: it
+ * registers as one tenant of a proxy, which other virtualized
+ * structures may share.
  */
 
 #ifndef PVSIM_CORE_VIRT_PHT_HH
 #define PVSIM_CORE_VIRT_PHT_HH
 
-#include <memory>
-
 #include "core/virt_engine.hh"
 #include "prefetch/pht.hh"
 
 namespace pvsim {
-
-/** Virtualized PHT configuration. */
-struct VirtPhtParams {
-    /** Table geometry; the paper virtualizes 1K sets x 11 ways. */
-    unsigned numSets = 1024;
-    unsigned assoc = 11;
-    /** PVProxy sizing (paper Section 4.6); owning ctor only. */
-    PvProxyParams proxy;
-};
 
 /** PatternHistoryTable backed by the memory hierarchy. */
 class VirtualizedPht : public PatternHistoryTable, public VirtEngine
@@ -52,18 +41,6 @@ class VirtualizedPht : public PatternHistoryTable, public VirtEngine
     VirtualizedPht(PvProxy &proxy, const std::string &name,
                    unsigned num_sets, unsigned assoc,
                    const PvTenantQos &qos = {});
-
-    /**
-     * Own a private single-tenant proxy (the seed's original shape).
-     *
-     * @param ctx      Simulation context (for the internal proxy).
-     * @param params   Geometry and proxy sizing.
-     * @param pv_start This core's PVStart register value.
-     *
-     * Call proxy().setMemSide(l2) before use.
-     */
-    VirtualizedPht(SimContext &ctx, const VirtPhtParams &params,
-                   Addr pv_start);
 
     // PatternHistoryTable
     void lookup(PhtKey key, LookupCallback cb) override;

@@ -25,16 +25,6 @@ VirtualizedStride::VirtualizedStride(PvProxy &proxy,
 {
 }
 
-VirtualizedStride::VirtualizedStride(SimContext &ctx,
-                                     const VirtStrideParams &params,
-                                     Addr pv_start)
-    : VirtEngine(makeSingleTenantProxy(ctx, params.proxy, pv_start,
-                                       params.numSets),
-                 "stride", strideCodec(params), params.numSets),
-      threshold_(params.threshold)
-{
-}
-
 uint64_t
 VirtualizedStride::pack(uint64_t block_low, int64_t stride,
                         unsigned confidence)

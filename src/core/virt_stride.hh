@@ -18,7 +18,6 @@
 #define PVSIM_CORE_VIRT_STRIDE_HH
 
 #include <functional>
-#include <memory>
 
 #include "core/virt_engine.hh"
 
@@ -31,8 +30,6 @@ struct VirtStrideParams {
     unsigned tagBits = 14;
     /** Confirmations required before predicting. */
     unsigned threshold = 2;
-    /** PVProxy sizing; owning ctor only. */
-    PvProxyParams proxy;
 };
 
 /** PC -> (last block, stride, confidence) predictor in memory. */
@@ -51,10 +48,6 @@ class VirtualizedStride : public VirtEngine
     VirtualizedStride(PvProxy &proxy, const std::string &name,
                       const VirtStrideParams &params,
                       const PvTenantQos &qos = {});
-
-    /** Own a private single-tenant proxy. */
-    VirtualizedStride(SimContext &ctx, const VirtStrideParams &params,
-                      Addr pv_start);
 
     /**
      * Train on one (pc, data address) observation: one

@@ -163,7 +163,6 @@ System::System(const SystemConfig &cfg)
             pp.pvCacheEntries = cfg_.pvCacheEntries;
             pp.prefetchDepth = cfg_.pvPrefetch;
             pp.victimEntries = cfg_.victimEntries;
-            pp.usedBitsPerLine = 0; // tenants report their codecs
             // Shared tables: everyone gets core 0's PVStart
             // (paper Section 2.1's alternative design).
             Addr pv_start = cfg_.sharedPvTable

@@ -83,8 +83,6 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
     blocks_.resize(size_t(numSets_) * params_.assoc);
     tags_.assign(blocks_.size(), kInvalidTag);
     lastTouch_.assign(blocks_.size(), 0);
-    repl_ = makeReplacementPolicy(params_.replPolicy);
-    lruFast_ = params_.replPolicy == "lru";
     bankFreeAt_.assign(std::max(1u, params_.banks), 0);
     if (params_.dropPvWritebacks)
         pv_assert(addrMap_ != nullptr,
@@ -245,12 +243,7 @@ Cache::serveHit(Packet &pkt, CacheBlk &blk)
 void
 Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
 {
-    if (lruFast_) {
-        blk.lastTouch = ++accessCounter_;
-        lastTouch_[size_t(&blk - blocks_.data())] = blk.lastTouch;
-    } else {
-        repl_->touch(blk, ++accessCounter_);
-    }
+    lastTouch_[size_t(&blk - blocks_.data())] = ++accessCounter_;
 
     switch (pkt.cmd) {
       case MemCmd::ReadReq:
@@ -312,22 +305,14 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
         }
     }
     if (!frame) {
-        if (lruFast_) {
-            // Inline LRU: min lastTouch, ties to the lowest way —
-            // exactly LruPolicy::victim over the set in way order.
-            const uint64_t *touch = lastTouch_.data() + base;
-            unsigned best = 0;
-            for (unsigned w = 1; w < assoc; ++w) {
-                if (touch[w] < touch[best])
-                    best = w;
-            }
-            frame = &blocks_[base + best];
-        } else {
-            victimScratch_.clear();
-            for (unsigned w = 0; w < assoc; ++w)
-                victimScratch_.push_back(&blocks_[base + w]);
-            frame = victimScratch_[repl_->victim(victimScratch_)];
+        // LRU: the least recently touched way, ties to the lowest.
+        const uint64_t *touch = lastTouch_.data() + base;
+        unsigned best = 0;
+        for (unsigned w = 1; w < assoc; ++w) {
+            if (touch[w] < touch[best])
+                best = w;
         }
+        frame = &blocks_[base + best];
         evictBlock(*frame);
     }
 
@@ -341,11 +326,7 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
     frame->isPv = is_pv;
     frame->sharers.reset();
     frame->ownerSlot = -1;
-    ++accessCounter_;
-    frame->lastTouch = accessCounter_;
-    frame->insertedAt = accessCounter_;
-    if (lruFast_)
-        lastTouch_[size_t(frame - blocks_.data())] = accessCounter_;
+    lastTouch_[size_t(frame - blocks_.data())] = ++accessCounter_;
     if (data)
         frame->ensureData() = *data;
     else

@@ -16,7 +16,6 @@
 #ifndef PVSIM_MEM_CACHE_HH
 #define PVSIM_MEM_CACHE_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "mem/mshr.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
-#include "mem/replacement.hh"
 #include "sim/sim_object.hh"
 #include "stats/stat.hh"
 
@@ -50,7 +48,6 @@ struct CacheParams {
      * by the shared L2.
      */
     bool directory = false;
-    std::string replPolicy = "lru";
     /**
      * Paper Section 2.2 design option: drop dirty PV-range victim
      * blocks instead of writing them off-chip ("the caches become
@@ -351,16 +348,12 @@ class Cache final : public SimObject, public MemDevice, public MemClient
      */
     std::vector<Addr> tags_;
     /**
-     * Mirror of each frame's lastTouch, maintained only on the
-     * lruFast_ path (its only reader): keeps the victim scan on a
-     * compact array instead of striding through CacheBlk frames.
+     * LRU state (paper Table 1 uses LRU in every cache): the
+     * accessCounter_ value of each frame's last hit or fill. Kept
+     * apart from the frames so the victim scan reads 8 bytes per
+     * way.
      */
     std::vector<uint64_t> lastTouch_;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    /** True for the (default) LRU policy: victim selection and
-     *  touch run inline instead of through the policy virtuals —
-     *  identical choices, no candidate-vector rebuild per miss. */
-    bool lruFast_ = false;
     uint64_t accessCounter_ = 0;
 
     MemDevice *memSide_ = nullptr;
@@ -372,8 +365,6 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Accepted requests whose tag lookup has not resolved yet;
      *  counted against the MSHR budget so acceptance is honest. */
     unsigned pendingLookups_ = 0;
-    /** Reused victim-candidate buffer (avoids per-miss allocation). */
-    std::vector<CacheBlk *> victimScratch_;
     /** Downstream packets awaiting acceptance (misses, writebacks). */
     SendQueue sendQueue_;
 

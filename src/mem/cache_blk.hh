@@ -55,7 +55,11 @@ struct SharerSet {
     bool none() const { return !any(); }
 };
 
-/** State of one cache line, including directory info when in an L2. */
+/**
+ * State of one cache line, including directory info when in an L2.
+ * The cache keeps its LRU stamps in a separate array (Cache::
+ * lastTouch_), not here.
+ */
 struct CacheBlk {
     /** Tag (the full block address, for simplicity and debugging). */
     Addr blockAddr = 0;
@@ -72,11 +76,6 @@ struct CacheBlk {
     bool isInst = false;
     /** PV-range block (stats classification only). */
     bool isPv = false;
-
-    /** LRU timestamp (monotonic access counter of the cache). */
-    uint64_t lastTouch = 0;
-    /** Insertion timestamp. */
-    uint64_t insertedAt = 0;
 
     /**
      * Directory state (used only by an inclusive L2): the set of
@@ -116,6 +115,11 @@ struct CacheBlk {
         data.reset();
     }
 };
+
+// Frames hold over half of a 64-core System's resident memory: about
+// 262k of them, each with an 8-byte tag mirror and LRU stamp beside
+// it. Keep a frame within one 64-byte host cache line.
+static_assert(sizeof(CacheBlk) <= 64, "CacheBlk grew past 64 bytes");
 
 } // namespace pvsim
 

@@ -71,7 +71,7 @@ class Packet
     using DataPtr = std::unique_ptr<Data, DataDeleter>;
 
     Packet(MemCmd cmd, Addr addr, int core_id)
-        : cmd(cmd), addr(addr), coreId(core_id), id(nextId_++)
+        : cmd(cmd), addr(addr), coreId(core_id)
     {
         ++liveCount_;
     }
@@ -116,9 +116,6 @@ class Packet
 
     /** Tick at which the request was first issued (latency stats). */
     Tick issueTick = 0;
-
-    /** Unique id, for debugging and deterministic tie-breaks. */
-    const uint64_t id;
 
     /** Optional 64-byte payload (allocated only for data-carrying
      *  transactions, i.e. PV reads/writebacks); pooled storage. */
@@ -188,7 +185,6 @@ class Packet
     static int64_t liveCount() { return liveCount_.load(); }
 
   private:
-    static std::atomic<uint64_t> nextId_;
     static std::atomic<int64_t> liveCount_;
 };
 

@@ -4,8 +4,8 @@
  * functional eviction path) used to churn the global heap with one
  * new/delete pair per miss, writeback and clean-evict; the pool
  * recycles fixed-size Packet storage instead, constructing each
- * packet in place so id uniqueness and live-count bookkeeping behave
- * exactly as with plain new.
+ * packet in place so live-count bookkeeping behaves exactly as with
+ * plain new.
  *
  * The pool is thread-local: every System runs single-threaded, and
  * the threaded batch harness confines each System to one worker, so

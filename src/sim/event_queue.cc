@@ -8,8 +8,8 @@ namespace pvsim {
 
 EventQueue::~EventQueue()
 {
-    // Heap entries (live or cancelled) and parked lane entries still
-    // own their callables. Chunk storage is released by chunks_.
+    // Heap entries and parked lane entries still own their
+    // callables. Chunk storage is released by chunks_.
     auto destroy = [](Event *e) {
         if (e->destroy)
             e->destroy(e->storage);
@@ -24,9 +24,7 @@ EventQueue::acquire()
 {
     if (!freeHead_) {
         auto chunk = std::make_unique<Event[]>(kChunkEvents);
-        const size_t base = chunks_.size() * kChunkEvents;
         for (size_t i = 0; i < kChunkEvents; ++i) {
-            chunk[i].index = uint32_t(base + i);
             chunk[i].nextFree = freeHead_;
             freeHead_ = &chunk[i];
         }
@@ -36,7 +34,6 @@ EventQueue::acquire()
     Event *e = freeHead_;
     freeHead_ = e->nextFree;
     --freeCount_;
-    e->dead = false;
     return e;
 }
 
@@ -66,13 +63,11 @@ EventQueue::commit(Event *e)
     e->seq = nextSeq_++;
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++live_;
 }
 
 void
 EventQueue::release(Event *e)
 {
-    ++e->gen; // stale EventIds of this node no longer match
     e->nextFree = freeHead_;
     freeHead_ = e;
     ++freeCount_;
@@ -84,35 +79,6 @@ EventQueue::discard(Event *e)
     if (e->destroy)
         e->destroy(e->storage);
     release(e);
-}
-
-void
-EventQueue::cancel(EventId id)
-{
-    const uint32_t index = uint32_t(id >> 32);
-    if (index >= poolCapacity())
-        return;
-    Event &e = nodeAt(index);
-    if (e.gen != uint32_t(id) || e.dead)
-        return; // already ran, already cancelled, or reused
-    e.dead = true;
-    --live_;
-    maybeCompact();
-}
-
-void
-EventQueue::maybeCompact()
-{
-    size_t dead = heap_.size() - live_;
-    if (heap_.size() < kCompactMinHeap || dead * 2 <= heap_.size())
-        return;
-    auto live_end =
-        std::partition(heap_.begin(), heap_.end(),
-                       [](const Event *e) { return !e->dead; });
-    for (auto it = live_end; it != heap_.end(); ++it)
-        discard(*it);
-    heap_.erase(live_end, heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void
@@ -128,17 +94,7 @@ Tick
 EventQueue::nextTick() const
 {
     pv_assert(!heap_.empty(), "nextTick on an empty queue");
-    // Cancelled entries at the top can only be earlier than the
-    // earliest live event, so scanning is needed for exactness. The
-    // common case has no dead top.
-    if (!heap_.front()->dead)
-        return heap_.front()->when;
-    Tick best = kMaxTick;
-    for (const Event *e : heap_) {
-        if (e->when < best && !e->dead)
-            best = e->when;
-    }
-    return best;
+    return heap_.front()->when;
 }
 
 EventQueue::Event *
@@ -154,25 +110,13 @@ uint64_t
 EventQueue::runUntil(Tick limit)
 {
     uint64_t executed = 0;
-    while (!heap_.empty()) {
-        // Peek: stop without popping if the earliest live event is
-        // beyond the limit.
-        Event *top = heap_.front();
-        if (top->dead) {
-            discard(popTop()); // cancelled; reclaim silently
-            continue;
-        }
-        if (top->when > limit)
-            break;
+    while (!heap_.empty() && heap_.front()->when <= limit) {
         Event *e = popTop();
-        // Out of the queue: cancel() on its id is now a no-op.
-        e->dead = true;
-        --live_;
         pv_assert(e->when >= curTick_, "event queue went backwards");
         curTick_ = e->when;
-        // The callable may schedule (allocating nodes) or cancel
-        // (compacting the heap); this node is in neither structure
-        // any more, so its storage stays valid until released below.
+        // The callable may schedule (allocating nodes); this node is
+        // out of the heap and off the freelist, so its storage stays
+        // valid until released below.
         runningPrio_ = e->priority;
         e->invoke(e->storage);
         runningPrio_ = kIdle;
@@ -199,7 +143,6 @@ EventQueue::reset()
     for (Event *e : heap_)
         discard(e);
     heap_.clear();
-    live_ = 0;
     for (Event *e : front_)
         discard(e);
     for (Event *e : lane_)

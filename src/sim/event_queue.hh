@@ -5,21 +5,12 @@
  * are ordered by priority (lower first), then by scheduling order.
  *
  * Event nodes are pooled: each node carries inline storage for the
- * scheduled callable, and executed/cancelled nodes return to an
- * intrusive freelist instead of the heap — doing for events what
- * PacketPool did for packets. Steady-state scheduling allocates
- * nothing (asserted in tests). Callables larger than the inline slot
- * are boxed on the heap transparently.
- *
- * Generation stamps. An EventId is (node index, generation). A node
- * bumps its generation when it returns to the pool and is marked
- * dead when it leaves the queue (popped to run, or cancelled), so
- * cancel() looks the node up by index and acts only on a live node
- * whose generation still matches: cancelling an event that already
- * ran, or whose node has since been reused, is a no-op. Cancelled
- * nodes are reclaimed lazily; a live count stands in for a set of
- * pending ids, and the heap is compacted when dead entries
- * outnumber live ones.
+ * scheduled callable, and executed nodes return to an intrusive
+ * freelist instead of the heap — doing for events what PacketPool
+ * did for packets. Steady-state scheduling allocates nothing
+ * (asserted in tests). Callables larger than the inline slot are
+ * boxed on the heap transparently. A scheduled event always runs,
+ * unless reset() drops it first: there is no cancellation.
  *
  * The retry lane. A memory device that refuses a request
  * (MSHRs full, send queue clogged) changes nothing but a reject
@@ -85,9 +76,6 @@ namespace pvsim {
 class EventQueue
 {
   public:
-    /** (node index << 32) | node generation. */
-    using EventId = uint64_t;
-
     /** Standard event priorities (lower executes first). */
     enum Priority {
         kPrioResponse = -10, ///< deliver responses before new requests
@@ -105,10 +93,9 @@ class EventQueue
     /**
      * Schedule fn to run at absolute tick when.
      * @pre when >= curTick().
-     * @return Handle usable with cancel().
      */
     template <typename F>
-    EventId
+    void
     schedule(Tick when, int priority, F &&fn)
     {
         Event *e = acquire();
@@ -116,26 +103,14 @@ class EventQueue
         e->priority = priority;
         emplaceCallable(*e, std::forward<F>(fn));
         commit(e);
-        return (EventId(e->index) << 32) | e->gen;
     }
 
     template <typename F>
-    EventId
+    void
     schedule(Tick when, F &&fn)
     {
-        return schedule(when, kPrioDefault, std::forward<F>(fn));
+        schedule(when, kPrioDefault, std::forward<F>(fn));
     }
-
-    /**
-     * Cancel a pending event; no-op if it already ran, was already
-     * cancelled, or its node has been reused since. Cancellation is
-     * lazy — the heap entry (and its closure) stays until popped —
-     * but the heap is compacted whenever dead entries outnumber
-     * live ones, so cancel-heavy callers cannot grow it without
-     * bound. (No current model cancels events; the bound is for
-     * what speculative timing models will need.)
-     */
-    void cancel(EventId id);
 
     // -- Retry lane (see the file comment) ----------------------------
 
@@ -193,16 +168,12 @@ class EventQueue
      */
     void setCurTick(Tick to);
 
-    /** True if no pending (non-cancelled) events remain. Parked
-     *  lane entries do not count: only a release wakes them. */
-    bool empty() const { return live_ == 0; }
+    /** True if no events are pending. Parked lane entries do not
+     *  count: only a release wakes them. */
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    size_t numPending() const { return live_; }
-
-    /** Heap entries, live plus not-yet-reclaimed cancelled ones
-     *  (observability for the compaction tests). */
-    size_t heapSize() const { return heap_.size(); }
+    size_t numPending() const { return heap_.size(); }
 
     /** Tick of the earliest pending event. @pre !empty(). */
     Tick nextTick() const;
@@ -258,12 +229,6 @@ class EventQueue
         /** Destroy it without running (nullptr when trivial). */
         void (*destroy)(void *storage);
         int priority;
-        /** Bumped whenever the node returns to the pool. */
-        uint32_t gen;
-        /** Position in the pool (chunk * kChunkEvents + slot). */
-        uint32_t index;
-        /** Cancelled, or popped to run: cancel() no longer applies. */
-        bool dead;
         alignas(std::max_align_t) unsigned char storage[kInlineBytes];
     };
 
@@ -341,13 +306,6 @@ class EventQueue
     /** Recycle a node whose callable has already been consumed. */
     void release(Event *e);
 
-    /** Node by pool index. */
-    Event &
-    nodeAt(uint32_t index) const
-    {
-        return chunks_[index / kChunkEvents][index % kChunkEvents];
-    }
-
     /** Min-heap comparator: earliest tick, then lowest priority
      *  value, then scheduling order for stability. */
     struct Later {
@@ -362,14 +320,8 @@ class EventQueue
         }
     };
 
-    /** Pop the heap top and stamp it out of the heap. */
+    /** Pop the heap top. */
     Event *popTop();
-
-    /** Drop cancelled entries when they exceed half the heap. */
-    void maybeCompact();
-
-    /** Below this size compaction is not worth the re-heapify. */
-    static constexpr size_t kCompactMinHeap = 64;
 
     // -- Lane internals -------------------------------------------------
 
@@ -394,8 +346,6 @@ class EventQueue
     void runPass();
 
     std::vector<Event *> heap_;
-    /** Live (scheduled, not cancelled) heap entries. */
-    size_t live_ = 0;
     std::vector<std::unique_ptr<Event[]>> chunks_;
     Event *freeHead_ = nullptr;
     size_t freeCount_ = 0;

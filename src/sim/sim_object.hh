@@ -91,13 +91,12 @@ class SimObject : public stats::Group
      *  Templated so small closures land in the event queue's inline
      *  node storage instead of being boxed through std::function. */
     template <typename F>
-    EventQueue::EventId
+    void
     schedule(Cycles delay, F &&fn,
              int priority = EventQueue::kPrioDefault)
     {
         EventQueue &eq = ctx_.events();
-        return eq.schedule(eq.curTick() + delay, priority,
-                           std::forward<F>(fn));
+        eq.schedule(eq.curTick() + delay, priority, std::forward<F>(fn));
     }
 
   private:

@@ -39,13 +39,6 @@ Scalar::dump(std::ostream &os, const std::string &prefix) const
     emit(os, prefix, name(), double(value_), desc());
 }
 
-void
-Average::dump(std::ostream &os, const std::string &prefix) const
-{
-    emit(os, prefix, name(), mean(), desc());
-    emit(os, prefix, name() + "::samples", double(count_), "");
-}
-
 Distribution::Distribution(Group *parent, const std::string &name,
                            const std::string &desc, uint64_t min,
                            uint64_t max, uint64_t bucket_size)
@@ -109,18 +102,6 @@ Distribution::reset()
     sum_ = 0.0;
     minSampled_ = std::numeric_limits<uint64_t>::max();
     maxSampled_ = 0;
-}
-
-Callback::Callback(Group *parent, const std::string &name,
-                   const std::string &desc, std::function<double()> fn)
-    : Stat(parent, name, desc), fn_(std::move(fn))
-{
-}
-
-void
-Callback::dump(std::ostream &os, const std::string &prefix) const
-{
-    emit(os, prefix, name(), fn_(), desc());
 }
 
 } // namespace stats

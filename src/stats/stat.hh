@@ -3,15 +3,13 @@
  * Statistics primitives modeled after gem5's stats package: named,
  * described counters that register with a Group and can be dumped as
  * text. Only the kinds the simulator needs are provided: Scalar
- * (counter), Average (mean of samples), Distribution (histogram), and
- * Callback (computed on dump).
+ * (counter) and Distribution (histogram).
  */
 
 #ifndef PVSIM_STATS_STAT_HH
 #define PVSIM_STATS_STAT_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -66,30 +64,6 @@ class Scalar : public Stat
     uint64_t value_ = 0;
 };
 
-/** Mean of a stream of samples. */
-class Average : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    double mean() const { return count_ ? sum_ / double(count_) : 0.0; }
-    uint64_t count() const { return count_; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override { sum_ = 0.0; count_ = 0; }
-
-  private:
-    double sum_ = 0.0;
-    uint64_t count_ = 0;
-};
-
 /**
  * Fixed-bucket histogram over [min, max) with underflow/overflow
  * bins; also tracks mean and extrema of the sampled values.
@@ -125,22 +99,6 @@ class Distribution : public Stat
     double sum_ = 0.0;
     uint64_t minSampled_ = std::numeric_limits<uint64_t>::max();
     uint64_t maxSampled_ = 0;
-};
-
-/** Value computed at dump time from a lambda (gem5 Formula-lite). */
-class Callback : public Stat
-{
-  public:
-    Callback(Group *parent, const std::string &name,
-             const std::string &desc, std::function<double()> fn);
-
-    double value() const { return fn_(); }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override {}
-
-  private:
-    std::function<double()> fn_;
 };
 
 } // namespace stats

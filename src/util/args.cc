@@ -1,6 +1,7 @@
 #include "util/args.hh"
 
 #include <cstdlib>
+#include <iostream>
 
 #include "util/logging.hh"
 
@@ -46,6 +47,19 @@ Args::unreadKeys() const
             keys.push_back(kv.first);
     }
     return keys;
+}
+
+void
+Args::rejectUnread(const std::string &who) const
+{
+    const std::vector<std::string> unread = unreadKeys();
+    if (unread.empty())
+        return;
+    std::cerr << (who.empty() ? program_ : who) << ": unknown option";
+    for (const std::string &k : unread)
+        std::cerr << " --" << k;
+    std::cerr << "\n";
+    std::exit(2);
 }
 
 bool

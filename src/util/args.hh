@@ -5,7 +5,7 @@
  * (--flag / --no-flag), with typed accessors and defaults. Numeric
  * accessors reject a value with trailing characters, and the parser
  * remembers which keys its accessors read, so a tool can fail on a
- * flag it never looks at (unreadKeys()).
+ * flag it never looks at (rejectUnread()).
  */
 
 #ifndef PVSIM_UTIL_ARGS_HH
@@ -65,6 +65,14 @@ class Args
     /** Options given on the command line that no accessor has read
      *  so far, sorted. */
     std::vector<std::string> unreadKeys() const;
+
+    /**
+     * Exit with status 2, naming them on stderr, if any option is
+     * still unread (a typo, a retired flag). Call once the tool has
+     * read every option it takes.
+     * @param who Message prefix; the program name when empty.
+     */
+    void rejectUnread(const std::string &who = "") const;
 
   private:
     /** options_ entry for name (end() when absent), marked read. */

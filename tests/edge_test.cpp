@@ -53,7 +53,8 @@ TEST_F(EdgeFixture, PatternBufferLimitDropsOpsBeforeMshrLimit)
     PvProxyParams pp;
     pp.mshrs = 4;
     pp.patternBufferEntries = 2; // tighter than the MSHR file
-    PvProxy proxy(*ctxp, pp, PvTableLayout(amap.pvStart(0), 64));
+    PvProxy proxy(*ctxp, pp, amap.pvStart(0), 64 * kBlockBytes);
+    proxy.registerEngine({"table0", 64, 0, {}});
     proxy.setMemSide(l2.get());
 
     int dropped = 0, completed = 0;
@@ -74,8 +75,9 @@ TEST_F(EdgeFixture, PatternBufferLimitDropsOpsBeforeMshrLimit)
 TEST_F(EdgeFixture, TimingFlushDrainsDirtyLines)
 {
     build(SimMode::Timing);
-    PvProxyParams pp;
-    PvProxy proxy(*ctxp, pp, PvTableLayout(amap.pvStart(0), 64));
+    PvProxy proxy(*ctxp, PvProxyParams{}, amap.pvStart(0),
+                  64 * kBlockBytes);
+    proxy.registerEngine({"table0", 64, 0, {}});
     proxy.setMemSide(l2.get());
 
     for (unsigned s = 0; s < 4; ++s) {
@@ -211,10 +213,11 @@ TEST(GuardRails, StoreOfZeroPayloadIsRejected)
     cp.assoc = 8;
     Cache l2(ctx, cp, &amap);
     l2.setMemSide(&dram);
-    PvProxyParams pp;
-    PvProxy proxy(ctx, pp, PvTableLayout(amap.pvStart(0), 64));
+    PvProxy proxy(ctx, PvProxyParams{}, amap.pvStart(0),
+                  64 * kBlockBytes);
     proxy.setMemSide(&l2);
     PvSetCodec codec(11, 11, 32);
-    VirtualizedAssocTable table(&proxy, 0, codec);
+    VirtualizedAssocTable table(
+        &proxy, proxy.registerEngine({"table0", 64, 0, {}}), codec);
     EXPECT_DEATH(table.store(5, 0), "empty marker");
 }

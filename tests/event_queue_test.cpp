@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the discrete-event queue: ordering, priorities, stable
- * same-tick order, cancellation, bounded runs, time control, and the
- * retry lane that stands in for per-cycle backpressure polling.
+ * same-tick order, bounded runs, time control, the node pool, and
+ * the retry lane that stands in for per-cycle backpressure polling.
  */
 
 #include <gtest/gtest.h>
@@ -55,29 +55,6 @@ TEST(EventQueue, SameTickSamePriorityIsFifo)
     q.runUntil();
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(order[size_t(i)], i);
-}
-
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue q;
-    int fired = 0;
-    auto id = q.schedule(10, [&] { ++fired; });
-    q.schedule(20, [&] { ++fired; });
-    q.cancel(id);
-    EXPECT_EQ(q.numPending(), 1u);
-    q.runUntil();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelAfterExecutionIsHarmless)
-{
-    EventQueue q;
-    int fired = 0;
-    auto id = q.schedule(1, [&] { ++fired; });
-    q.runUntil();
-    q.cancel(id); // no-op
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, RunUntilStopsAtLimit)
@@ -155,69 +132,6 @@ TEST(EventQueue, ResetDropsEverything)
     EXPECT_EQ(q.curTick(), 0u);
 }
 
-TEST(EventQueue, NextTickSkipsCancelledTop)
-{
-    EventQueue q;
-    auto id = q.schedule(5, [] {});
-    q.schedule(9, [] {});
-    q.cancel(id);
-    EXPECT_EQ(q.nextTick(), 9u);
-}
-
-TEST(EventQueue, CancelCompactsHeap)
-{
-    EventQueue q;
-    std::vector<EventQueue::EventId> ids;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i)
-        ids.push_back(q.schedule(Tick(i + 1), [&] { ++fired; }));
-    // Cancel everything but the last ten: the lazy entries must be
-    // compacted away instead of lingering until popped.
-    for (int i = 0; i < 990; ++i)
-        q.cancel(ids[size_t(i)]);
-    EXPECT_EQ(q.numPending(), 10u);
-    EXPECT_LT(q.heapSize(), 128u)
-        << "dead closures must not dominate the heap";
-    q.runUntil();
-    EXPECT_EQ(fired, 10) << "compaction must not drop live events";
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelledChurnStaysBounded)
-{
-    // Cancel-heavy churn: schedule, cancel, repeat. Without
-    // compaction the heap grows without bound; with it the
-    // footprint stays a small constant.
-    EventQueue q;
-    auto keeper = q.schedule(1u << 30, [] {});
-    for (int i = 0; i < 100000; ++i) {
-        auto id = q.schedule(Tick(1000000 + i), [] {});
-        q.cancel(id);
-    }
-    EXPECT_EQ(q.numPending(), 1u);
-    EXPECT_LT(q.heapSize(), 128u);
-    q.cancel(keeper);
-    q.runUntil();
-    EXPECT_EQ(q.numExecuted(), 0u);
-}
-
-TEST(EventQueue, CompactionPreservesOrderAndPriorities)
-{
-    EventQueue q;
-    std::vector<int> order;
-    std::vector<EventQueue::EventId> victims;
-    for (int i = 0; i < 200; ++i)
-        victims.push_back(q.schedule(5, [&] { order.push_back(-1); }));
-    q.schedule(7, EventQueue::kPrioCpu, [&] { order.push_back(3); });
-    q.schedule(7, EventQueue::kPrioResponse,
-               [&] { order.push_back(2); });
-    q.schedule(5, [&] { order.push_back(1); });
-    for (auto id : victims)
-        q.cancel(id); // forces at least one compaction
-    q.runUntil();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(EventQueue, ManyEventsStressOrdering)
 {
     EventQueue q;
@@ -278,18 +192,6 @@ TEST(EventPool, SteadyStateSchedulingDoesNotGrowThePool)
         << "every node must return to the freelist when drained";
 }
 
-TEST(EventPool, ExecutedAndCancelledNodesAreReused)
-{
-    EventQueue q;
-    int fired = 0;
-    auto id = q.schedule(5, [&] { ++fired; });
-    q.schedule(5, [&] { ++fired; });
-    q.cancel(id);
-    q.runUntil();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.poolFree(), q.poolCapacity());
-}
-
 TEST(EventPool, LargeCallablesAreBoxedAndDestroyed)
 {
     auto token = std::make_shared<int>(7);
@@ -312,33 +214,31 @@ TEST(EventPool, LargeCallablesAreBoxedAndDestroyed)
         << "boxed callable must be destroyed after execution";
 }
 
-TEST(EventPool, CancelledClosureIsDestroyedOnReclaim)
+TEST(EventPool, ResetDestroysPendingAndParkedClosures)
 {
-    auto token = std::make_shared<int>(1);
-    EventQueue q;
-    auto id = q.schedule(10, [token] {});
-    q.schedule(20, [] {});
-    q.cancel(id);
-    // Lazy cancel: the closure lives until the stale heap entry is
-    // popped (or compacted away); draining the queue reclaims it.
-    q.runUntil();
-    EXPECT_EQ(token.use_count(), 1);
-    EXPECT_EQ(q.poolFree(), q.poolCapacity());
-}
-
-TEST(EventQueue, CancelOfExecutedReusedNodeIsNoOp)
-{
-    EventQueue q;
+    // reset() is the one way a closure is destroyed without running:
+    // it must release what a pending heap event and a parked retry
+    // captured, and return both nodes to the pool.
+    auto pending = std::make_shared<int>(1);
+    auto parked = std::make_shared<int>(2);
+    const std::string who = "sender";
     int fired = 0;
-    auto first = q.schedule(1, [&] { ++fired; });
+    EventQueue q;
+    q.schedule(10, [pending, &fired] { ++fired; });
+    q.park(who, [parked, &fired] { ++fired; });
+    EXPECT_EQ(pending.use_count(), 2);
+    EXPECT_EQ(parked.use_count(), 2);
+    EXPECT_EQ(q.numParked(), 1u);
+
+    q.reset();
+    EXPECT_EQ(pending.use_count(), 1);
+    EXPECT_EQ(parked.use_count(), 1);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.numParked(), 0u);
+    EXPECT_EQ(q.poolFree(), q.poolCapacity());
+    q.noteRelease();
     q.runUntil();
-    auto second = q.schedule(2, [&] { ++fired; });
-    ASSERT_EQ(first >> 32, second >> 32) << "the freed node is reused";
-    EXPECT_NE(first, second) << "under a new generation";
-    q.cancel(first);
-    EXPECT_EQ(q.numPending(), 1u);
-    q.runUntil();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(fired, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -106,26 +106,3 @@ TEST(FormatHelpersTest, Numbers)
     EXPECT_EQ(fmtBytes(2.5 * 1024 * 1024), "2.50MB");
     EXPECT_EQ(fmtCount(42), "42");
 }
-
-TEST(ReplacementPolicyTest, FactoryAndBehaviour)
-{
-    auto lru = makeReplacementPolicy("lru");
-    auto rnd = makeReplacementPolicy("random", 3);
-    auto fifo = makeReplacementPolicy("fifo");
-    EXPECT_EQ(lru->policyName(), "lru");
-    EXPECT_EQ(rnd->policyName(), "random");
-    EXPECT_EQ(fifo->policyName(), "fifo");
-
-    CacheBlk a, b, c;
-    a.lastTouch = 5;
-    a.insertedAt = 1;
-    b.lastTouch = 2;
-    b.insertedAt = 9;
-    c.lastTouch = 8;
-    c.insertedAt = 4;
-    std::vector<CacheBlk *> cands{&a, &b, &c};
-    EXPECT_EQ(lru->victim(cands), 1u) << "b has oldest touch";
-    EXPECT_EQ(fifo->victim(cands), 0u) << "a was inserted first";
-    size_t v = rnd->victim(cands);
-    EXPECT_LT(v, 3u);
-}

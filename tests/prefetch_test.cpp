@@ -59,8 +59,9 @@ struct PrefetchProxyTest : public ::testing::Test {
         pp.pvCacheEntries = pvcache_entries;
         pp.prefetchDepth = prefetch_depth;
         pp.victimEntries = victim_entries;
-        proxy = std::make_unique<PvProxy>(
-            *ctxp, pp, PvTableLayout(amap.pvStart(0), kSets));
+        proxy = std::make_unique<PvProxy>(*ctxp, pp, amap.pvStart(0),
+                                          kSets * kBlockBytes);
+        proxy->registerEngine({"table0", kSets, 0, {}});
         proxy->setMemSide(l2.get());
     }
 
@@ -311,7 +312,6 @@ struct PrefetchQosTest : public ::testing::Test {
 
         PvProxyParams pp;
         pp.pvCacheEntries = 8;
-        pp.usedBitsPerLine = 0;
         pp.prefetchDepth = prefetch_depth;
         pp.victimEntries = victim_entries;
         proxy = std::make_unique<PvProxy>(

@@ -49,8 +49,11 @@ struct PvProxyTest : public ::testing::Test {
 
         PvProxyParams pp;
         pp.pvCacheEntries = pvcache_entries;
-        proxy = std::make_unique<PvProxy>(
-            *ctxp, pp, PvTableLayout(amap.pvStart(0), kSets));
+        proxy = std::make_unique<PvProxy>(*ctxp, pp, amap.pvStart(0),
+                                          kSets * kBlockBytes);
+        // One tenant with the paper PHT's 473 live bits per line
+        // (11 entries of 43 bits).
+        proxy->registerEngine({"table0", kSets, 473, {}});
         proxy->setMemSide(l2.get());
     }
 
@@ -119,7 +122,7 @@ TEST_F(PvProxyTest, DataSurvivesL2EvictionViaDram)
     // Thrash the L2 so the PV line is evicted off-chip.
     // L2: 64KB 8-way = 128 sets; generate conflicting app traffic
     // on the PV line's set.
-    Addr pv_addr = proxy->layout().setAddress(7);
+    Addr pv_addr = proxy->engineLayout(0).setAddress(7);
     for (int i = 1; i <= 9; ++i) {
         Packet pkt(MemCmd::ReadReq, pv_addr % (128 * 64) +
                                         Addr(i) * 128 * 64,

@@ -152,7 +152,6 @@ struct QosProxyTest : public ::testing::Test {
 
         PvProxyParams pp;
         pp.pvCacheEntries = pvcache_entries;
-        pp.usedBitsPerLine = 0;
         proxy = std::make_unique<PvProxy>(
             *ctxp, pp, amap.pvStart(0), amap.pvBytesPerCore());
         proxy->setMemSide(l2.get());

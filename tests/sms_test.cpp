@@ -24,6 +24,7 @@ struct SmsTest : public ::testing::Test {
     std::unique_ptr<Cache> l2;
     std::unique_ptr<Cache> l1;
     std::unique_ptr<InfinitePht> inf_pht;
+    std::unique_ptr<PvProxy> proxy;
     std::unique_ptr<VirtualizedPht> virt_pht;
     std::unique_ptr<SmsPrefetcher> sms;
 
@@ -36,6 +37,7 @@ struct SmsTest : public ::testing::Test {
         // destruction — stale devices must not outlive it.
         sms.reset();
         virt_pht.reset();
+        proxy.reset();
         inf_pht.reset();
         l1.reset();
         l2.reset();
@@ -61,12 +63,13 @@ struct SmsTest : public ::testing::Test {
 
         PatternHistoryTable *pht;
         if (virtualized) {
-            VirtPhtParams vp;
-            vp.numSets = 64;
-            vp.assoc = 10; // 15-bit tags at 64 sets: 10 ways fit
-            virt_pht = std::make_unique<VirtualizedPht>(
-                *ctxp, vp, amap.pvStart(0));
-            virt_pht->proxy().setMemSide(l2.get());
+            proxy = std::make_unique<PvProxy>(
+                *ctxp, PvProxyParams{}, amap.pvStart(0),
+                64 * kBlockBytes);
+            proxy->setMemSide(l2.get());
+            // 15-bit tags at 64 sets: 10 ways fit.
+            virt_pht = std::make_unique<VirtualizedPht>(*proxy, "pht",
+                                                        64, 10);
             pht = virt_pht.get();
         } else {
             inf_pht = std::make_unique<InfinitePht>();

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the statistics library: counters, averages, histograms,
- * callbacks, group hierarchy, dump formatting and reset semantics.
+ * Tests for the statistics library: counters, histograms, group
+ * hierarchy, dump formatting and reset semantics.
  */
 
 #include <gtest/gtest.h>
@@ -26,20 +26,6 @@ TEST(ScalarStat, CountsAndResets)
     EXPECT_EQ(s.value(), 0u);
     s.set(99);
     EXPECT_EQ(s.value(), 99u);
-}
-
-TEST(AverageStat, ComputesMean)
-{
-    Group root(nullptr, "");
-    Average a(&root, "lat", "");
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(10);
-    a.sample(20);
-    a.sample(30);
-    EXPECT_DOUBLE_EQ(a.mean(), 20.0);
-    EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
 }
 
 TEST(DistributionStat, BucketsSamplesCorrectly)
@@ -71,16 +57,6 @@ TEST(DistributionStat, UnderflowWithNonzeroMin)
     d.reset();
     EXPECT_EQ(d.underflow(), 0u);
     EXPECT_EQ(d.samples(), 0u);
-}
-
-TEST(CallbackStat, EvaluatesOnDump)
-{
-    Group root(nullptr, "");
-    int base = 3;
-    Callback c(&root, "derived", "", [&] { return base * 2.0; });
-    EXPECT_DOUBLE_EQ(c.value(), 6.0);
-    base = 10;
-    EXPECT_DOUBLE_EQ(c.value(), 20.0);
 }
 
 TEST(GroupHierarchy, PathsAreDotted)

@@ -267,8 +267,8 @@ TEST(SystemFunctional, SharedPvTableRunsAndServesAllCores)
     System sys(cfg);
     sys.runFunctional(40000);
     // Both proxies target the same PVStart.
-    EXPECT_EQ(sys.virtPht(0)->proxy().layout().pvStart(),
-              sys.virtPht(1)->proxy().layout().pvStart());
+    EXPECT_EQ(sys.virtPht(0)->segment().pvStart(),
+              sys.virtPht(1)->segment().pvStart());
     // And the system still predicts.
     uint64_t hits = 0;
     for (int c = 0; c < sys.numCores(); ++c)

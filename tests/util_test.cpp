@@ -294,6 +294,10 @@ TEST(Args, ReportsKeysNoAccessorRead)
               (std::vector<std::string>{"max-core", "smoke"}));
     EXPECT_TRUE(a.has("smoke"));
     EXPECT_EQ(a.unreadKeys(), std::vector<std::string>{"max-core"});
+    EXPECT_EXIT(a.rejectUnread("tool"), testing::ExitedWithCode(2),
+                "tool: unknown option --max-core");
+    a.getUint("max-core", 0);
+    a.rejectUnread(); // everything read: returns
 }
 
 TEST(Args, NumbersRejectTrailingCharacters)

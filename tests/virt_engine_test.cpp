@@ -54,7 +54,6 @@ struct SharedProxyTest : public ::testing::Test {
 
         PvProxyParams pp;
         pp.pvCacheEntries = pvcache_entries;
-        pp.usedBitsPerLine = 0;
         proxy = std::make_unique<PvProxy>(
             *ctxp, pp, amap.pvStart(0), amap.pvBytesPerCore());
         proxy->setMemSide(l2.get());
@@ -196,7 +195,6 @@ TEST_F(SharedProxyTest, FairShareReservesPatternBufferSlots)
     pp.name = "fair";
     pp.mshrs = 16;
     pp.patternBufferEntries = 4;
-    pp.usedBitsPerLine = 0;
     PvProxy fair(*ctxp, pp, amap.pvStart(0), amap.pvBytesPerCore());
     fair.setMemSide(l2.get());
     VirtualizedPht fpht(fair, "pht", 64, 10);
@@ -450,7 +448,6 @@ struct AgtTest : public ::testing::Test {
 
         PvProxyParams pp;
         pp.pvCacheEntries = 8;
-        pp.usedBitsPerLine = 0;
         proxy = std::make_unique<PvProxy>(
             *ctxp, pp, amap.pvStart(0), amap.pvBytesPerCore());
         proxy->setMemSide(l2.get());

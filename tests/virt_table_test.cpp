@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "core/virt_btb.hh"
 #include "core/virt_pht.hh"
@@ -25,10 +26,13 @@ struct VirtTableTest : public ::testing::Test {
     std::unique_ptr<SimContext> ctxp;
     std::unique_ptr<Dram> dram;
     std::unique_ptr<Cache> l2;
+    /** Every proxy makeProxy() built; outlives the tests' engines. */
+    std::vector<std::unique_ptr<PvProxy>> proxies;
 
     void
     buildHierarchy(SimMode mode = SimMode::Functional)
     {
+        proxies.clear();
         l2.reset();
         dram.reset();
         ctxp = std::make_unique<SimContext>(mode);
@@ -43,18 +47,26 @@ struct VirtTableTest : public ::testing::Test {
         l2->setMemSide(dram.get());
     }
 
+    /** A proxy over exactly `sets` PV lines from `start`, wired to
+     *  the L2, for one engine to register on. */
+    PvProxy &
+    makeProxy(Addr start, unsigned sets, unsigned pvcache = 8)
+    {
+        PvProxyParams pp;
+        pp.pvCacheEntries = pvcache;
+        proxies.push_back(std::make_unique<PvProxy>(
+            *ctxp, pp, start, uint64_t(sets) * kBlockBytes));
+        proxies.back()->setMemSide(l2.get());
+        return *proxies.back();
+    }
+
     std::unique_ptr<VirtualizedPht>
     makePht(unsigned sets = 64, unsigned assoc = 10,
             unsigned pvcache = 8)
     {
-        VirtPhtParams vp;
-        vp.numSets = sets;
-        vp.assoc = assoc;
-        vp.proxy.pvCacheEntries = pvcache;
-        auto pht = std::make_unique<VirtualizedPht>(
-            *ctxp, vp, amap.pvStart(0));
-        pht->proxy().setMemSide(l2.get());
-        return pht;
+        return std::make_unique<VirtualizedPht>(
+            makeProxy(amap.pvStart(0), sets, pvcache), "pht", sets,
+            assoc);
     }
 };
 
@@ -233,15 +245,8 @@ TEST_F(VirtTableTest, SharedTableCrossTrainsBetweenProxies)
     // through another core's proxy (each has a private PVCache, but
     // both map the same memory).
     buildHierarchy();
-    VirtPhtParams vp;
-    vp.numSets = 64;
-    vp.assoc = 10;
-    auto pht0 = std::make_unique<VirtualizedPht>(*ctxp, vp,
-                                                 amap.pvStart(0));
-    auto pht1 = std::make_unique<VirtualizedPht>(*ctxp, vp,
-                                                 amap.pvStart(0));
-    pht0->proxy().setMemSide(l2.get());
-    pht1->proxy().setMemSide(l2.get());
+    auto pht0 = makePht();
+    auto pht1 = makePht();
 
     pht0->insert(0x44, 0xFACE);
     // Write the update out of proxy 0's PVCache so proxy 1 can see
@@ -257,22 +262,17 @@ TEST_F(VirtTableTest, SharedTableCrossTrainsBetweenProxies)
 TEST_F(VirtTableTest, PrivateTablesStayIsolated)
 {
     buildHierarchy();
-    VirtPhtParams vp;
-    vp.numSets = 64;
-    vp.assoc = 10;
-    auto pht0 = std::make_unique<VirtualizedPht>(*ctxp, vp,
-                                                 amap.pvStart(0));
+    auto pht0 = makePht();
     // amap was built for one core; emulate a second private table
     // at a disjoint base inside the app range top.
-    auto pht1 = std::make_unique<VirtualizedPht>(
-        *ctxp, vp, amap.pvStart(0) + 64 * kBlockBytes);
-    pht0->proxy().setMemSide(l2.get());
-    pht1->proxy().setMemSide(l2.get());
+    VirtualizedPht pht1(
+        makeProxy(amap.pvStart(0) + 64 * kBlockBytes, 64), "pht", 64,
+        10);
 
     pht0->insert(0x44, 0xFACE);
     pht0->proxy().flush();
     SpatialPattern p = 0;
-    EXPECT_FALSE(probe(*pht1, 0x44, p))
+    EXPECT_FALSE(probe(pht1, 0x44, p))
         << "private tables must not alias";
 }
 
@@ -283,11 +283,8 @@ TEST_F(VirtTableTest, PrivateTablesStayIsolated)
 TEST_F(VirtTableTest, BtbLearnsAndPredictsTargets)
 {
     buildHierarchy();
-    VirtBtbParams bp;
-    bp.numSets = 128;
-    bp.proxy.pvCacheEntries = 8;
-    VirtualizedBtb btb(*ctxp, bp, amap.pvStart(0));
-    btb.proxy().setMemSide(l2.get());
+    VirtualizedBtb btb(makeProxy(amap.pvStart(0), 128), "btb", 128, 8,
+                       16);
 
     btb.update(0x40001000, 0x40002000);
     btb.update(0x40001010, 0x40003000);
@@ -308,10 +305,9 @@ TEST_F(VirtTableTest, BtbLearnsAndPredictsTargets)
 TEST_F(VirtTableTest, BtbStorageIsTiny)
 {
     buildHierarchy();
-    VirtBtbParams bp;
-    bp.numSets = 2048; // 16K entries in memory
-    VirtualizedBtb btb(*ctxp, bp, amap.pvStart(0));
-    btb.proxy().setMemSide(l2.get());
+    // 2048 sets x 8 ways: 16K entries in memory.
+    VirtualizedBtb btb(makeProxy(amap.pvStart(0), 2048), "btb", 2048,
+                       8, 16);
     // A dedicated 16K-entry BTB with 62-bit entries would need
     // ~124KB; the proxy needs ~1KB.
     EXPECT_LT(btb.storageBits() / 8, 1200u);

@@ -216,14 +216,7 @@ main(int argc, char **argv)
     } else if (cmd != "validate") {
         return usage();
     }
-    const std::vector<std::string> unread = args.unreadKeys();
-    if (!unread.empty()) {
-        std::cerr << "pvsim " << cmd << ": unknown option";
-        for (const std::string &k : unread)
-            std::cerr << " --" << k;
-        std::cerr << "\n";
-        return 2;
-    }
+    args.rejectUnread("pvsim " + cmd);
 
     std::vector<std::string> files;
     try {
