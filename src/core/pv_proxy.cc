@@ -69,7 +69,7 @@ PvProxy::PvProxy(SimContext &ctx, const PvProxyParams &params,
       victimHits(this, "victim_hits",
                  "demand misses served from the victim buffer"),
       params_(params), region_(region_start, region_bytes),
-      sendQueue_(ctx.events(), name())
+      sendQueue_(ctx.events(), name(), nullptr)
 {
     pv_assert(params_.pvCacheEntries > 0, "PVCache needs entries");
     entries_.resize(params_.pvCacheEntries);

@@ -213,6 +213,9 @@ class PvProxy : public SimObject, public MemClient
     const PvProxyParams &params() const { return params_; }
     const PvRegionLayout &region() const { return region_; }
 
+    /** Requests queued toward the L2 behind backpressure. */
+    const SendQueue &sendQueue() const { return sendQueue_; }
+
     // MemClient
     void recvResponse(PacketPtr pkt) override;
     std::string clientName() const override { return name(); }

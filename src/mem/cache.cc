@@ -68,7 +68,7 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
       missLatency(this, "miss_latency",
                   "demand miss latency (cycles)", 0, 1600, 50),
       params_(params), addrMap_(addr_map),
-      mshrs_(params.numMshrs), sendQueue_(ctx.events(), name())
+      mshrs_(params.numMshrs), sendQueue_(ctx.events(), name(), this)
 {
     pv_assert(params_.sizeBytes % (uint64_t(params_.assoc) *
                                    kBlockBytes) == 0,
@@ -333,7 +333,7 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
         frame->data.reset();
     if (was_prefetch)
         ++prefetchFills;
-    ctx().events().noteRelease(); // the block may now hit
+    releaseBlock(aligned); // the block may now hit
     return *frame;
 }
 
@@ -554,16 +554,16 @@ Cache::recvRequest(PacketPtr pkt)
     // Structural backpressure: refuse when the MSHR file (including
     // accepted-but-unresolved lookups) is full and the request
     // cannot coalesce, or our own send queue is clogged.
-    bool mshr_budget_full =
-        mshrs_.used() + pendingLookups_ >= mshrs_.capacity();
-    if (mshr_budget_full && !mshrs_.find(blockAlign(pkt->addr)) &&
+    if (mshrBudgetFull() && !mshrs_.find(blockAlign(pkt->addr)) &&
         !findBlock(pkt->addr)) {
         ++mshrRejects;
+        refusalMark_ = releaseSeq_;
         return false;
     }
     if (sendQueue_.size() >= params_.writeBufferEntries +
                                  params_.numMshrs) {
         ++mshrRejects;
+        refusalMark_ = 0; // the block may well be present
         return false;
     }
 
@@ -582,6 +582,32 @@ Cache::recvRequest(PacketPtr pkt)
         schedule(delay, [this, pkt] { handleLookup(pkt); });
     }
     return true;
+}
+
+bool
+Cache::certainlyRefuses(const Packet &pkt, uint64_t &mark) const
+{
+    // Refused at `mark` by a full MSHR budget, the block was then in
+    // neither an MSHR nor the tags. It stays refused while the
+    // budget stays full and the block is not given an MSHR or
+    // installed, and every such event is in the release log.
+    if (mark == 0 || !mshrBudgetFull() ||
+        releaseSeq_ - mark > kReleaseLog)
+        return false;
+    const Addr baddr = blockAlign(pkt.addr);
+    for (uint64_t i = mark; i != releaseSeq_; ++i) {
+        if (releaseLog_[i % kReleaseLog] == baddr)
+            return false;
+    }
+    mark = releaseSeq_;
+    return true;
+}
+
+void
+Cache::releaseBlock(Addr baddr)
+{
+    releaseLog_[releaseSeq_++ % kReleaseLog] = baddr;
+    ctx().events().noteRelease(*this);
 }
 
 bool
@@ -627,7 +653,7 @@ Cache::handleLookup(PacketPtr pkt)
 {
     pv_assert(pendingLookups_ > 0, "lookup underflow");
     --pendingLookups_;
-    ctx().events().noteRelease();
+    ctx().events().noteRelease(*this);
     if (probeAccess(pkt)) {
         MemClient *dst = pkt->src;
         schedule(params_.dataLatency,
@@ -670,14 +696,14 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
         // Filled up since acceptance; retry the MSHR allocation only
         // (stats and listener hooks already ran exactly once) after
         // an MSHR frees or one for this block appears.
-        ctx().events().park(name(), [this, pkt, down_cmd] {
+        ctx().events().park(name(), *this, [this, pkt, down_cmd] {
             missToMshr_(pkt, down_cmd);
         });
         return;
     }
 
     Mshr &m = mshrs_.allocate(baddr, curTick());
-    ctx().events().noteRelease(); // later misses may coalesce
+    releaseBlock(baddr); // later misses may coalesce
     m.needsWritable = pkt->needsWritable();
     m.prefetchOnly = pkt->isPrefetch;
     m.wasPrefetch = pkt->isPrefetch;
@@ -735,7 +761,7 @@ Cache::recvResponse(PacketPtr pkt)
     std::vector<PacketPtr> targets;
     targets.swap(mshr->targets);
     mshrs_.deallocate(*mshr);
-    ctx().events().noteRelease();
+    ctx().events().noteRelease(*this);
 
     for (PacketPtr t : targets) {
         if (t->isPrefetchReq() && t->src == nullptr) {
@@ -820,7 +846,7 @@ Cache::issuePrefetch(Addr block_addr, Addr pc)
     ++prefetchIssued;
     countRequest_prefetch_(baddr);
     Mshr &m = mshrs_.allocate(baddr, curTick());
-    ctx().events().noteRelease();
+    releaseBlock(baddr);
     m.prefetchOnly = true;
     m.wasPrefetch = true;
     m.inService = true;

@@ -16,6 +16,7 @@
 #ifndef PVSIM_MEM_CACHE_HH
 #define PVSIM_MEM_CACHE_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,9 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     // -- MemDevice (requests from above) ----------------------------
 
     bool recvRequest(PacketPtr pkt) override;
+    uint64_t refusalMark() const override { return refusalMark_; }
+    bool certainlyRefuses(const Packet &pkt,
+                          uint64_t &mark) const override;
     void creditRejects(uint64_t n) override { mshrRejects += n; }
     void functionalAccess(Packet &pkt) override;
     std::string deviceName() const override { return name(); }
@@ -185,7 +189,7 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     unsigned pendingLookups() const { return pendingLookups_; }
 
     /** Downstream requests queued behind backpressure. */
-    size_t sendQueueDepth() const { return sendQueue_.size(); }
+    const SendQueue &sendQueue() const { return sendQueue_; }
 
     /** True when no activity is pending inside the cache. */
     bool quiesced() const;
@@ -322,6 +326,18 @@ class Cache final : public SimObject, public MemDevice, public MemClient
 
     // -- Timing machinery ----------------------------------------------
 
+    /** Accepted lookups and MSHRs fill the MSHR file: only requests
+     *  that coalesce or hit are accepted. */
+    bool
+    mshrBudgetFull() const
+    {
+        return mshrs_.used() + pendingLookups_ >= mshrs_.capacity();
+    }
+
+    /** Block baddr was given an MSHR or installed: a refused request
+     *  for it may now coalesce or hit. */
+    void releaseBlock(Addr baddr);
+
     void handleLookup(PacketPtr pkt);
     void handleMiss(PacketPtr pkt);
     void sendDownstream(PacketPtr pkt);
@@ -367,6 +383,20 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     unsigned pendingLookups_ = 0;
     /** Downstream packets awaiting acceptance (misses, writebacks). */
     SendQueue sendQueue_;
+
+    /**
+     * The blocks given an MSHR or installed, the latest kReleaseLog
+     * of them: release i is at releaseLog_[i % kReleaseLog], and
+     * releaseSeq_ is the next i. certainlyRefuses() reads it instead
+     * of the tags.
+     */
+    static constexpr unsigned kReleaseLog = 16;
+    std::array<Addr, kReleaseLog> releaseLog_{};
+    /** Starts at 1: mark 0 means "refused for a reason that says
+     *  nothing about the block". */
+    uint64_t releaseSeq_ = 1;
+    /** refusalMark() for the latest refusal. */
+    uint64_t refusalMark_ = 0;
 
     std::vector<Tick> bankFreeAt_;
 };

@@ -47,8 +47,18 @@ class MemClient
     virtual std::string clientName() const = 0;
 };
 
-/** Downstream endpoint: accepts requests. */
-class MemDevice
+/**
+ * Downstream endpoint: accepts requests.
+ *
+ * Retry contract (timing mode). A sender whose request the device
+ * refused parks a retry on the device (it is the Refuser the retry
+ * lane counts waiters on; see sim/event_queue.hh). In return the
+ * device calls EventQueue::noteRelease(*this) at every change of
+ * its state that can turn a refusal into an acceptance. It may also
+ * answer certainlyRefuses() so that a woken sender can stay parked
+ * without re-asking.
+ */
+class MemDevice : public Refuser
 {
   public:
     virtual ~MemDevice() = default;
@@ -60,6 +70,26 @@ class MemDevice
      * device owns the packet until it responds or consumes it.
      */
     virtual bool recvRequest(PacketPtr pkt) = 0;
+
+    /**
+     * Right after recvRequest() returned false: a mark of the
+     * device's state for certainlyRefuses() to start from.
+     */
+    virtual uint64_t refusalMark() const { return 0; }
+
+    /**
+     * Without side effects on the device, and never by a tag
+     * lookup: true only if recvRequest(pkt) would certainly be
+     * refused now, given that the device refused pkt when `mark`
+     * was taken and every answer since was true. On true, `mark`
+     * moves up to now. False when unsure, which is always safe:
+     * the sender then re-asks. Default: unsure.
+     */
+    virtual bool
+    certainlyRefuses(const Packet & /*pkt*/, uint64_t & /*mark*/) const
+    {
+        return false;
+    }
 
     /**
      * Count n refusals a parked sender did not ask for: the
@@ -83,20 +113,24 @@ class MemDevice
 /**
  * A sender's timing-mode requests toward one MemDevice, sent in
  * order. When the device refuses the head, the queue parks one drain
- * in the event queue's retry lane (event_queue.hh) and sends nothing
- * until a pass resumes it. The resumed drain first credits the
- * device with the refusals of the cycles it skipped, so the device
- * counts exactly what a sender re-asking every cycle would have
- * cost it. Every pop notes a release, since a sender's full queue is
- * itself a reason for that sender to refuse requests.
+ * on the device in the event queue's retry lane (event_queue.hh) and
+ * sends nothing until a pass resumes it. A pass first asks the
+ * device whether the head is certainly still refused; if so the
+ * drain stays parked without re-asking. A resumed drain first
+ * credits the device with the refusals of the cycles it skipped, so
+ * the device counts exactly what a sender re-asking every cycle
+ * would have cost it. When a full queue makes its owner refuse
+ * requests, every pop is a release at the owner.
  */
 class SendQueue
 {
   public:
     /** `owner` names the sender in diagnostics; it must outlive
-     *  the queue. */
-    SendQueue(EventQueue &eq, const std::string &owner)
-        : eq_(eq), owner_(owner)
+     *  the queue. `releases` is the owner as a device whose
+     *  acceptance depends on this queue's depth, or nullptr. */
+    SendQueue(EventQueue &eq, const std::string &owner,
+              const Refuser *releases)
+        : eq_(eq), owner_(owner), releases_(releases)
     {}
 
     /** A parked drain holds this queue's address. */
@@ -117,33 +151,63 @@ class SendQueue
     size_t size() const { return q_.size(); }
     bool empty() const { return q_.empty(); }
 
+    /** Resumed drains whose first request was refused again: a
+     *  wake-up that bought nothing. */
+    uint64_t refusedResumes() const { return refusedResumes_; }
+
   private:
-    void
+    /** Send until empty or refused; returns the packets sent. */
+    size_t
     drain()
     {
+        size_t sent = 0;
         while (!q_.empty()) {
             if (!dev_->recvRequest(q_.front())) {
-                parked_ = true;
-                refusedAt_ = eq_.curTick();
-                eq_.park(owner_, [this] {
-                    parked_ = false;
-                    dev_->creditRejects(eq_.curTick() - refusedAt_ - 1);
-                    drain();
-                });
-                return;
+                park();
+                break;
             }
             q_.pop_front();
-            eq_.noteRelease();
+            ++sent;
+            if (releases_)
+                eq_.noteRelease(*releases_);
         }
+        return sent;
+    }
+
+    void
+    park()
+    {
+        parked_ = true;
+        refusedAt_ = eq_.curTick();
+        mark_ = dev_->refusalMark();
+        eq_.park(owner_, *dev_, [this] { return resume(); });
+    }
+
+    /** A pass's attempt: false while the head is certainly still
+     *  refused (the drain keeps its lane slot). */
+    bool
+    resume()
+    {
+        if (dev_->certainlyRefuses(*q_.front(), mark_))
+            return false;
+        parked_ = false;
+        dev_->creditRejects(eq_.curTick() - refusedAt_ - 1);
+        if (drain() == 0)
+            ++refusedResumes_;
+        return true;
     }
 
     EventQueue &eq_;
     const std::string &owner_;
+    const Refuser *releases_;
     MemDevice *dev_ = nullptr;
     std::deque<PacketPtr> q_;
     /** A drain waits in the retry lane since refusedAt_. */
     bool parked_ = false;
     Tick refusedAt_ = 0;
+    /** The device's mark for the parked head (certainlyRefuses). */
+    uint64_t mark_ = 0;
+    uint64_t refusedResumes_ = 0;
 };
 
 } // namespace pvsim

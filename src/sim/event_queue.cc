@@ -143,10 +143,12 @@ EventQueue::reset()
     for (Event *e : heap_)
         discard(e);
     heap_.clear();
-    for (Event *e : front_)
-        discard(e);
-    for (Event *e : lane_)
-        discard(e);
+    for (const auto *seg : {&front_, &lane_}) {
+        for (Event *e : *seg) {
+            unwait(e);
+            discard(e);
+        }
+    }
     front_.clear();
     lane_.clear();
     parked_ = 0;
@@ -226,6 +228,7 @@ void
 EventQueue::runPass()
 {
     const Tick now = curTick_;
+    ++numPasses_;
     mergeFront();
     passWork_.swap(lane_);
     for (Event *e : passWork_) {
@@ -233,8 +236,22 @@ EventQueue::runPass()
             lane_.push_back(e); // parked this tick: due next tick
             continue;
         }
+        ++numPassExamined_;
+        // Off the books while it runs, as a consumed entry is.
         --parked_;
-        e->invoke(e->storage);
+        unwait(e);
+        if (!e->attempt(e->storage)) {
+            // Still refused: it keeps its slot and counts as parked
+            // now, like an entry that re-ran and parked again.
+            ++parked_;
+            if (e->by)
+                ++e->by->waiters_;
+            e->when = now;
+            lastParkTick_ = now;
+            lane_.push_back(e);
+            continue;
+        }
+        ++numPassReruns_;
         if (e->destroy)
             e->destroy(e->storage);
         release(e);

@@ -16,11 +16,14 @@
  * (MSHRs full, send queue clogged) changes nothing but a reject
  * counter, so re-asking it every cycle is wasted work until the
  * device releases something. Instead the refused sender park()s a
- * retry closure in the lane, and the device calls noteRelease()
- * wherever acceptance can move toward "accept" (an MSHR allocated
- * or freed, a lookup resolved, a block installed, a send-queue
- * slot opened). A release schedules a *pass*: one event at
- * kPrioRetry that re-attempts the parked entries in lane order.
+ * retry closure in the lane, on the device that refused it (a
+ * Refuser, which counts the entries waiting on it). The device
+ * calls noteRelease() on itself wherever its acceptance can move
+ * toward "accept" (an MSHR allocated or freed, a lookup resolved,
+ * a block installed, a send-queue slot opened). A release at a
+ * device nobody waits on is free; otherwise it schedules a *pass*:
+ * one event at kPrioRetry that examines the parked entries in lane
+ * order.
  *
  * Why this is exact. The reference is a sender that re-asks every
  * cycle: each refusal re-arms a default-priority poll one tick
@@ -38,13 +41,31 @@
  *  - entries refused during CPU events (or outside any event) go
  *    to the back.
  *
- * A poll could only have succeeded after a release, so passes run
- * only then: this tick if the release came from a response- or
- * default-priority event, else (during a pass, a CPU event, or
- * after an entry refused earlier this tick) the next tick too. The
- * polls a parked sender skipped are credited to the refusing
- * device's reject count by the sender (MemDevice::creditRejects),
- * so every statistic matches the polling protocol bit for bit.
+ * A poll could only have succeeded after its device released
+ * something: what decides acceptance is the device's own state,
+ * and every change of it toward "accept" is a release there. So
+ * passes run only after a release at a device with waiters: this
+ * tick if the release came from a response- or default-priority
+ * event, else (during a pass, a CPU event, or after an entry
+ * refused earlier this tick) the next tick too. Releases at other
+ * devices cannot change the answer and schedule nothing.
+ *
+ * A pass does not have to re-run an entry to learn that it is
+ * still refused. An entry may answer, without side effects, that
+ * its device certainly refuses it (SendQueue asks
+ * MemDevice::certainlyRefuses): it then keeps its lane slot
+ * without running. That is the slot a re-run that was refused
+ * would have re-parked into, since entries refused during a pass
+ * keep the pass's order. A kept entry also counts as parked at the
+ * pass tick, exactly like a re-parked one: it is not due again
+ * before the next tick, and a release later in the same tick (a
+ * one-tick lookup resolving further down the pass, a CPU event)
+ * schedules the next tick's pass for it.
+ *
+ * The polls a parked sender skipped, kept passes included, are
+ * credited to the refusing device's reject count by the sender
+ * when it resumes (MemDevice::creditRejects), so every statistic
+ * matches the polling protocol bit for bit.
  *
  * A one-tick default-priority event would interleave with that
  * block by scheduling order, so such events (one-tick cache
@@ -71,6 +92,22 @@
 #include "sim/types.hh"
 
 namespace pvsim {
+
+/**
+ * What a parked retry waits on: the device that refused it. The
+ * event queue counts the lane entries waiting on each Refuser, so
+ * that a release there wakes the lane only when it can help.
+ */
+class Refuser
+{
+  public:
+    /** Lane entries waiting on this device. */
+    unsigned retryWaiters() const { return waiters_; }
+
+  private:
+    friend class EventQueue;
+    unsigned waiters_ = 0;
+};
 
 /** Tick-ordered queue of callbacks with stable same-tick ordering. */
 class EventQueue
@@ -101,7 +138,7 @@ class EventQueue
         Event *e = acquire();
         e->when = when;
         e->priority = priority;
-        emplaceCallable(*e, std::forward<F>(fn));
+        e->invoke = emplaceCallable<void>(*e, std::forward<F>(fn));
         commit(e);
     }
 
@@ -115,15 +152,19 @@ class EventQueue
     // -- Retry lane (see the file comment) ----------------------------
 
     /**
-     * Park a refused attempt: a later pass calls fn, which
-     * re-attempts and parks again if refused. `who` names the sender
-     * in diagnostics and must outlive the entry.
+     * Park an attempt that `by` refused: a pass after a release at
+     * `by` calls fn. fn re-attempts, and parks again if refused; or
+     * it returns false without side effects when it knows it is
+     * still refused, and keeps its lane slot (a void fn always
+     * re-attempts). `who` names the sender in diagnostics and must
+     * outlive the entry.
      */
     template <typename F>
     void
-    park(const std::string &who, F &&fn)
+    park(const std::string &who, Refuser &by, F &&fn)
     {
-        enqueueLane(laneNode(who, std::forward<F>(fn)));
+        ++by.waiters_;
+        enqueueLane(laneNode(who, &by, std::forward<F>(fn)));
     }
 
     /**
@@ -135,19 +176,19 @@ class EventQueue
     void
     deferToNextPass(const std::string &who, F &&fn)
     {
-        enqueueLane(laneNode(who, std::forward<F>(fn)));
+        enqueueLane(laneNode(who, nullptr, std::forward<F>(fn)));
         schedulePass(curTick_ + 1);
     }
 
     /**
-     * Something a parked entry may be waiting for was released:
-     * schedule the pass(es) that would see it. Free when nothing
-     * is parked.
+     * Something an entry parked on `at` may be waiting for was
+     * released: schedule the pass(es) that would see it. Free when
+     * nothing waits on `at`.
      */
     void
-    noteRelease()
+    noteRelease(const Refuser &at)
     {
-        if (parked_ != 0)
+        if (at.waiters_ != 0)
             scheduleReleasePasses();
     }
 
@@ -156,6 +197,15 @@ class EventQueue
 
     /** Names of the parked entries (diagnostics; outside a pass). */
     std::vector<std::string> parkedNames() const;
+
+    /** Passes run so far. */
+    uint64_t numPasses() const { return numPasses_; }
+
+    /** Due entries the passes examined (kept or re-run). */
+    uint64_t numPassExamined() const { return numPassExamined_; }
+
+    /** Examined entries the passes re-ran. */
+    uint64_t numPassReruns() const { return numPassReruns_; }
 
     // -- Time ---------------------------------------------------------
 
@@ -224,19 +274,29 @@ class EventQueue
             /** Intrusive freelist link (only while free). */
             Event *nextFree;
         };
-        /** Run the stored callable. */
-        void (*invoke)(void *storage);
+        union {
+            /** Heap: run the stored callable. */
+            void (*invoke)(void *storage);
+            /** Lane: re-attempt; false when the entry keeps its
+             *  slot without having run. */
+            bool (*attempt)(void *storage);
+        };
         /** Destroy it without running (nullptr when trivial). */
         void (*destroy)(void *storage);
         int priority;
+        /** Lane: the device the entry waits on (nullptr for a
+         *  deferred one-tick event). */
+        Refuser *by;
         alignas(std::max_align_t) unsigned char storage[kInlineBytes];
     };
+    static_assert(sizeof(Event) <= 96, "event nodes are pooled by the "
+                                       "thousand: keep them small");
 
-    template <typename F>
-    static void
-    invokeInline(void *p)
+    template <typename R, typename F>
+    static R
+    callInline(void *p)
     {
-        (*std::launder(reinterpret_cast<F *>(p)))();
+        return (*std::launder(reinterpret_cast<F *>(p)))();
     }
 
     template <typename F>
@@ -246,11 +306,11 @@ class EventQueue
         std::launder(reinterpret_cast<F *>(p))->~F();
     }
 
-    template <typename F>
-    static void
-    invokeBoxed(void *p)
+    template <typename R, typename F>
+    static R
+    callBoxed(void *p)
     {
-        (**std::launder(reinterpret_cast<F **>(p)))();
+        return (**std::launder(reinterpret_cast<F **>(p)))();
     }
 
     template <typename F>
@@ -260,8 +320,12 @@ class EventQueue
         delete *std::launder(reinterpret_cast<F **>(p));
     }
 
-    template <typename F>
-    void
+    template <typename R>
+    using Caller = R (*)(void *storage);
+
+    /** Store fn in e; returns the function that calls it. */
+    template <typename R, typename F>
+    Caller<R>
     emplaceCallable(Event &e, F &&fn)
     {
         using Fn = std::decay_t<F>;
@@ -269,27 +333,36 @@ class EventQueue
                       alignof(Fn) <= alignof(std::max_align_t)) {
             new (static_cast<void *>(e.storage))
                 Fn(std::forward<F>(fn));
-            e.invoke = &invokeInline<Fn>;
             e.destroy = std::is_trivially_destructible_v<Fn>
                             ? nullptr
                             : &destroyInline<Fn>;
+            return &callInline<R, Fn>;
         } else {
             new (static_cast<void *>(e.storage))
                 Fn *(new Fn(std::forward<F>(fn)));
-            e.invoke = &invokeBoxed<Fn>;
             e.destroy = &destroyBoxed<Fn>;
+            return &callBoxed<R, Fn>;
         }
     }
 
-    /** A lane node parked now by `who`. */
+    /** A lane node parked now by `who`, waiting on `by`. */
     template <typename F>
     Event *
-    laneNode(const std::string &who, F &&fn)
+    laneNode(const std::string &who, Refuser *by, F &&fn)
     {
         Event *e = acquire();
         e->when = curTick_;
         e->who = &who;
-        emplaceCallable(*e, std::forward<F>(fn));
+        e->by = by;
+        if constexpr (std::is_void_v<std::invoke_result_t<F &>>) {
+            e->attempt = emplaceCallable<bool>(
+                *e, [f = std::forward<F>(fn)]() mutable {
+                    f();
+                    return true;
+                });
+        } else {
+            e->attempt = emplaceCallable<bool>(*e, std::forward<F>(fn));
+        }
         return e;
     }
 
@@ -342,8 +415,17 @@ class EventQueue
     /** Schedule a pass at `when` unless one is already due then. */
     void schedulePass(Tick when);
 
-    /** Re-attempt every due parked entry, in lane order. */
+    /** Examine every due parked entry, in lane order. */
     void runPass();
+
+    /** Drop a consumed or discarded lane entry from its device's
+     *  waiters. */
+    static void
+    unwait(const Event *e)
+    {
+        if (e->by)
+            --e->by->waiters_;
+    }
 
     std::vector<Event *> heap_;
     std::vector<std::unique_ptr<Event[]>> chunks_;
@@ -370,6 +452,9 @@ class EventQueue
     /** Ticks with a pass already scheduled (at most two are ever
      *  outstanding: this tick and the next). */
     Tick passAt_[2] = {kMaxTick, kMaxTick};
+    uint64_t numPasses_ = 0;
+    uint64_t numPassExamined_ = 0;
+    uint64_t numPassReruns_ = 0;
 };
 
 } // namespace pvsim

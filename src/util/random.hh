@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pvsim {
@@ -113,7 +114,10 @@ class Rng
 /**
  * Zipf-distributed sampler over {0, ..., n-1} with exponent alpha.
  * Uses a precomputed inverse CDF (O(log n) per sample), accurate and
- * fast for the table sizes used by the workload generators.
+ * fast for the table sizes used by the workload generators. The CDF
+ * depends only on (n, alpha), so it is built once per process and
+ * shared, read-only, by every sampler with the same parameters
+ * (samplers may be built concurrently).
  */
 class ZipfSampler
 {
@@ -122,27 +126,18 @@ class ZipfSampler
      * @param n     Number of distinct items.
      * @param alpha Skew; 0 degenerates to uniform.
      */
-    ZipfSampler(size_t n, double alpha) : cdf_(n)
-    {
-        assert(n > 0);
-        double sum = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            sum += 1.0 / power(double(i + 1), alpha);
-            cdf_[i] = sum;
-        }
-        for (auto &c : cdf_)
-            c /= sum;
-    }
+    ZipfSampler(size_t n, double alpha) : cdf_(sharedCdf(n, alpha)) {}
 
     /** Draw one sample; item 0 is the most popular. */
     size_t
     sample(Rng &rng) const
     {
+        const std::vector<double> &cdf = *cdf_;
         double u = rng.uniform();
-        size_t lo = 0, hi = cdf_.size() - 1;
+        size_t lo = 0, hi = cdf.size() - 1;
         while (lo < hi) {
             size_t mid = (lo + hi) / 2;
-            if (cdf_[mid] < u)
+            if (cdf[mid] < u)
                 lo = mid + 1;
             else
                 hi = mid;
@@ -150,20 +145,17 @@ class ZipfSampler
         return lo;
     }
 
-    size_t size() const { return cdf_.size(); }
+    size_t size() const { return cdf_->size(); }
+
+    /** The inverse CDF (shared with equal-parameter samplers). */
+    const std::vector<double> &cdf() const { return *cdf_; }
 
   private:
-    // std::pow is not constexpr-friendly everywhere; a simple
-    // exp/log form keeps this header light.
-    static double
-    power(double base, double exp)
-    {
-        if (exp == 0.0)
-            return 1.0;
-        return __builtin_pow(base, exp);
-    }
+    /** The process's CDF for (n, alpha), built on first use. */
+    static std::shared_ptr<const std::vector<double>>
+    sharedCdf(size_t n, double alpha);
 
-    std::vector<double> cdf_;
+    std::shared_ptr<const std::vector<double>> cdf_;
 };
 
 } // namespace pvsim

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -571,6 +573,78 @@ TEST_F(TimingCacheTest, MshrFullRetryWakesOnTheFreeingFill)
     // (same tick), then its own DRAM trip and data cycle.
     EXPECT_EQ(sink.at[0].second - start, 403u);
     EXPECT_EQ(sink.at[1].second - start, 803u);
+    EXPECT_TRUE(cache->quiesced());
+    EXPECT_EQ(ctx.events().numParked(), 0u);
+}
+
+TEST_F(TimingCacheTest, ParkedSendCoalescesOntoMshrAllocatedWhileFull)
+{
+    // Two MSHRs, two banks. Upper caches x and y miss on blocks a
+    // and b, and their lookups fill the budget. Upper cache z then
+    // misses on b: refused, its send parks. At +2 both lookups
+    // resolve into MSHRs, so the budget stays full, but b now has
+    // one: z's parked send must coalesce onto it that tick, as a
+    // per-cycle retry would, not wait for a fill to free an MSHR.
+    build(2);
+    params.banks = 2;
+    params.tagLatency = 2;
+    cache = std::make_unique<Cache>(ctx, params, &amap);
+    cache->setMemSide(&dram);
+    CacheParams up;
+    up.sizeBytes = 1024;
+    up.assoc = 2;
+    up.tagLatency = 1;
+    up.dataLatency = 1;
+    std::vector<std::unique_ptr<Cache>> l1s;
+    for (const char *name : {"x", "y", "z"}) {
+        up.name = name;
+        l1s.push_back(std::make_unique<Cache>(ctx, up, &amap));
+        l1s.back()->setMemSide(cache.get());
+        l1s.back()->setLowerSlot(cache->attachClient(l1s.back().get()));
+    }
+    struct Sink : MemClient {
+        SimContext *ctx;
+        std::vector<std::pair<Addr, Tick>> at;
+        void
+        recvResponse(PacketPtr pkt) override
+        {
+            at.emplace_back(pkt->addr, ctx->curTick());
+            delete pkt;
+        }
+        std::string clientName() const override { return "sink"; }
+    } sink;
+    sink.ctx = &ctx;
+    auto read = [&](Addr addr) {
+        auto *pkt = new Packet(MemCmd::ReadReq, addr, 0);
+        pkt->src = &sink;
+        return pkt;
+    };
+    const Addr a = 0x1000, b = 0x1040; // banks 0 and 1
+
+    ASSERT_FALSE(l1s[0]->probeAccess(read(a)));
+    ASSERT_FALSE(l1s[1]->probeAccess(read(b)));
+    ASSERT_FALSE(l1s[2]->probeAccess(read(b)));
+    EXPECT_EQ(cache->mshrRejects.value(), 1u);
+    EXPECT_EQ(l1s[2]->sendQueue().size(), 1u) << "z's send is refused";
+    ctx.events().runUntil(2);
+    EXPECT_EQ(cache->outstandingMisses(), 2u);
+    EXPECT_TRUE(l1s[2]->sendQueue().empty())
+        << "z's send coalesces the tick b gets its MSHR";
+    ctx.events().runUntil();
+
+    // One refusal at 0, one credited for the skipped poll at 1.
+    EXPECT_EQ(cache->mshrRejects.value(), 2u);
+    EXPECT_EQ(cache->mshrCoalesced.value(), 1u);
+    EXPECT_EQ(dram.readsApp.value(), 2u) << "one fetch for b";
+    ASSERT_EQ(sink.at.size(), 3u);
+    // Lookups at +2, DRAM 400, L2 data 1, L1 data 1; z's lookup
+    // (accepted at 2, resolved at 4) joins b's MSHR, so y and z get
+    // b with the same fill.
+    EXPECT_EQ(sink.at[0], (std::pair<Addr, Tick>{a, 404}));
+    EXPECT_EQ(sink.at[1], (std::pair<Addr, Tick>{b, 404}));
+    EXPECT_EQ(sink.at[2], (std::pair<Addr, Tick>{b, 404}));
+    for (const auto &l1 : l1s)
+        EXPECT_TRUE(l1->quiesced());
     EXPECT_TRUE(cache->quiesced());
     EXPECT_EQ(ctx.events().numParked(), 0u);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -224,19 +225,22 @@ TEST(EventPool, ResetDestroysPendingAndParkedClosures)
     const std::string who = "sender";
     int fired = 0;
     EventQueue q;
+    Refuser dev;
     q.schedule(10, [pending, &fired] { ++fired; });
-    q.park(who, [parked, &fired] { ++fired; });
+    q.park(who, dev, [parked, &fired] { ++fired; });
     EXPECT_EQ(pending.use_count(), 2);
     EXPECT_EQ(parked.use_count(), 2);
     EXPECT_EQ(q.numParked(), 1u);
+    EXPECT_EQ(dev.retryWaiters(), 1u);
 
     q.reset();
     EXPECT_EQ(pending.use_count(), 1);
     EXPECT_EQ(parked.use_count(), 1);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.numParked(), 0u);
+    EXPECT_EQ(dev.retryWaiters(), 0u);
     EXPECT_EQ(q.poolFree(), q.poolCapacity());
-    q.noteRelease();
+    q.noteRelease(dev);
     q.runUntil();
     EXPECT_EQ(fired, 0);
 }
@@ -248,11 +252,13 @@ TEST(EventPool, ResetDestroysPendingAndParkedClosures)
 namespace {
 
 /** A sender whose attempts succeed only while `open`; a refused
- *  attempt parks a retry. Logs (name, tick) of every attempt. */
+ *  attempt parks a retry on `dev`. Logs (name, tick) of every
+ *  attempt. */
 struct Gate {
     explicit Gate(EventQueue &eq) : q(eq) {}
 
     EventQueue &q;
+    Refuser dev;
     bool open = false;
     std::vector<std::pair<std::string, Tick>> attempts;
 
@@ -261,7 +267,7 @@ struct Gate {
     {
         attempts.emplace_back(who, q.curTick());
         if (!open)
-            q.park(who, [this, &who] { attempt(who); });
+            q.park(who, dev, [this, &who] { attempt(who); });
     }
 };
 
@@ -283,7 +289,7 @@ TEST(RetryLane, RetriesOnlyAfterReleaseInRefusalOrder)
         q.schedule(t, [] {}); // time passes, nothing is released
     q.schedule(10, [&] {
         g.open = true;
-        q.noteRelease();
+        q.noteRelease(g.dev);
     });
     q.runUntil();
     EXPECT_EQ(g.attempts, (Log{{"a", 1}, {"b", 1}, {"a", 10}, {"b", 10}}));
@@ -297,7 +303,7 @@ TEST(RetryLane, CpuPriorityReleaseDefersPassToNextTick)
     q.schedule(1, EventQueue::kPrioCpu, [&] { g.attempt(kA); });
     q.schedule(5, EventQueue::kPrioCpu, [&] {
         g.open = true;
-        q.noteRelease(); // this tick's pass slot has gone by
+        q.noteRelease(g.dev); // this tick's pass slot has gone by
     });
     q.runUntil();
     EXPECT_EQ(g.attempts, (Log{{"a", 1}, {"a", 6}}));
@@ -310,10 +316,10 @@ TEST(RetryLane, EarlyRefusalSkipsItsTickThenLeads)
     q.schedule(1, EventQueue::kPrioCpu, [&] { g.attempt(kOld); });
     q.schedule(5, EventQueue::kPrioResponse,
                [&] { g.attempt(kNew); });
-    q.schedule(5, [&] { q.noteRelease(); }); // gate stays shut
+    q.schedule(5, [&] { q.noteRelease(g.dev); }); // gate stays shut
     q.schedule(6, EventQueue::kPrioCpu, [&] {
         g.open = true;
-        q.noteRelease();
+        q.noteRelease(g.dev);
     });
     q.runUntil();
     // Tick 5's pass retries only the carried-over entry; the one
@@ -341,7 +347,7 @@ TEST(RetryLane, OneTickEntryKeepsItsSlotBetweenRetries)
     });
     q.schedule(3, [&] {
         g.open = true;
-        q.noteRelease();
+        q.noteRelease(g.dev);
     });
     q.runUntil();
     // Tick 2's pass is forced by the one-tick entry alone.
@@ -352,6 +358,46 @@ TEST(RetryLane, OneTickEntryKeepsItsSlotBetweenRetries)
                                {"b", 2},
                                {"a", 3},
                                {"b", 3}}));
+}
+
+TEST(RetryLane, CertainRefusalKeepsItsSlotWithoutRunning)
+{
+    // `kept` knows without re-attempting that it is still refused;
+    // the gate's entry must re-attempt to find out. Both wait on the
+    // gate's device.
+    EventQueue q;
+    Gate g(q);
+    static const std::string kKept = "kept";
+    std::function<bool()> kept = [&] {
+        if (!g.open)
+            return false; // no side effects: keeps its slot
+        g.attempts.emplace_back(kKept, q.curTick());
+        return true;
+    };
+    q.schedule(1, EventQueue::kPrioCpu, [&] {
+        g.attempts.emplace_back(kKept, q.curTick());
+        q.park(kKept, g.dev, kept);
+        g.attempt(kB);
+    });
+    q.schedule(3, [&] { q.noteRelease(g.dev); }); // gate stays shut
+    Refuser other;
+    q.schedule(4, [&] { q.noteRelease(other); }); // nobody waits on it
+    q.schedule(5, [&] {
+        g.open = true;
+        q.noteRelease(g.dev);
+    });
+    q.runUntil();
+    // The kept entry stays ahead of the one that re-parked at 3.
+    EXPECT_EQ(g.attempts, (Log{{"kept", 1},
+                               {"b", 1},
+                               {"b", 3},
+                               {"kept", 5},
+                               {"b", 5}}));
+    EXPECT_EQ(q.numPasses(), 2u);
+    EXPECT_EQ(q.numPassExamined(), 4u);
+    EXPECT_EQ(q.numPassReruns(), 3u);
+    EXPECT_EQ(g.dev.retryWaiters(), 0u);
+    EXPECT_EQ(q.numParked(), 0u);
 }
 
 namespace {
@@ -381,7 +427,7 @@ struct Bouncer : MemDevice {
                    [this, pkt] {
                        delete pkt;
                        --busy;
-                       q.noteRelease();
+                       q.noteRelease(*this);
                    });
         return true;
     }
@@ -422,7 +468,7 @@ TEST(RetryLane, CreditedRejectsEqualPolling)
     EventQueue lq;
     Bouncer parked(lq, 2);
     static const std::string kSender = "sender";
-    SendQueue sq(lq, kSender);
+    SendQueue sq(lq, kSender, nullptr);
     sq.setDevice(&parked);
     lq.schedule(0, EventQueue::kPrioCpu, [&] {
         for (int i = 0; i < 10; ++i)
@@ -437,3 +483,182 @@ TEST(RetryLane, CreditedRejectsEqualPolling)
     EXPECT_LT(lq.numExecuted(), pq.numExecuted())
         << "parking must save the futile polls";
 }
+
+namespace {
+
+/**
+ * A cache-like device. Every accepted request holds one of
+ * `capacity` slots through a two-tick lookup; a lookup for a block
+ * not yet in flight puts it in flight and keeps the slot until the
+ * fill. With every slot held, a request for a block in flight is
+ * still accepted (it coalesces). certainlyRefuses() reads a log of
+ * the blocks put in flight, as Cache reads its release log.
+ */
+struct Coalescer : MemDevice {
+    EventQueue &q;
+    unsigned capacity;
+    unsigned busy = 0;
+    std::vector<Addr> inFlight;
+    /** Blocks put in flight, in order. */
+    std::vector<Addr> released;
+    unsigned fills = 0;
+    uint64_t rejects = 0;
+    unsigned coalescedWhileFull = 0;
+    std::vector<std::pair<Tick, Addr>> accepted;
+
+    Coalescer(EventQueue &eq, unsigned cap) : q(eq), capacity(cap) {}
+
+    bool
+    flying(Addr blk) const
+    {
+        return std::find(inFlight.begin(), inFlight.end(), blk) !=
+               inFlight.end();
+    }
+
+    bool
+    recvRequest(PacketPtr pkt) override
+    {
+        const Addr blk = pkt->addr;
+        if (busy >= capacity) {
+            if (!flying(blk)) {
+                ++rejects;
+                return false;
+            }
+            ++coalescedWhileFull;
+        }
+        ++busy;
+        accepted.emplace_back(q.curTick(), blk);
+        delete pkt;
+        q.schedule(q.curTick() + 2, [this, blk] { lookup(blk); });
+        return true;
+    }
+
+    void
+    lookup(Addr blk)
+    {
+        if (flying(blk)) {
+            --busy; // joins the fill already on its way
+            q.noteRelease(*this);
+            return;
+        }
+        inFlight.push_back(blk);
+        released.push_back(blk);
+        q.noteRelease(*this);
+        const Tick hold = 5 + 3 * (++fills % 4);
+        q.schedule(q.curTick() + hold, EventQueue::kPrioResponse,
+                   [this, blk] {
+                       inFlight.erase(std::find(inFlight.begin(),
+                                                inFlight.end(), blk));
+                       --busy;
+                       q.noteRelease(*this);
+                   });
+    }
+
+    uint64_t refusalMark() const override { return released.size(); }
+
+    bool
+    certainlyRefuses(const Packet &pkt, uint64_t &mark) const override
+    {
+        if (busy < capacity)
+            return false;
+        for (size_t i = mark; i < released.size(); ++i) {
+            if (released[i] == pkt.addr)
+                return false;
+        }
+        mark = released.size();
+        return true;
+    }
+
+    void creditRejects(uint64_t n) override { rejects += n; }
+    void functionalAccess(Packet &) override {}
+    std::string deviceName() const override { return "coalescer"; }
+};
+
+/** The polling reference for one sender: re-asks every cycle. */
+struct Poller {
+    Poller(EventQueue &eq, MemDevice &d) : q(eq), dev(d) {}
+
+    EventQueue &q;
+    MemDevice &dev;
+    std::deque<PacketPtr> pending;
+    bool waiting = false;
+
+    void
+    push(PacketPtr pkt)
+    {
+        pending.push_back(pkt);
+        if (!waiting)
+            poll();
+    }
+
+    void
+    poll()
+    {
+        waiting = false;
+        while (!pending.empty() && dev.recvRequest(pending.front()))
+            pending.pop_front();
+        if (!pending.empty()) {
+            waiting = true;
+            q.schedule(q.curTick() + 1, [this] { poll(); });
+        }
+    }
+};
+
+/** Sender s's i-th request: four senders over four blocks, so
+ *  parked heads share blocks. */
+PacketPtr
+sharedBlockRequest(int s, int i)
+{
+    return request((s + i * (s + 1)) % 4);
+}
+
+} // namespace
+
+TEST(RetryLane, BlockReleasesWakeCoalescingSendsLikePolling)
+{
+    const int kSenders = 4, kBurst = 6;
+    auto traffic = [&](EventQueue &q, auto &senders) {
+        for (Tick t : {Tick(0), Tick(9)}) {
+            q.schedule(t, EventQueue::kPrioCpu, [&senders] {
+                for (int s = 0; s < kSenders; ++s)
+                    for (int i = 0; i < kBurst; ++i)
+                        senders[s]->push(sharedBlockRequest(s, i));
+            });
+        }
+    };
+
+    // Reference: every sender re-asks the device every cycle.
+    EventQueue pq;
+    Coalescer polled(pq, 2);
+    std::vector<std::unique_ptr<Poller>> pollers;
+    for (int s = 0; s < kSenders; ++s)
+        pollers.push_back(std::make_unique<Poller>(pq, polled));
+    traffic(pq, pollers);
+    pq.runUntil();
+
+    // The same traffic through SendQueues parked in the lane.
+    EventQueue lq;
+    Coalescer parked(lq, 2);
+    static const std::string kNames[] = {"s0", "s1", "s2", "s3"};
+    std::vector<std::unique_ptr<SendQueue>> queues;
+    for (int s = 0; s < kSenders; ++s) {
+        queues.push_back(
+            std::make_unique<SendQueue>(lq, kNames[s], nullptr));
+        queues.back()->setDevice(&parked);
+    }
+    traffic(lq, queues);
+    lq.runUntil();
+
+    EXPECT_EQ(parked.accepted.size(), size_t(2 * kSenders * kBurst));
+    EXPECT_EQ(parked.accepted, polled.accepted);
+    EXPECT_EQ(parked.rejects, polled.rejects);
+    EXPECT_GT(polled.coalescedWhileFull, 0u)
+        << "the traffic must coalesce onto blocks released while full";
+    EXPECT_EQ(parked.coalescedWhileFull, polled.coalescedWhileFull);
+    EXPECT_EQ(lq.numParked(), 0u);
+    EXPECT_EQ(parked.retryWaiters(), 0u);
+    EXPECT_LT(lq.numPassReruns(), lq.numPassExamined())
+        << "certain refusals keep their slots without re-running";
+    EXPECT_LT(lq.numExecuted(), pq.numExecuted());
+}
+

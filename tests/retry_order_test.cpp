@@ -19,6 +19,7 @@
 #include <string>
 
 #include "config/fields.hh"
+#include "core/pv_proxy.hh"
 #include "harness/system.hh"
 
 using namespace pvsim;
@@ -94,6 +95,16 @@ TEST_P(RetryOrder, StatsDigestMatchesGolden)
         EXPECT_GT(sys.l2().mshrRejects.value(), 0u)
             << "the case must contend for the L2";
     }
+    // The lane wakes a parked send only when its device may take
+    // it: no resumed drain is refused again.
+    uint64_t refused_resumes = sys.l2().sendQueue().refusedResumes();
+    for (int c = 0; c < sys.numCores(); ++c) {
+        refused_resumes += sys.l1d(c).sendQueue().refusedResumes() +
+                           sys.l1i(c).sendQueue().refusedResumes();
+        if (PvProxy *proxy = sys.pvProxy(c))
+            refused_resumes += proxy->sendQueue().refusedResumes();
+    }
+    EXPECT_EQ(refused_resumes, 0u);
 
     std::ostringstream dump;
     sys.ctx().dumpStats(dump);

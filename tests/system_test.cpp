@@ -191,10 +191,12 @@ namespace {
 
 const std::string kStuck = "stuck.sender";
 
-/** A retry no device ever accepts: every pass parks it again. */
+/** A retry no device ever accepts: it waits on a device that
+ *  never releases, and a pass would park it again. */
 struct StuckRetry {
     EventQueue *q;
-    void operator()() const { q->park(kStuck, *this); }
+    Refuser *by;
+    void operator()() const { q->park(kStuck, *by, *this); }
 };
 
 } // namespace
@@ -203,9 +205,10 @@ TEST(SystemTiming, ParkedRetryIsNotQuiesced)
 {
     SystemConfig cfg = smallConfig("qry2", PrefetchMode::None);
     cfg.mode = SimMode::Timing;
+    Refuser never;
     System sys(cfg);
     EXPECT_TRUE(sys.quiesced());
-    StuckRetry{&sys.ctx().events()}();
+    StuckRetry{&sys.ctx().events(), &never}();
     EXPECT_FALSE(sys.quiesced()) << "a parked retry is work in flight";
 }
 
@@ -218,8 +221,9 @@ TEST(SystemTimingDeathTest, LostWakeUpNamesTheParkedRetrier)
     cfg.mode = SimMode::Timing;
     EXPECT_DEATH(
         {
+            Refuser never;
             System sys(cfg);
-            StuckRetry{&sys.ctx().events()}();
+            (StuckRetry{&sys.ctx().events(), &never})();
             sys.runTiming(200);
         },
         "1 retry still parked \\(lost wake-up\\): stuck.sender");

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <vector>
 
 #include "util/args.hh"
 #include "util/bitfield.hh"
@@ -222,6 +225,35 @@ TEST(Zipf, SamplesCoverTheRange)
         counts[s]++;
     }
     EXPECT_EQ(counts.size(), 4u);
+}
+
+TEST(Zipf, EqualParametersShareOneTable)
+{
+    const size_t n = 5000;
+    const double alpha = 0.6;
+    ZipfSampler a(n, alpha), b(n, alpha), other(n, 0.5);
+    EXPECT_EQ(&a.cdf(), &b.cdf());
+    EXPECT_NE(&a.cdf(), &other.cdf());
+
+    // The inverse CDF, computed here from the definition.
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(double(i + 1), alpha);
+        cdf[i] = sum;
+    }
+    for (auto &c : cdf)
+        c /= sum;
+
+    Rng ra(23), rb(23), ref(23);
+    for (int i = 0; i < 20000; ++i) {
+        const double u = ref.uniform();
+        const size_t want = std::min<size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin(),
+            n - 1);
+        ASSERT_EQ(a.sample(ra), want) << "draw " << i;
+        ASSERT_EQ(b.sample(rb), want) << "draw " << i;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -22,10 +22,11 @@ reference/protected). A fingerprint mismatch or a scenario on one
 side only fails: re-record the baseline with
   PVSIM_JOBS=4 pvsim run scenarios \\
       --json-out tools/baselines/PVSIM_scenarios.smoke.json
-Field rule: speedup_pct within 1 point, other *_pct within 6 points,
-IPCs within 15% relative (the runs are deterministic for a tree, so
-the bands only absorb compiler floating-point wiggle); records/s is
-host time, printed against the baseline, never gated.
+Field rule: diff_rows.py's. The runs are deterministic for a tree, so
+every simulated field must equal the baseline's exactly; host fields
+(wall time, records/s, worker counts) are skipped, and `events` is
+reported old -> new. Records/s is printed against the baseline,
+never gated.
 
 --stepping gates BENCH_stepping.json: bit-identical threaded
 harness, positive throughputs, structural speedups above floors.
@@ -34,6 +35,8 @@ harness, positive throughputs, structural speedups above floors.
 import argparse
 import json
 import sys
+
+from diff_rows import differing, report_events
 
 
 def load(path):
@@ -56,15 +59,6 @@ class Gate:
 
 def is_ipc(field):
     return field == "ipc" or field.endswith("_ipc")
-
-
-def tolerance(field):
-    """(relative?, band) a row field is gated with, or None."""
-    if field == "speedup_pct":
-        return (False, 1.0)
-    if field.endswith("_pct"):
-        return (False, 6.0)
-    return (True, 0.15) if is_ipc(field) else None
 
 
 def row_key(row):
@@ -169,8 +163,8 @@ def check_prefetch_pair(gate, scenarios, name):
                    f"{label}: IPC change {change:+.2f}% below -3%")
 
 
-def check_baseline(gate, scenarios, baseline):
-    base = {sc["name"]: sc for sc in baseline["scenarios"]}
+def check_baseline(gate, scenarios, path):
+    base = {sc["name"]: sc for sc in load(path)["scenarios"]}
     gate.check(base.keys() == scenarios.keys(),
                f"scenarios only in the baseline "
                f"{sorted(base.keys() - scenarios.keys())}, only in "
@@ -195,20 +189,14 @@ def check_baseline(gate, scenarios, baseline):
                 delta = 100.0 * (rate / old["records_per_sec"] - 1.0)
                 print(f"{label}: {rate:,.0f} records/s "
                       f"({delta:+.1f}% vs baseline)")
-            for field, bv in old.items():
-                tol = tolerance(field)
-                if tol is None:
-                    continue
-                relative, band = tol
-                cv = cur.get(field, float("nan"))
-                if relative:
-                    drift = cv / bv - 1.0 if bv > 0 else float("inf")
-                else:
-                    drift = cv - bv
-                gate.check(abs(drift) <= band,
-                           f"{label} {field}: {bv} -> {cv} exceeds "
-                           f"{'relative ' if relative else ''}"
-                           f"tolerance {band}")
+            moved = differing(old, cur, {})
+            if gate.check(not moved,
+                          f"{label}: " + ", ".join(
+                              f"{f} {old[f]} -> {cur.get(f)}"
+                              for f in moved) +
+                          " — a simulated value moved: fix it, or "
+                          "re-record the baseline and say why"):
+                report_events(path, label, old, cur)
 
 
 def check_stepping(gate, current):
@@ -260,7 +248,7 @@ def main():
         scenarios = load_artifacts(gate, args.artifacts)
         check_invariants(gate, scenarios)
         if args.baseline:
-            check_baseline(gate, scenarios, load(args.baseline))
+            check_baseline(gate, scenarios, args.baseline)
     if args.stepping:
         check_stepping(gate, load(args.stepping))
 
