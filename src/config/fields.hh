@@ -16,6 +16,7 @@
 
 #include "config/reflect.hh"
 #include "harness/metrics.hh"
+#include "harness/paper.hh"
 #include "harness/system_config.hh"
 
 namespace pvsim {
@@ -247,7 +248,7 @@ reflectFields(SystemConfig &c, V &v)
     v.field("pv_bytes_per_core", c.pvBytesPerCore);
 }
 
-// ---- Sweep option bundles (harness/metrics.hh) ------------------------
+// ---- Sweep option bundles (harness/metrics.hh, harness/paper.hh) -----
 
 template <class V>
 void
@@ -323,6 +324,15 @@ reflectFields(QosOptions &c, V &v)
     v.field("measure_records", c.measureRecords);
     v.field("batches", c.batches);
     v.field("settings", c.settings);
+}
+
+template <class V>
+void
+reflectFields(PaperOptions &c, V &v)
+{
+    v.field("figures", c.figures);
+    v.field("workloads", c.workloads);
+    v.field("batches", c.batches);
 }
 
 } // namespace pvsim

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "harness/config_presets.hh"
+#include "harness/paper.hh"
 
 namespace pvsim {
 
@@ -15,7 +18,7 @@ const std::vector<std::string> &
 Scenario::kinds()
 {
     static const std::vector<std::string> k = {
-        "timed", "functional", "fig9", "qos", "qos_hetero",
+        "timed", "functional", "fig9", "qos", "qos_hetero", "paper",
     };
     return k;
 }
@@ -71,6 +74,7 @@ validateScenario(const Scenario &s)
     const bool timed = s.kind == "timed";
     const bool functional = s.kind == "functional";
     const bool qos = s.kind == "qos" || s.kind == "qos_hetero";
+    const bool paper = s.kind == "paper";
     auto differs = [](const auto &a, const auto &b) {
         return config::dumpConfig(a) != config::dumpConfig(b);
     };
@@ -80,13 +84,13 @@ validateScenario(const Scenario &s)
                               " is set, but kind \"" + s.kind +
                               "\" never reads it");
     };
-    reject_if(!timed && s.warmupRecords != d.warmupRecords,
+    reject_if(!timed && !paper && s.warmupRecords != d.warmupRecords,
               "warmup_records");
-    reject_if(!timed && s.measureRecords != d.measureRecords,
+    reject_if(!timed && !paper && s.measureRecords != d.measureRecords,
               "measure_records");
-    reject_if(!functional && s.warmupRefs != d.warmupRefs,
+    reject_if(!functional && !paper && s.warmupRefs != d.warmupRefs,
               "warmup_refs");
-    reject_if(!functional && s.measureRefs != d.measureRefs,
+    reject_if(!functional && !paper && s.measureRefs != d.measureRefs,
               "measure_refs");
     reject_if(!timed && !functional && differs(s.system, d.system),
               "system");
@@ -94,40 +98,23 @@ validateScenario(const Scenario &s)
     reject_if(!qos && differs(s.qos, d.qos), "qos");
     reject_if(s.kind == "qos_hetero" && !s.qos.settings.empty(),
               "qos.settings");
-    if (timed && s.measureRecords == 0)
+    reject_if(!paper && differs(s.paper, d.paper), "paper");
+    if ((timed || paper) && s.measureRecords == 0)
         throw ConfigError(s.name + ": measure_records must be > 0");
-    if (functional && s.measureRefs == 0)
+    if ((functional || paper) && s.measureRefs == 0)
         throw ConfigError(s.name + ": measure_refs must be > 0");
-    if (timed || functional) {
-        if (s.system.numCores < 1)
-            throw ConfigError(s.name +
-                              ": system.num_cores must be >= 1");
-        // Registry entries the System would abort on: a PHT entry
-        // (the prefetch mode implies that tenant) or a set that the
-        // packing codec cannot lay into one PV line.
-        for (size_t i = 0; i < s.system.virtEngines.size(); ++i) {
-            const VirtEngineConfig &ec = s.system.virtEngines[i];
-            const std::string path = s.name +
-                                     ": system.virt_engines[" +
-                                     std::to_string(i) + "]";
-            if (ec.kind == VirtEngineKind::Pht)
-                throw ConfigError(path + ": a PHT tenant comes from "
-                                         "prefetch \"sms_virtualized\""
-                                         ", not a virt_engines entry");
-            if (ec.assoc < 1 || ec.assoc > kPvMaxWays ||
-                ec.tagBits > 32)
-                throw ConfigError(path + ": assoc must be in [1, " +
-                                  std::to_string(kPvMaxWays) +
-                                  "] and tag_bits at most 32");
-            const unsigned entry_bits = virtEngineEntryBits(ec);
-            if (ec.assoc * entry_bits > kBlockBytes * 8)
-                throw ConfigError(
-                    path + ": a set of " + std::to_string(ec.assoc) +
-                    " x " + std::to_string(entry_bits) +
-                    "-bit entries does not fit a " +
-                    std::to_string(kBlockBytes) + "-byte line");
-        }
-    }
+
+    // Every machine the kind builds must be one a System can run:
+    // an abort mid-batch would lose the other scenarios' results.
+    auto check_machine = [&](const SystemConfig &cfg,
+                             const std::string &which) {
+        const std::string problem = systemConfigProblem(cfg);
+        if (!problem.empty())
+            throw ConfigError(s.name + ": " + which + "system." +
+                              problem);
+    };
+    if (timed || functional)
+        check_machine(s.system, "");
     if (s.kind == "fig9") {
         if (s.fig9.batches == 0)
             throw ConfigError(s.name +
@@ -144,6 +131,14 @@ validateScenario(const Scenario &s)
                     std::to_string(i) +
                     "] must be in [0, 1] or -1 (mix default)");
         }
+        const std::vector<WorkloadMix> mixes =
+            s.fig9.mixes.empty() ? presetMixes() : s.fig9.mixes;
+        for (const WorkloadMix &mix : mixes) {
+            for (BtbMode mode : {BtbMode::Dedicated, BtbMode::Virtualized})
+                check_machine(fig9Config(mix, s.fig9, mode),
+                              "fig9 machine (mix \"" + mix.name +
+                                  "\", " + btbModeName(mode) + "): ");
+        }
     }
     if (qos) {
         if (s.qos.batches == 0)
@@ -151,6 +146,37 @@ validateScenario(const Scenario &s)
         if (s.qos.measureRecords == 0)
             throw ConfigError(s.name +
                               ": qos.measure_records must be > 0");
+        const std::vector<QosSetting> settings =
+            s.qos.settings.empty() ? presetQosSettings()
+                                   : s.qos.settings;
+        for (const QosSetting &setting : settings)
+            check_machine(qosConfig(s.qos, setting),
+                          "qos machine (setting \"" + setting.label +
+                              "\"): ");
+    }
+    if (paper) {
+        if (s.paper.batches == 0)
+            throw ConfigError(s.name + ": paper.batches must be >= 1");
+        auto check_names = [&](const std::vector<std::string> &names,
+                               const std::string &field, auto known) {
+            for (size_t i = 0; i < names.size(); ++i) {
+                const std::string at = s.name + ": paper." + field + "[" +
+                                       std::to_string(i) + "]: \"" +
+                                       names[i] + "\" is ";
+                if (!known(names[i]))
+                    throw ConfigError(at + "unknown");
+                if (std::count(names.begin(), names.begin() + i, names[i]))
+                    throw ConfigError(at + "listed twice");
+            }
+        };
+        const std::vector<std::string> &figs = paperFigures();
+        check_names(s.paper.figures, "figures", [&](const std::string &f) {
+            return std::find(figs.begin(), figs.end(), f) != figs.end();
+        });
+        check_names(s.paper.workloads, "workloads", isWorkloadPreset);
+        for (const SystemConfig &cfg : paperMachines(s.paper))
+            check_machine(cfg, "paper machine (" + cfg.workloadFor(0) +
+                                   ", " + cfg.label() + "): ");
     }
     if (s.kind == "qos_hetero" && s.qos.numCores % 4 != 0)
         throw ConfigError(s.name + ": qos.cores must be a multiple "
@@ -165,6 +191,8 @@ scenarioCores(const Scenario &s)
         return s.fig9.numCores;
     if (s.kind == "qos" || s.kind == "qos_hetero")
         return s.qos.numCores;
+    if (s.kind == "paper")
+        return SystemConfig().numCores; // the paper's Table 1 CMP
     return s.system.numCores;
 }
 
@@ -298,6 +326,24 @@ qosClusterRowJson(const QosClusterRow &c)
     return os.str();
 }
 
+std::string
+paperRowJson(const PaperRow &r)
+{
+    std::ostringstream os;
+    // Round-trip precision: byte counts print as integers, and the
+    // ledger reads the values the runs computed.
+    os << std::setprecision(std::numeric_limits<double>::max_digits10)
+       << "{\"figure\": " << json::quote(r.figure)
+       << ", \"workload\": " << json::quote(r.workload)
+       << ", \"config\": " << json::quote(r.config);
+    for (const auto &[field, text] : r.text)
+        os << ", " << json::quote(field) << ": " << json::quote(text);
+    for (const auto &[field, v] : r.values)
+        os << ", " << json::quote(field) << ": " << v;
+    os << "}";
+    return os.str();
+}
+
 } // namespace
 
 std::string
@@ -329,6 +375,11 @@ runScenarioJson(const Scenario &s, const std::string &file_label)
            << "      \"protected\": {"
            << timedRunJson(het.protectedRun) << "}";
         extra = os.str();
+    } else if (s.kind == "paper") {
+        const PaperBudget budget{s.warmupRefs, s.measureRefs,
+                                 s.warmupRecords, s.measureRecords};
+        for (const PaperRow &r : paperRows(s.paper, budget))
+            rows.push_back(paperRowJson(r));
     } else {
         throw ConfigError(s.name + ": unknown kind \"" + s.kind +
                           "\"");

@@ -2,12 +2,13 @@
  * @file
  * Declarative scenarios: a JSON file under scenarios/ is one
  * experiment — a plain timed or functional run of a SystemConfig,
- * or a whole fig9/qos/qos_hetero sweep — expressed as data and
- * executed through the harness entry points (timedRun, fig9Sweep,
- * qosSweep, qosHeterogeneous). The runner is the only producer of
- * sweep artifacts: every BENCH_*.json is a `pvsim run` of the
- * scenarios under scenarios/bench/, in the one row schema
- * runScenarioJson emits.
+ * a whole fig9/qos/qos_hetero sweep, or the paper's own figures and
+ * tables — expressed as data and executed through the harness entry
+ * points (timedRun, fig9Sweep, qosSweep, qosHeterogeneous,
+ * paperRows). The runner is the only producer of experiment
+ * artifacts: every BENCH_*.json is a `pvsim run` of the scenarios
+ * under scenarios/bench/, in the one row schema runScenarioJson
+ * emits.
  *
  * Every field of every nested config is reflected
  * (config/fields.hh): absent keys default, unknown keys are
@@ -31,12 +32,12 @@ namespace pvsim {
  *  else. */
 struct Scenario {
     std::string name;
-    /** "timed" | "functional" | "fig9" | "qos" | "qos_hetero". */
+    /** "timed" | "functional" | "fig9" | "qos" | "qos_hetero" | "paper" */
     std::string kind = "timed";
     /** Free-form description, carried into the result artifact. */
     std::string notes;
 
-    // ---- timed / functional runs of `system` ----------------------
+    // ---- timed / functional runs of `system`, and paper ----------
     uint64_t warmupRecords = 20'000;   ///< per core, timed kind
     uint64_t measureRecords = 60'000;  ///< per core, timed kind
     uint64_t warmupRefs = 300'000;     ///< per core, functional kind
@@ -46,6 +47,7 @@ struct Scenario {
     // ---- sweep kinds ----------------------------------------------
     Fig9Options fig9;
     QosOptions qos; ///< qos and qos_hetero kinds
+    PaperOptions paper;
 
     /** Valid scenario kinds, in documentation order. */
     static const std::vector<std::string> &kinds();
@@ -65,6 +67,7 @@ reflectFields(Scenario &s, V &v)
     v.field("system", s.system);
     v.field("fig9", s.fig9);
     v.field("qos", s.qos);
+    v.field("paper", s.paper);
 }
 
 /** Strict parse (throws json::ConfigError; `label` prefixes error
@@ -85,7 +88,9 @@ uint64_t scenarioFingerprint(const Scenario &s);
  * Structural validation beyond field types: known kind, nonempty
  * name, no non-default value in a section the kind never reads,
  * nonzero budgets for the kind that runs, the qos_hetero cores%4
- * precondition. Throws json::ConfigError naming the dotted path.
+ * precondition, known paper figures and workloads, and
+ * systemConfigProblem() on every machine the kind builds. Throws
+ * json::ConfigError naming the dotted path.
  */
 void validateScenario(const Scenario &s);
 
@@ -106,7 +111,8 @@ std::vector<std::string> listScenarioFiles(const std::string &path);
  * Execute one scenario and return its complete result object
  * (pretty JSON, no trailing newline): name, kind, fingerprint and
  * a "rows" array in the matching BENCH_*.json row schema
- * (qos_hetero additionally carries reference/protected summaries).
+ * (qos_hetero additionally carries reference/protected summaries;
+ * a paper row is keyed by figure, workload and config).
  */
 std::string runScenarioJson(const Scenario &s,
                             const std::string &file_label);

@@ -1,11 +1,10 @@
 /**
  * @file
  * The paper's standard prefetcher configurations and the functional
- * warmup -> reset -> measure protocol, at library level. These used
- * to live as hand-rolled inline copies in bench/bench_common.hh;
- * the scenario loader, the examples and every figure/table bench
- * now share this single set of builders, so "the baseline machine"
- * is defined exactly once.
+ * warmup -> reset -> measure protocol, at library level. The paper
+ * runner (harness/paper.hh, the `paper` scenario kind), the
+ * examples and the tests share this single set of builders, so "the
+ * baseline machine" is defined exactly once.
  */
 
 #ifndef PVSIM_HARNESS_CONFIG_PRESETS_HH

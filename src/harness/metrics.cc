@@ -36,18 +36,6 @@ effectiveHarnessJobs(unsigned batches)
     return std::max(1u, std::min(jobs, batches));
 }
 
-namespace {
-
-/**
- * Run body(b) for every batch in [0, batches), sharded over
- * effectiveHarnessJobs(batches) worker threads — PVSIM_JOBS clamped
- * to the hardware thread count and the batch count, falling back to
- * a plain serial loop when only one worker would run. Each body(b)
- * call constructs its own System — there is no shared SimContext
- * between batches, by construction — and all batch inputs derive
- * from b alone, so the result vector is bit-identical to a serial
- * loop no matter how many workers run or how the OS schedules them.
- */
 void
 forEachBatch(unsigned batches,
              const std::function<void(unsigned)> &body)
@@ -74,8 +62,6 @@ forEachBatch(unsigned batches,
     for (auto &t : workers)
         t.join();
 }
-
-} // anonymous namespace
 
 CoverageMetrics
 coverageOf(System &sys)
@@ -265,23 +251,18 @@ baselineIpcs(const SystemConfig &base, uint64_t warmup_records,
 }
 
 SpeedupResult
-speedupOverBaseline(const std::vector<double> &base_ipcs,
-                    const SystemConfig &cfg, uint64_t warmup_records,
-                    uint64_t measure_records)
+speedupFromIpcs(const std::vector<double> &base_ipcs,
+                const std::vector<double> &ipcs)
 {
+    pv_assert(ipcs.size() == base_ipcs.size(),
+              "matched pairs need one IPC per baseline batch");
     SpeedupResult r;
-    unsigned batches = unsigned(base_ipcs.size());
-    r.batchPct.assign(batches, 0.0);
-    forEachBatch(batches, [&](unsigned b) {
-        SystemConfig batch_cfg = cfg;
-        batch_cfg.seedOffset = b;
-        double ipc_cfg =
-            timedIpc(batch_cfg, warmup_records, measure_records);
-        r.batchPct[b] =
-            base_ipcs[b] > 0.0
-                ? 100.0 * (ipc_cfg / base_ipcs[b] - 1.0)
-                : 0.0;
-    });
+    r.batchPct.assign(ipcs.size(), 0.0);
+    for (size_t b = 0; b < ipcs.size(); ++b) {
+        r.batchPct[b] = base_ipcs[b] > 0.0
+                            ? 100.0 * (ipcs[b] / base_ipcs[b] - 1.0)
+                            : 0.0;
+    }
     MeanCi ci = meanCi(r.batchPct);
     r.meanPct = ci.mean;
     r.ciPct = ci.halfWidth;
@@ -293,9 +274,9 @@ matchedPairSpeedup(const SystemConfig &base, const SystemConfig &cfg,
                    uint64_t warmup_records, uint64_t measure_records,
                    unsigned batches)
 {
-    return speedupOverBaseline(
+    return speedupFromIpcs(
         baselineIpcs(base, warmup_records, measure_records, batches),
-        cfg, warmup_records, measure_records);
+        baselineIpcs(cfg, warmup_records, measure_records, batches));
 }
 
 namespace {

@@ -10,6 +10,7 @@
 #define PVSIM_HARNESS_METRICS_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,20 @@ unsigned harnessJobs();
  */
 unsigned effectiveHarnessJobs(unsigned batches);
 
+/**
+ * Run body(j) for every j in [0, jobs) over effectiveHarnessJobs(jobs)
+ * worker threads (serially when that is 1). When each body(j) builds
+ * its own System from inputs that depend on j alone, the results are
+ * bit-identical for any worker count and any OS scheduling.
+ */
+void forEachBatch(unsigned jobs,
+                  const std::function<void(unsigned)> &body);
+
+/** Matched-pair speedup from per-batch IPCs: batch b compares
+ *  ipcs[b] with base_ipcs[b] (the same seeds). */
+SpeedupResult speedupFromIpcs(const std::vector<double> &base_ipcs,
+                              const std::vector<double> &ipcs);
+
 /** Matched-pair speedup of cfg vs base over `batches` seed pairs.
  *  Batches are sharded across effectiveHarnessJobs(batches)
  *  worker threads. */
@@ -213,21 +228,14 @@ SpeedupResult matchedPairSpeedup(const SystemConfig &base,
                                  unsigned batches);
 
 /**
- * Baseline IPCs for batches 0..n-1 (seedOffset = batch index),
- * reusable across several matched configurations. Sharded across
+ * IPCs of `base` for batches 0..n-1 (seedOffset = batch index): one
+ * side of a matched pair. Sharded across
  * effectiveHarnessJobs(batches) worker threads.
  */
 std::vector<double> baselineIpcs(const SystemConfig &base,
                                  uint64_t warmup_records,
                                  uint64_t measure_records,
                                  unsigned batches);
-
-/** Matched-pair speedup against precomputed baseline IPCs.
- *  Sharded across effectiveHarnessJobs() worker threads. */
-SpeedupResult speedupOverBaseline(const std::vector<double> &base_ipcs,
-                                  const SystemConfig &cfg,
-                                  uint64_t warmup_records,
-                                  uint64_t measure_records);
 
 // ---- Figure 9-style BTB virtualization sweep --------------------------
 

@@ -57,6 +57,100 @@ SystemConfig::label() const
     return base;
 }
 
+std::string
+systemConfigProblem(const SystemConfig &cfg)
+{
+    // The L2 directory tracks each core's L1I and L1D as clients.
+    const unsigned max_cores = SharerSet::kSlots / 2;
+    if (cfg.numCores < 1 || unsigned(cfg.numCores) > max_cores)
+        return "num_cores: must be in [1, " + std::to_string(max_cores) +
+               "] (the L2 directory tracks an L1I and an L1D per core)";
+    auto cache = [](const std::string &l, uint64_t bytes, unsigned assoc,
+                    Cycles tag_latency, unsigned mshrs) -> std::string {
+        if (assoc < 1)
+            return l + "_assoc: must be >= 1";
+        if (bytes == 0 || bytes % (uint64_t(assoc) * kBlockBytes))
+            return l + "_size_bytes: must be a nonzero multiple of " + l +
+                   "_assoc x " + std::to_string(kBlockBytes) + " bytes";
+        if (tag_latency < 1)
+            return l + "_tag_latency: must be >= 1";
+        // A cache without MSHRs refuses every miss, and no release
+        // ever wakes the refused request.
+        return mshrs < 1 ? l + "_mshrs: must be >= 1" : "";
+    };
+    for (const std::string &p :
+         {cache("l1", cfg.l1SizeBytes, cfg.l1Assoc, cfg.l1TagLatency,
+                cfg.l1Mshrs),
+          cache("l2", cfg.l2SizeBytes, cfg.l2Assoc, cfg.l2TagLatency,
+                cfg.l2Mshrs)}) {
+        if (!p.empty())
+            return p;
+    }
+    if (cfg.coreWidth < 1 || cfg.storeBufferEntries < 1)
+        return "core_width and store_buffer_entries: must be >= 1";
+    if (!isWorkloadPreset(cfg.workload))
+        return "workload: unknown preset \"" + cfg.workload + "\"";
+    for (size_t i = 0; i < cfg.workloadMix.size(); ++i) {
+        if (!isWorkloadPreset(cfg.workloadMix[i]))
+            return "workload_mix[" + std::to_string(i) +
+                   "]: unknown preset \"" + cfg.workloadMix[i] + "\"";
+    }
+    if (cfg.pvBytesPerCore % kBlockBytes ||
+        cfg.pvBytesPerCore * uint64_t(cfg.numCores) >= cfg.memBytes)
+        return "pv_bytes_per_core: must be a multiple of " +
+               std::to_string(kBlockBytes) +
+               " whose num_cores copies fit below mem_bytes";
+    if ((cfg.prefetch == PrefetchMode::SmsDedicated ||
+         cfg.prefetch == PrefetchMode::SmsVirtualized) &&
+        (cfg.phtGeometry.numSets < 1 || cfg.phtGeometry.assoc < 1))
+        return "pht_geometry: num_sets and assoc must be >= 1";
+    if (cfg.btb.mode != BtbMode::None &&
+        (cfg.btb.numSets < 1 || cfg.btb.assoc < 1))
+        return "btb: num_sets and assoc must be >= 1";
+
+    // Each registry entry's field path, in engineRegistry() order.
+    std::vector<std::string> paths;
+    if (cfg.prefetch == PrefetchMode::SmsVirtualized)
+        paths.push_back("pht_geometry");
+    if (cfg.btb.mode == BtbMode::Virtualized)
+        paths.push_back("btb");
+    for (size_t i = 0; i < cfg.virtEngines.size(); ++i) {
+        paths.push_back("virt_engines[" + std::to_string(i) + "]");
+        // The prefetch mode implies the PHT tenant and wires the SMS
+        // prefetcher that drives it.
+        if (cfg.virtEngines[i].kind == VirtEngineKind::Pht)
+            return paths.back() + ": a PHT tenant comes from prefetch "
+                                  "\"sms_virtualized\"";
+    }
+    const std::vector<VirtEngineConfig> registry = cfg.engineRegistry();
+    uint64_t registry_bytes = 0;
+    for (size_t i = 0; i < registry.size(); ++i) {
+        const VirtEngineConfig &ec = registry[i];
+        if (ec.numSets < 1 || ec.assoc < 1 || ec.assoc > kPvMaxWays ||
+            ec.tagBits > 32)
+            return paths[i] + ": num_sets must be >= 1, assoc in [1, " +
+                   std::to_string(kPvMaxWays) + "], tag_bits <= 32";
+        // The packing codec lays one set into one PV line.
+        if (ec.assoc * virtEngineEntryBits(ec) > kBlockBytes * 8)
+            return paths[i] + ": a set of " + std::to_string(ec.assoc) +
+                   " x " + std::to_string(virtEngineEntryBits(ec)) +
+                   "-bit entries does not fit a " +
+                   std::to_string(kBlockBytes) + "-byte line";
+        for (size_t j = 0; j < i; ++j) {
+            if (registry[j].scopeName() == ec.scopeName())
+                return paths[i] + ": its tenant name is " + paths[j] +
+                       "'s; name same-kind engines apart";
+        }
+        registry_bytes += uint64_t(ec.numSets) * kBlockBytes;
+    }
+    if (registry_bytes > cfg.pvBytesPerCore)
+        return "pv_bytes_per_core: the PVTables need " +
+               std::to_string(registry_bytes) + " bytes per core";
+    if (!registry.empty() && cfg.pvCacheEntries < 1)
+        return "pv_cache_entries: must be >= 1 with a virtualized engine";
+    return "";
+}
+
 System::System(const SystemConfig &cfg)
     : cfg_(cfg), ctx_(cfg.mode),
       addrMap_(cfg.memBytes, cfg.numCores, cfg.pvBytesPerCore)

@@ -230,6 +230,14 @@ struct SystemConfig {
     std::string label() const;
 };
 
+/**
+ * The first rule `cfg` breaks that a System would abort or hang on,
+ * as "<json field>: <why>" (e.g. "l1_assoc: must be >= 1"), or "".
+ * Scenario validation applies it to every machine a kind builds;
+ * System keeps its asserts for programmatic callers.
+ */
+std::string systemConfigProblem(const SystemConfig &cfg);
+
 } // namespace pvsim
 
 #endif // PVSIM_HARNESS_SYSTEM_CONFIG_HH

@@ -44,22 +44,6 @@ TextTable::print(std::ostream &os) const
         emit_row(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                os << ",";
-            os << cells[i];
-        }
-        os << "\n";
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 std::string
 fmtDouble(double v, int precision)
 {

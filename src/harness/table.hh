@@ -1,9 +1,8 @@
 /**
  * @file
- * Plain-text table formatter for the bench harnesses: aligned
- * columns, optional CSV emission, numeric helpers. Every bench
- * prints its paper table/figure through this so outputs are easy to
- * diff.
+ * Plain-text table formatter for the examples: aligned columns and
+ * numeric helpers. Experiment artifacts are JSON rows from
+ * `pvsim run` (config/scenario.hh), not tables.
  */
 
 #ifndef PVSIM_HARNESS_TABLE_HH
@@ -35,9 +34,6 @@ class TextTable
 
     /** Pretty-print with a rule under the header. */
     void print(std::ostream &os) const;
-
-    /** Emit comma-separated values (headers first). */
-    void printCsv(std::ostream &os) const;
 
   private:
     std::string title_;

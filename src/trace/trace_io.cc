@@ -129,13 +129,18 @@ TraceFileReader::~TraceFileReader()
 
 namespace {
 
-/** Decode one on-disk record at buf into rec. */
+/** Decode on-disk record `index` of `path` at buf into rec. */
 inline void
-decodeRecord(const uint8_t *buf, TraceRecord &rec)
+decodeRecord(const uint8_t *buf, TraceRecord &rec, uint64_t index,
+             const std::string &path)
 {
     rec.pc = get64(buf);
     rec.addr = get64(buf + 8);
     rec.gap = uint16_t(buf[16] | (uint16_t(buf[17]) << 8));
+    if (buf[18] > uint8_t(MemOp::Store))
+        fatal("trace '%s' record %llu has op byte %u (0 load, 1 "
+              "store)",
+              path.c_str(), (unsigned long long)index, buf[18]);
     rec.op = MemOp(buf[18]);
     rec.edge = buf[19] <= uint8_t(BranchEdge::Ret)
                    ? BranchEdge(buf[19])
@@ -153,7 +158,7 @@ TraceFileReader::next(TraceRecord &rec)
     if (std::fread(buf, 1, sizeof(buf), file_) != sizeof(buf))
         fatal("trace '%s' truncated at record %llu", path_.c_str(),
               (unsigned long long)read_);
-    decodeRecord(buf, rec);
+    decodeRecord(buf, rec, read_, path_);
     ++read_;
     return true;
 }
@@ -173,7 +178,7 @@ TraceFileReader::nextBatch(TraceRecord *out, size_t n)
                   path_.c_str(), (unsigned long long)read_);
         for (size_t i = 0; i < want; ++i)
             decodeRecord(buf + i * kTraceRecordBytes,
-                         out[produced + i]);
+                         out[produced + i], read_ + i, path_);
         produced += want;
         read_ += want;
     }

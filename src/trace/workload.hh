@@ -129,6 +129,9 @@ WorkloadParams workloadPreset(const std::string &name);
 /** The eight paper workloads, in the paper's presentation order. */
 std::vector<std::string> paperWorkloads();
 
+/** True when workloadPreset(name) knows `name`. */
+bool isWorkloadPreset(const std::string &name);
+
 /**
  * Mix-level control-flow profile: the branch-structure knobs a
  * multi-programmed mix applies to every member workload. Presets

@@ -1,5 +1,7 @@
 #include "trace/workload.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace pvsim {
@@ -168,6 +170,14 @@ paperWorkloads()
 {
     return {"apache", "zeus", "db2", "oracle",
             "qry1",   "qry2", "qry16", "qry17"};
+}
+
+bool
+isWorkloadPreset(const std::string &name)
+{
+    const std::vector<std::string> paper = paperWorkloads();
+    return name == "uniform" ||
+           std::find(paper.begin(), paper.end(), name) != paper.end();
 }
 
 void

@@ -87,16 +87,6 @@ TEST(TextTableTest, AlignsAndPrints)
     EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(TextTableTest, CsvOutput)
-{
-    TextTable t;
-    t.setColumns({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(FormatHelpersTest, Numbers)
 {
     EXPECT_EQ(fmtDouble(3.14159, 2), "3.14");

@@ -30,7 +30,7 @@ scenariosDir()
 }
 
 /** scenarios/bench/<sweep>/ is recorded in BENCH_<sweep>.json. */
-const char *const kBenchSweeps[] = {"fig9", "qos"};
+const char *const kBenchSweeps[] = {"fig9", "qos", "paper"};
 
 std::string
 readFile(const std::string &path)
@@ -72,6 +72,20 @@ expectConfigError(Fn &&fn, const std::string &needle)
         EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
             << e.what();
     }
+}
+
+/** Expect the scenario {"name": "x", "kind": "<kind_and_body>}
+ *  to fail validation with a message containing `want`. */
+void
+expectInvalid(const std::string &kind_and_body, const std::string &want)
+{
+    SCOPED_TRACE(kind_and_body);
+    expectConfigError(
+        [&] {
+            validateScenario(parseScenario(
+                "{\"name\": \"x\", \"kind\": \"" + kind_and_body + "}"));
+        },
+        want);
 }
 
 } // namespace
@@ -249,91 +263,101 @@ TEST(ScenarioRunTest, ParsedConfigMatchesProgrammaticTiming)
 
 TEST(ScenarioValidateTest, RejectsStructuralDefects)
 {
-    auto parse_only = [](const std::string &text) {
-        return parseScenario(text); // no validateScenario
+    EXPECT_THROW(validateScenario(parseScenario("{\"kind\": \"timed\"}")),
+                 ConfigError); // no name
+    const std::pair<const char *, const char *> cases[] = {
+        {"sweep\"", "x: unknown kind \"sweep\""},
+        // Zero measure budget for the kind that runs.
+        {"timed\", \"measure_records\": 0", "x: measure_records"},
+        // Only -1 and [0, 1] are meaningful stabilities.
+        {"fig9\", \"fig9\": {\"edge_stabilities\": [1.5]}",
+         "x: fig9.edge_stabilities[0]"},
+        // The cluster matrix needs a multiple of 4 cores.
+        {"qos_hetero\", \"qos\": {\"cores\": 6}", "x: qos.cores"},
     };
-    // Unknown kind.
-    EXPECT_THROW(
-        validateScenario(parse_only(
-            "{\"name\": \"x\", \"kind\": \"sweep\"}")),
-        ConfigError);
-    // Missing name.
-    EXPECT_THROW(validateScenario(parse_only("{\"kind\": \"timed\"}")),
-                 ConfigError);
-    // Zero measure budget for the kind that runs.
-    EXPECT_THROW(
-        validateScenario(parse_only(
-            "{\"name\": \"x\", \"kind\": \"timed\","
-            " \"measure_records\": 0}")),
-        ConfigError);
-    // Out-of-range stability (only -1 and [0, 1] are meaningful).
-    EXPECT_THROW(
-        validateScenario(parse_only(
-            "{\"name\": \"x\", \"kind\": \"fig9\","
-            " \"fig9\": {\"edge_stabilities\": [1.5]}}")),
-        ConfigError);
-    // qos_hetero needs a multiple of 4 cores.
-    EXPECT_THROW(
-        validateScenario(parse_only(
-            "{\"name\": \"x\", \"kind\": \"qos_hetero\","
-            " \"qos\": {\"cores\": 6}}")),
-        ConfigError);
-    // An engine set wider than one PV line: 8 AGT ways of 16-bit
-    // tag + 54-bit payload need 560 of the line's 512 bits.
-    expectConfigError(
-        [&] {
-            validateScenario(parse_only(
-                "{\"name\": \"x\", \"kind\": \"timed\","
-                " \"system\": {\"virt_engines\": ["
-                "   {\"kind\": \"btb\", \"num_sets\": 128},"
-                "   {\"kind\": \"agt\", \"num_sets\": 512,"
-                "    \"assoc\": 8}]}}"));
-        },
-        "system.virt_engines[1]");
-    // A bare PHT entry: the System would assert on it.
-    expectConfigError(
-        [&] {
-            validateScenario(parse_only(
-                "{\"name\": \"x\", \"kind\": \"timed\","
-                " \"system\": {\"virt_engines\": ["
-                "   {\"kind\": \"pht\", \"num_sets\": 1024}]}}"));
-        },
-        "system.virt_engines[0]");
+    for (const auto &[body, want] : cases)
+        expectInvalid(body, want);
     // A non-default value in a section the kind never reads.
     const std::pair<const char *, const char *> unread[] = {
-        {"\"kind\": \"fig9\", \"warmup_records\": 100", "warmup_records"},
-        {"\"kind\": \"qos\", \"measure_refs\": 100", "measure_refs"},
-        {"\"kind\": \"qos_hetero\", \"system\": {\"num_cores\": 2}",
-         "system"},
-        {"\"kind\": \"timed\", \"warmup_refs\": 100", "warmup_refs"},
-        {"\"kind\": \"functional\", \"measure_records\": 100",
-         "measure_records"},
-        {"\"kind\": \"timed\", \"fig9\": {\"batches\": 3}", "fig9"},
-        {"\"kind\": \"fig9\", \"qos\": {\"cores\": 4}", "qos"},
-        {"\"kind\": \"qos_hetero\", \"qos\": {\"settings\": [\"4:1\"]}",
+        {"fig9\", \"warmup_records\": 100", "warmup_records"},
+        {"qos\", \"measure_refs\": 100", "measure_refs"},
+        {"qos_hetero\", \"system\": {\"num_cores\": 2}", "system"},
+        {"timed\", \"warmup_refs\": 100", "warmup_refs"},
+        {"functional\", \"measure_records\": 100", "measure_records"},
+        {"timed\", \"fig9\": {\"batches\": 3}", "fig9"},
+        {"fig9\", \"qos\": {\"cores\": 4}", "qos"},
+        {"qos_hetero\", \"qos\": {\"settings\": [\"4:1\"]}",
          "qos.settings"},
+        {"timed\", \"paper\": {\"batches\": 3}", "paper"},
+        {"paper\", \"system\": {\"num_cores\": 2}", "system"},
     };
-    for (const auto &[body, path] : unread) {
-        const std::string text =
-            std::string("{\"name\": \"x\", ") + body + "}";
-        expectConfigError([&] { validateScenario(parse_only(text)); },
-                          std::string("x: ") + path + " is set");
-    }
+    for (const auto &[body, path] : unread)
+        expectInvalid(body, std::string("x: ") + path + " is set");
     // The valid spellings pass.
-    validateScenario(parse_only(
-        "{\"name\": \"x\", \"kind\": \"fig9\","
-        " \"fig9\": {\"edge_stabilities\": [-1.0, 0.0, 1.0]}}"));
-    validateScenario(parse_only(
-        "{\"name\": \"x\", \"kind\": \"qos\","
-        " \"qos\": {\"settings\": [\"4:1\"]}}"));
-    validateScenario(parse_only(
-        "{\"name\": \"x\", \"kind\": \"qos_hetero\","
-        " \"qos\": {\"cores\": 8}}"));
-    validateScenario(parse_only(
-        "{\"name\": \"x\", \"kind\": \"timed\","
-        " \"system\": {\"virt_engines\": ["
-        "   {\"kind\": \"agt\", \"num_sets\": 512,"
-        "    \"assoc\": 4, \"tag_bits\": 12}]}}"));
+    for (const char *body :
+         {"\"fig9\", \"fig9\": {\"edge_stabilities\": [-1.0, 0.0, 1.0]}",
+          "\"qos\", \"qos\": {\"settings\": [\"4:1\"]}",
+          "\"qos_hetero\", \"qos\": {\"cores\": 8}",
+          "\"timed\", \"system\": {\"virt_engines\": [{\"kind\": \"agt\","
+          " \"num_sets\": 512, \"assoc\": 4, \"tag_bits\": 12}]}",
+          // The paper kind reads all four top-level budgets.
+          "\"paper\", \"warmup_refs\": 10, \"measure_refs\": 20,"
+          " \"warmup_records\": 10, \"measure_records\": 20, \"paper\":"
+          " {\"figures\": [\"fig9\"], \"workloads\": [\"qry1\"],"
+          " \"batches\": 3}"})
+        validateScenario(parseScenario(
+            std::string("{\"name\": \"x\", \"kind\": ") + body + "}"));
+}
+
+TEST(ScenarioValidateTest, RejectsMachinesSystemCannotRun)
+{
+    // Each passed validation once, then aborted `pvsim run` and the
+    // rest of its batch: a division by zero, an assert or a
+    // lost-wake-up panic in the System, or a fatal in the presets.
+    // fig9 builds its machines from its cores.
+    const std::pair<const char *, const char *> cases[] = {
+        {"timed\", \"system\": {\"l1_assoc\": 0}", "x: system.l1_assoc"},
+        {"timed\", \"system\": {\"num_cores\": 129}", "x: system.num_cores"},
+        {"timed\", \"system\": {\"btb\": {\"mode\": \"virtualized\","
+         " \"num_sets\": 4096}}", "x: system.pv_bytes_per_core"},
+        {"timed\", \"system\": {\"l2_size_bytes\": 1000}",
+         "x: system.l2_size_bytes"},
+        {"timed\", \"system\": {\"prefetch\": \"sms_virtualized\","
+         " \"pv_cache_entries\": 0}", "x: system.pv_cache_entries"},
+        {"timed\", \"system\": {\"l1_mshrs\": 0}", "x: system.l1_mshrs"},
+        {"timed\", \"system\": {\"workload\": \"nosuch\"}",
+         "x: system.workload"},
+        {"fig9\", \"fig9\": {\"cores\": 0}", "system.num_cores"},
+        // 8 AGT ways of 16-bit tag + 54-bit payload need 560 of the
+        // line's 512 bits.
+        {"timed\", \"system\": {\"virt_engines\": [{\"kind\": \"btb\","
+         " \"num_sets\": 128}, {\"kind\": \"agt\", \"num_sets\": 512,"
+         " \"assoc\": 8}]}", "x: system.virt_engines[1]"},
+        // The prefetch mode implies the PHT tenant.
+        {"timed\", \"system\": {\"virt_engines\": [{\"kind\": \"pht\","
+         " \"num_sets\": 1024}]}", "x: system.virt_engines[0]"},
+    };
+    for (const auto &[body, want] : cases)
+        expectInvalid(body, want);
+    // 128 cores fill the directory's 256 client slots exactly.
+    validateScenario(parseScenario(
+        "{\"name\": \"x\", \"system\": {\"num_cores\": 128}}"));
+}
+
+TEST(ScenarioValidateTest, PaperKindChecksItsSection)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"paper\", \"paper\": {\"figures\": [\"fig12\"]}",
+         "x: paper.figures[0]: \"fig12\" is unknown"},
+        {"paper\", \"paper\": {\"figures\": [\"fig4\", \"fig4\"]}",
+         "x: paper.figures[1]: \"fig4\" is listed twice"},
+        {"paper\", \"paper\": {\"workloads\": [\"apache\", \"nosuch\"]}",
+         "x: paper.workloads[1]: \"nosuch\" is unknown"},
+        {"paper\", \"paper\": {\"batches\": 0}", "x: paper.batches"},
+        {"paper\", \"measure_refs\": 0", "x: measure_refs must be > 0"},
+    };
+    for (const auto &[body, want] : cases)
+        expectInvalid(body, want);
 }
 
 TEST(ScenarioValidateTest, RemovedTimingKnobIsAnUnknownKey)
@@ -364,4 +388,6 @@ TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
     EXPECT_EQ(scenarioCores(s), 9);
     s.kind = "qos_hetero";
     EXPECT_EQ(scenarioCores(s), 9);
+    s.kind = "paper"; // the Table 1 machine
+    EXPECT_EQ(scenarioCores(s), 4);
 }

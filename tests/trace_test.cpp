@@ -117,6 +117,37 @@ TEST(TraceIo, EdgeAnnotationsRoundTripThroughThePadByte)
     std::remove(path.c_str());
 }
 
+TEST(TraceIo, CorruptOpByteFailsNamingFileAndRecord)
+{
+    // Only 0 (load) and 1 (store) are ops: any other byte is a
+    // corrupt file, not a store to replay.
+    std::string path = "/tmp/pvsim_trace_bad_op.bin";
+    {
+        TraceFileWriter w(path);
+        for (int i = 0; i < 5; ++i)
+            w.append(TraceRecord{});
+        w.close();
+    }
+    // The op of record 3: the 16-byte header, then 20-byte records
+    // whose byte 18 is the op.
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 16 + 3 * long(kTraceRecordBytes) + 18,
+                         SEEK_SET),
+              0);
+    ASSERT_EQ(std::fputc(7, f), 7);
+    std::fclose(f);
+
+    const std::string want =
+        "pvsim_trace_bad_op.bin' record 3 has op byte 7";
+    TraceRecord recs[8];
+    EXPECT_EXIT(for (TraceFileReader rd(path); rd.next(recs[0]);) {},
+                testing::ExitedWithCode(1), want);
+    EXPECT_EXIT(TraceFileReader(path).nextBatch(recs, 8),
+                testing::ExitedWithCode(1), want);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Synthetic generator
 // ---------------------------------------------------------------------

@@ -14,12 +14,19 @@ gates them all. Invariants, on every scenario of every artifact:
   - a fig9 scenario `X-prefetch` and its `X` share a `mixed` row,
     on which the prefetch-on virtualized availability-redirect rate
     is strictly below the off side's, prefetch fills are > 0, and
-    the on/off virtualized IPC change is >= -3%.
+    the on/off virtualized IPC change is >= -3%;
+  - the paper ledger (tools/paper_anchors.json) on the scenario it
+    names: every claim's measured value is printed next to the
+    paper's with the signed gap, and a shape claim (an ordering or
+    a ratio) fails the gate when it no longer holds, or no longer
+    fails, as recorded. Magnitude claims (absolute values) are
+    printed, never gated.
 
 --baseline matches rows to a committed artifact by scenario name,
-fingerprint and row key (mix@edge_stability, setting, cluster, or
-reference/protected). A fingerprint mismatch or a scenario on one
-side only fails: re-record the baseline with
+fingerprint and row key (mix@edge_stability, setting, cluster,
+figure/workload/config, or reference/protected). A fingerprint
+mismatch or a scenario on one side only fails: re-record the
+baseline with
   PVSIM_JOBS=4 pvsim run scenarios \\
       --json-out tools/baselines/PVSIM_scenarios.smoke.json
 Field rule: diff_rows.py's. The runs are deterministic for a tree, so
@@ -34,9 +41,13 @@ harness, positive throughputs, structural speedups above floors.
 
 import argparse
 import json
+import os
 import sys
 
 from diff_rows import differing, report_events
+
+ANCHORS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "paper_anchors.json")
 
 
 def load(path):
@@ -62,6 +73,8 @@ def is_ipc(field):
 
 
 def row_key(row):
+    if "figure" in row:
+        return f"{row['figure']}/{row['workload']}/{row['config']}"
     for field in ("cluster", "setting"):
         if field in row:
             return row[field]
@@ -163,6 +176,132 @@ def check_prefetch_pair(gate, scenarios, name):
                    f"{label}: IPC change {change:+.2f}% below -3%")
 
 
+# ---- The paper ledger ------------------------------------------------
+
+# Rows that are not one workload's: a figure's mean, or a
+# workload-independent table.
+AGGREGATE = {"average", "all"}
+
+
+def select(rows, figure, pattern):
+    """A claim's rows: `workload/config`, `*` = every workload."""
+    workload, config = pattern.split("/", 1)
+    return [r for r in rows if r["figure"] == figure and
+            r["config"] == config and
+            (r["workload"] == workload if workload != "*"
+             else r["workload"] not in AGGREGATE)]
+
+
+def one(rows, figure, pattern, field):
+    found = select(rows, figure, pattern)
+    if len(found) != 1 or field not in found[0]:
+        raise KeyError(f"no single {figure}/{pattern} row with {field}")
+    return found[0][field]
+
+
+def measure(claim, rows):
+    """(value, detail) of a claim over a paper scenario's rows."""
+    fig, field, pats = claim["figure"], claim["field"], claim["rows"]
+    kind = claim["measure"]
+    if kind == "value":
+        return one(rows, fig, pats[0], field), pats[0]
+    if kind == "ratio":
+        a, b = (one(rows, fig, p, field) for p in pats)
+        return a / b, f"{a:.4g} / {b:.4g}"
+    if kind in ("max", "min", "mean"):
+        found = select(rows, fig, pats[0])
+        if not found:
+            raise KeyError(f"no {fig}/{pats[0]} rows")
+        vals = {r["workload"]: r[field] for r in found}
+        if kind == "mean":
+            return sum(vals.values()) / len(vals), f"{len(vals)} rows"
+        pick = (max if kind == "max" else min)(vals, key=vals.get)
+        return vals[pick], pick
+    if kind == "falls":
+        # Smallest drop between successive configs, over workloads:
+        # > 0 means the value falls along `rows` on every workload.
+        series = {}
+        for p in pats:
+            for r in select(rows, fig, p):
+                series.setdefault(r["workload"], []).append(r[field])
+        series = {w: v for w, v in series.items() if len(v) == len(pats)}
+        if not series:
+            raise KeyError(f"no workload has every {fig} {pats} row")
+        drops = [(v[i] - v[i + 1], w, i) for w, v in series.items()
+                 for i in range(len(v) - 1)]
+        d, w, i = min(drops)
+        return d, (f"{len(series)} workloads, smallest drop {w} "
+                   f"{pats[i].split('/')[1]} -> "
+                   f"{pats[i + 1].split('/')[1]}")
+    if kind == "lowest":
+        # Margin of the first row below the lowest other workload:
+        # > 0 means it is the lowest.
+        target = one(rows, fig, pats[0], field)
+        name = pats[0].split("/")[0]
+        others = {r["workload"]: r[field] for r in select(rows, fig, pats[1])
+                  if r["workload"] != name}
+        if not others:
+            raise KeyError(f"no {fig}/{pats[1]} rows besides {name}")
+        nxt = min(others, key=others.get)
+        return others[nxt] - target, f"{name} {target:.4g}, next {nxt} " \
+                                     f"{others[nxt]:.4g}"
+    raise KeyError(f"unknown measure {kind!r}")
+
+
+def gap(value, paper):
+    """Signed distance from the paper's value, or from its range
+    ([low, high], null = open): 0 inside the range."""
+    if paper is None:
+        return None
+    if isinstance(paper, list):
+        lo, hi = paper
+        if lo is not None and value < lo:
+            return value - lo
+        if hi is not None and value > hi:
+            return value - hi
+        return 0.0
+    return value - paper
+
+
+def holds(value, test):
+    (op, bound), = test.items()
+    return {"at_least": value >= bound, "above": value > bound,
+            "below": value < bound}[op]
+
+
+def fmt(v):
+    return "-" if v is None else f"{v:+.4g}" if v else "0"
+
+
+def check_anchors(gate, scenarios, path=ANCHORS):
+    ledger = load(path)
+    sc = scenarios.get(ledger["scenario"])
+    if sc is None:
+        return
+    rows = sc["rows"]
+    print(f"paper ledger {os.path.basename(path)} on {sc['name']}:")
+    for c in ledger["claims"]:
+        label = f"anchor {c['id']} [{c['figure']} {c['class']}]"
+        try:
+            value, detail = measure(c, rows)
+        except (KeyError, ZeroDivisionError) as e:
+            gate.check(False, f"{label}: cannot evaluate: {e}")
+            continue
+        paper = c.get("paper")
+        line = (f"{label}: measured {value:.5g} ({detail}), paper "
+                f"{json.dumps(paper)}, gap {fmt(gap(value, paper))}")
+        if c["class"] == "magnitude":
+            print(line)
+            continue
+        truth = holds(value, c["holds_if"])
+        word = {True: "holds", False: "fails"}
+        print(f"{line}, {word[truth]} {json.dumps(c['holds_if'])}")
+        gate.check(truth == c["holds"],
+                   f"{label}: the claim now {word[truth]}, recorded as "
+                   f"{'holding' if c['holds'] else 'failing'} — fix "
+                   f"the model, or re-record the claim and say why")
+
+
 def check_baseline(gate, scenarios, path):
     base = {sc["name"]: sc for sc in load(path)["scenarios"]}
     gate.check(base.keys() == scenarios.keys(),
@@ -247,6 +386,7 @@ def main():
     if args.artifacts:
         scenarios = load_artifacts(gate, args.artifacts)
         check_invariants(gate, scenarios)
+        check_anchors(gate, scenarios)
         if args.baseline:
             check_baseline(gate, scenarios, args.baseline)
     if args.stepping:
