@@ -31,7 +31,6 @@ namespace {
 struct Candidate {
     std::string name;
     SystemConfig cfg;
-    uint64_t storageBits = 0;
 };
 
 } // namespace
@@ -52,28 +51,23 @@ main(int argc, char **argv)
 
     std::vector<Candidate> candidates;
     {
-        Candidate c{"baseline", base, 0};
+        Candidate c{"baseline", base};
         candidates.push_back(c);
     }
     {
-        Candidate c{"SMS-1K-11a (dedicated)", base, 0};
+        Candidate c{"SMS-1K-11a (dedicated)", base};
         c.cfg.prefetch = PrefetchMode::SmsDedicated;
         c.cfg.phtGeometry = {1024, 11};
         candidates.push_back(c);
     }
     {
-        Candidate c{"SMS-16-11a (small)", base, 0};
+        Candidate c{"SMS-16-11a (small)", base};
         c.cfg.prefetch = PrefetchMode::SmsDedicated;
         c.cfg.phtGeometry = {16, 11};
         candidates.push_back(c);
     }
     {
-        Candidate c{"stride (classic)", base, 0};
-        c.cfg.prefetch = PrefetchMode::Stride;
-        candidates.push_back(c);
-    }
-    {
-        Candidate c{"SMS-PV8 (virtualized)", base, 0};
+        Candidate c{"SMS-PV8 (virtualized)", base};
         c.cfg.prefetch = PrefetchMode::SmsVirtualized;
         c.cfg.phtGeometry = {1024, 11};
         c.cfg.pvCacheEntries = 8;
@@ -89,7 +83,7 @@ main(int argc, char **argv)
     t1.setColumns({"design", "covered", "overpred",
                    "off-chip bytes", "on-chip storage/core"});
     double baseline_ipc = 0.0;
-    for (auto &c : candidates) {
+    for (const auto &c : candidates) {
         SystemConfig cfg = c.cfg;
         cfg.mode = SimMode::Functional;
         System sys(cfg);
@@ -104,10 +98,7 @@ main(int argc, char **argv)
             bits = sys.pht(0)->storageBits();
             // SMS itself also needs its (small) AGT.
             bits += sys.sms(0)->agtStorageBits();
-        } else if (cfg.prefetch == PrefetchMode::Stride) {
-            bits = sys.stride(0)->storageBits();
         }
-        c.storageBits = bits;
         t1.addRow({c.name,
                    cfg.prefetch == PrefetchMode::None
                        ? "-"
@@ -125,7 +116,7 @@ main(int argc, char **argv)
     TextTable t2("Speedup over baseline (timing, " +
                  std::to_string(meas_rec) + " records/core)");
     t2.setColumns({"design", "aggregate IPC", "speedup"});
-    for (auto &c : candidates) {
+    for (const auto &c : candidates) {
         double ipc = timedIpc(c.cfg, warm_rec, meas_rec);
         if (c.cfg.prefetch == PrefetchMode::None)
             baseline_ipc = ipc;

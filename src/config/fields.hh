@@ -42,7 +42,6 @@ enumNames(PrefetchMode *)
             {PrefetchMode::SmsInfinite, "sms_infinite"},
             {PrefetchMode::SmsDedicated, "sms_dedicated"},
             {PrefetchMode::SmsVirtualized, "sms_virtualized"},
-            {PrefetchMode::Stride, "stride"},
         };
     return e;
 }
@@ -65,7 +64,6 @@ enumNames(VirtEngineKind *)
         e = {
             {VirtEngineKind::Pht, "pht"},
             {VirtEngineKind::Btb, "btb"},
-            {VirtEngineKind::Stride, "stride"},
             {VirtEngineKind::Agt, "agt"},
         };
     return e;

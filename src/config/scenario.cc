@@ -104,17 +104,6 @@ validateScenario(const Scenario &s)
     if ((functional || paper) && s.measureRefs == 0)
         throw ConfigError(s.name + ": measure_refs must be > 0");
 
-    // Every machine the kind builds must be one a System can run:
-    // an abort mid-batch would lose the other scenarios' results.
-    auto check_machine = [&](const SystemConfig &cfg,
-                             const std::string &which) {
-        const std::string problem = systemConfigProblem(cfg);
-        if (!problem.empty())
-            throw ConfigError(s.name + ": " + which + "system." +
-                              problem);
-    };
-    if (timed || functional)
-        check_machine(s.system, "");
     if (s.kind == "fig9") {
         if (s.fig9.batches == 0)
             throw ConfigError(s.name +
@@ -131,14 +120,6 @@ validateScenario(const Scenario &s)
                     std::to_string(i) +
                     "] must be in [0, 1] or -1 (mix default)");
         }
-        const std::vector<WorkloadMix> mixes =
-            s.fig9.mixes.empty() ? presetMixes() : s.fig9.mixes;
-        for (const WorkloadMix &mix : mixes) {
-            for (BtbMode mode : {BtbMode::Dedicated, BtbMode::Virtualized})
-                check_machine(fig9Config(mix, s.fig9, mode),
-                              "fig9 machine (mix \"" + mix.name +
-                                  "\", " + btbModeName(mode) + "): ");
-        }
     }
     if (qos) {
         if (s.qos.batches == 0)
@@ -146,13 +127,6 @@ validateScenario(const Scenario &s)
         if (s.qos.measureRecords == 0)
             throw ConfigError(s.name +
                               ": qos.measure_records must be > 0");
-        const std::vector<QosSetting> settings =
-            s.qos.settings.empty() ? presetQosSettings()
-                                   : s.qos.settings;
-        for (const QosSetting &setting : settings)
-            check_machine(qosConfig(s.qos, setting),
-                          "qos machine (setting \"" + setting.label +
-                              "\"): ");
     }
     if (paper) {
         if (s.paper.batches == 0)
@@ -174,14 +148,56 @@ validateScenario(const Scenario &s)
             return std::find(figs.begin(), figs.end(), f) != figs.end();
         });
         check_names(s.paper.workloads, "workloads", isWorkloadPreset);
-        for (const SystemConfig &cfg : paperMachines(s.paper))
-            check_machine(cfg, "paper machine (" + cfg.workloadFor(0) +
-                                   ", " + cfg.label() + "): ");
     }
     if (s.kind == "qos_hetero" && s.qos.numCores % 4 != 0)
         throw ConfigError(s.name + ": qos.cores must be a multiple "
                                    "of 4 for the heterogeneous "
                                    "cluster matrix");
+
+    // Every machine the kind builds must be one a System can run:
+    // an abort mid-batch would lose the other scenarios' results.
+    for (const auto &[label, cfg] : scenarioMachines(s)) {
+        const std::string problem = systemConfigProblem(cfg);
+        if (!problem.empty())
+            throw ConfigError(s.name + ": " +
+                              (label.empty() ? "" : label + ": ") +
+                              "system." + problem);
+    }
+}
+
+std::vector<std::pair<std::string, SystemConfig>>
+scenarioMachines(const Scenario &s)
+{
+    std::vector<std::pair<std::string, SystemConfig>> machines;
+    if (s.kind == "timed" || s.kind == "functional")
+        machines.emplace_back("", s.system);
+    if (s.kind == "fig9") {
+        const std::vector<WorkloadMix> mixes =
+            s.fig9.mixes.empty() ? presetMixes() : s.fig9.mixes;
+        for (const WorkloadMix &mix : mixes) {
+            for (BtbMode mode : {BtbMode::Dedicated, BtbMode::Virtualized})
+                machines.emplace_back("fig9 machine (mix \"" + mix.name +
+                                          "\", " + btbModeName(mode) +
+                                          ")",
+                                      fig9Config(mix, s.fig9, mode));
+        }
+    }
+    if (s.kind == "qos" || s.kind == "qos_hetero") {
+        const std::vector<QosSetting> settings =
+            s.qos.settings.empty() ? presetQosSettings()
+                                   : s.qos.settings;
+        for (const QosSetting &setting : settings)
+            machines.emplace_back("qos machine (setting \"" +
+                                      setting.label + "\")",
+                                  qosConfig(s.qos, setting));
+    }
+    if (s.kind == "paper") {
+        for (const SystemConfig &cfg : paperMachines(s.paper))
+            machines.emplace_back("paper machine (" + cfg.workloadFor(0) +
+                                      ", " + cfg.label() + ")",
+                                  cfg);
+    }
+    return machines;
 }
 
 int

@@ -21,6 +21,7 @@
 #define PVSIM_CONFIG_SCENARIO_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/fields.hh"
@@ -89,10 +90,21 @@ uint64_t scenarioFingerprint(const Scenario &s);
  * name, no non-default value in a section the kind never reads,
  * nonzero budgets for the kind that runs, the qos_hetero cores%4
  * precondition, known paper figures and workloads, and
- * systemConfigProblem() on every machine the kind builds. Throws
- * json::ConfigError naming the dotted path.
+ * systemConfigProblem() on every machine of scenarioMachines().
+ * Throws json::ConfigError naming the dotted path.
  */
 void validateScenario(const Scenario &s);
+
+/**
+ * Every machine the scenario's kind builds, each with the label
+ * validation names it by: the `system` section (label "") for the
+ * timed and functional kinds, each fig9 mix on both BTB sides, each
+ * qos setting, and each paper run. The paper kind's figure and
+ * workload names must be known; validateScenario checks them before
+ * it checks these machines.
+ */
+std::vector<std::pair<std::string, SystemConfig>>
+scenarioMachines(const Scenario &s);
 
 /**
  * The largest simulated-core count the scenario instantiates — the

@@ -9,7 +9,7 @@
  *
  * The proxy is multi-tenant: one reserved PV physical region is
  * partitioned into per-table segments, and any number of virtualized
- * engines (PHT, BTB, stride, ...) register with the same proxy and
+ * engines (PHT, BTB, AGT) register with the same proxy and
  * share its PVCache and buffers. In-flight entries are tagged with
  * the owning table-id, statistics are attributed per engine, and a
  * fair drop policy keeps one engine from starving the others out of

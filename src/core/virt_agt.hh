@@ -4,7 +4,7 @@
  * leaves in SRAM (Section 3.1's filter + accumulation tables),
  * virtualized as one more VirtEngine tenant — with the PHT and BTB
  * adapters, every SMS table can now live behind the shared proxy.
- * The fourth adapter, and the heaviest read-modify-write tenant:
+ * The third adapter, and the heaviest read-modify-write tenant:
  * every observed access is one VirtualizedAssocTable::mutate against
  * the shared proxy (the PHT reads-then-stores, the BTB mostly
  * stores; the AGT accumulates in place).

@@ -8,7 +8,6 @@ virtEngineKindName(VirtEngineKind kind)
     switch (kind) {
       case VirtEngineKind::Pht: return "pht";
       case VirtEngineKind::Btb: return "btb";
-      case VirtEngineKind::Stride: return "stride";
       case VirtEngineKind::Agt: return "agt";
     }
     return "unknown";

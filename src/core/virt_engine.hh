@@ -4,8 +4,8 @@
  * engine. The paper pitches PV as "a general framework for emulating
  * otherwise impractical to implement predictors" whose key economy
  * is *sharing* one in-memory PV space among many engines; this class
- * is that framework's seam. A concrete engine (PHT, BTB, stride,
- * ...) supplies a packing codec and a set count, registers itself as
+ * is that framework's seam. A concrete engine (PHT, BTB, AGT)
+ * supplies a packing codec and a set count, registers itself as
  * one tenant of a (possibly shared) PvProxy, and talks to its
  * segment through a VirtualizedAssocTable. Name, table-id, codec,
  * storage accounting, and per-engine statistics all hang off this
@@ -23,7 +23,7 @@
 namespace pvsim {
 
 /** Kinds of engines the System registry can instantiate. */
-enum class VirtEngineKind { Pht, Btb, Stride, Agt };
+enum class VirtEngineKind { Pht, Btb, Agt };
 
 const char *virtEngineKindName(VirtEngineKind kind);
 
@@ -40,7 +40,7 @@ struct VirtEngineConfig {
     std::string name;
     unsigned numSets = 2048;
     unsigned assoc = 8;
-    /** Tag bits per entry (BTB and stride). */
+    /** Tag bits per entry (BTB and AGT). */
     unsigned tagBits = 16;
     /** QoS contract on the shared per-core proxy (pv_qos.hh); the
      *  default keeps the legacy fair-share policy. */

@@ -4,14 +4,13 @@
  * registry entry (VirtEngineConfig) to a concrete Virt* adapter.
  * Harnesses iterate their registry and call makeEngine(); nothing
  * outside this file constructs an adapter from a config, so adding
- * a fifth engine kind is a case here plus the enum value.
+ * a fourth engine kind is a case here plus the enum value.
  */
 
 #include "core/virt_agt.hh"
 #include "core/virt_btb.hh"
 #include "core/virt_engine.hh"
 #include "core/virt_pht.hh"
-#include "core/virt_stride.hh"
 #include "util/logging.hh"
 
 namespace pvsim {
@@ -28,14 +27,6 @@ makeEngine(VirtEngineKind kind, const VirtEngineConfig &cfg,
         return std::make_unique<VirtualizedBtb>(
             proxy, cfg.scopeName(), cfg.numSets, cfg.assoc,
             cfg.tagBits, cfg.qos);
-      case VirtEngineKind::Stride: {
-        VirtStrideParams sp;
-        sp.numSets = cfg.numSets;
-        sp.assoc = cfg.assoc;
-        sp.tagBits = cfg.tagBits;
-        return std::make_unique<VirtualizedStride>(
-            proxy, cfg.scopeName(), sp, cfg.qos);
-      }
       case VirtEngineKind::Agt: {
         VirtAgtParams ap;
         ap.numSets = cfg.numSets;
@@ -58,8 +49,6 @@ virtEngineEntryBits(const VirtEngineConfig &cfg)
                VirtualizedPht::kPatternBits;
       case VirtEngineKind::Btb:
         return cfg.tagBits + VirtualizedBtb::kTargetBits;
-      case VirtEngineKind::Stride:
-        return cfg.tagBits + VirtualizedStride::kPayloadBits;
       case VirtEngineKind::Agt:
         return cfg.tagBits + VirtualizedAgt::kPayloadBits;
     }

@@ -7,11 +7,11 @@
  * packed line's trailing bits stay unused, as the paper leaves
  * them), and write-allocate dirty tracking.
  *
- * VirtualizedPht (the paper's case study), VirtualizedBtb and
- * VirtualizedStride (the paper's future-work suggestions) are thin
- * VirtEngine adapters over this class, demonstrating that PV is "a
- * general framework for emulating otherwise impractical to
- * implement predictors" (Section 5).
+ * VirtualizedPht (the paper's case study), VirtualizedBtb (its
+ * future-work suggestion) and VirtualizedAgt (the SMS table it
+ * leaves in SRAM) are thin VirtEngine adapters over this class,
+ * demonstrating that PV is "a general framework for emulating
+ * otherwise impractical to implement predictors" (Section 5).
  */
 
 #ifndef PVSIM_CORE_VIRT_TABLE_HH

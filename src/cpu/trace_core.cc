@@ -1,7 +1,6 @@
 #include "cpu/trace_core.hh"
 
 #include "core/virt_agt.hh"
-#include "core/virt_stride.hh"
 #include "mem/packet_pool.hh"
 #include "util/intmath.hh"
 #include "util/logging.hh"
@@ -105,21 +104,6 @@ TraceCore::noteRecordBoundary()
     prevPc_ = rec_.pc;
     prevFallthrough_ =
         rec_.pc + (Addr(rec_.gap) + 1) * params_.instBytes;
-
-    if (stride_) {
-        // Predict before training so the prediction reflects what
-        // the engine knew prior to this access.
-        Addr actual = blockAlign(rec_.addr);
-        stride_->predict(rec_.pc,
-                         [this, actual](bool confident, Addr next) {
-            if (!confident)
-                return;
-            ++stridePredicts;
-            if (next == actual)
-                ++strideHits;
-        });
-        stride_->observe(rec_.pc, rec_.addr);
-    }
 
     if (agt_)
         agt_->observe(rec_.pc, rec_.addr);

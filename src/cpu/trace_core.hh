@@ -37,7 +37,6 @@
 namespace pvsim {
 
 class VirtualizedAgt;
-class VirtualizedStride;
 
 /** Core configuration (paper Table 1, simplified to in-order). */
 struct CoreParams {
@@ -73,13 +72,6 @@ class TraceCore final : public SimObject, public MemClient
      * through it.
      */
     void setBtb(BtbPredictor *btb) { btb_ = btb; }
-
-    /**
-     * Attach a virtualized stride table: every data access is
-     * predicted and trained through it (prediction quality is
-     * tracked in stridePredicts/strideHits).
-     */
-    void setStride(VirtualizedStride *stride) { stride_ = stride; }
 
     /**
      * Attach a virtualized AGT: every data access is observed
@@ -169,6 +161,7 @@ class TraceCore final : public SimObject, public MemClient
      *  availability redirects per-tenant QoS exists to protect. A
      *  dedicated BTB answers synchronously, so its count is zero. */
     stats::Scalar btbUnavailable;
+    // Never counted; kept because the stats digests hash dumpStats text.
     stats::Scalar stridePredicts;  ///< confident stride predictions
     stats::Scalar strideHits;      ///< ... matching the actual block
 
@@ -182,7 +175,7 @@ class TraceCore final : public SimObject, public MemClient
 
     /**
      * Reconstruct the branch (if any) that led to the just-loaded
-     * record and drive the attached BTB and stride engines; updates
+     * record and drive the attached BTB and AGT engines; updates
      * the fall-through tracking state either way.
      */
     void noteRecordBoundary();
@@ -204,7 +197,6 @@ class TraceCore final : public SimObject, public MemClient
     Cache *l1d_;
     Cache *l1i_;
     BtbPredictor *btb_ = nullptr;
-    VirtualizedStride *stride_ = nullptr;
     VirtualizedAgt *agt_ = nullptr;
 
     /** Branch reconstruction state (see noteRecordBoundary).

@@ -15,7 +15,6 @@ prefetchModeName(PrefetchMode mode)
       case PrefetchMode::SmsInfinite: return "SMS-Infinite";
       case PrefetchMode::SmsDedicated: return "SMS";
       case PrefetchMode::SmsVirtualized: return "SMS-PV";
-      case PrefetchMode::Stride: return "stride";
     }
     return "unknown";
 }
@@ -47,9 +46,6 @@ SystemConfig::label() const
         break;
       case PrefetchMode::SmsVirtualized:
         base = "SMS-PV" + std::to_string(pvCacheEntries);
-        break;
-      case PrefetchMode::Stride:
-        base = "stride";
         break;
     }
     if (btb.mode != BtbMode::None)
@@ -270,7 +266,6 @@ System::System(const SystemConfig &cfg)
             // accessors also resolve to the first); later same-kind
             // tenants are passive storage tenants.
             VirtualizedBtb *first_btb = nullptr;
-            VirtualizedStride *first_stride = nullptr;
             VirtualizedAgt *first_agt = nullptr;
             for (const auto &ec : registry) {
                 auto e = makeEngine(ec.kind, ec, *pvproxy);
@@ -283,11 +278,6 @@ System::System(const SystemConfig &cfg)
                         first_btb =
                             static_cast<VirtualizedBtb *>(e.get());
                     break;
-                  case VirtEngineKind::Stride:
-                    if (!first_stride)
-                        first_stride =
-                            static_cast<VirtualizedStride *>(e.get());
-                    break;
                   case VirtEngineKind::Agt:
                     if (!first_agt)
                         first_agt =
@@ -297,7 +287,6 @@ System::System(const SystemConfig &cfg)
                 engines.push_back(std::move(e));
             }
             core->setBtb(first_btb);
-            core->setStride(first_stride);
             core->setAgt(first_agt);
         }
 
@@ -318,7 +307,6 @@ System::System(const SystemConfig &cfg)
 
         switch (cfg_.prefetch) {
           case PrefetchMode::None:
-          case PrefetchMode::Stride: // handled below, PHT-less
           case PrefetchMode::SmsVirtualized: // registry tenant above
             break;
           case PrefetchMode::SmsInfinite: {
@@ -343,16 +331,6 @@ System::System(const SystemConfig &cfg)
                                                   l1d.get(), pht);
             l1d->setListener(sms.get());
         }
-
-        std::unique_ptr<StridePrefetcher> stride;
-        if (cfg_.prefetch == PrefetchMode::Stride) {
-            StrideParams stp;
-            stp.name = cn + ".stride";
-            stride = std::make_unique<StridePrefetcher>(
-                ctx_, stp, l1d.get());
-            l1d->setListener(stride.get());
-        }
-        strides_.push_back(std::move(stride));
 
         phts_.push_back(pht);
         pvProxies_.push_back(std::move(pvproxy));

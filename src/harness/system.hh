@@ -16,14 +16,12 @@
 #include "core/virt_agt.hh"
 #include "core/virt_btb.hh"
 #include "core/virt_pht.hh"
-#include "core/virt_stride.hh"
 #include "cpu/trace_core.hh"
 #include "harness/system_config.hh"
 #include "mem/addr_map.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "prefetch/sms.hh"
-#include "prefetch/stride.hh"
 #include "trace/synthetic_gen.hh"
 #include "trace/trace_io.hh"
 
@@ -52,8 +50,6 @@ class System
 
     /** SMS prefetcher of core i (nullptr when prefetch == None). */
     SmsPrefetcher *sms(int i) { return smses_.at(i).get(); }
-    /** Stride prefetcher of core i (nullptr unless Stride mode). */
-    StridePrefetcher *stride(int i) { return strides_.at(i).get(); }
     /** Trace source feeding core i. */
     TraceSource &traceSource(int i) { return *workloads_.at(i); }
 
@@ -81,11 +77,6 @@ class System
     DedicatedBtb *dedicatedBtb(int i)
     {
         return dedicatedBtbs_.at(i).get();
-    }
-    /** Virtualized stride table of core i (nullptr unless registered). */
-    VirtualizedStride *virtStride(int i)
-    {
-        return findEngine<VirtualizedStride>(i);
     }
     /** Virtualized AGT of core i (nullptr unless registered). */
     VirtualizedAgt *virtAgt(int i)
@@ -161,7 +152,6 @@ class System
     std::vector<std::unique_ptr<DedicatedBtb>> dedicatedBtbs_;
     std::vector<std::unique_ptr<NextLinePrefetcher>> nextLines_;
     std::vector<std::unique_ptr<SmsPrefetcher>> smses_;
-    std::vector<std::unique_ptr<StridePrefetcher>> strides_;
     /** One multi-tenant proxy per core (null without virtualization). */
     std::vector<std::unique_ptr<PvProxy>> pvProxies_;
     /** Per-core engine registry instances, in registration order. */

@@ -26,7 +26,6 @@ enum class PrefetchMode {
     SmsInfinite,    ///< SMS with an unbounded PHT
     SmsDedicated,   ///< SMS with a dedicated set-associative PHT
     SmsVirtualized, ///< SMS with the PV PHT (the paper's design)
-    Stride,         ///< classic PC-stride comparator (not in paper)
 };
 
 const char *prefetchModeName(PrefetchMode mode);
@@ -147,8 +146,8 @@ struct SystemConfig {
      * SMS PHT (which SmsVirtualized adds implicitly as the first
      * tenant). All engines of one core share that core's single
      * multi-tenant PVProxy; their segments are carved from the
-     * per-core PV reservation in registry order. BTB engines are
-     * wired into the core's branch handling automatically.
+     * per-core PV reservation in registry order. The core drives
+     * the first BTB and the first AGT tenant automatically.
      */
     std::vector<VirtEngineConfig> virtEngines;
 

@@ -99,13 +99,6 @@ Dram::functionalAccess(Packet &pkt)
     handle(pkt);
 }
 
-void
-Dram::writeBlock(Addr block_addr, const Packet::Data &data)
-{
-    Addr baddr = blockAlign(block_addr);
-    std::memcpy(store_.ensure(baddr), data.data(), kBlockBytes);
-}
-
 Packet::Data
 Dram::readBlock(Addr block_addr) const
 {

@@ -42,8 +42,6 @@ class Dram : public SimObject, public MemDevice
     void functionalAccess(Packet &pkt) override;
     std::string deviceName() const override { return name(); }
 
-    /** Direct backing-store poke for tests and initialization. */
-    void writeBlock(Addr block_addr, const Packet::Data &data);
     /** Read back a block; zeros if never written. */
     Packet::Data readBlock(Addr block_addr) const;
     /** True if the block was ever written with data. */

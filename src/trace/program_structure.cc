@@ -150,12 +150,6 @@ ProgramStructureModel::loopTripsOf(unsigned r, unsigned b) const
 }
 
 Addr
-ProgramStructureModel::routineEntry(unsigned r) const
-{
-    return routines_.at(r).blocks.front().start;
-}
-
-Addr
 ProgramStructureModel::branchPcOf(unsigned r, unsigned b) const
 {
     const Block &blk = routines_.at(r).blocks.at(b);

@@ -87,9 +87,6 @@ class ProgramStructureModel
     /** Back-edges taken per activation of loop block (r, b). */
     unsigned loopTripsOf(unsigned r, unsigned b) const;
 
-    /** Entry pc of routine r (canonical call target). */
-    Addr routineEntry(unsigned r) const;
-
     /** Branch pc of block (r, b): its last memory record's pc (the
      *  key the core's reconstruction trains the BTB with). */
     Addr branchPcOf(unsigned r, unsigned b) const;

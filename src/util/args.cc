@@ -62,12 +62,6 @@ Args::rejectUnread(const std::string &who) const
     std::exit(2);
 }
 
-bool
-Args::has(const std::string &name) const
-{
-    return find(name) != options_.end();
-}
-
 std::string
 Args::getString(const std::string &name, const std::string &def) const
 {
@@ -130,28 +124,6 @@ Args::getBool(const std::string &name, bool def) const
         return false;
     fatal("option --%s expects a boolean, got '%s'", name.c_str(),
           v.c_str());
-}
-
-std::vector<std::string>
-Args::getList(const std::string &name,
-              const std::vector<std::string> &def) const
-{
-    auto it = find(name);
-    if (it == options_.end())
-        return def;
-    std::vector<std::string> out;
-    const std::string &v = it->second;
-    size_t start = 0;
-    while (start <= v.size()) {
-        auto comma = v.find(',', start);
-        if (comma == std::string::npos) {
-            out.push_back(v.substr(start));
-            break;
-        }
-        out.push_back(v.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
 }
 
 } // namespace pvsim

@@ -26,9 +26,6 @@ class Args
     Args() = default;
     Args(int argc, char **argv);
 
-    /** True if --name was given (with or without a value). */
-    bool has(const std::string &name) const;
-
     /** String value of --name, or def when absent. */
     std::string getString(const std::string &name,
                           const std::string &def = "") const;
@@ -47,11 +44,6 @@ class Args
      * --no-name or --name=false|0|no sets false.
      */
     bool getBool(const std::string &name, bool def = false) const;
-
-    /** Comma-separated list value of --name. */
-    std::vector<std::string>
-    getList(const std::string &name,
-            const std::vector<std::string> &def = {}) const;
 
     /** Positional (non-option) arguments, in order. */
     const std::vector<std::string> &positional() const

@@ -51,22 +51,4 @@ fatal(const char *fmt, ...)
     std::exit(1);
 }
 
-void
-warn(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
 } // namespace pvsim

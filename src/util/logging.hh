@@ -1,8 +1,7 @@
 /**
  * @file
- * gem5-style status/error reporting: panic() for internal invariant
- * violations, fatal() for user/configuration errors, warn()/inform()
- * for status messages.
+ * gem5-style error reporting: panic() for internal invariant
+ * violations, fatal() for user/configuration errors.
  */
 
 #ifndef PVSIM_UTIL_LOGGING_HH
@@ -26,12 +25,6 @@ namespace pvsim {
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Warn about suspicious but survivable conditions. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Informative status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Implementation detail of pv_assert. */
 [[noreturn]] void panicAssert(const char *cond, const char *file,

@@ -174,10 +174,10 @@ TEST(ReflectTest, VectorElementErrorsCarryIndexedPaths)
 TEST(ReflectTest, EnumRoundTripAndErrorListsValidNames)
 {
     SystemConfig cfg;
-    cfg.prefetch = PrefetchMode::Stride;
+    cfg.prefetch = PrefetchMode::SmsInfinite;
     SystemConfig back =
         config::parseConfig<SystemConfig>(config::dumpConfig(cfg));
-    EXPECT_EQ(back.prefetch, PrefetchMode::Stride);
+    EXPECT_EQ(back.prefetch, PrefetchMode::SmsInfinite);
 
     try {
         config::parseConfig<SystemConfig>(

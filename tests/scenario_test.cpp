@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the declarative scenario layer: the committed corpus
- * parses, validates, round-trips byte-stably and matches the
- * fingerprint manifest; the bench scenarios match the fingerprints
- * recorded in the committed BENCH_*.json artifacts; and a parsed
- * config is bit-identical to its programmatic twin in both
- * functional and timing runs.
+ * parses, validates, round-trips byte-stably, matches the
+ * fingerprint manifest and reaches every prefetch, BTB and engine
+ * mode; the bench scenarios match the fingerprints recorded in the
+ * committed BENCH_*.json artifacts; and a parsed config is
+ * bit-identical to its programmatic twin in both functional and
+ * timing runs.
  */
 
 #include <gtest/gtest.h>
@@ -57,6 +58,17 @@ member(const json::Value &v, const std::string &key)
     const json::Value *m = v.find(key);
     EXPECT_NE(m, nullptr) << "no \"" << key << "\"";
     return m ? m->asString(key) : "";
+}
+
+/** Expect every value enumNames() lists for E among `reached`. */
+template <class E>
+void
+expectEveryValueReached(const std::set<E> &reached, const std::string &field)
+{
+    for (const auto &[value, name] : enumNames(static_cast<E *>(nullptr)))
+        EXPECT_TRUE(reached.count(value))
+            << field << " \"" << name
+            << "\": no machine of scenarios/*.json runs it";
 }
 
 /** Expect fn to throw a ConfigError whose message contains needle. */
@@ -151,6 +163,27 @@ TEST(ScenarioCorpusTest, EveryRunnableScenarioBuildsItsSystem)
         System sys(cfg);
         EXPECT_EQ(sys.numCores(), cfg.numCores);
     }
+}
+
+TEST(ScenarioCorpusTest, CorpusReachesEveryMode)
+{
+    // A mode that no committed experiment runs earns its place with
+    // a scenario, or it goes.
+    std::set<PrefetchMode> prefetch;
+    std::set<BtbMode> btb;
+    std::set<VirtEngineKind> engines;
+    for (const std::string &file : listScenarioFiles(scenariosDir())) {
+        for (const auto &[label, cfg] :
+             scenarioMachines(loadScenarioFile(file))) {
+            prefetch.insert(cfg.prefetch);
+            btb.insert(cfg.btb.mode);
+            for (const VirtEngineConfig &ec : cfg.engineRegistry())
+                engines.insert(ec.kind);
+        }
+    }
+    expectEveryValueReached(prefetch, "system.prefetch");
+    expectEveryValueReached(btb, "system.btb.mode");
+    expectEveryValueReached(engines, "engine kind");
 }
 
 TEST(ScenarioCorpusTest, ListingSortsAndExcludesManifest)

@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the trace subsystem: file format round trip, synthetic
- * generator determinism and structure, workload presets, the
- * program-structure (control-flow) layer, and the bit-identity
- * guards that pin the default streams — and the fig4/fig5 coverage
- * counters derived from them — across refactors of the generator.
+ * Tests for the trace subsystem: file format round trip, trace-file
+ * replay through the full system, synthetic generator determinism
+ * and structure, workload presets, the program-structure
+ * (control-flow) layer, and the bit-identity guards that pin the
+ * default streams — and the fig4/fig5 coverage counters derived
+ * from them — across refactors of the generator.
  */
 
 #include <gtest/gtest.h>
@@ -146,6 +147,59 @@ TEST(TraceIo, CorruptOpByteFailsNamingFileAndRecord)
     EXPECT_EXIT(TraceFileReader(path).nextBatch(recs, 8),
                 testing::ExitedWithCode(1), want);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Trace replay through the system
+// ---------------------------------------------------------------------
+
+TEST(TraceReplayTest, ReplayMatchesLiveGeneration)
+{
+    const std::string dir = "/tmp/pvsim_replay_test";
+    ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+
+    const uint64_t records = 30000;
+    WorkloadParams wp = workloadPreset("qry2");
+    for (int c = 0; c < 2; ++c) {
+        SyntheticWorkload gen(wp, c);
+        TraceFileWriter w(dir + "/core" + std::to_string(c) +
+                          ".pvtrace");
+        TraceRecord rec;
+        for (uint64_t i = 0; i < records; ++i) {
+            gen.next(rec);
+            w.append(rec);
+        }
+        w.close();
+    }
+
+    SystemConfig live_cfg;
+    live_cfg.workload = "qry2";
+    live_cfg.numCores = 2;
+    live_cfg.prefetch = PrefetchMode::SmsDedicated;
+    SystemConfig replay_cfg = live_cfg;
+    replay_cfg.traceDir = dir;
+
+    System live(live_cfg);
+    live.runFunctional(records);
+    System replay(replay_cfg);
+    replay.runFunctional(records);
+
+    EXPECT_EQ(coverageOf(live).covered, coverageOf(replay).covered);
+    EXPECT_EQ(coverageOf(live).uncovered,
+              coverageOf(replay).uncovered);
+    EXPECT_EQ(trafficOf(live).l2Requests,
+              trafficOf(replay).l2Requests);
+    EXPECT_EQ(live.totalInstructions(),
+              replay.totalInstructions());
+
+    // Replay ends exactly at the captured record count.
+    System replay2(replay_cfg);
+    replay2.runFunctional(records * 10);
+    EXPECT_EQ(replay2.core(0).recordsConsumed(), records);
+
+    for (int c = 0; c < 2; ++c)
+        std::remove(
+            (dir + "/core" + std::to_string(c) + ".pvtrace").c_str());
 }
 
 // ---------------------------------------------------------------------

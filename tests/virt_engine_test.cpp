@@ -3,8 +3,9 @@
  * Tests for the multi-tenant PVProxy and the VirtEngine layer: one
  * proxy serving several engines with disjoint segments, per-engine
  * statistics attribution, flush draining every tenant, the fair
- * pattern-buffer drop policy, the stride adapter, and a full System
- * running PHT + BTB virtualization through one per-core proxy.
+ * pattern-buffer drop policy, the AGT adapter, and a full System
+ * running PHT + BTB (+ AGT) virtualization through one per-core
+ * proxy.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include "core/virt_agt.hh"
 #include "core/virt_btb.hh"
 #include "core/virt_pht.hh"
-#include "core/virt_stride.hh"
 #include "harness/metrics.hh"
 #include "harness/system.hh"
 #include "mem/cache.hh"
@@ -255,54 +255,6 @@ TEST_F(SharedProxyTest, RegionOvercommitIsRejected)
 }
 
 // ---------------------------------------------------------------------
-// Virtualized stride adapter
-// ---------------------------------------------------------------------
-
-TEST_F(SharedProxyTest, StrideEngineLearnsAndPredicts)
-{
-    build();
-    VirtStrideParams sp;
-    sp.numSets = 64;
-    VirtualizedStride stride(*proxy, "stride", sp);
-    EXPECT_EQ(proxy->numEngines(), 3u);
-
-    // A steady +2-block stride at one PC.
-    Addr pc = 0x40001000;
-    for (int i = 0; i < 4; ++i)
-        stride.observe(pc, 0x100000 + Addr(i) * 2 * kBlockBytes);
-
-    bool confident = false;
-    Addr next = 0;
-    stride.predict(pc, [&](bool c, Addr n) {
-        confident = c;
-        next = n;
-    });
-    EXPECT_TRUE(confident);
-    EXPECT_EQ(next, blockAlign(0x100000) + 4 * 2 * kBlockBytes);
-
-    // An untrained PC predicts nothing.
-    stride.predict(0x40002000, [&](bool c, Addr) { confident = c; });
-    EXPECT_FALSE(confident);
-}
-
-TEST_F(SharedProxyTest, StrideEngineResetsConfidenceOnNewStride)
-{
-    build();
-    VirtStrideParams sp;
-    sp.numSets = 64;
-    VirtualizedStride stride(*proxy, "stride", sp);
-
-    Addr pc = 0x40001000;
-    for (int i = 0; i < 4; ++i)
-        stride.observe(pc, 0x100000 + Addr(i) * kBlockBytes);
-    stride.observe(pc, 0x900000); // break the pattern
-    bool confident = false;
-    stride.predict(pc, [&](bool c, Addr) { confident = c; });
-    EXPECT_FALSE(confident)
-        << "one wild access must reset confidence";
-}
-
-// ---------------------------------------------------------------------
 // Full system: PHT + BTB through one per-core proxy
 // ---------------------------------------------------------------------
 
@@ -382,29 +334,6 @@ TEST(SystemMultiTenant, BtbVirtualizationCoexistsWithCoverage)
     CoverageMetrics ca = coverageOf(a);
     CoverageMetrics cb = coverageOf(b);
     EXPECT_NEAR(ca.coveredPct(), cb.coveredPct(), 5.0);
-}
-
-TEST(SystemMultiTenant, StrideTenantIsDrivenByTheCore)
-{
-    SystemConfig cfg = multiTenantConfig("qry1");
-    VirtEngineConfig stride;
-    stride.kind = VirtEngineKind::Stride;
-    stride.numSets = 256;
-    stride.tagBits = 14;
-    cfg.virtEngines.push_back(stride);
-    cfg.pvBytesPerCore = 512 * 1024; // three tenants' segments
-
-    System sys(cfg);
-    sys.runFunctional(40000);
-    for (int c = 0; c < sys.numCores(); ++c) {
-        ASSERT_NE(sys.virtStride(c), nullptr);
-        EXPECT_EQ(sys.pvProxy(c)->numEngines(), 3u);
-        EXPECT_GT(
-            sys.virtStride(c)->engineStats().operations.value(), 0u)
-            << "the core must train the stride tenant";
-        // The scan-heavy workload has predictable strides.
-        EXPECT_GT(sys.core(c).strideHits.value(), 0u);
-    }
 }
 
 TEST(SystemMultiTenant, EngineAccessorFindsTenantsByName)

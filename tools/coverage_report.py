@@ -47,7 +47,10 @@ def main():
     if len(sys.argv) not in (2, 3):
         print(__doc__)
         return 2
-    objs = os.path.join(sys.argv[1], "CMakeFiles", "pvsim.dir")
+    # gcov runs in each object's directory, so the paths it is given
+    # must not be relative to this one.
+    objs = os.path.join(os.path.abspath(sys.argv[1]), "CMakeFiles",
+                        "pvsim.dir")
     files = {}
     for root, _, names in os.walk(objs):
         for n in sorted(names):
