@@ -92,9 +92,19 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
 int
 Cache::attachClient(MemClient *client)
 {
-    pv_assert(clients_.size() < SharerSet::kSlots,
+    // A slot must fit CacheBlk::ownerSlot, and the sharer array is
+    // sized here, before any block is installed.
+    pv_assert(clients_.size() < size_t(INT16_MAX),
               "too many directory clients");
+    pv_assert(accessCounter_ == 0,
+              "%s: client attached after the first access",
+              name().c_str());
     clients_.push_back(client);
+    const unsigned words = unsigned(divideCeil(clients_.size(), 64));
+    if (params_.directory && words != sharerWords_) {
+        sharerWords_ = words;
+        sharers_.assign(blocks_.size() * words, 0);
+    }
     return int(clients_.size()) - 1;
 }
 
@@ -130,11 +140,23 @@ Cache::peekBlock(Addr block_addr) const
 uint64_t
 Cache::numValidBlocks() const
 {
-    uint64_t n = 0;
-    for (const auto &blk : blocks_)
-        if (blk.valid)
-            ++n;
-    return n;
+    return uint64_t(std::count_if(tags_.begin(), tags_.end(),
+                                  [](Addr t) { return t != kInvalidTag; }));
+}
+
+std::vector<unsigned>
+Cache::sharerSlots(Addr block_addr) const
+{
+    std::vector<unsigned> slots;
+    const CacheBlk *blk = peekBlock(block_addr);
+    if (!blk || sharerWords_ == 0)
+        return slots;
+    const uint64_t *words =
+        sharers_.data() + frameOf(*blk) * sharerWords_;
+    for (unsigned s = 0; s < clients_.size(); ++s)
+        if ((words[s / 64] >> (s % 64)) & 1u)
+            slots.push_back(s);
+    return slots;
 }
 
 bool
@@ -201,19 +223,30 @@ Cache::invalidateSharers(CacheBlk &blk, int keep_slot)
         blk.dirty = true;
         blk.ownerSlot = -1;
     }
-    for (size_t slot = 0; slot < clients_.size(); ++slot) {
-        if (int(slot) == keep_slot)
-            continue;
-        if (blk.sharers.test(unsigned(slot))) {
-            clients_[slot]->recvInvalidate(blk.blockAddr);
+    // keep_slot's bit in word w, if it is there.
+    auto keep_bit = [keep_slot](unsigned w) -> uint64_t {
+        return keep_slot >= 0 && unsigned(keep_slot) / 64 == w
+                   ? 1ull << (keep_slot % 64)
+                   : 0;
+    };
+    // An invalidation may reach back into this cache (an L1's
+    // listener writing a PVTable line through its PvProxy), so each
+    // word is re-read after every invalidation, the walk goes up
+    // from the last slot it visited, and the bits are cleared only
+    // after the walk.
+    const size_t f = frameOf(blk);
+    uint64_t *words = sharersOf(f);
+    for (unsigned w = 0; w < sharerWords_; ++w) {
+        uint64_t visited = keep_bit(w);
+        for (uint64_t left; (left = words[w] & ~visited) != 0;) {
+            const unsigned bit = unsigned(__builtin_ctzll(left));
+            visited |= (2ull << bit) - 1; // bits 0..bit
+            clients_[size_t(w) * 64 + bit]->recvInvalidate(tags_[f]);
             ++invalidationsSent;
         }
     }
-    bool keep_held =
-        keep_slot >= 0 && blk.sharers.test(unsigned(keep_slot));
-    blk.sharers.reset();
-    if (keep_held)
-        blk.sharers.set(unsigned(keep_slot));
+    for (unsigned w = 0; w < sharerWords_; ++w)
+        words[w] &= keep_bit(w);
     if (keep_slot < 0)
         blk.ownerSlot = -1;
 }
@@ -223,7 +256,7 @@ Cache::recallIfDirtyAbove(CacheBlk &blk)
 {
     if (!params_.directory || blk.ownerSlot < 0)
         return;
-    clients_[blk.ownerSlot]->recvDowngrade(blk.blockAddr);
+    clients_[blk.ownerSlot]->recvDowngrade(tags_[frameOf(blk)]);
     blk.dirty = true; // merged modified data
     blk.ownerSlot = -1;
     ++recalls;
@@ -243,7 +276,8 @@ Cache::serveHit(Packet &pkt, CacheBlk &blk)
 void
 Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
 {
-    lastTouch_[size_t(&blk - blocks_.data())] = ++accessCounter_;
+    const size_t f = frameOf(blk);
+    lastTouch_[f] = ++accessCounter_;
 
     switch (pkt.cmd) {
       case MemCmd::ReadReq:
@@ -252,7 +286,7 @@ Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
             if (blk.ownerSlot >= 0 && blk.ownerSlot != pkt.srcSlot)
                 recallIfDirtyAbove(blk);
             if (pkt.coherent && pkt.srcSlot >= 0)
-                blk.sharers.set(unsigned(pkt.srcSlot));
+                setSharer(f, pkt.srcSlot);
         }
         if (!pkt.isPrefetch && blk.wasPrefetched) {
             ++coveredMisses;
@@ -268,7 +302,7 @@ Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
         if (params_.directory) {
             invalidateSharers(blk, pkt.srcSlot);
             if (pkt.coherent && pkt.srcSlot >= 0) {
-                blk.sharers.set(unsigned(pkt.srcSlot));
+                setSharer(f, pkt.srcSlot);
                 blk.ownerSlot = int16_t(pkt.srcSlot);
             }
         } else {
@@ -316,17 +350,16 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
         evictBlock(*frame);
     }
 
-    frame->blockAddr = aligned;
-    frame->valid = true;
-    tags_[size_t(frame - blocks_.data())] = aligned;
+    // The frame is empty here, so it has no sharer bits.
+    const size_t f = frameOf(*frame);
+    tags_[f] = aligned;
     frame->dirty = false;
     frame->writable = writable;
     frame->wasPrefetched = was_prefetch;
     frame->isInst = is_inst;
     frame->isPv = is_pv;
-    frame->sharers.reset();
     frame->ownerSlot = -1;
-    lastTouch_[size_t(frame - blocks_.data())] = ++accessCounter_;
+    lastTouch_[f] = ++accessCounter_;
     if (data)
         frame->ensureData() = *data;
     else
@@ -340,17 +373,25 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
 void
 Cache::evictBlock(CacheBlk &blk)
 {
-    pv_assert(blk.valid, "evicting an invalid block");
+    const size_t f = frameOf(blk);
+    pv_assert(tags_[f] != kInvalidTag, "evicting an invalid block");
     ++evictions;
 
     // Inclusive directory: remove all upstream copies first.
     invalidateSharers(blk, -1);
 
+    // An access those invalidations caused may have evicted this
+    // frame already (see invalidateSharers), or refilled it: evict
+    // what the frame holds now.
+    const Addr baddr = tags_[f];
+    if (baddr == kInvalidTag)
+        return;
+
     if (blk.wasPrefetched)
         ++overpredictions;
 
     const bool is_pv =
-        addrMap_ ? addrMap_->classify(blk.blockAddr) == AddrClass::Pv
+        addrMap_ ? addrMap_->classify(baddr) == AddrClass::Pv
                  : blk.isPv;
 
     if (blk.dirty) {
@@ -360,7 +401,7 @@ Cache::evictBlock(CacheBlk &blk)
             // data is advisory so only effectiveness is affected.
             ++pvWritebacksDropped;
         } else {
-            auto *wb = allocPacket(MemCmd::Writeback, blk.blockAddr,
+            auto *wb = allocPacket(MemCmd::Writeback, baddr,
                                    kInvalidCore);
             wb->coherent = !params_.directory;
             wb->srcSlot = slotAtLower_;
@@ -377,7 +418,7 @@ Cache::evictBlock(CacheBlk &blk)
         }
     } else if (!params_.directory && memSide_) {
         // Clean-eviction notice keeps the L2 directory exact.
-        auto *ce = allocPacket(MemCmd::CleanEvict, blk.blockAddr,
+        auto *ce = allocPacket(MemCmd::CleanEvict, baddr,
                                kInvalidCore);
         ce->srcSlot = slotAtLower_;
         ce->isPv = blk.isPv;
@@ -386,7 +427,7 @@ Cache::evictBlock(CacheBlk &blk)
     }
 
     if (listener_)
-        listener_->onEvict(blk.blockAddr);
+        listener_->onEvict(baddr);
 
     invalidateBlock_(blk);
 }
@@ -403,12 +444,18 @@ Cache::handleWriteback(Packet &pkt)
     else
         ++requestsApp;
 
-    if (pkt.isCleanEvict()) {
-        if (blk && params_.directory && pkt.srcSlot >= 0) {
-            blk->sharers.clear(unsigned(pkt.srcSlot));
+    // The writer above drops its copy.
+    auto drop_sharer = [&] {
+        if (params_.directory && pkt.srcSlot >= 0) {
+            clearSharer(frameOf(*blk), pkt.srcSlot);
             if (blk->ownerSlot == pkt.srcSlot)
                 blk->ownerSlot = -1;
         }
+    };
+
+    if (pkt.isCleanEvict()) {
+        if (blk)
+            drop_sharer();
         return;
     }
 
@@ -417,11 +464,7 @@ Cache::handleWriteback(Packet &pkt)
         blk->dirty = true;
         if (pkt.hasData())
             blk->ensureData() = *pkt.data;
-        if (params_.directory && pkt.srcSlot >= 0) {
-            blk->sharers.clear(unsigned(pkt.srcSlot));
-            if (blk->ownerSlot == pkt.srcSlot)
-                blk->ownerSlot = -1;
-        }
+        drop_sharer();
     } else {
         // Allocate-on-writeback (e.g. a PVProxy line after the L2
         // copy was evicted, or a race with this level's eviction).
@@ -792,7 +835,7 @@ Cache::recvInvalidate(Addr block_addr)
     if (blk->wasPrefetched)
         ++overpredictions;
     if (listener_)
-        listener_->onInvalidate(blk->blockAddr);
+        listener_->onInvalidate(blockAlign(block_addr));
     invalidateBlock_(*blk);
 }
 

@@ -16,6 +16,7 @@
 #ifndef PVSIM_MEM_CACHE_HH
 #define PVSIM_MEM_CACHE_HH
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -103,7 +104,9 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /**
      * Register an upstream coherent client (an L1 registering with
      * the L2). The returned slot must be stamped into srcSlot of
-     * every coherent request the client sends here.
+     * every coherent request the client sends here. A directory
+     * cache sizes its sharer array here, so every client attaches
+     * before the first access.
      */
     int attachClient(MemClient *client);
 
@@ -169,15 +172,20 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Count of valid blocks (tests). */
     uint64_t numValidBlocks() const;
 
-    /** Visit every valid block (tests / invariant checks). */
+    /** Visit every valid block as fn(block_addr, blk) (tests /
+     *  invariant checks). */
     template <typename Fn>
     void
     forEachValidBlock(Fn &&fn) const
     {
-        for (const auto &blk : blocks_)
-            if (blk.valid)
-                fn(blk);
+        for (size_t f = 0; f < blocks_.size(); ++f)
+            if (tags_[f] != kInvalidTag)
+                fn(tags_[f], blocks_[f]);
     }
+
+    /** Directory: the client slots sharing block_addr, ascending
+     *  (empty when the block is absent). */
+    std::vector<unsigned> sharerSlots(Addr block_addr) const;
 
     /** Outstanding misses (tests / draining). */
     unsigned outstandingMisses() const { return mshrs_.used(); }
@@ -264,15 +272,45 @@ class Cache final : public SimObject, public MemDevice, public MemClient
         return size_t(set) * params_.assoc;
     }
 
+    /** blk's index in the flat frame arrays. */
+    size_t
+    frameOf(const CacheBlk &blk) const
+    {
+        return size_t(&blk - blocks_.data());
+    }
+
+    /** Frame f's sharer words (sharerWords_ of them). */
+    uint64_t *
+    sharersOf(size_t f)
+    {
+        return sharers_.data() + f * sharerWords_;
+    }
+
+    /** Directory: client `slot` (>= 0) holds frame f's block. */
+    void
+    setSharer(size_t f, int slot)
+    {
+        sharers_[f * sharerWords_ + slot / 64] |= 1ull << (slot % 64);
+    }
+
+    /** Directory: client `slot` (>= 0) no longer holds it. */
+    void
+    clearSharer(size_t f, int slot)
+    {
+        sharers_[f * sharerWords_ + slot / 64] &=
+            ~(1ull << (slot % 64));
+    }
+
     /**
-     * Invalidate blk and clear its mirrored tag. All validity
-     * transitions must go through here or installBlock so tags_
-     * stays exact.
+     * Empty blk's frame: its tag, sharer bits and line state. All
+     * validity transitions go through here or installBlock.
      */
     void
     invalidateBlock_(CacheBlk &blk)
     {
-        tags_[size_t(&blk - blocks_.data())] = kInvalidTag;
+        const size_t f = frameOf(blk);
+        tags_[f] = kInvalidTag;
+        std::fill_n(sharersOf(f), sharerWords_, 0);
         blk.invalidate();
     }
 
@@ -356,11 +394,10 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** All block frames, flat: way w of set s at [s * assoc + w]. */
     std::vector<CacheBlk> blocks_;
     /**
-     * Mirror of each frame's (valid, blockAddr) packed into one
-     * word: the tag when valid, kInvalidTag otherwise. Lookups scan
-     * 8 bytes per way instead of pulling whole CacheBlk frames
-     * through the host caches — the single hottest loop in
-     * functional simulation.
+     * Each frame's block address, or kInvalidTag when the frame is
+     * empty: the only record of which block a frame holds and
+     * whether it holds one. Lookups scan 8 bytes per way, the single
+     * hottest loop in functional simulation.
      */
     std::vector<Addr> tags_;
     /**
@@ -374,6 +411,14 @@ class Cache final : public SimObject, public MemDevice, public MemClient
 
     MemDevice *memSide_ = nullptr;
     std::vector<MemClient *> clients_;
+    /**
+     * Directory only: bit s of frame f's sharerWords_ words at
+     * [f * sharerWords_] is set while client slot s holds the
+     * frame's block. Sized by attachClient, ceil(clients / 64) words
+     * per frame.
+     */
+    std::vector<uint64_t> sharers_;
+    unsigned sharerWords_ = 0;
     CacheListener *listener_ = nullptr;
     int slotAtLower_ = -1;
 

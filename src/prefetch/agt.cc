@@ -1,5 +1,7 @@
 #include "prefetch/agt.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace pvsim {
@@ -11,36 +13,42 @@ ActiveGenerationTable::ActiveGenerationTable(
 {
     pv_assert(params_.filterEntries > 0 && params_.accumEntries > 0,
               "AGT tables must be non-empty");
+    filterTags_.assign(params_.filterEntries, kNoRegion);
     filter_.resize(params_.filterEntries);
+    accumTags_.assign(params_.accumEntries, kNoRegion);
     accum_.resize(params_.accumEntries);
 }
 
-ActiveGenerationTable::FilterEntry *
-ActiveGenerationTable::findFilter(Addr region_tag)
+unsigned
+ActiveGenerationTable::find(const std::vector<Addr> &tags,
+                            Addr region_tag)
 {
-    for (auto &e : filter_) {
-        if (e.valid && e.regionTag == region_tag)
-            return &e;
+    for (unsigned i = 0; i < tags.size(); ++i) {
+        if (tags[i] == region_tag)
+            return i;
     }
-    return nullptr;
+    return kNone;
 }
 
-ActiveGenerationTable::AccumEntry *
-ActiveGenerationTable::findAccum(Addr region_tag)
+template <typename Entry>
+unsigned
+ActiveGenerationTable::lruEntry(const std::vector<Entry> &entries)
 {
-    for (auto &e : accum_) {
-        if (e.valid && e.regionTag == region_tag)
-            return &e;
+    unsigned lru = 0;
+    for (unsigned i = 1; i < entries.size(); ++i) {
+        if (entries[i].lastTouch < entries[lru].lastTouch)
+            lru = i;
     }
-    return nullptr;
+    return lru;
 }
 
 void
-ActiveGenerationTable::endGeneration(AccumEntry &e)
+ActiveGenerationTable::endGeneration(unsigned i)
 {
     ++generationsEnded;
+    const AccumEntry &e = accum_[i];
     sink_(makePhtKey(e.pc, e.offset), e.pattern);
-    e.valid = false;
+    accumTags_[i] = kNoRegion;
 }
 
 bool
@@ -49,72 +57,53 @@ ActiveGenerationTable::recordAccess(Addr pc, Addr addr)
     Addr tag = geom_.regionTag(addr);
     unsigned offset = geom_.blockOffset(addr);
 
-    if (AccumEntry *acc = findAccum(tag)) {
-        acc->pattern |= SpatialPattern(1) << offset;
-        acc->lastTouch = ++touchCounter_;
+    if (unsigned a = find(accumTags_, tag); a != kNone) {
+        accum_[a].pattern |= SpatialPattern(1) << offset;
+        accum_[a].lastTouch = ++touchCounter_;
         return false;
     }
 
-    if (FilterEntry *f = findFilter(tag)) {
-        if (f->offset == offset) {
+    if (unsigned fi = find(filterTags_, tag); fi != kNone) {
+        FilterEntry &f = filter_[fi];
+        if (f.offset == offset) {
             // Repeat access to the trigger block: still one block.
-            f->lastTouch = ++touchCounter_;
+            f.lastTouch = ++touchCounter_;
             return false;
         }
         // Second distinct block: promote to the accumulation table.
-        AccumEntry *slot = nullptr;
-        for (auto &e : accum_) {
-            if (!e.valid) {
-                slot = &e;
-                break;
-            }
-        }
-        if (!slot) {
+        unsigned slot = find(accumTags_, kNoRegion);
+        if (slot == kNone) {
             // Capacity: the LRU active generation ends early and its
             // pattern is transferred to the PHT.
-            slot = &accum_[0];
-            for (auto &e : accum_) {
-                if (e.lastTouch < slot->lastTouch)
-                    slot = &e;
-            }
+            slot = lruEntry(accum_);
             ++accumEvictions;
-            endGeneration(*slot);
+            endGeneration(slot);
         }
-        slot->valid = true;
-        slot->regionTag = tag;
-        slot->pc = f->pc;
-        slot->offset = f->offset;
-        slot->pattern = (SpatialPattern(1) << f->offset) |
-                        (SpatialPattern(1) << offset);
-        slot->lastTouch = ++touchCounter_;
-        f->valid = false;
+        AccumEntry &e = accum_[slot];
+        accumTags_[slot] = tag;
+        e.pc = f.pc;
+        e.offset = f.offset;
+        e.pattern = (SpatialPattern(1) << f.offset) |
+                    (SpatialPattern(1) << offset);
+        e.lastTouch = ++touchCounter_;
+        filterTags_[fi] = kNoRegion;
         return false;
     }
 
     // No active generation: this is a triggering access.
-    FilterEntry *slot = nullptr;
-    for (auto &e : filter_) {
-        if (!e.valid) {
-            slot = &e;
-            break;
-        }
-    }
-    if (!slot) {
+    unsigned slot = find(filterTags_, kNoRegion);
+    if (slot == kNone) {
         // Filter eviction is silent: a one-access region is exactly
         // what the filter exists to keep out of the PHT.
-        slot = &filter_[0];
-        for (auto &e : filter_) {
-            if (e.lastTouch < slot->lastTouch)
-                slot = &e;
-        }
+        slot = lruEntry(filter_);
         ++filterEvictions;
         ++generationsFiltered;
     }
-    slot->valid = true;
-    slot->regionTag = tag;
-    slot->pc = pc;
-    slot->offset = uint8_t(offset);
-    slot->lastTouch = ++touchCounter_;
+    FilterEntry &e = filter_[slot];
+    filterTags_[slot] = tag;
+    e.pc = pc;
+    e.offset = uint8_t(offset);
+    e.lastTouch = ++touchCounter_;
     return true;
 }
 
@@ -124,16 +113,16 @@ ActiveGenerationTable::blockRemoved(Addr addr)
     Addr tag = geom_.regionTag(addr);
     unsigned offset = geom_.blockOffset(addr);
 
-    if (AccumEntry *acc = findAccum(tag)) {
-        if (acc->pattern & (SpatialPattern(1) << offset))
-            endGeneration(*acc);
+    if (unsigned a = find(accumTags_, tag); a != kNone) {
+        if (accum_[a].pattern & (SpatialPattern(1) << offset))
+            endGeneration(a);
         return;
     }
-    if (FilterEntry *f = findFilter(tag)) {
-        if (f->offset == offset) {
+    if (unsigned fi = find(filterTags_, tag); fi != kNone) {
+        if (filter_[fi].offset == offset) {
             // The lone accessed block left the cache: the generation
             // ends with one access and is filtered out.
-            f->valid = false;
+            filterTags_[fi] = kNoRegion;
             ++generationsFiltered;
         }
     }
@@ -142,13 +131,13 @@ ActiveGenerationTable::blockRemoved(Addr addr)
 void
 ActiveGenerationTable::flush()
 {
-    for (auto &e : accum_) {
-        if (e.valid)
-            endGeneration(e);
+    for (unsigned i = 0; i < accum_.size(); ++i) {
+        if (accumTags_[i] != kNoRegion)
+            endGeneration(i);
     }
-    for (auto &e : filter_) {
-        if (e.valid) {
-            e.valid = false;
+    for (Addr &t : filterTags_) {
+        if (t != kNoRegion) {
+            t = kNoRegion;
             ++generationsFiltered;
         }
     }
@@ -157,44 +146,35 @@ ActiveGenerationTable::flush()
 unsigned
 ActiveGenerationTable::activeFilterEntries() const
 {
-    unsigned n = 0;
-    for (const auto &e : filter_)
-        n += e.valid;
-    return n;
+    return unsigned(params_.filterEntries -
+                    std::count(filterTags_.begin(), filterTags_.end(),
+                               kNoRegion));
 }
 
 unsigned
 ActiveGenerationTable::activeAccumEntries() const
 {
-    unsigned n = 0;
-    for (const auto &e : accum_)
-        n += e.valid;
-    return n;
+    return unsigned(params_.accumEntries -
+                    std::count(accumTags_.begin(), accumTags_.end(),
+                               kNoRegion));
 }
 
 bool
 ActiveGenerationTable::isActive(Addr addr) const
 {
     Addr tag = geom_.regionTag(addr);
-    for (const auto &e : accum_)
-        if (e.valid && e.regionTag == tag)
-            return true;
-    for (const auto &e : filter_)
-        if (e.valid && e.regionTag == tag)
-            return true;
-    return false;
+    return find(accumTags_, tag) != kNone ||
+           find(filterTags_, tag) != kNone;
 }
 
 SpatialPattern
 ActiveGenerationTable::patternFor(Addr addr) const
 {
     Addr tag = geom_.regionTag(addr);
-    for (const auto &e : accum_)
-        if (e.valid && e.regionTag == tag)
-            return e.pattern;
-    for (const auto &e : filter_)
-        if (e.valid && e.regionTag == tag)
-            return SpatialPattern(1) << e.offset;
+    if (unsigned a = find(accumTags_, tag); a != kNone)
+        return accum_[a].pattern;
+    if (unsigned fi = find(filterTags_, tag); fi != kNone)
+        return SpatialPattern(1) << filter_[fi].offset;
     return 0;
 }
 

@@ -4,7 +4,10 @@
  * pattern construction for regions with an in-flight generation.
  * Split into a filter table (regions with exactly one access so far;
  * filters one-off touches out of the PHT) and an accumulation table
- * (regions with two or more distinct blocks touched).
+ * (regions with two or more distinct blocks touched). Each table
+ * keeps its entries' region tags in an array of their own, which
+ * is also each entry's only validity record, so a lookup scans 8
+ * bytes per entry.
  */
 
 #ifndef PVSIM_PREFETCH_AGT_HH
@@ -82,31 +85,41 @@ class ActiveGenerationTable
     uint64_t filterEvictions = 0;
 
   private:
+    /** Region tag of an empty entry: no address has this region. */
+    static constexpr Addr kNoRegion = ~Addr(0);
+    /** find()'s answer when no entry holds the region. */
+    static constexpr unsigned kNone = ~0u;
+
     struct FilterEntry {
-        bool valid = false;
-        Addr regionTag = 0;
         Addr pc = 0;
         uint8_t offset = 0;
         uint64_t lastTouch = 0;
     };
 
     struct AccumEntry {
-        bool valid = false;
-        Addr regionTag = 0;
         Addr pc = 0;     ///< trigger PC
         uint8_t offset = 0; ///< trigger offset
         SpatialPattern pattern = 0;
         uint64_t lastTouch = 0;
     };
 
-    FilterEntry *findFilter(Addr region_tag);
-    AccumEntry *findAccum(Addr region_tag);
-    void endGeneration(AccumEntry &e);
+    /** Index of the first entry whose tag is region_tag, or kNone
+     *  (kNoRegion finds the first empty entry). */
+    static unsigned find(const std::vector<Addr> &tags,
+                         Addr region_tag);
+    /** Index of the least recently touched entry, ties to the
+     *  lowest. */
+    template <typename Entry>
+    static unsigned lruEntry(const std::vector<Entry> &entries);
+    void endGeneration(unsigned i);
 
     AgtParams params_;
     RegionGeometry geom_;
     GenerationSink sink_;
+    /** Entry i's region, kNoRegion while entry i is empty. */
+    std::vector<Addr> filterTags_;
     std::vector<FilterEntry> filter_;
+    std::vector<Addr> accumTags_;
     std::vector<AccumEntry> accum_;
     uint64_t touchCounter_ = 0;
 };

@@ -271,10 +271,8 @@ TEST_F(CoherenceTest, ReadSharingLeavesBothCopies)
     access(*l1b, 0x8000, false, 1);
     EXPECT_TRUE(l1a->contains(0x8000));
     EXPECT_TRUE(l1b->contains(0x8000));
-    const CacheBlk *blk = l2->peekBlock(0x8000);
-    ASSERT_NE(blk, nullptr);
-    EXPECT_TRUE(blk->sharers.test(0));
-    EXPECT_TRUE(blk->sharers.test(1));
+    ASSERT_TRUE(l2->contains(0x8000));
+    EXPECT_EQ(l2->sharerSlots(0x8000), (std::vector<unsigned>{0, 1}));
 }
 
 TEST_F(CoherenceTest, StoreMissInvalidatesOtherSharer)
@@ -335,14 +333,112 @@ TEST_F(CoherenceTest, CleanEvictKeepsDirectoryExact)
     access(*l1a, 0x10000, false, 0);
     access(*l1a, 0x10000 + 16 * 1024, false, 0);
     access(*l1a, 0x10000 + 32 * 1024, false, 0);
-    const CacheBlk *blk = l2->peekBlock(0x10000);
-    ASSERT_NE(blk, nullptr);
-    EXPECT_TRUE(blk->sharers.none())
+    ASSERT_TRUE(l2->contains(0x10000));
+    EXPECT_TRUE(l2->sharerSlots(0x10000).empty())
         << "clean eviction must clear the sharer bit";
     // Now a store by B must not send a useless invalidation to A.
     uint64_t inv_before = l2->invalidationsSent.value();
     access(*l1b, 0x10000, true, 1);
     EXPECT_EQ(l2->invalidationsSent.value(), inv_before);
+}
+
+namespace {
+
+/** (client slot, block) per invalidation, in the order sent. */
+using InvalidationLog = std::vector<std::pair<unsigned, Addr>>;
+
+/** A directory client that logs the invalidations it receives. */
+struct SlotClient : public MemClient {
+    unsigned slot = 0;
+    InvalidationLog *log = nullptr;
+
+    void recvResponse(PacketPtr) override {}
+    void recvInvalidate(Addr a) override { log->emplace_back(slot, a); }
+    void recvDowngrade(Addr) override {}
+    std::string clientName() const override { return "slot_client"; }
+};
+
+} // namespace
+
+TEST_F(FunctionalCacheTest, DirectoryPast64ClientsWalksBothWords)
+{
+    // 70 clients take two sharer words per frame; slot 69 lives in
+    // the second.
+    params.directory = true;
+    build(2 * kBlockBytes, 2); // 1 set, 2 ways
+    InvalidationLog log;
+    std::vector<SlotClient> clients(70);
+    for (unsigned s = 0; s < clients.size(); ++s) {
+        clients[s].slot = s;
+        clients[s].log = &log;
+        ASSERT_EQ(cache->attachClient(&clients[s]), int(s));
+    }
+    auto request = [&](MemCmd cmd, Addr addr, int slot) {
+        Packet pkt(cmd, addr, 0);
+        pkt.coherent = true;
+        pkt.srcSlot = slot;
+        cache->functionalAccess(pkt);
+    };
+    const Addr x = 0x4000;
+    request(MemCmd::ReadReq, x, 3);
+    request(MemCmd::ReadReq, x, 69);
+    EXPECT_EQ(cache->sharerSlots(x), (std::vector<unsigned>{3, 69}));
+
+    // 0x5000 takes the other way, and 0x6000 evicts x, the LRU.
+    const uint64_t sent = cache->invalidationsSent.value();
+    request(MemCmd::ReadReq, 0x5000, 0);
+    request(MemCmd::ReadReq, 0x6000, 0);
+    ASSERT_FALSE(cache->contains(x));
+    EXPECT_EQ(log, (InvalidationLog{{3, x}, {69, x}}));
+    EXPECT_EQ(cache->invalidationsSent.value(), sent + 2);
+
+    // Back in both; a write from slot 69 leaves it the only holder.
+    request(MemCmd::ReadReq, x, 3);
+    request(MemCmd::ReadReq, x, 69);
+    log.clear();
+    request(MemCmd::WriteReq, x, 69);
+    EXPECT_EQ(log, (InvalidationLog{{3, x}}));
+    EXPECT_EQ(cache->sharerSlots(x), std::vector<unsigned>{69});
+    EXPECT_EQ(cache->peekBlock(x)->ownerSlot, 69);
+}
+
+TEST_F(FunctionalCacheTest, DropPvWritebacksKeepsDirtyPvLinesOnChip)
+{
+    // Paper Section 2.2: a virtualization-aware L2 drops a dirty
+    // PVTable victim instead of writing it off-chip.
+    params.directory = true;
+    params.dropPvWritebacks = true;
+    build(2 * kBlockBytes, 2); // 1 set, 2 ways
+    auto write_back = [&](Addr addr, bool is_pv) {
+        Packet wb(MemCmd::Writeback, addr, kInvalidCore);
+        wb.isPv = is_pv;
+        wb.coherent = false;
+        cache->functionalAccess(wb);
+    };
+    auto read = [&](Addr addr) {
+        Packet rd(MemCmd::ReadReq, addr, 0);
+        cache->functionalAccess(rd);
+    };
+
+    const Addr pv = amap.pvStart(0);
+    write_back(pv, true); // allocated dirty
+    read(0x1000);
+    read(0x2000); // evicts the dirty PV line
+    ASSERT_FALSE(cache->contains(pv));
+    EXPECT_EQ(cache->pvWritebacksDropped.value(), 1u);
+    EXPECT_EQ(cache->writebacksOut.value(), 0u);
+    EXPECT_EQ(dram.writesPv.value(), 0u);
+    EXPECT_FALSE(dram.hasBlock(pv));
+
+    write_back(0x3000, false); // a dirty application line
+    read(0x4000);
+    read(0x5000); // evicts it
+    ASSERT_FALSE(cache->contains(0x3000));
+    EXPECT_EQ(cache->pvWritebacksDropped.value(), 1u);
+    EXPECT_EQ(cache->writebacksOut.value(), 1u);
+    EXPECT_EQ(cache->writebacksApp.value(), 1u);
+    EXPECT_EQ(dram.writesApp.value(), 1u);
+    EXPECT_EQ(dram.writesPv.value(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -71,8 +71,8 @@ TEST(SystemFunctional, InclusionHoldsBetweenL1AndL2)
     // none anyway).
     for (int c = 0; c < sys.numCores(); ++c) {
         uint64_t violations = 0;
-        sys.l1d(c).forEachValidBlock([&](const CacheBlk &blk) {
-            if (!sys.l2().contains(blk.blockAddr))
+        sys.l1d(c).forEachValidBlock([&](Addr addr, const CacheBlk &) {
+            if (!sys.l2().contains(addr))
                 ++violations;
         });
         EXPECT_EQ(violations, 0u)
