@@ -228,7 +228,6 @@ reflectFields(SystemConfig &c, V &v)
     v.field("next_line_l1i", c.nextLineL1I);
     v.field("btb_mispredict_penalty", c.btbMispredictPenalty);
     v.field("btb", c.btb);
-    v.field("functional_chunk", c.functionalChunk);
     v.field("prefetch", c.prefetch);
     v.field("pht_geometry", c.phtGeometry);
     v.field("pht_qos", c.phtQos);

@@ -67,12 +67,6 @@ class Value
 
     bool isNull() const { return type_ == Type::Null; }
     bool isBool() const { return type_ == Type::Bool; }
-    bool
-    isNumber() const
-    {
-        return type_ == Type::Int || type_ == Type::Uint ||
-               type_ == Type::Real;
-    }
     bool isString() const { return type_ == Type::String; }
     bool isArray() const { return type_ == Type::Array; }
     bool isObject() const { return type_ == Type::Object; }

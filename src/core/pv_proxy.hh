@@ -177,13 +177,6 @@ class PvProxy : public SimObject, public MemClient
         return engines_.at(table).layout;
     }
 
-    /** Registration record of one tenant. */
-    const PvEngineInfo &
-    engineInfo(unsigned table) const
-    {
-        return engines_.at(table).info;
-    }
-
     /** Connect the level the proxy injects requests into (the L2). */
     void
     setMemSide(MemDevice *dev)

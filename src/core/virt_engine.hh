@@ -109,12 +109,6 @@ class VirtEngine
         return proxy_->tenantQos(tableId_);
     }
 
-    /** Replace this tenant's QoS contract at runtime. */
-    void setQos(const PvTenantQos &qos)
-    {
-        proxy_->setTenantQos(tableId_, qos);
-    }
-
     /**
      * Dedicated on-chip storage in bits. The proxy is the only
      * dedicated hardware; when it is shared by N tenants, each is

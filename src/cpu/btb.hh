@@ -50,7 +50,6 @@ class BtbPredictor
     // (btb_hits / btb_mispredicts), which knows the actual branch.
 
     uint64_t lookups() const { return lookups_; }
-    uint64_t lookupsFound() const { return lookupsFound_; }
 
     /** Clear the lookup counters. System::resetStats() calls this
      *  at the warmup/measure boundary so foundRate() covers the

@@ -145,15 +145,6 @@ TraceCore::processRecordFunctional()
         ++stores;
 }
 
-bool
-TraceCore::stepFunctional()
-{
-    if (!source_->next(rec_))
-        return false;
-    processRecordFunctional();
-    return true;
-}
-
 uint64_t
 TraceCore::stepFunctionalBatch(uint64_t max_records)
 {

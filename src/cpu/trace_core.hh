@@ -83,17 +83,11 @@ class TraceCore final : public SimObject, public MemClient
     // ---- Functional mode -------------------------------------------
 
     /**
-     * Consume one trace record with zero-latency memory accesses
-     * (instruction fetch included). Returns false at end-of-trace.
-     */
-    bool stepFunctional();
-
-    /**
-     * Consume up to max_records records in kBatchRecords-sized
-     * chunks pulled through TraceSource::nextBatch — one virtual
-     * call per chunk instead of one per record, with the identical
-     * per-record state transitions and statistics as
-     * stepFunctional(). Returns the number of records consumed
+     * Consume up to max_records trace records with zero-latency
+     * memory accesses (instruction fetch included), in
+     * kBatchRecords-sized chunks pulled through
+     * TraceSource::nextBatch — one virtual call per chunk instead
+     * of one per record. Returns the number of records consumed
      * (less than max_records only at end-of-trace).
      */
     uint64_t stepFunctionalBatch(uint64_t max_records);
@@ -169,8 +163,7 @@ class TraceCore final : public SimObject, public MemClient
     /** Drive the state machine as far as it can go this tick. */
     void advance();
 
-    /** Functional-mode work for the record in rec_ (shared by the
-     *  scalar and batched stepping paths). */
+    /** Functional-mode work for the record in rec_. */
     void processRecordFunctional();
 
     /**

@@ -362,12 +362,9 @@ System::runFunctional(uint64_t refs_per_core)
 {
     pv_assert(ctx_.mode() == SimMode::Functional,
               "runFunctional on a timing system");
-    const uint64_t chunk = std::max<uint64_t>(1, cfg_.functionalChunk);
     // Round-robin the cores in chunks: each turn consumes up to
-    // `chunk` records through the batched stepping path instead of
-    // a single record, amortizing dispatch across the chunk. Every
-    // core still consumes exactly refs_per_core records (or its
-    // whole trace).
+    // SystemConfig::functionalChunk records. Every core consumes
+    // exactly refs_per_core records (or its whole trace).
     std::vector<uint64_t> remaining(size_t(cfg_.numCores),
                                     refs_per_core);
     int live_count = refs_per_core > 0 ? cfg_.numCores : 0;
@@ -375,7 +372,8 @@ System::runFunctional(uint64_t refs_per_core)
         for (int c = 0; c < cfg_.numCores; ++c) {
             if (remaining[c] == 0)
                 continue;
-            uint64_t want = std::min(chunk, remaining[c]);
+            uint64_t want =
+                std::min(SystemConfig::functionalChunk, remaining[c]);
             uint64_t got = cores_[c]->stepFunctionalBatch(want);
             remaining[c] -= got;
             if (got < want)

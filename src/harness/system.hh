@@ -39,7 +39,6 @@ class System
 
     const SystemConfig &config() const { return cfg_; }
     SimContext &ctx() { return ctx_; }
-    const AddrMap &addrMap() const { return addrMap_; }
 
     int numCores() const { return cfg_.numCores; }
     TraceCore &core(int i) { return *cores_.at(i); }
@@ -50,8 +49,6 @@ class System
 
     /** SMS prefetcher of core i (nullptr when prefetch == None). */
     SmsPrefetcher *sms(int i) { return smses_.at(i).get(); }
-    /** Trace source feeding core i. */
-    TraceSource &traceSource(int i) { return *workloads_.at(i); }
 
     /** Shared PVProxy of core i (nullptr without virtualization). */
     PvProxy *pvProxy(int i) { return pvProxies_.at(i).get(); }

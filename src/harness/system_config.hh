@@ -94,20 +94,14 @@ struct SystemConfig {
     BtbConfig btb;
     /**
      * Records each core consumes per turn of the functional
-     * round-robin (runFunctional). Larger chunks amortize dispatch
-     * and keep one core's model state hot in the host caches; 1
-     * reproduces the historical record-by-record interleaving
-     * exactly. Single-core runs are bit-identical for any value,
-     * and every core always consumes the same per-core record
-     * stream (records, instructions, loads/stores). Multi-core
-     * cache statistics can shift slightly between chunk sizes: the
-     * cores' accesses interleave differently at the shared L2, so
-     * its LRU/eviction order — and which L1 blocks the inclusive
-     * directory back-invalidates — differs. The effect is
-     * statistically neutral; set 1 to reproduce pre-batching
-     * multi-core numbers exactly.
+     * round-robin (runFunctional). A chunk amortizes dispatch and
+     * keeps one core's model state hot in the host caches. It is a
+     * constant, not a knob: the chunk fixes the order in which the
+     * cores' accesses interleave at the shared L2, so another value
+     * would move multi-core cache statistics (single-core runs and
+     * every per-core record stream are the same at any value).
      */
-    uint64_t functionalChunk = 256;
+    static constexpr uint64_t functionalChunk = 256;
 
     // ---- Data prefetcher under study ------------------------------------
     PrefetchMode prefetch = PrefetchMode::None;

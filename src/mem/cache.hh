@@ -190,12 +190,6 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Outstanding misses (tests / draining). */
     unsigned outstandingMisses() const { return mshrs_.used(); }
 
-    /** The MSHR file (diagnostics: who is stuck on what). */
-    const MshrFile &mshrFile() const { return mshrs_; }
-
-    /** Accepted requests still in the tag-lookup stage. */
-    unsigned pendingLookups() const { return pendingLookups_; }
-
     /** Downstream requests queued behind backpressure. */
     const SendQueue &sendQueue() const { return sendQueue_; }
 
@@ -377,7 +371,6 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     void releaseBlock(Addr baddr);
 
     void handleLookup(PacketPtr pkt);
-    void handleMiss(PacketPtr pkt);
     void sendDownstream(PacketPtr pkt);
     Tick bankReadyTick(Addr block_addr);
 

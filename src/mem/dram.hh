@@ -55,12 +55,6 @@ class Dram : public SimObject, public MemDevice
     stats::Scalar readBytes;
     stats::Scalar writeBytes;
 
-    uint64_t totalAccesses() const
-    {
-        return readsApp.value() + readsPv.value() +
-               writesApp.value() + writesPv.value();
-    }
-
   private:
     /** Shared request handling; returns true if a response is due. */
     bool handle(Packet &pkt);

@@ -61,19 +61,6 @@ class DramStore
 
     bool has(Addr block_addr) const { return find(block_addr); }
 
-    /** Occupancy observability (tests). */
-    size_t numRegions() const { return regions_.size(); }
-
-    uint64_t
-    numBlocks() const
-    {
-        uint64_t n = 0;
-        for (const auto &[base, r] : regions_)
-            for (uint64_t w : r.presentBits)
-                n += uint64_t(__builtin_popcountll(w));
-        return n;
-    }
-
   private:
     struct Region {
         uint64_t presentBits[kBlocksPerRegion / 64] = {};

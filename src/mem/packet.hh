@@ -44,14 +44,6 @@ enum class MemCmd : uint8_t {
 /** Printable command name. */
 const char *memCmdName(MemCmd cmd);
 
-/** True for the request commands that expect a response. */
-constexpr bool
-cmdNeedsResponse(MemCmd cmd)
-{
-    return cmd == MemCmd::ReadReq || cmd == MemCmd::WriteReq ||
-           cmd == MemCmd::UpgradeReq || cmd == MemCmd::PrefetchReq;
-}
-
 /** One memory transaction. All addresses are physical. */
 class Packet
 {
@@ -133,7 +125,6 @@ class Packet
         std::memcpy(ensureData().data(), bytes, kBlockBytes);
     }
 
-    bool isRead() const { return cmd == MemCmd::ReadReq; }
     bool isWrite() const { return cmd == MemCmd::WriteReq; }
     bool isUpgrade() const { return cmd == MemCmd::UpgradeReq; }
     bool isPrefetchReq() const { return cmd == MemCmd::PrefetchReq; }

@@ -52,10 +52,8 @@ class PacketPool
         if (!free_.empty()) {
             mem = free_.back();
             free_.pop_back();
-            ++reused_;
         } else {
             mem = ::operator new(sizeof(Packet));
-            ++fresh_;
         }
         return new (mem) Packet(cmd, addr, core_id);
     }
@@ -105,11 +103,8 @@ class PacketPool
             ::operator delete(static_cast<void *>(d));
     }
 
-    // -- Introspection (tests, microbenchmarks) ----------------------
+    // -- Introspection (tests) ---------------------------------------
 
-    size_t freeCount() const { return free_.size(); }
-    uint64_t reusedAllocs() const { return reused_; }
-    uint64_t freshAllocs() const { return fresh_; }
     size_t freeDataCount() const { return freeData_.size(); }
     uint64_t reusedDataAllocs() const { return dataReused_; }
     uint64_t freshDataAllocs() const { return dataFresh_; }
@@ -117,8 +112,6 @@ class PacketPool
   private:
     std::vector<void *> free_;
     std::vector<void *> freeData_;
-    uint64_t reused_ = 0;
-    uint64_t fresh_ = 0;
     uint64_t dataReused_ = 0;
     uint64_t dataFresh_ = 0;
 };

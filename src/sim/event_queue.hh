@@ -242,10 +242,10 @@ class EventQueue
      *  zero. */
     void reset();
 
-    /** Total events ever executed (for microbenchmarks/tests). */
+    /** Total events ever executed (rows' `events`, tests). */
     uint64_t numExecuted() const { return numExecuted_; }
 
-    // -- Freelist observability (tests, microbenchmarks) -------------
+    // -- Freelist observability (tests, pvbench) --------------------
 
     /** Event nodes ever allocated from the pool's chunks. */
     size_t poolCapacity() const { return chunks_.size() * kChunkEvents; }

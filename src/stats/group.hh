@@ -31,8 +31,6 @@ class Group
     Group(const Group &) = delete;
     Group &operator=(const Group &) = delete;
 
-    const std::string &groupName() const { return name_; }
-
     /** Full dotted path from the root. */
     std::string path() const;
 

@@ -91,9 +91,6 @@ class ProgramStructureModel
      *  key the core's reconstruction trains the BTB with). */
     Addr branchPcOf(unsigned r, unsigned b) const;
 
-    /** Current call-stack depth (bounded by callDepth). */
-    size_t callDepthNow() const { return stack_.size(); }
-
     /** Total bytes of synthetic code the CFG occupies. */
     uint64_t codeBytes() const { return codeBytes_; }
 

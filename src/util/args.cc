@@ -97,20 +97,6 @@ Args::getUint(const std::string &name, uint64_t def) const
     return v;
 }
 
-double
-Args::getDouble(const std::string &name, double def) const
-{
-    auto it = find(name);
-    if (it == options_.end())
-        return def;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --%s expects a number, got '%s'", name.c_str(),
-              it->second.c_str());
-    return v;
-}
-
 bool
 Args::getBool(const std::string &name, bool def) const
 {

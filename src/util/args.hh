@@ -36,9 +36,6 @@ class Args
     /** Unsigned value of --name, or def when absent. */
     uint64_t getUint(const std::string &name, uint64_t def = 0) const;
 
-    /** Floating-point value of --name, or def when absent. */
-    double getDouble(const std::string &name, double def = 0.0) const;
-
     /**
      * Boolean flag: --name or --name=true|1|yes sets true,
      * --no-name or --name=false|0|no sets false.

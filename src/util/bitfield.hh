@@ -68,9 +68,6 @@ class BitSpan
         : data_(data), sizeBits_(size_bytes * 8)
     {}
 
-    /** Number of addressable bits in the span. */
-    size_t sizeBits() const { return sizeBits_; }
-
     /**
      * Read an nbits-wide field starting at bit offset. Byte-at-a-
      * time assembly (not per-bit) keeps the packed-set codec cheap.

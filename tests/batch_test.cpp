@@ -2,8 +2,8 @@
  * @file
  * Equivalence tests for the batched simulation paths: batched trace
  * sources must reproduce the scalar record stream bit-for-bit,
- * batched functional stepping must produce the identical statistics
- * of the scalar path, the chunked functional round-robin must
+ * stepping in chunks must produce the statistics of stepping one
+ * record at a time, the chunked functional round-robin must
  * conserve every per-core stream, the threaded matched-pair harness
  * must be bit-identical to the serial one, and the packet pool must
  * recycle storage without disturbing live-count bookkeeping.
@@ -41,6 +41,16 @@ statsDump(System &sys)
     std::ostringstream os;
     sys.ctx().dumpStats(os);
     return os.str();
+}
+
+/** runFunctional's round-robin at one record per turn: the
+ *  record-by-record interleaving its chunks are held against. */
+void
+runRecordByRecord(System &sys, uint64_t refs_per_core)
+{
+    for (uint64_t i = 0; i < refs_per_core; ++i)
+        for (int c = 0; c < sys.numCores(); ++c)
+            ASSERT_EQ(sys.core(c).stepFunctionalBatch(1), 1u);
 }
 
 } // namespace
@@ -110,8 +120,7 @@ TEST(BatchedSteppingTest, IdenticalStatsToScalarSingleCore)
     cfg.prefetch = PrefetchMode::SmsVirtualized;
 
     System scalar(cfg);
-    for (int i = 0; i < 30000; ++i)
-        ASSERT_TRUE(scalar.core(0).stepFunctional());
+    runRecordByRecord(scalar, 30000);
 
     System batched(cfg);
     // Slice the same 30000 records unevenly through the batch path.
@@ -124,7 +133,7 @@ TEST(BatchedSteppingTest, IdenticalStatsToScalarSingleCore)
               30000 - consumed);
 
     EXPECT_EQ(statsDump(scalar), statsDump(batched))
-        << "batched stepping must reproduce scalar stats exactly";
+        << "chunked stepping must reproduce record-by-record stats";
 }
 
 TEST(BatchedSteppingTest, RunFunctionalChunkInvariantSingleCore)
@@ -133,12 +142,10 @@ TEST(BatchedSteppingTest, RunFunctionalChunkInvariantSingleCore)
     cfg.numCores = 1;
     cfg.prefetch = PrefetchMode::SmsDedicated;
 
-    SystemConfig serial_cfg = cfg;
-    serial_cfg.functionalChunk = 1; // historical interleaving
-    System serial(serial_cfg);
-    serial.runFunctional(25000);
+    System serial(cfg);
+    runRecordByRecord(serial, 25000);
 
-    System chunked(cfg); // default chunk (256)
+    System chunked(cfg);
     chunked.runFunctional(25000);
 
     EXPECT_EQ(statsDump(serial), statsDump(chunked));
@@ -146,18 +153,17 @@ TEST(BatchedSteppingTest, RunFunctionalChunkInvariantSingleCore)
 
 TEST(BatchedSteppingTest, RunFunctionalConservesPerCoreStreams)
 {
-    // Multi-core: chunked round-robin interleaves the cores'
-    // accesses at the shared L2 differently, but each core's own
-    // stream (records, instructions, loads/stores — all derived
-    // from the per-core generator alone) must be untouched.
+    // Multi-core: the chunked round-robin interleaves the cores'
+    // accesses at the shared L2 differently from a record-by-record
+    // one, but each core's own stream (records, instructions,
+    // loads/stores — all derived from the per-core generator alone)
+    // must be untouched.
     SystemConfig cfg;
     cfg.numCores = 2;
     cfg.prefetch = PrefetchMode::None;
 
-    SystemConfig serial_cfg = cfg;
-    serial_cfg.functionalChunk = 1;
-    System serial(serial_cfg);
-    serial.runFunctional(20000);
+    System serial(cfg);
+    runRecordByRecord(serial, 20000);
 
     System chunked(cfg);
     chunked.runFunctional(20000);

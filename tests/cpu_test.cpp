@@ -91,9 +91,9 @@ struct CpuTest : public ::testing::Test {
 TEST_F(CpuTest, FunctionalStepConsumesRecords)
 {
     build({rec(0x1000, 0x8000, 3), rec(0x1010, 0x8040, 2)});
-    EXPECT_TRUE(core->stepFunctional());
-    EXPECT_TRUE(core->stepFunctional());
-    EXPECT_FALSE(core->stepFunctional()) << "trace exhausted";
+    EXPECT_EQ(core->stepFunctionalBatch(1), 1u);
+    EXPECT_EQ(core->stepFunctionalBatch(1), 1u);
+    EXPECT_EQ(core->stepFunctionalBatch(1), 0u) << "trace exhausted";
     EXPECT_EQ(core->recordsConsumed(), 2u);
     // gap+1 instructions per record.
     EXPECT_EQ(core->instructionsRetired(), 4u + 3u);
@@ -102,7 +102,7 @@ TEST_F(CpuTest, FunctionalStepConsumesRecords)
 TEST_F(CpuTest, FunctionalAccessesBothCaches)
 {
     build({rec(0x1000, 0x8000, 0)});
-    core->stepFunctional();
+    core->stepFunctionalBatch(1);
     EXPECT_TRUE(l1d->contains(0x8000));
     EXPECT_TRUE(l1i->contains(0x1000));
     EXPECT_EQ(core->loads.value(), 1u);
@@ -112,8 +112,8 @@ TEST_F(CpuTest, FunctionalStoresCountSeparately)
 {
     build({rec(0x1000, 0x8000, 0, MemOp::Store),
            rec(0x1000, 0x8040, 0, MemOp::Load)});
-    core->stepFunctional();
-    core->stepFunctional();
+    core->stepFunctionalBatch(1);
+    core->stepFunctionalBatch(1);
     EXPECT_EQ(core->stores.value(), 1u);
     EXPECT_EQ(core->loads.value(), 1u);
     EXPECT_TRUE(l1d->peekBlock(0x8000)->dirty);

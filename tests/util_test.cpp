@@ -287,7 +287,7 @@ TEST(Args, ParsesKeySpaceValue)
 {
     Args a = makeArgs({"prog", "--refs", "250", "--alpha", "0.5"});
     EXPECT_EQ(a.getInt("refs"), 250);
-    EXPECT_DOUBLE_EQ(a.getDouble("alpha"), 0.5);
+    EXPECT_EQ(a.getString("alpha"), "0.5");
 }
 
 TEST(Args, BooleanFlags)
@@ -331,11 +331,9 @@ TEST(Args, ReportsKeysNoAccessorRead)
 TEST(Args, NumbersRejectTrailingCharacters)
 {
     Args a = makeArgs({"prog", "--max-cores=2x", "--n=-3k",
-                       "--alpha=0.5s", "--ok=0x10"});
+                       "--ok=0x10"});
     EXPECT_EXIT(a.getUint("max-cores"), testing::ExitedWithCode(1),
                 "expects an unsigned integer, got '2x'");
     EXPECT_EXIT(a.getInt("n"), testing::ExitedWithCode(1), "'-3k'");
-    EXPECT_EXIT(a.getDouble("alpha"), testing::ExitedWithCode(1),
-                "'0.5s'");
     EXPECT_EQ(a.getUint("ok"), 16u);
 }

@@ -34,9 +34,6 @@ every simulated field must equal the baseline's exactly; host fields
 (wall time, records/s, worker counts) are skipped, and `events` is
 reported old -> new. Records/s is printed against the baseline,
 never gated.
-
---stepping gates BENCH_stepping.json: bit-identical threaded
-harness, positive throughputs, structural speedups above floors.
 """
 
 import argparse
@@ -338,63 +335,24 @@ def check_baseline(gate, scenarios, path):
                 report_events(path, label, old, cur)
 
 
-def check_stepping(gate, current):
-    pair = current.get("harness_matched_pair", {})
-    gate.check(
-        pair.get("bit_identical") is True,
-        "stepping: threaded harness no longer bit-identical",
-    )
-    for section, rates in current.items():
-        if not isinstance(rates, dict):
-            continue
-        for field, value in rates.items():
-            if field.endswith("_per_s"):
-                gate.check(
-                    isinstance(value, (int, float)) and value > 0,
-                    f"stepping: {section}.{field} is not positive",
-                )
-    # Structural wins (same-process base/fast ratios, so stable on
-    # noisy runners): bulk-fread replay bought ~2.5x, pooled
-    # payloads ~3.3x. Gate well below the measured values — these
-    # floors catch a regression to the pre-optimization path, not
-    # run-to-run noise.
-    floors = {"trace_file_replay": 1.3, "payload_alloc": 1.5}
-    for section, floor in floors.items():
-        speedup = current.get(section, {}).get("speedup", 0)
-        gate.check(
-            speedup >= floor,
-            f"stepping: {section}.speedup {speedup:.2f} below "
-            f"floor {floor} — structural optimization regressed",
-        )
-
-
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("artifacts", nargs="*",
+    ap.add_argument("artifacts", nargs="+",
                     help="pvsim run artifacts (--json-out) to gate")
     ap.add_argument("--baseline", help="committed pvsim artifact the "
                     "artifacts' rows must reproduce")
-    ap.add_argument("--stepping", help="fresh BENCH_stepping.json")
     args = ap.parse_args()
-    if args.baseline and not args.artifacts:
-        ap.error("--baseline needs an artifact")
 
     gate = Gate()
-    if args.artifacts:
-        scenarios = load_artifacts(gate, args.artifacts)
-        check_invariants(gate, scenarios)
-        check_anchors(gate, scenarios)
-        if args.baseline:
-            check_baseline(gate, scenarios, args.baseline)
-    if args.stepping:
-        check_stepping(gate, load(args.stepping))
+    scenarios = load_artifacts(gate, args.artifacts)
+    check_invariants(gate, scenarios)
+    check_anchors(gate, scenarios)
+    if args.baseline:
+        check_baseline(gate, scenarios, args.baseline)
 
-    if not gate.checks:
-        print("check_bench: nothing to check")
-        return 1
     if gate.failures:
         print(f"check_bench: {len(gate.failures)} of {gate.checks} "
               f"checks FAILED")
