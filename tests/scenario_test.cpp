@@ -393,16 +393,32 @@ TEST(ScenarioValidateTest, PaperKindChecksItsSection)
         expectInvalid(body, want);
 }
 
-TEST(ScenarioValidateTest, RemovedKnobsAreUnknownKeys)
+TEST(ScenarioValidateTest, RemovedTimingKnobIsAnUnknownKey)
 {
-    // An old file that still sets a removed knob fails with the
-    // key's path instead of quietly running a different machine:
-    // timing always runs one event loop, and the functional
-    // round-robin chunk is a constant of the model.
-    expectInvalid("timed\", \"system\": {\"timing_shards\": 4}",
-                  "$.system: unknown key \"timing_shards\"");
-    expectInvalid("functional\", \"system\": {\"functional_chunk\": 1}",
-                  "$.system: unknown key \"functional_chunk\"");
+    // Timing always runs one event loop: an old file that still
+    // asks for shards fails with the key's path instead of quietly
+    // running a different machine.
+    expectConfigError(
+        [] {
+            parseScenario("{\"name\": \"x\", \"kind\": \"timed\","
+                          " \"system\": {\"timing_shards\": 4}}",
+                          "old.json");
+        },
+        "old.json.system: unknown key \"timing_shards\"");
+}
+
+TEST(ScenarioValidateTest, RemovedFunctionalChunkIsAnUnknownKey)
+{
+    // The functional round-robin chunk is a constant of the model:
+    // an old file that still sets it fails with the key's path
+    // instead of quietly running a different interleaving.
+    expectConfigError(
+        [] {
+            parseScenario("{\"name\": \"x\", \"kind\": \"functional\","
+                          " \"system\": {\"functional_chunk\": 1}}",
+                          "old.json");
+        },
+        "old.json.system: unknown key \"functional_chunk\"");
 }
 
 TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
