@@ -20,7 +20,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "harness/metrics.hh"
+#include "config/scenario.hh"
 #include "harness/system.hh"
 #include "harness/table.hh"
 #include "util/args.hh"
@@ -110,7 +110,10 @@ main(int argc, char **argv)
                  "\"general framework\" claim (Sections 5-6).\n";
 
     if (penalty > 0) {
-        Fig9Options opt;
+        Scenario s;
+        s.name = "btb-demo";
+        s.kind = "fig9";
+        Fig9Options &opt = s.fig9;
         opt.numCores = 2;
         // Keep the demo quick: cap the pair's geometry.
         opt.btbSets = std::min(btb_sets, 512u);
@@ -127,12 +130,13 @@ main(int argc, char **argv)
         // Single-preset mini-mix; borrow the "web" branch profile
         // so the demo runs on learnable successor edges.
         opt.mixes = {{workload, {workload}, presetMixes()[0].branch}};
-        Fig9Row r = fig9Sweep(opt).at(0);
+        const Row r = scenarioRows(s).at(0);
         std::cout << "  dedicated SRAM BTB : IPC "
-                  << fmtDouble(r.dedicatedIpc, 4)
+                  << fmtDouble(r.value("dedicated_ipc"), 4)
                   << "\n  virtualized BTB    : IPC "
-                  << fmtDouble(r.virtualizedIpc, 4) << "  ("
-                  << fmtDouble(r.speedupPct, 2) << "% vs dedicated)\n"
+                  << fmtDouble(r.value("virtualized_ipc"), 4) << "  ("
+                  << fmtDouble(r.value("speedup_pct"), 2)
+                  << "% vs dedicated)\n"
                   << "Predictions a PV fill cannot deliver by fetch "
                      "time charge the same redirect as wrong ones — "
                      "the latency cost the paper flags for "

@@ -311,9 +311,6 @@ reflectFields(QosOptions &c, V &v)
     v.field("btb_assoc", c.btbAssoc);
     v.field("agt_sets", c.agtSets);
     v.field("penalty_cycles", c.penalty);
-    // Renamed from "pvcache_entries" to match SystemConfig's
-    // spelling; the alias keeps committed scenarios parsing.
-    v.alias("pvcache_entries", c.pvCacheEntries);
     v.field("pv_cache_entries", c.pvCacheEntries);
     v.field("pv_prefetch", c.pvPrefetch);
     v.field("victim_entries", c.victimEntries);

@@ -440,8 +440,15 @@ class Parser
         skipWs();
         char c = peek();
         switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            if (++depth_ > Value::kMaxDepth)
+                fail("nested deeper than " +
+                     std::to_string(Value::kMaxDepth) + " levels");
+            Value v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"': return Value::string(parseString());
           case 't':
             if (consumeLiteral("true"))
@@ -636,6 +643,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    unsigned depth_ = 0; ///< arrays and objects open at pos_
 };
 
 } // namespace

@@ -94,8 +94,13 @@ class Value
     bool operator!=(const Value &o) const { return !(*this == o); }
 
     /** Strict parse of a complete document (throws ConfigError with
-     *  line:column on any syntax error or trailing garbage). */
+     *  line:column on any syntax error, trailing garbage, or arrays
+     *  and objects nested more than kMaxDepth deep). */
     static Value parse(const std::string &text);
+
+    /** The deepest nesting parse() accepts: far beyond any config,
+     *  far short of the stack the recursive parser would need. */
+    static constexpr unsigned kMaxDepth = 256;
 
     /** Deterministic pretty-print; terminated by a newline. */
     std::string dump(unsigned indent = 2) const;

@@ -44,7 +44,6 @@ namespace config {
 /** Probe visitor used only inside decltype. */
 struct FieldProbe {
     template <class F> void field(const char *, F &) {}
-    template <class F> void alias(const char *, F &) {}
 };
 
 template <class T, class = void>
@@ -89,14 +88,6 @@ class WriteVisitor
         obj_.set(name, toJson(v));
     }
 
-    /** Aliases are read-side compatibility only: the canonical dump
-     *  (and so the fingerprint) always writes the current key. */
-    template <class F>
-    void
-    alias(const char *, F &)
-    {
-    }
-
   private:
     json::Value &obj_;
 };
@@ -123,22 +114,6 @@ class ReadVisitor
             fromJson(*j, v, path_ + "." + name);
         // Absent keys keep the member's default — scenarios only
         // spell what they change.
-    }
-
-    /**
-     * Accept a retired spelling of a field so committed scenario
-     * JSONs keep validating across renames. Declare the alias
-     * BEFORE the canonical field() in reflectFields: when a
-     * document carries both keys, the canonical one parses last
-     * and wins.
-     */
-    template <class F>
-    void
-    alias(const char *old_name, F &v)
-    {
-        consumed_.push_back(old_name);
-        if (const json::Value *j = obj_.find(old_name))
-            fromJson(*j, v, path_ + "." + old_name);
     }
 
     /** Strictness: every member of the object must have been

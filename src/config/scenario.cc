@@ -165,39 +165,69 @@ validateScenario(const Scenario &s)
     }
 }
 
+namespace {
+
+/** What every run of s gets: its kind's budgets and batches. */
+RunBudget
+budgetOf(const Scenario &s)
+{
+    if (s.kind == "fig9")
+        return {0, 0, s.fig9.warmupRecords, s.fig9.measureRecords,
+                s.fig9.batches};
+    if (s.kind == "qos" || s.kind == "qos_hetero")
+        return {0, 0, s.qos.warmupRecords, s.qos.measureRecords,
+                s.qos.batches};
+    return {s.warmupRefs, s.measureRefs, s.warmupRecords,
+            s.measureRecords, s.kind == "paper" ? s.paper.batches : 1};
+}
+
+/** One pass of s's figure over r. */
+void
+pass(Runs &r, const Scenario &s)
+{
+    if (s.kind == "timed")
+        timedRows(r, s.system);
+    else if (s.kind == "functional")
+        functionalRows(r, s.system);
+    else if (s.kind == "fig9")
+        fig9Rows(r, s.fig9);
+    else if (s.kind == "qos")
+        qosRows(r, s.qos);
+    else if (s.kind == "qos_hetero")
+        qosHeteroRows(r, s.qos);
+    else if (s.kind == "paper")
+        paperRows(r, s.paper);
+    else
+        throw ConfigError(s.name + ": unknown kind \"" + s.kind + "\"");
+}
+
+} // namespace
+
 std::vector<std::pair<std::string, SystemConfig>>
 scenarioMachines(const Scenario &s)
 {
+    Runs r(budgetOf(s));
+    pass(r, s);
+    // The timed and functional kinds run the `system` section itself.
+    const bool own = s.kind == "timed" || s.kind == "functional";
     std::vector<std::pair<std::string, SystemConfig>> machines;
-    if (s.kind == "timed" || s.kind == "functional")
-        machines.emplace_back("", s.system);
-    if (s.kind == "fig9") {
-        const std::vector<WorkloadMix> mixes =
-            s.fig9.mixes.empty() ? presetMixes() : s.fig9.mixes;
-        for (const WorkloadMix &mix : mixes) {
-            for (BtbMode mode : {BtbMode::Dedicated, BtbMode::Virtualized})
-                machines.emplace_back("fig9 machine (mix \"" + mix.name +
-                                          "\", " + btbModeName(mode) +
-                                          ")",
-                                      fig9Config(mix, s.fig9, mode));
-        }
-    }
-    if (s.kind == "qos" || s.kind == "qos_hetero") {
-        const std::vector<QosSetting> settings =
-            s.qos.settings.empty() ? presetQosSettings()
-                                   : s.qos.settings;
-        for (const QosSetting &setting : settings)
-            machines.emplace_back("qos machine (setting \"" +
-                                      setting.label + "\")",
-                                  qosConfig(s.qos, setting));
-    }
-    if (s.kind == "paper") {
-        for (const SystemConfig &cfg : paperMachines(s.paper))
-            machines.emplace_back("paper machine (" + cfg.workloadFor(0) +
-                                      ", " + cfg.label() + ")",
-                                  cfg);
-    }
+    for (const SystemConfig &cfg : r.machines())
+        machines.emplace_back(own ? ""
+                                  : s.kind + " machine (" +
+                                        cfg.workloadFor(0) + ", " +
+                                        cfg.label() + ")",
+                              cfg);
     return machines;
+}
+
+std::vector<Row>
+scenarioRows(const Scenario &s)
+{
+    Runs r(budgetOf(s));
+    pass(r, s);
+    r.run();
+    pass(r, s);
+    return std::move(r.rows);
 }
 
 int
@@ -240,122 +270,24 @@ listScenarioFiles(const std::string &path)
 
 namespace {
 
-// The artifact row schema, one emitter per row kind.
-
+/** The artifact's one row schema: text fields, then values printed
+ *  at round-trip precision, so byte counts print as integers and the
+ *  ledger reads the values the runs computed. */
 std::string
-functionalRowJson(const FunctionalResult &r)
+rowJson(const Row &r)
 {
     std::ostringstream os;
-    os << "{\"covered_pct\": " << r.coverage.coveredPct()
-       << ", \"uncovered_pct\": " << r.coverage.uncoveredPct()
-       << ", \"overprediction_pct\": "
-       << r.coverage.overpredictionPct()
-       << ", \"l2_requests\": " << r.traffic.l2Requests
-       << ", \"l2_requests_pv\": " << r.traffic.l2RequestsPv
-       << ", \"l2_misses\": " << r.traffic.l2Misses()
-       << ", \"l2_writebacks\": " << r.traffic.l2Writebacks()
-       << ", \"offchip_bytes\": " << r.traffic.offChipBytes()
-       << ", \"pv_l2_fill_rate\": " << r.pvL2FillRate << "}";
-    return os.str();
-}
-
-/** IPC + host-cost body of one TimedRun (no braces): a timed row,
- *  and the qos_hetero "reference"/"protected" objects. */
-std::string
-timedRunJson(const TimedRun &r)
-{
-    std::ostringstream os;
-    os << "\"ipc\": " << r.ipc
-       << ", \"wall_seconds\": " << r.wallSeconds
-       << ", \"records\": " << r.records
-       << ", \"records_per_sec\": " << r.recordsPerSec()
-       << ", \"events\": " << r.eventsExecuted;
-    return os.str();
-}
-
-std::string
-fig9RowJson(const Fig9Row &r)
-{
-    std::ostringstream os;
-    os << "{\"mix\": \"" << r.mix
-       << "\", \"edge_stability\": " << r.edgeStability
-       << ", \"dedicated_ipc\": " << r.dedicatedIpc
-       << ", \"virtualized_ipc\": " << r.virtualizedIpc
-       << ", \"dedicated_hit_pct\": " << r.dedicatedHitPct
-       << ", \"virtualized_hit_pct\": " << r.virtualizedHitPct
-       << ", \"speedup_pct\": " << r.speedupPct
-       << ", \"ci_pct\": " << r.ciPct
-       << ", \"virtualized_avail_redirect_pct\": "
-       << r.virtualizedAvailRedirectPct
-       << ", \"prefetch_fills\": " << r.prefetchFills
-       << ", \"prefetch_useful\": " << r.prefetchUseful
-       << ", \"prefetch_drops\": " << r.prefetchDrops
-       << ", \"victim_hits\": " << r.victimHits
-       << ", \"wall_seconds\": " << r.wallSeconds
-       << ", \"records\": " << r.records
-       << ", \"records_per_sec\": " << r.recordsPerSec()
-       << ", \"events\": " << r.eventsExecuted
-       << ", \"jobs_effective\": " << r.jobsEffective << "}";
-    return os.str();
-}
-
-std::string
-qosRowJson(const QosRow &r)
-{
-    std::ostringstream os;
-    os << "{\"setting\": \"" << r.label
-       << "\", \"btb_weight\": " << r.btbWeight
-       << ", \"aggressor_weight\": " << r.aggressorWeight
-       << ", \"ipc\": " << r.ipc
-       << ", \"avail_redirect_pct\": " << r.availRedirectPct
-       << ", \"btb_hit_pct\": " << r.btbHitPct
-       << ", \"btb_drop_pct\": " << r.btbDropPct
-       << ", \"aggressor_drop_pct\": " << r.aggressorDropPct
-       << ", \"btb_fill_latency\": " << r.btbFillLatency
-       << ", \"ipc_delta_pct\": " << r.ipcDeltaPct
-       << ", \"avail_improvement_pct\": " << r.availImprovementPct
-       << ", \"wall_seconds\": " << r.wallSeconds
-       << ", \"records\": " << r.records
-       << ", \"records_per_sec\": " << r.recordsPerSec()
-       << ", \"events\": " << r.eventsExecuted
-       << ", \"jobs_effective\": " << r.jobsEffective << "}";
-    return os.str();
-}
-
-std::string
-qosClusterRowJson(const QosClusterRow &c)
-{
-    std::ostringstream os;
-    os << "{\"cluster\": \"" << c.cluster
-       << "\", \"mix\": \"" << c.mix
-       << "\", \"contract\": \"" << c.contract
-       << "\", \"btb_weight\": " << c.btbWeight
-       << ", \"aggressor_weight\": " << c.aggressorWeight
-       << ", \"cores\": " << c.cores
-       << ", \"avail_redirect_pct\": " << c.availRedirectPct
-       << ", \"ref_avail_redirect_pct\": " << c.refAvailRedirectPct
-       << ", \"avail_improvement_pct\": " << c.availImprovementPct
-       << ", \"btb_hit_pct\": " << c.btbHitPct
-       << ", \"btb_drop_pct\": " << c.btbDropPct
-       << ", \"ref_btb_drop_pct\": " << c.refBtbDropPct
-       << ", \"aggressor_drop_pct\": " << c.aggressorDropPct << "}";
-    return os.str();
-}
-
-std::string
-paperRowJson(const PaperRow &r)
-{
-    std::ostringstream os;
-    // Round-trip precision: byte counts print as integers, and the
-    // ledger reads the values the runs computed.
     os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << "{\"figure\": " << json::quote(r.figure)
-       << ", \"workload\": " << json::quote(r.workload)
-       << ", \"config\": " << json::quote(r.config);
-    for (const auto &[field, text] : r.text)
-        os << ", " << json::quote(field) << ": " << json::quote(text);
-    for (const auto &[field, v] : r.values)
-        os << ", " << json::quote(field) << ": " << v;
+       << "{";
+    const char *sep = "";
+    for (const auto &[field, text] : r.text) {
+        os << sep << json::quote(field) << ": " << json::quote(text);
+        sep = ", ";
+    }
+    for (const auto &[field, v] : r.values) {
+        os << sep << json::quote(field) << ": " << v;
+        sep = ", ";
+    }
     os << "}";
     return os.str();
 }
@@ -365,42 +297,7 @@ paperRowJson(const PaperRow &r)
 std::string
 runScenarioJson(const Scenario &s, const std::string &file_label)
 {
-    std::vector<std::string> rows;
-    std::string extra;
-
-    if (s.kind == "timed") {
-        TimedRun r =
-            timedRun(s.system, s.warmupRecords, s.measureRecords);
-        rows.push_back("{" + timedRunJson(r) + "}");
-    } else if (s.kind == "functional") {
-        rows.push_back(functionalRowJson(runFunctionalMeasured(
-            s.system, s.warmupRefs, s.measureRefs)));
-    } else if (s.kind == "fig9") {
-        for (const Fig9Row &r : fig9Sweep(s.fig9))
-            rows.push_back(fig9RowJson(r));
-    } else if (s.kind == "qos") {
-        for (const QosRow &r : qosSweep(s.qos))
-            rows.push_back(qosRowJson(r));
-    } else if (s.kind == "qos_hetero") {
-        QosHeterogeneousResult het = qosHeterogeneous(s.qos);
-        for (const QosClusterRow &c : het.clusters)
-            rows.push_back(qosClusterRowJson(c));
-        std::ostringstream os;
-        os << ",\n      \"reference\": {"
-           << timedRunJson(het.referenceRun) << "},\n"
-           << "      \"protected\": {"
-           << timedRunJson(het.protectedRun) << "}";
-        extra = os.str();
-    } else if (s.kind == "paper") {
-        const PaperBudget budget{s.warmupRefs, s.measureRefs,
-                                 s.warmupRecords, s.measureRecords};
-        for (const PaperRow &r : paperRows(s.paper, budget))
-            rows.push_back(paperRowJson(r));
-    } else {
-        throw ConfigError(s.name + ": unknown kind \"" + s.kind +
-                          "\"");
-    }
-
+    const std::vector<Row> rows = scenarioRows(s);
     std::ostringstream os;
     os << "{\n      \"name\": " << json::quote(s.name)
        << ",\n      \"kind\": " << json::quote(s.kind)
@@ -410,9 +307,9 @@ runScenarioJson(const Scenario &s, const std::string &file_label)
               config::fingerprintHex(scenarioFingerprint(s)))
        << ",\n      \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i)
-        os << "        " << rows[i]
+        os << "        " << rowJson(rows[i])
            << (i + 1 < rows.size() ? "," : "") << "\n";
-    os << "      ]" << extra << "\n    }";
+    os << "      ]\n    }";
     return os.str();
 }
 

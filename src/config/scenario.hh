@@ -3,12 +3,12 @@
  * Declarative scenarios: a JSON file under scenarios/ is one
  * experiment — a plain timed or functional run of a SystemConfig,
  * a whole fig9/qos/qos_hetero sweep, or the paper's own figures and
- * tables — expressed as data and executed through the harness entry
- * points (timedRun, fig9Sweep, qosSweep, qosHeterogeneous,
- * paperRows). The runner is the only producer of experiment
- * artifacts: every BENCH_*.json is a `pvsim run` of the scenarios
- * under scenarios/bench/, in the one row schema runScenarioJson
- * emits.
+ * tables — expressed as data. Every kind is a figure function on
+ * the one planner (harness/paper.hh: Runs), whose plan pass also
+ * lists the machines validation checks. The runner is the only
+ * producer of experiment artifacts: every BENCH_*.json is a `pvsim
+ * run` of the scenarios under scenarios/bench/, in the one row
+ * schema runScenarioJson emits.
  *
  * Every field of every nested config is reflected
  * (config/fields.hh): absent keys default, unknown keys are
@@ -96,12 +96,12 @@ uint64_t scenarioFingerprint(const Scenario &s);
 void validateScenario(const Scenario &s);
 
 /**
- * Every machine the scenario's kind builds, each with the label
- * validation names it by: the `system` section (label "") for the
- * timed and functional kinds, each fig9 mix on both BTB sides, each
- * qos setting, and each paper run. The paper kind's figure and
- * workload names must be known; validateScenario checks them before
- * it checks these machines.
+ * Every machine the scenario's runs build (its plan pass), each with
+ * the label validation names it by: "" for the `system` section of
+ * the timed and functional kinds, else "<kind> machine (<first
+ * workload>, <config label>)". The paper kind's figure and workload
+ * names must be known; validateScenario checks them before it
+ * checks these machines.
  */
 std::vector<std::pair<std::string, SystemConfig>>
 scenarioMachines(const Scenario &s);
@@ -119,12 +119,18 @@ int scenarioCores(const Scenario &s);
  */
 std::vector<std::string> listScenarioFiles(const std::string &path);
 
+/** Execute one scenario: its rows, bit-identical for any
+ *  PVSIM_JOBS (host fields aside). */
+std::vector<Row> scenarioRows(const Scenario &s);
+
 /**
  * Execute one scenario and return its complete result object
- * (pretty JSON, no trailing newline): name, kind, fingerprint and
- * a "rows" array in the matching BENCH_*.json row schema
- * (qos_hetero additionally carries reference/protected summaries;
- * a paper row is keyed by figure, workload and config).
+ * (pretty JSON, no trailing newline): name, kind, file, fingerprint
+ * and a "rows" array. Each row prints its text fields, then its
+ * values at round-trip precision. Rows are keyed by figure,
+ * workload and config (paper), mix and edge stability (fig9),
+ * setting (qos), cluster or run (qos_hetero: four clusters, then
+ * the reference and protected runs).
  */
 std::string runScenarioJson(const Scenario &s,
                             const std::string &file_label);

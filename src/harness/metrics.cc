@@ -1,7 +1,6 @@
 #include "harness/metrics.hh"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -183,15 +182,18 @@ addCoreCounters(TimedRun &r, System &sys, int c)
     }
 }
 
-/**
- * The one warmup -> resetStats -> measure protocol every timing
- * harness entry runs, collecting the TimedRun scoreboard; callers
- * keep the System to harvest additional stats afterwards.
- */
+} // anonymous namespace
+
 TimedRun
-runMeasured(System &sys, uint64_t warmup_records,
-            uint64_t measure_records)
+timedRun(SystemConfig cfg, uint64_t warmup_records,
+         uint64_t measure_records, const TenantContracts &contracts,
+         std::vector<TimedRun> *cores)
 {
+    cfg.mode = SimMode::Timing;
+    System sys(cfg);
+    for (size_t c = 0; c < contracts.size(); ++c)
+        for (size_t t = 0; t < contracts[c].size(); ++t)
+            sys.pvProxy(int(c))->setTenantQos(unsigned(t), contracts[c][t]);
     if (warmup_records > 0)
         sys.runTiming(warmup_records);
     Tick start = sys.ctx().curTick();
@@ -205,27 +207,14 @@ runMeasured(System &sys, uint64_t warmup_records,
     r.ipc = aggregateIpc(sys.totalInstructions(), finish - start);
     r.wallSeconds = wall.count();
     r.eventsExecuted = sys.eventsExecuted() - events_before;
-    for (int c = 0; c < sys.numCores(); ++c)
+    if (cores)
+        cores->assign(size_t(sys.numCores()), TimedRun{});
+    for (int c = 0; c < sys.numCores(); ++c) {
         addCoreCounters(r, sys, c);
+        if (cores)
+            addCoreCounters((*cores)[size_t(c)], sys, c);
+    }
     return r;
-}
-
-/** 100 * num / den, or 0 when den is 0. */
-double
-pct(uint64_t num, uint64_t den)
-{
-    return den ? 100.0 * double(num) / double(den) : 0.0;
-}
-
-} // anonymous namespace
-
-TimedRun
-timedRun(SystemConfig cfg, uint64_t warmup_records,
-         uint64_t measure_records)
-{
-    cfg.mode = SimMode::Timing;
-    System sys(cfg);
-    return runMeasured(sys, warmup_records, measure_records);
 }
 
 double
@@ -279,27 +268,6 @@ matchedPairSpeedup(const SystemConfig &base, const SystemConfig &cfg,
         baselineIpcs(cfg, warmup_records, measure_records, batches));
 }
 
-namespace {
-
-/**
- * The successor-edge stability a (mix, requested-override) pair
- * actually runs — the single source of truth for fig9Config (what
- * the Systems execute) and fig9Sweep's row labels (what the
- * artifact reports): 0 for a mix without a branch profile (flat
- * streams — any override is meaningless), else the override, else
- * the mix's own value.
- */
-double
-fig9EffectiveStability(const WorkloadMix &mix, double requested)
-{
-    if (!mix.branch.enabled)
-        return 0.0;
-    return requested >= 0.0 ? requested
-                            : mix.branch.edgeStability;
-}
-
-} // anonymous namespace
-
 SystemConfig
 fig9Config(const WorkloadMix &mix, const Fig9Options &opt,
            BtbMode mode, double edge_stability)
@@ -312,10 +280,8 @@ fig9Config(const WorkloadMix &mix, const Fig9Options &opt,
     // learnable; a sweep value overrides its stability so the
     // experiment can walk hit rate from near-perfect to coin-flip.
     cfg.branchProfile = mix.branch;
-    if (mix.branch.enabled) {
-        cfg.branchProfile.edgeStability =
-            fig9EffectiveStability(mix, edge_stability);
-    }
+    if (mix.branch.enabled && edge_stability >= 0.0)
+        cfg.branchProfile.edgeStability = edge_stability;
     // No data prefetcher: the pair isolates the BTB effect.
     cfg.prefetch = PrefetchMode::None;
     cfg.btbMispredictPenalty = opt.penalty;
@@ -331,87 +297,6 @@ fig9Config(const WorkloadMix &mix, const Fig9Options &opt,
     cfg.pvPrefetch = opt.pvPrefetch;
     cfg.victimEntries = opt.victimEntries;
     return cfg;
-}
-
-std::vector<Fig9Row>
-fig9Sweep(const Fig9Options &opt)
-{
-    pv_assert(opt.batches > 0, "fig9Sweep needs at least one batch");
-    const std::vector<WorkloadMix> mixes =
-        opt.mixes.empty() ? presetMixes() : opt.mixes;
-    const std::vector<double> stabilities =
-        opt.edgeStabilities.empty()
-            ? std::vector<double>{kFig9MixStability}
-            : opt.edgeStabilities;
-    const unsigned batches = opt.batches;
-
-    // Every (stability, mix, side, batch) run is a self-contained
-    // System, so flatten them all into one shard: the pool stays
-    // busy even when batches alone are fewer than the workers. Job
-    // layout: stability-major, then mix, then side (0 dedicated /
-    // 1 virtualized), then batch; results are bit-identical to the
-    // nested serial loops.
-    const unsigned per_mix = 2 * batches;
-    const unsigned per_stab = unsigned(mixes.size()) * per_mix;
-    std::vector<TimedRun> runs(stabilities.size() * per_stab);
-    const unsigned jobs = effectiveHarnessJobs(unsigned(runs.size()));
-    forEachBatch(unsigned(runs.size()), [&](unsigned j) {
-        const double stability = stabilities[j / per_stab];
-        const WorkloadMix &mix =
-            mixes[(j % per_stab) / per_mix];
-        BtbMode mode = (j / batches) % 2 ? BtbMode::Virtualized
-                                         : BtbMode::Dedicated;
-        SystemConfig cfg = fig9Config(mix, opt, mode, stability);
-        cfg.seedOffset = j % batches;
-        runs[j] = timedRun(cfg, opt.warmupRecords,
-                           opt.measureRecords);
-    });
-
-    std::vector<Fig9Row> rows;
-    rows.reserve(stabilities.size() * mixes.size());
-    for (size_t s = 0; s < stabilities.size(); ++s) {
-        for (size_t m = 0; m < mixes.size(); ++m) {
-            const TimedRun *ded =
-                &runs[s * per_stab + m * per_mix];
-            const TimedRun *virt = ded + batches;
-            Fig9Row row;
-            row.mix = mixes[m].name;
-            // Same resolution fig9Config applied: the label always
-            // matches what the Systems ran (0 = flat-stream pass).
-            row.edgeStability =
-                fig9EffectiveStability(mixes[m], stabilities[s]);
-            row.batchPct.resize(batches, 0.0);
-            TimedRun ded_all, virt_all;
-            for (unsigned b = 0; b < batches; ++b) {
-                ded_all += ded[b];
-                virt_all += virt[b];
-                row.batchPct[b] =
-                    ded[b].ipc > 0.0
-                        ? 100.0 * (virt[b].ipc / ded[b].ipc - 1.0)
-                        : 0.0;
-            }
-            row.dedicatedIpc = ded_all.ipc / double(batches);
-            row.virtualizedIpc = virt_all.ipc / double(batches);
-            row.dedicatedHitPct = 100.0 * ded_all.btbHitRate();
-            row.virtualizedHitPct = 100.0 * virt_all.btbHitRate();
-            row.virtualizedAvailRedirectPct =
-                100.0 * virt_all.btbAvailabilityRedirectRate();
-            row.prefetchFills = virt_all.prefetchFills;
-            row.prefetchUseful = virt_all.prefetchUseful;
-            row.prefetchDrops = virt_all.prefetchDrops;
-            row.victimHits = virt_all.victimHits;
-            row.wallSeconds = ded_all.wallSeconds + virt_all.wallSeconds;
-            row.records = ded_all.records + virt_all.records;
-            row.eventsExecuted =
-                ded_all.eventsExecuted + virt_all.eventsExecuted;
-            row.jobsEffective = jobs;
-            MeanCi ci = meanCi(row.batchPct);
-            row.speedupPct = ci.mean;
-            row.ciPct = ci.halfWidth;
-            rows.push_back(std::move(row));
-        }
-    }
-    return rows;
 }
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
@@ -491,214 +376,6 @@ qosConfig(const QosOptions &opt, const QosSetting &s)
     cfg.pvPrefetch = opt.pvPrefetch;
     cfg.victimEntries = opt.victimEntries;
     return cfg;
-}
-
-std::vector<QosRow>
-qosSweep(const QosOptions &opt)
-{
-    pv_assert(opt.batches > 0, "qosSweep needs at least one batch");
-    const std::vector<QosSetting> settings =
-        opt.settings.empty() ? presetQosSettings() : opt.settings;
-    const unsigned batches = opt.batches;
-
-    // Job layout: setting-major, then batch; every run is a
-    // self-contained System, so the (setting, batch) grid shards
-    // flat across the worker pool with bit-identical results.
-    std::vector<TimedRun> runs(settings.size() * batches);
-    const unsigned jobs = effectiveHarnessJobs(unsigned(runs.size()));
-    forEachBatch(unsigned(runs.size()), [&](unsigned j) {
-        SystemConfig cfg =
-            qosConfig(opt, settings[j / batches]);
-        cfg.seedOffset = j % batches;
-        runs[j] = timedRun(cfg, opt.warmupRecords,
-                           opt.measureRecords);
-    });
-
-    std::vector<QosRow> rows;
-    rows.reserve(settings.size());
-    for (size_t s = 0; s < settings.size(); ++s) {
-        const TimedRun *mine = &runs[s * batches];
-        const TimedRun *base = &runs[0]; // first setting, same seeds
-        QosRow row;
-        row.label = settings[s].label;
-        row.btbWeight = settings[s].btb.weight;
-        row.aggressorWeight = settings[s].aggressor.weight;
-
-        TimedRun all, base_all;
-        std::vector<double> delta(batches, 0.0);
-        for (unsigned b = 0; b < batches; ++b) {
-            all += mine[b];
-            base_all += base[b];
-            delta[b] = base[b].ipc > 0.0
-                           ? 100.0 * (mine[b].ipc / base[b].ipc - 1.0)
-                           : 0.0;
-        }
-        row.ipc = all.ipc / double(batches);
-        row.wallSeconds = all.wallSeconds;
-        row.records = all.records;
-        row.eventsExecuted = all.eventsExecuted;
-        row.jobsEffective = jobs;
-        row.availRedirectPct =
-            100.0 * all.btbAvailabilityRedirectRate();
-        row.btbHitPct = 100.0 * all.btbHitRate();
-        row.btbDropPct = pct(all.btbDrops, all.btbOps);
-        row.aggressorDropPct =
-            pct(all.aggressorDrops, all.aggressorOps);
-        row.btbFillLatency =
-            all.btbFills ? double(all.btbFillTicks) /
-                               double(all.btbFills)
-                         : 0.0;
-        row.ipcDeltaPct = meanCi(delta).mean;
-        double base_rate =
-            100.0 * base_all.btbAvailabilityRedirectRate();
-        row.availImprovementPct =
-            base_rate > 0.0
-                ? 100.0 * (base_rate - row.availRedirectPct) /
-                      base_rate
-                : 0.0;
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
-// ---- Heterogeneous per-cluster tenant matrix --------------------------
-
-namespace {
-
-/** Cluster group of core c: contiguous quarters. */
-unsigned
-hetGroupOf(int core, int num_cores)
-{
-    return unsigned(core) * 4u / unsigned(num_cores);
-}
-
-/** Scoreboard of one heterogeneous run, whole machine and per
- *  cluster group. */
-struct HetRun {
-    TimedRun timed;
-    std::array<TimedRun, 4> groups;
-};
-
-/**
- * One heterogeneous run: every cluster group gets its own workload
- * mix; when `protect` is set, groups 1..3 additionally get their
- * own QoS contracts (installed through the proxies before any
- * traffic — the config itself carries the equal contract, so the
- * protected and reference runs share one address map and seed
- * derivation and differ only in the arbiter's entitlements).
- */
-HetRun
-hetRun(const QosOptions &opt,
-       const std::array<const WorkloadMix *, 4> &group_mixes,
-       const std::array<const QosSetting *, 4> &contracts,
-       unsigned seed, bool protect)
-{
-    SystemConfig cfg = qosConfig(opt, *contracts[0]);
-    cfg.workloadMix.clear();
-    cfg.workloadMix.reserve(size_t(opt.numCores));
-    for (int c = 0; c < opt.numCores; ++c) {
-        const std::vector<std::string> &w =
-            group_mixes[hetGroupOf(c, opt.numCores)]->workloads;
-        cfg.workloadMix.push_back(w[size_t(c) % w.size()]);
-    }
-    cfg.seedOffset = seed;
-    System sys(cfg);
-    if (protect) {
-        for (int c = 0; c < sys.numCores(); ++c) {
-            const QosSetting &s =
-                *contracts[hetGroupOf(c, opt.numCores)];
-            // Table 0 is the implicit virtualized BTB, table 1 the
-            // registered AGT aggressor (see qosConfig).
-            sys.pvProxy(c)->setTenantQos(0, s.btb);
-            sys.pvProxy(c)->setTenantQos(1, s.aggressor);
-        }
-    }
-    HetRun r;
-    r.timed = runMeasured(sys, opt.warmupRecords,
-                          opt.measureRecords);
-    for (int c = 0; c < sys.numCores(); ++c)
-        addCoreCounters(r.groups[hetGroupOf(c, opt.numCores)], sys, c);
-    return r;
-}
-
-} // anonymous namespace
-
-QosHeterogeneousResult
-qosHeterogeneous(const QosOptions &opt)
-{
-    pv_assert(opt.batches > 0,
-              "qosHeterogeneous needs at least one batch");
-    pv_assert(opt.numCores >= 4 && opt.numCores % 4 == 0,
-              "heterogeneous matrix needs a multiple of 4 cores");
-
-    // The four preset mixes (web / oltp / dss / mixed), one per
-    // cluster group.
-    const std::vector<WorkloadMix> mixes = presetMixes();
-    pv_assert(mixes.size() >= 4, "need four preset mixes");
-    const std::array<const WorkloadMix *, 4> group_mixes = {
-        &mixes[0], &mixes[1], &mixes[2], &mixes[3]};
-
-    // Per-group contracts: the control group keeps the equal
-    // contract even in the protected run, so its row isolates the
-    // cross-cluster side effects of protecting the others.
-    const std::vector<QosSetting> presets = presetQosSettings();
-    pv_assert(presets.size() >= 5, "need the preset QoS settings");
-    const std::array<const QosSetting *, 4> contracts = {
-        &presets[0],  // equal (control)
-        &presets[2],  // 4:1
-        &presets[4],  // equal+floor
-        &presets[3]}; // 8:1
-
-    // Job layout: side-major (reference first), then batch; both
-    // sides of batch b share the seed, so deltas are matched.
-    const unsigned batches = opt.batches;
-    std::vector<HetRun> runs(2 * batches);
-    forEachBatch(unsigned(runs.size()), [&](unsigned j) {
-        runs[j] = hetRun(opt, group_mixes, contracts, j % batches,
-                         /*protect=*/j >= batches);
-    });
-
-    QosHeterogeneousResult res;
-    const HetRun *ref = &runs[0];
-    const HetRun *prot = &runs[batches];
-    std::array<TimedRun, 4> ref_g, prot_g;
-    for (unsigned b = 0; b < batches; ++b) {
-        res.referenceRun += ref[b].timed;
-        res.protectedRun += prot[b].timed;
-        for (size_t g = 0; g < 4; ++g) {
-            ref_g[g] += ref[b].groups[g];
-            prot_g[g] += prot[b].groups[g];
-        }
-    }
-    res.referenceRun.ipc /= double(batches);
-    res.protectedRun.ipc /= double(batches);
-
-    for (size_t g = 0; g < 4; ++g) {
-        QosClusterRow row;
-        row.mix = group_mixes[g]->name;
-        row.contract = contracts[g]->label;
-        row.cluster = row.mix + "/" + row.contract;
-        row.btbWeight = contracts[g]->btb.weight;
-        row.aggressorWeight = contracts[g]->aggressor.weight;
-        row.cores = opt.numCores / 4;
-        const TimedRun &p = prot_g[g], &r = ref_g[g];
-        row.availRedirectPct =
-            pct(p.btbUnavailable, p.btbHits + p.btbMispredicts);
-        row.btbHitPct = pct(p.btbHits, p.btbHits + p.btbMispredicts);
-        row.btbDropPct = pct(p.btbDrops, p.btbOps);
-        row.aggressorDropPct = pct(p.aggressorDrops, p.aggressorOps);
-        row.refAvailRedirectPct =
-            pct(r.btbUnavailable, r.btbHits + r.btbMispredicts);
-        row.refBtbDropPct = pct(r.btbDrops, r.btbOps);
-        row.availImprovementPct =
-            row.refAvailRedirectPct > 0.0
-                ? 100.0 * (row.refAvailRedirectPct -
-                           row.availRedirectPct) /
-                      row.refAvailRedirectPct
-                : 0.0;
-        res.clusters.push_back(std::move(row));
-    }
-    return res;
 }
 
 } // namespace pvsim

@@ -3,7 +3,10 @@
  * Aggregated experiment metrics: coverage triples (Figures 4/5),
  * traffic summaries (Figures 6-8, 10), aggregate IPC and matched-pair
  * speedups with confidence intervals (Figures 9/11, using the
- * batch-means analogue of the paper's matched-pair sampling).
+ * batch-means analogue of the paper's matched-pair sampling); one
+ * timing run's scoreboard; the PVSIM_JOBS worker pool; and the
+ * machines and options of the `fig9` and `qos` scenario kinds, whose
+ * rows harness/paper.hh writes.
  */
 
 #ifndef PVSIM_HARNESS_METRICS_HH
@@ -112,7 +115,7 @@ struct SpeedupResult {
 /**
  * Everything one timing run reports: the IPC plus the measure-phase
  * counters of the BTB, the per-tenant proxy pressure and the host
- * cost, each summed over cores. A sweep folds its runs with += and
+ * cost, each summed over cores. A figure folds its runs with += and
  * derives every row field from the sums.
  */
 struct TimedRun {
@@ -174,11 +177,17 @@ struct TimedRun {
     }
 };
 
-/** One timing run: warmup, reset stats, measure.
- *  Takes cfg by value: this IS the per-run copy that the batch
- *  drivers mutate (mode, seedOffset) for one run. */
+/** Per-core tenant contracts of a timed run: core c's proxy gives
+ *  its table t the contract [c][t] before the first event. */
+using TenantContracts = std::vector<std::vector<PvTenantQos>>;
+
+/** One timing run: warmup, reset stats, measure. When `cores` is
+ *  given, it receives each core's counters (every field but ipc,
+ *  wall time and events). */
 TimedRun timedRun(SystemConfig cfg, uint64_t warmup_records,
-                  uint64_t measure_records);
+                  uint64_t measure_records,
+                  const TenantContracts &contracts = {},
+                  std::vector<TimedRun> *cores = nullptr);
 
 /** timedRun(), keeping only the IPC (the batch drivers' unit). */
 double timedIpc(SystemConfig cfg, uint64_t warmup_records,
@@ -272,42 +281,6 @@ struct Fig9Options {
     unsigned victimEntries = 0;
 };
 
-/** One (mix, stability) matched-pair outcome. */
-struct Fig9Row {
-    std::string mix;
-    /** Effective successor-edge stability of this pass; 0 when the
-     *  mix carries no branch profile (flat streams — any requested
-     *  override is meaningless and was not applied). */
-    double edgeStability = 0.0;
-    double dedicatedIpc = 0.0;   ///< mean aggregate IPC, SRAM BTB
-    double virtualizedIpc = 0.0; ///< mean aggregate IPC, PV BTB
-    double speedupPct = 0.0; ///< virtualized over dedicated (mean)
-    double ciPct = 0.0;      ///< 95% half-width of speedupPct
-    /** Taken-branch target hit rates (batch-aggregated). */
-    double dedicatedHitPct = 0.0;
-    double virtualizedHitPct = 0.0;
-    /** Virtualized side: availability-redirect rate (percent) and
-     *  the PVCache prefetch/victim counters, summed over batches. */
-    double virtualizedAvailRedirectPct = 0.0;
-    uint64_t prefetchFills = 0;
-    uint64_t prefetchUseful = 0;
-    uint64_t prefetchDrops = 0;
-    uint64_t victimHits = 0;
-    std::vector<double> batchPct;
-    /** Host-side cost of the row (both sides, all batches). */
-    double wallSeconds = 0.0;
-    uint64_t records = 0;
-    uint64_t eventsExecuted = 0;
-    unsigned jobsEffective = 1; ///< worker threads the sweep ran on
-
-    /** Simulator throughput over the row's measure phases. */
-    double
-    recordsPerSec() const
-    {
-        return wallSeconds > 0.0 ? double(records) / wallSeconds : 0.0;
-    }
-};
-
 /**
  * Config builder for either side of one mix's matched pair: pass
  * BtbMode::Dedicated or BtbMode::Virtualized. Both sides get the
@@ -319,14 +292,6 @@ struct Fig9Row {
 SystemConfig fig9Config(const WorkloadMix &mix,
                         const Fig9Options &opt, BtbMode mode,
                         double edge_stability = kFig9MixStability);
-
-/**
- * Run the dedicated-vs-virtualized BTB matched pairs over the given
- * mixes (timing mode, identical seeds per batch, batches sharded
- * over effectiveHarnessJobs() workers). The result is deterministic
- * and independent of the worker count.
- */
-std::vector<Fig9Row> fig9Sweep(const Fig9Options &opt);
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
 
@@ -381,99 +346,8 @@ struct QosOptions {
     std::vector<QosSetting> settings;
 };
 
-/** One setting's outcome (batch-aggregated; deltas are matched-seed
- *  against the first setting). */
-struct QosRow {
-    std::string label;
-    unsigned btbWeight = 0;
-    unsigned aggressorWeight = 0;
-    double ipc = 0.0; ///< mean aggregate IPC across batches
-    /** BTB availability-redirect rate: lookups unanswered at fetch
-     *  per scored taken branch (percent). */
-    double availRedirectPct = 0.0;
-    double btbHitPct = 0.0;
-    /** Proxy-level per-tenant pressure. */
-    double btbDropPct = 0.0;       ///< BTB ops dropped (percent)
-    double aggressorDropPct = 0.0; ///< aggressor ops dropped
-    double btbFillLatency = 0.0;   ///< mean ticks per BTB fill
-    /** Matched-seed IPC delta vs the first (baseline) setting. */
-    double ipcDeltaPct = 0.0;
-    /** Relative reduction of availRedirectPct vs the baseline
-     *  setting (positive = the BTB is better protected). */
-    double availImprovementPct = 0.0;
-    /** Host-side cost of the setting (all batches). */
-    double wallSeconds = 0.0;
-    uint64_t records = 0;
-    uint64_t eventsExecuted = 0;
-    unsigned jobsEffective = 1; ///< worker threads the sweep ran on
-
-    /** Simulator throughput over the setting's measure phases. */
-    double
-    recordsPerSec() const
-    {
-        return wallSeconds > 0.0 ? double(records) / wallSeconds : 0.0;
-    }
-};
-
 /** Config of one QoS run (exposed so tests can pin it down). */
 SystemConfig qosConfig(const QosOptions &opt, const QosSetting &s);
-
-/**
- * Run the QoS contention sweep: a virtualized BTB vs an AGT
- * aggressor on every core's shared proxy, across the weight
- * settings, matched seeds per batch, (setting, batch) jobs sharded
- * over effectiveHarnessJobs() workers. Deterministic and
- * independent of the worker count.
- */
-std::vector<QosRow> qosSweep(const QosOptions &opt);
-
-// ---- Heterogeneous per-cluster tenant matrix --------------------------
-
-/**
- * One cluster group's outcome in the heterogeneous tenant matrix:
- * availability/drop pressure of its tenants under the group's own
- * QoS contract, against the matched-seed all-equal reference run.
- */
-struct QosClusterRow {
-    std::string cluster;  ///< group label, e.g. "web/4:1"
-    std::string mix;      ///< workload mix of the group's cores
-    std::string contract; ///< QoS contract label of the group
-    unsigned btbWeight = 1;
-    unsigned aggressorWeight = 1;
-    int cores = 0;       ///< cores in the group
-    /** Protected (per-cluster contracts) run, group-aggregated. */
-    double availRedirectPct = 0.0;
-    double btbHitPct = 0.0;
-    double btbDropPct = 0.0;
-    double aggressorDropPct = 0.0;
-    /** Matched-seed all-equal reference, same group of cores. */
-    double refAvailRedirectPct = 0.0;
-    double refBtbDropPct = 0.0;
-    /** Relative reduction of availRedirectPct vs the reference
-     *  (positive = this group's BTB is better protected). */
-    double availImprovementPct = 0.0;
-};
-
-/** The heterogeneous matrix outcome: per-cluster protection rows
- *  plus the aggregate scoreboards of both runs. */
-struct QosHeterogeneousResult {
-    std::vector<QosClusterRow> clusters;
-    TimedRun protectedRun; ///< per-cluster contracts, all batches
-    TimedRun referenceRun; ///< all-equal contracts, same seeds
-};
-
-/**
- * Heterogeneous per-cluster tenant matrix: the cores are split into
- * four equal cluster groups, each running a different preset
- * workload mix (web / oltp / dss / mixed) and a different QoS
- * contract on its cores' proxies (equal, 4:1, equal+floor, 8:1 —
- * installed via PvProxy::setTenantQos after construction), modelling
- * unrelated tenants sharing one many-core machine. A matched-seed
- * reference run keeps every group on the equal contract; the rows
- * report per-group protection deltas. Needs numCores % 4 == 0;
- * opt.settings is ignored. Deterministic for any worker count.
- */
-QosHeterogeneousResult qosHeterogeneous(const QosOptions &opt);
 
 } // namespace pvsim
 

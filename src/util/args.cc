@@ -1,5 +1,6 @@
 #include "util/args.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 
@@ -76,8 +77,9 @@ Args::getInt(const std::string &name, int64_t def) const
     if (it == options_.end())
         return def;
     char *end = nullptr;
+    errno = 0;
     int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE)
         fatal("option --%s expects an integer, got '%s'", name.c_str(),
               it->second.c_str());
     return v;
@@ -90,8 +92,12 @@ Args::getUint(const std::string &name, uint64_t def) const
     if (it == options_.end())
         return def;
     char *end = nullptr;
+    errno = 0;
     uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    // strtoull reads "-5" as 2^64 - 5: no digit string with a '-' in
+    // it is an unsigned integer.
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE ||
+        it->second.find('-') != std::string::npos)
         fatal("option --%s expects an unsigned integer, got '%s'",
               name.c_str(), it->second.c_str());
     return v;

@@ -78,6 +78,43 @@ TEST(JsonTest, TrailingGarbageRejected)
     EXPECT_THROW(Value::parse("{} x"), ConfigError);
 }
 
+TEST(JsonTest, DeepNestingRejectedWithPosition)
+{
+    // The parser recurses once per level: 50,000 nested arrays, or
+    // 30,000 nested objects, used to overflow an 8 MiB stack.
+    auto nested = [](const std::string &open, const std::string &close,
+                     size_t depth) {
+        std::string doc;
+        for (size_t i = 0; i < depth; ++i)
+            doc += open;
+        doc += "1";
+        for (size_t i = 0; i < depth; ++i)
+            doc += close;
+        return doc;
+    };
+    const size_t limit = Value::kMaxDepth;
+    EXPECT_NO_THROW(Value::parse(nested("[", "]", limit)));
+    EXPECT_NO_THROW(Value::parse(nested("{\"a\": ", "}", limit)));
+    const std::pair<std::string, std::string> shapes[] = {
+        {"[", "]"}, {"{\"a\": ", "}"}};
+    for (const auto &[open, close] : shapes) {
+        for (size_t depth : {limit + 1, size_t(30'000), size_t(50'000)}) {
+            try {
+                Value::parse(nested(open, close, depth));
+                ADD_FAILURE() << "expected ConfigError at depth " << depth;
+            } catch (const ConfigError &e) {
+                // The first level past the limit: column 257 of [[[...
+                const std::string want =
+                    "json parse error at 1:" +
+                    std::to_string(limit * open.size() + 1) +
+                    ": nested deeper than " + std::to_string(limit);
+                EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(JsonTest, DumpIsStableUnderReparse)
 {
     Value v = Value::parse(

@@ -421,6 +421,20 @@ TEST(ScenarioValidateTest, RemovedFunctionalChunkIsAnUnknownKey)
         "old.json.system: unknown key \"functional_chunk\"");
 }
 
+TEST(ScenarioValidateTest, RemovedQosAliasIsAnUnknownKey)
+{
+    // qos.pv_cache_entries is the one spelling, as in `system`: an
+    // old file that still spells it pvcache_entries fails with the
+    // key's path.
+    expectConfigError(
+        [] {
+            parseScenario("{\"name\": \"x\", \"kind\": \"qos\","
+                          " \"qos\": {\"pvcache_entries\": 12}}",
+                          "old.json");
+        },
+        "old.json.qos: unknown key \"pvcache_entries\"");
+}
+
 TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
 {
     Scenario s;

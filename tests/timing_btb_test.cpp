@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 
+#include "config/scenario.hh"
 #include "cpu/btb.hh"
 #include "harness/metrics.hh"
 #include "harness/system.hh"
@@ -32,6 +33,17 @@ timingConfig(int cores, BtbMode mode, Cycles penalty,
     cfg.btb.numSets = btb_sets;
     cfg.btbMispredictPenalty = penalty;
     return cfg;
+}
+
+/** The rows of a fig9 scenario of opt. */
+std::vector<Row>
+runFig9(const Fig9Options &opt)
+{
+    Scenario s;
+    s.name = "fig9";
+    s.kind = "fig9";
+    s.fig9 = opt;
+    return scenarioRows(s);
 }
 
 } // namespace
@@ -160,14 +172,14 @@ TEST(TimingBtbTest, VirtualizedBtbShowsIpcDelta)
     opt.batches = 2;
     opt.mixes = {{"web", {"apache", "zeus"}, {}}};
 
-    std::vector<Fig9Row> rows = fig9Sweep(opt);
+    std::vector<Row> rows = runFig9(opt);
     ASSERT_EQ(rows.size(), 1u);
-    const Fig9Row &r = rows[0];
-    EXPECT_GT(r.dedicatedIpc, 0.0);
-    EXPECT_GT(r.virtualizedIpc, 0.0);
-    EXPECT_LT(r.virtualizedIpc, r.dedicatedIpc)
+    const Row &r = rows[0];
+    EXPECT_GT(r.value("dedicated_ipc"), 0.0);
+    EXPECT_GT(r.value("virtualized_ipc"), 0.0);
+    EXPECT_LT(r.value("virtualized_ipc"), r.value("dedicated_ipc"))
         << "unavailable PV predictions must cost IPC at penalty 8";
-    EXPECT_LT(r.speedupPct, 0.0);
+    EXPECT_LT(r.value("speedup_pct"), 0.0);
 }
 
 TEST(TimingBtbTest, MatchedPairDeterministicAcrossRerunsAndJobs)
@@ -182,20 +194,22 @@ TEST(TimingBtbTest, MatchedPairDeterministicAcrossRerunsAndJobs)
     opt.mixes = {{"mixed", {"apache", "qry2"}, {}}};
 
     setenv("PVSIM_JOBS", "1", 1);
-    std::vector<Fig9Row> serial = fig9Sweep(opt);
-    std::vector<Fig9Row> again = fig9Sweep(opt);
+    std::vector<Row> serial = runFig9(opt);
+    std::vector<Row> again = runFig9(opt);
     setenv("PVSIM_JOBS", "4", 1);
-    std::vector<Fig9Row> threaded = fig9Sweep(opt);
+    std::vector<Row> threaded = runFig9(opt);
     unsetenv("PVSIM_JOBS");
 
     ASSERT_EQ(serial.size(), 1u);
     ASSERT_EQ(threaded.size(), 1u);
-    EXPECT_EQ(serial[0].batchPct, again[0].batchPct)
-        << "rerun must be bit-identical";
-    EXPECT_EQ(serial[0].batchPct, threaded[0].batchPct)
-        << "worker count must not leak into the physics";
-    EXPECT_EQ(serial[0].dedicatedIpc, threaded[0].dedicatedIpc);
-    EXPECT_EQ(serial[0].virtualizedIpc, threaded[0].virtualizedIpc);
+    for (const char *field :
+         {"dedicated_ipc", "virtualized_ipc", "speedup_pct", "ci_pct",
+          "dedicated_hit_pct", "virtualized_hit_pct", "events"}) {
+        EXPECT_EQ(serial[0].value(field), again[0].value(field))
+            << field << ": rerun must be bit-identical";
+        EXPECT_EQ(serial[0].value(field), threaded[0].value(field))
+            << field << ": worker count must not leak into the physics";
+    }
 }
 
 TEST(TimingBtbTest, MixedMixDedicatedBtbLearnsTheStream)
@@ -255,16 +269,17 @@ TEST(TimingBtbTest, EdgeStabilitySweepMovesHitRateAndRows)
     opt.mixes = {mini};
     opt.edgeStabilities = {1.0, 0.55};
 
-    std::vector<Fig9Row> rows = fig9Sweep(opt);
+    std::vector<Row> rows = runFig9(opt);
     ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0].edgeStability, 1.0);
-    EXPECT_EQ(rows[1].edgeStability, 0.55);
-    EXPECT_GT(rows[0].dedicatedHitPct, rows[1].dedicatedHitPct)
+    EXPECT_EQ(rows[0].value("edge_stability"), 1.0);
+    EXPECT_EQ(rows[1].value("edge_stability"), 0.55);
+    EXPECT_GT(rows[0].value("dedicated_hit_pct"),
+              rows[1].value("dedicated_hit_pct"))
         << "unstable edges must cost hit rate";
-    EXPECT_GT(rows[0].dedicatedHitPct, 60.0);
-    for (const Fig9Row &r : rows) {
-        EXPECT_GT(r.dedicatedIpc, 0.0);
-        EXPECT_GT(r.virtualizedIpc, 0.0);
+    EXPECT_GT(rows[0].value("dedicated_hit_pct"), 60.0);
+    for (const Row &r : rows) {
+        EXPECT_GT(r.value("dedicated_ipc"), 0.0);
+        EXPECT_GT(r.value("virtualized_ipc"), 0.0);
     }
 }
 

@@ -331,9 +331,18 @@ TEST(Args, ReportsKeysNoAccessorRead)
 TEST(Args, NumbersRejectTrailingCharacters)
 {
     Args a = makeArgs({"prog", "--max-cores=2x", "--n=-3k",
-                       "--ok=0x10"});
+                       "--ok=0x10", "--neg=-5",
+                       "--huge=99999999999999999999999", "--minus=-7"});
     EXPECT_EXIT(a.getUint("max-cores"), testing::ExitedWithCode(1),
                 "expects an unsigned integer, got '2x'");
     EXPECT_EXIT(a.getInt("n"), testing::ExitedWithCode(1), "'-3k'");
     EXPECT_EQ(a.getUint("ok"), 16u);
+    // strtoull would wrap -5 to 2^64 - 5, and saturate out of range.
+    EXPECT_EXIT(a.getUint("neg"), testing::ExitedWithCode(1),
+                "expects an unsigned integer, got '-5'");
+    EXPECT_EXIT(a.getUint("huge"), testing::ExitedWithCode(1),
+                "expects an unsigned integer, got '9999");
+    EXPECT_EXIT(a.getInt("huge"), testing::ExitedWithCode(1),
+                "expects an integer, got '9999");
+    EXPECT_EQ(a.getInt("minus"), -7);
 }

@@ -9,8 +9,9 @@ gates them all. Invariants, on every scenario of every artifact:
   - fig9: dedicated hit rate >= 60% wherever edge stability >= 0.9;
   - qos: the first (baseline) setting has availability redirects,
     and the best setting protects the BTB by >= 10%;
-  - qos_hetero: 4 clusters, reference and protected runs, BTB hits
-    in every cluster, protection > 0 in a protected cluster;
+  - qos_hetero: 4 cluster rows and the reference and protected run
+    rows, BTB hits in every cluster, protection > 0 in a protected
+    cluster;
   - a fig9 scenario `X-prefetch` and its `X` share a `mixed` row,
     on which the prefetch-on virtualized availability-redirect rate
     is strictly below the off side's, prefetch fills are > 0, and
@@ -22,9 +23,10 @@ gates them all. Invariants, on every scenario of every artifact:
     fails, as recorded. Magnitude claims (absolute values) are
     printed, never gated.
 
+Every row is text fields, then values (one schema for every kind).
 --baseline matches rows to a committed artifact by scenario name,
-fingerprint and row key (mix@edge_stability, setting, cluster,
-figure/workload/config, or reference/protected). A fingerprint
+fingerprint and row key (figure/workload/config, cluster, setting,
+run, or mix@edge_stability). A fingerprint
 mismatch or a scenario on one side only fails: re-record the
 baseline with
   PVSIM_JOBS=4 pvsim run scenarios \\
@@ -72,7 +74,7 @@ def is_ipc(field):
 def row_key(row):
     if "figure" in row:
         return f"{row['figure']}/{row['workload']}/{row['config']}"
-    for field in ("cluster", "setting"):
+    for field in ("cluster", "setting", "run"):
         if field in row:
             return row[field]
     if "mix" in row:
@@ -81,12 +83,8 @@ def row_key(row):
 
 
 def keyed_rows(sc):
-    """A scenario's rows by key, plus its qos_hetero runs."""
-    rows = {row_key(row): row for row in sc["rows"]}
-    for side in ("reference", "protected"):
-        if side in sc:
-            rows[side] = sc[side]
-    return rows
+    """A scenario's rows by key."""
+    return {row_key(row): row for row in sc["rows"]}
 
 
 def load_artifacts(gate, paths):
@@ -100,8 +98,7 @@ def load_artifacts(gate, paths):
             name = sc["name"]
             gate.check(name not in scenarios,
                        f"{path}: scenario {name} given twice")
-            sides = ("reference" in sc) + ("protected" in sc)
-            gate.check(len(keyed_rows(sc)) == len(sc["rows"]) + sides,
+            gate.check(len(keyed_rows(sc)) == len(sc["rows"]),
                        f"{path}: {name} repeats a row key")
             scenarios[name] = sc
     return scenarios
@@ -132,13 +129,15 @@ def check_invariants(gate, scenarios):
             gate.check(best >= 10.0,
                        f"{name}: best protection {best:.1f}% < 10%")
         elif sc["kind"] == "qos_hetero":
-            gate.check(len(rows) == 4 and "reference" in sc and
-                       "protected" in sc,
+            clusters = [r for r in rows if "cluster" in r]
+            runs = [r["run"] for r in rows if "run" in r]
+            gate.check(len(clusters) == 4 and
+                       runs == ["reference", "protected"],
                        f"{name}: want 4 clusters and both runs")
-            for c in rows:
+            for c in clusters:
                 gate.check(c["btb_hit_pct"] > 0,
                            f"{name} {c['cluster']}: no BTB hits")
-            best = max((c["avail_improvement_pct"] for c in rows
+            best = max((c["avail_improvement_pct"] for c in clusters
                         if c["btb_weight"] > c["aggressor_weight"]
                         or c["contract"] == "equal+floor"),
                        default=0.0)

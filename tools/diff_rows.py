@@ -64,10 +64,6 @@ def expectations(old, new):
             for i, row in enumerate(sc["rows"]):
                 yield (f"{sc['name']} row {i}", row,
                        mine["rows"][i:i + 1], {})
-            for side in ("reference", "protected"):
-                if side in sc:
-                    yield (f"{sc['name']} {side}", sc[side],
-                           [mine.get(side, {})], {})
         return
     rows = [r for sc in new["scenarios"] for r in sc["rows"]]
     for row in old["rows"]:
@@ -84,7 +80,8 @@ def expectations(old, new):
                 if sc["kind"] == "qos_hetero"]
         for side in ("reference", "protected"):
             yield (f"heterogeneous {side}", het[side],
-                   [sc[side] for sc in hets], {})
+                   [r for sc in hets for r in sc["rows"]
+                    if r.get("run") == side], {})
         for c in het["clusters"]:
             yield (f"cluster {c['cluster']}", c,
                    [r for sc in hets for r in sc["rows"]], {})
