@@ -149,10 +149,15 @@ validateScenario(const Scenario &s)
         });
         check_names(s.paper.workloads, "workloads", isWorkloadPreset);
     }
-    if (s.kind == "qos_hetero" && s.qos.numCores % 4 != 0)
-        throw ConfigError(s.name + ": qos.cores must be a multiple "
-                                   "of 4 for the heterogeneous "
-                                   "cluster matrix");
+    // The cluster matrix lists a workload and a contract per core
+    // while it plans, before any machine below is checked.
+    if (s.kind == "qos_hetero" &&
+        (s.qos.numCores < 4 || s.qos.numCores > kMaxCores ||
+         s.qos.numCores % 4 != 0))
+        throw ConfigError(s.name + ": qos.cores must be a multiple of 4 "
+                                   "in [4, " +
+                          std::to_string(kMaxCores) +
+                          "] for the heterogeneous cluster matrix");
 
     // Every machine the kind builds must be one a System can run:
     // an abort mid-batch would lose the other scenarios' results.

@@ -175,7 +175,8 @@ void qosRows(Runs &r, const QosOptions &opt);
  * (equal, 4:1, equal+floor, 8:1) installed per core. The reference
  * run keeps every group on the equal contract with the same seeds.
  * One row per cluster, then a `run` row for each run. Needs
- * numCores % 4 == 0; opt.settings is ignored.
+ * numCores a multiple of 4 in [4, kMaxCores]; opt.settings is
+ * ignored.
  */
 void qosHeteroRows(Runs &r, const QosOptions &opt);
 

@@ -53,14 +53,10 @@ SystemConfig::label() const
     return base;
 }
 
-/** The largest machine a scenario may ask for: 128 cores, whose L1Is
- *  and L1Ds make 256 L2 directory clients. */
-constexpr unsigned kMaxCores = 128;
-
 std::string
 systemConfigProblem(const SystemConfig &cfg)
 {
-    if (cfg.numCores < 1 || unsigned(cfg.numCores) > kMaxCores)
+    if (cfg.numCores < 1 || cfg.numCores > kMaxCores)
         return "num_cores: must be in [1, " + std::to_string(kMaxCores) +
                "] (the L2 directory tracks an L1I and an L1D per core)";
     auto cache = [](const std::string &l, uint64_t bytes, unsigned assoc,

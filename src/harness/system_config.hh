@@ -223,6 +223,10 @@ struct SystemConfig {
     std::string label() const;
 };
 
+/** The largest machine a scenario may ask for: 128 cores, whose L1Is
+ *  and L1Ds make 256 L2 directory clients. */
+constexpr int kMaxCores = 128;
+
 /**
  * The first rule `cfg` breaks that a System would abort or hang on,
  * as "<json field>: <why>" (e.g. "l1_assoc: must be >= 1"), or "".

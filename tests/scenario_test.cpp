@@ -305,8 +305,13 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
         // Only -1 and [0, 1] are meaningful stabilities.
         {"fig9\", \"fig9\": {\"edge_stabilities\": [1.5]}",
          "x: fig9.edge_stabilities[0]"},
-        // The cluster matrix needs a multiple of 4 cores.
+        // The cluster matrix needs a multiple of 4 cores that a
+        // System can run; it lists them before any machine is checked.
         {"qos_hetero\", \"qos\": {\"cores\": 6}", "x: qos.cores"},
+        {"qos_hetero\", \"qos\": {\"cores\": -4}", "x: qos.cores"},
+        {"qos_hetero\", \"qos\": {\"cores\": 0}", "x: qos.cores"},
+        {"qos_hetero\", \"qos\": {\"cores\": 2147483644}",
+         "x: qos.cores"},
     };
     for (const auto &[body, want] : cases)
         expectInvalid(body, want);
@@ -393,46 +398,31 @@ TEST(ScenarioValidateTest, PaperKindChecksItsSection)
         expectInvalid(body, want);
 }
 
-TEST(ScenarioValidateTest, RemovedTimingKnobIsAnUnknownKey)
+TEST(ScenarioValidateTest, RemovedKeysAreUnknownKeys)
 {
-    // Timing always runs one event loop: an old file that still
-    // asks for shards fails with the key's path instead of quietly
-    // running a different machine.
-    expectConfigError(
-        [] {
-            parseScenario("{\"name\": \"x\", \"kind\": \"timed\","
-                          " \"system\": {\"timing_shards\": 4}}",
-                          "old.json");
-        },
-        "old.json.system: unknown key \"timing_shards\"");
-}
-
-TEST(ScenarioValidateTest, RemovedFunctionalChunkIsAnUnknownKey)
-{
-    // The functional round-robin chunk is a constant of the model:
-    // an old file that still sets it fails with the key's path
-    // instead of quietly running a different interleaving.
-    expectConfigError(
-        [] {
-            parseScenario("{\"name\": \"x\", \"kind\": \"functional\","
-                          " \"system\": {\"functional_chunk\": 1}}",
-                          "old.json");
-        },
-        "old.json.system: unknown key \"functional_chunk\"");
-}
-
-TEST(ScenarioValidateTest, RemovedQosAliasIsAnUnknownKey)
-{
-    // qos.pv_cache_entries is the one spelling, as in `system`: an
-    // old file that still spells it pvcache_entries fails with the
-    // key's path.
-    expectConfigError(
-        [] {
-            parseScenario("{\"name\": \"x\", \"kind\": \"qos\","
-                          " \"qos\": {\"pvcache_entries\": 12}}",
-                          "old.json");
-        },
-        "old.json.qos: unknown key \"pvcache_entries\"");
+    // An old file that still sets a removed key fails with the key's
+    // path instead of quietly running a different machine: timing
+    // always runs one event loop, the functional round-robin chunk is
+    // a constant of the model, and qos.pv_cache_entries is spelled as
+    // in `system`.
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"timed\", \"system\": {\"timing_shards\": 4}",
+         "old.json.system: unknown key \"timing_shards\""},
+        {"\"functional\", \"system\": {\"functional_chunk\": 1}",
+         "old.json.system: unknown key \"functional_chunk\""},
+        {"\"qos\", \"qos\": {\"pvcache_entries\": 12}",
+         "old.json.qos: unknown key \"pvcache_entries\""},
+    };
+    for (const auto &[body, want] : cases) {
+        SCOPED_TRACE(body);
+        expectConfigError(
+            [&] {
+                parseScenario(std::string("{\"name\": \"x\", \"kind\": ") +
+                                  body + "}",
+                              "old.json");
+            },
+            want);
+    }
 }
 
 TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)

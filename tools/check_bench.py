@@ -324,7 +324,7 @@ def check_baseline(gate, scenarios, path):
                 delta = 100.0 * (rate / old["records_per_sec"] - 1.0)
                 print(f"{label}: {rate:,.0f} records/s "
                       f"({delta:+.1f}% vs baseline)")
-            moved = differing(old, cur, {})
+            moved = differing(old, cur)
             if gate.check(not moved,
                           f"{label}: " + ", ".join(
                               f"{f} {old[f]} -> {cur.get(f)}"
