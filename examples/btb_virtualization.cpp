@@ -113,23 +113,22 @@ main(int argc, char **argv)
         Scenario s;
         s.name = "btb-demo";
         s.kind = "fig9";
-        Fig9Options &opt = s.fig9;
-        opt.numCores = 2;
+        s.warmupRecords = 2'000;
+        s.measureRecords = 10'000;
+        s.batches = 2;
+        s.system.numCores = 2;
         // Keep the demo quick: cap the pair's geometry.
-        opt.btbSets = std::min(btb_sets, 512u);
-        opt.penalty = penalty;
+        s.system.btb.numSets = std::min(btb_sets, 512u);
+        s.system.btbMispredictPenalty = penalty;
         std::cout << "\nTiming mode: what does virtualizing a "
-                  << opt.btbSets << "-set BTB cost in IPC at a "
+                  << s.system.btb.numSets << "-set BTB cost in IPC at a "
                   << penalty
                   << "-cycle redirect? (2-core matched pair, same "
                      "seeds; the full sweep is `pvsim run "
                      "scenarios/bench/fig9/`)\n";
-        opt.warmupRecords = 2'000;
-        opt.measureRecords = 10'000;
-        opt.batches = 2;
         // Single-preset mini-mix; borrow the "web" branch profile
         // so the demo runs on learnable successor edges.
-        opt.mixes = {{workload, {workload}, presetMixes()[0].branch}};
+        s.fig9.mixes = {{workload, {workload}, presetMixes()[0].branch}};
         const Row r = scenarioRows(s).at(0);
         std::cout << "  dedicated SRAM BTB : IPC "
                   << fmtDouble(r.value("dedicated_ipc"), 4)

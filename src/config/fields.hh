@@ -23,16 +23,6 @@ namespace pvsim {
 
 // ---- Enum name registrations ------------------------------------------
 
-inline const std::vector<std::pair<SimMode, const char *>> &
-enumNames(SimMode *)
-{
-    static const std::vector<std::pair<SimMode, const char *>> e = {
-        {SimMode::Functional, "functional"},
-        {SimMode::Timing, "timing"},
-    };
-    return e;
-}
-
 inline const std::vector<std::pair<PrefetchMode, const char *>> &
 enumNames(PrefetchMode *)
 {
@@ -207,7 +197,6 @@ template <class V>
 void
 reflectFields(SystemConfig &c, V &v)
 {
-    v.field("mode", c.mode);
     v.field("num_cores", c.numCores);
     v.field("l1_size_bytes", c.l1SizeBytes);
     v.field("l1_assoc", c.l1Assoc);
@@ -245,23 +234,18 @@ reflectFields(SystemConfig &c, V &v)
     v.field("pv_bytes_per_core", c.pvBytesPerCore);
 }
 
-// ---- Sweep option bundles (harness/metrics.hh, harness/paper.hh) -----
+// ---- Sweep axes (harness/metrics.hh, harness/paper.hh) ---------------
+//
+// Each sweep section holds only what its sweep varies; the machine is
+// the scenario's `system` and the run lengths are its top-level
+// budget.
 
 template <class V>
 void
 reflectFields(Fig9Options &c, V &v)
 {
-    v.field("cores", c.numCores);
-    v.field("btb_sets", c.btbSets);
-    v.field("btb_assoc", c.btbAssoc);
-    v.field("penalty_cycles", c.penalty);
-    v.field("warmup_records", c.warmupRecords);
-    v.field("measure_records", c.measureRecords);
-    v.field("batches", c.batches);
     v.field("mixes", c.mixes);
     v.field("edge_stabilities", c.edgeStabilities);
-    v.field("pv_prefetch", c.pvPrefetch);
-    v.field("victim_entries", c.victimEntries);
 }
 
 template <class V>
@@ -306,17 +290,7 @@ template <class V>
 void
 reflectFields(QosOptions &c, V &v)
 {
-    v.field("cores", c.numCores);
-    v.field("btb_sets", c.btbSets);
-    v.field("btb_assoc", c.btbAssoc);
     v.field("agt_sets", c.agtSets);
-    v.field("penalty_cycles", c.penalty);
-    v.field("pv_cache_entries", c.pvCacheEntries);
-    v.field("pv_prefetch", c.pvPrefetch);
-    v.field("victim_entries", c.victimEntries);
-    v.field("warmup_records", c.warmupRecords);
-    v.field("measure_records", c.measureRecords);
-    v.field("batches", c.batches);
     v.field("settings", c.settings);
 }
 
@@ -326,7 +300,6 @@ reflectFields(PaperOptions &c, V &v)
 {
     v.field("figures", c.figures);
     v.field("workloads", c.workloads);
-    v.field("batches", c.batches);
 }
 
 } // namespace pvsim

@@ -67,50 +67,79 @@ validateScenario(const Scenario &s)
         throw ConfigError(s.name + ": unknown kind \"" + s.kind +
                           "\" (one of: " + known + ")");
     }
-    // A non-default value in a section the kind never reads would
-    // be dropped silently: the run would not be the one the file
-    // describes.
+    // A non-default value the kind never reads would be dropped
+    // silently: the run would not be the one the file describes.
+    // Neither would a machine field the sweep overwrites.
     const Scenario d;
-    const bool timed = s.kind == "timed";
     const bool functional = s.kind == "functional";
-    const bool qos = s.kind == "qos" || s.kind == "qos_hetero";
     const bool paper = s.kind == "paper";
+    const bool qos = s.kind == "qos" || s.kind == "qos_hetero";
+    const bool records = !functional; // every kind that runs timing
+    const bool refs = functional || paper;
     auto differs = [](const auto &a, const auto &b) {
         return config::dumpConfig(a) != config::dumpConfig(b);
     };
-    auto reject_if = [&](bool unread, const std::string &path) {
-        if (unread)
-            throw ConfigError(s.name + ": " + path +
-                              " is set, but kind \"" + s.kind +
-                              "\" never reads it");
+    auto reject_if = [&](bool set, const std::string &path,
+                         const char *why = "never reads it") {
+        if (set)
+            throw ConfigError(s.name + ": " + path + " is set, but kind \"" +
+                              s.kind + "\" " + why);
     };
-    reject_if(!timed && !paper && s.warmupRecords != d.warmupRecords,
+    reject_if(!records && s.warmupRecords != d.warmupRecords,
               "warmup_records");
-    reject_if(!timed && !paper && s.measureRecords != d.measureRecords,
+    reject_if(!records && s.measureRecords != d.measureRecords,
               "measure_records");
-    reject_if(!functional && !paper && s.warmupRefs != d.warmupRefs,
-              "warmup_refs");
-    reject_if(!functional && !paper && s.measureRefs != d.measureRefs,
-              "measure_refs");
-    reject_if(!timed && !functional && differs(s.system, d.system),
-              "system");
+    reject_if(!refs && s.warmupRefs != d.warmupRefs, "warmup_refs");
+    reject_if(!refs && s.measureRefs != d.measureRefs, "measure_refs");
+    reject_if(!records && s.batches != d.batches, "batches");
+    reject_if(paper && differs(s.system, d.system), "system");
     reject_if(s.kind != "fig9" && differs(s.fig9, d.fig9), "fig9");
     reject_if(!qos && differs(s.qos, d.qos), "qos");
     reject_if(s.kind == "qos_hetero" && !s.qos.settings.empty(),
               "qos.settings");
     reject_if(!paper && differs(s.paper, d.paper), "paper");
-    if ((timed || paper) && s.measureRecords == 0)
+    if (s.kind == "fig9" || qos) { // the sweeps
+        const SystemConfig &m = s.system, &dm = d.system;
+        const char *swept = "sets it itself";
+        reject_if(m.workload != dm.workload, "system.workload", swept);
+        reject_if(m.workloadMix != dm.workloadMix, "system.workload_mix",
+                  swept);
+        reject_if(differs(m.branchProfile, dm.branchProfile),
+                  "system.branch_profile", swept);
+        reject_if(m.prefetch != dm.prefetch, "system.prefetch", swept);
+        reject_if(m.btb.mode != dm.btb.mode, "system.btb.mode", swept);
+        reject_if(qos && differs(m.btb.qos, dm.btb.qos), "system.btb.qos",
+                  swept);
+        reject_if(qos && !m.virtEngines.empty(), "system.virt_engines",
+                  swept);
+    }
+    if (records && s.measureRecords == 0)
         throw ConfigError(s.name + ": measure_records must be > 0");
-    if ((functional || paper) && s.measureRefs == 0)
+    if (refs && s.measureRefs == 0)
         throw ConfigError(s.name + ": measure_refs must be > 0");
+    if (records && s.batches == 0)
+        throw ConfigError(s.name + ": batches must be >= 1");
 
+    // Each entry of a list names its rows: one listed twice would
+    // run twice and repeat their keys.
+    auto check_names = [&](const std::vector<std::string> &names,
+                           const std::string &path, auto known) {
+        for (size_t i = 0; i < names.size(); ++i) {
+            const std::string at = s.name + ": " + path + "[" +
+                                   std::to_string(i) + "]: \"" +
+                                   names[i] + "\" is ";
+            if (!known(names[i]))
+                throw ConfigError(at + "unknown");
+            if (std::count(names.begin(), names.begin() + i, names[i]))
+                throw ConfigError(at + "listed twice");
+        }
+    };
+    auto parsed = [](const std::string &) { return true; };
     if (s.kind == "fig9") {
-        if (s.fig9.batches == 0)
-            throw ConfigError(s.name +
-                              ": fig9.batches must be >= 1");
-        if (s.fig9.measureRecords == 0)
-            throw ConfigError(
-                s.name + ": fig9.measure_records must be > 0");
+        std::vector<std::string> mixes, stabilities;
+        for (const WorkloadMix &mix : s.fig9.mixes)
+            mixes.push_back(mix.name);
+        check_names(mixes, "fig9.mixes", parsed);
         for (size_t i = 0; i < s.fig9.edgeStabilities.size(); ++i) {
             double v = s.fig9.edgeStabilities[i];
             // kFig9MixStability (-1) = "the mix's own stability".
@@ -119,43 +148,33 @@ validateScenario(const Scenario &s)
                     s.name + ": fig9.edge_stabilities[" +
                     std::to_string(i) +
                     "] must be in [0, 1] or -1 (mix default)");
+            stabilities.push_back(json::formatReal(v));
         }
+        check_names(stabilities, "fig9.edge_stabilities", parsed);
     }
     if (qos) {
-        if (s.qos.batches == 0)
-            throw ConfigError(s.name + ": qos.batches must be >= 1");
-        if (s.qos.measureRecords == 0)
-            throw ConfigError(s.name +
-                              ": qos.measure_records must be > 0");
+        std::vector<std::string> labels;
+        for (const QosSetting &setting : s.qos.settings)
+            labels.push_back(setting.label);
+        check_names(labels, "qos.settings", parsed);
     }
     if (paper) {
-        if (s.paper.batches == 0)
-            throw ConfigError(s.name + ": paper.batches must be >= 1");
-        auto check_names = [&](const std::vector<std::string> &names,
-                               const std::string &field, auto known) {
-            for (size_t i = 0; i < names.size(); ++i) {
-                const std::string at = s.name + ": paper." + field + "[" +
-                                       std::to_string(i) + "]: \"" +
-                                       names[i] + "\" is ";
-                if (!known(names[i]))
-                    throw ConfigError(at + "unknown");
-                if (std::count(names.begin(), names.begin() + i, names[i]))
-                    throw ConfigError(at + "listed twice");
-            }
-        };
         const std::vector<std::string> &figs = paperFigures();
-        check_names(s.paper.figures, "figures", [&](const std::string &f) {
-            return std::find(figs.begin(), figs.end(), f) != figs.end();
-        });
-        check_names(s.paper.workloads, "workloads", isWorkloadPreset);
+        check_names(s.paper.figures, "paper.figures",
+                    [&](const std::string &f) {
+                        return std::find(figs.begin(), figs.end(), f) !=
+                               figs.end();
+                    });
+        check_names(s.paper.workloads, "paper.workloads", isWorkloadPreset);
     }
     // The cluster matrix lists a workload and a contract per core
     // while it plans, before any machine below is checked.
+    const int cores = s.system.numCores;
     if (s.kind == "qos_hetero" &&
-        (s.qos.numCores < 4 || s.qos.numCores > kMaxCores ||
-         s.qos.numCores % 4 != 0))
-        throw ConfigError(s.name + ": qos.cores must be a multiple of 4 "
-                                   "in [4, " +
+        (cores < 4 || cores > kMaxCores || cores % 4 != 0))
+        throw ConfigError(s.name +
+                          ": system.num_cores must be a multiple of 4 "
+                          "in [4, " +
                           std::to_string(kMaxCores) +
                           "] for the heterogeneous cluster matrix");
 
@@ -172,20 +191,6 @@ validateScenario(const Scenario &s)
 
 namespace {
 
-/** What every run of s gets: its kind's budgets and batches. */
-RunBudget
-budgetOf(const Scenario &s)
-{
-    if (s.kind == "fig9")
-        return {0, 0, s.fig9.warmupRecords, s.fig9.measureRecords,
-                s.fig9.batches};
-    if (s.kind == "qos" || s.kind == "qos_hetero")
-        return {0, 0, s.qos.warmupRecords, s.qos.measureRecords,
-                s.qos.batches};
-    return {s.warmupRefs, s.measureRefs, s.warmupRecords,
-            s.measureRecords, s.kind == "paper" ? s.paper.batches : 1};
-}
-
 /** One pass of s's figure over r. */
 void
 pass(Runs &r, const Scenario &s)
@@ -195,11 +200,11 @@ pass(Runs &r, const Scenario &s)
     else if (s.kind == "functional")
         functionalRows(r, s.system);
     else if (s.kind == "fig9")
-        fig9Rows(r, s.fig9);
+        fig9Rows(r, s.system, s.fig9);
     else if (s.kind == "qos")
-        qosRows(r, s.qos);
+        qosRows(r, s.system, s.qos);
     else if (s.kind == "qos_hetero")
-        qosHeteroRows(r, s.qos);
+        qosHeteroRows(r, s.system, s.qos);
     else if (s.kind == "paper")
         paperRows(r, s.paper);
     else
@@ -211,7 +216,7 @@ pass(Runs &r, const Scenario &s)
 std::vector<std::pair<std::string, SystemConfig>>
 scenarioMachines(const Scenario &s)
 {
-    Runs r(budgetOf(s));
+    Runs r(s);
     pass(r, s);
     // The timed and functional kinds run the `system` section itself.
     const bool own = s.kind == "timed" || s.kind == "functional";
@@ -228,7 +233,7 @@ scenarioMachines(const Scenario &s)
 std::vector<Row>
 scenarioRows(const Scenario &s)
 {
-    Runs r(budgetOf(s));
+    Runs r(s);
     pass(r, s);
     r.run();
     pass(r, s);
@@ -238,13 +243,8 @@ scenarioRows(const Scenario &s)
 int
 scenarioCores(const Scenario &s)
 {
-    if (s.kind == "fig9")
-        return s.fig9.numCores;
-    if (s.kind == "qos" || s.kind == "qos_hetero")
-        return s.qos.numCores;
-    if (s.kind == "paper")
-        return SystemConfig().numCores; // the paper's Table 1 CMP
-    return s.system.numCores;
+    // The paper's figures run the Table 1 CMP.
+    return s.kind == "paper" ? SystemConfig().numCores : s.system.numCores;
 }
 
 std::vector<std::string>

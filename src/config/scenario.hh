@@ -10,6 +10,11 @@
  * run` of the scenarios under scenarios/bench/, in the one row
  * schema runScenarioJson emits.
  *
+ * A scenario describes its machine once, in `system`, and its run
+ * lengths once, in the top-level budget fields. The sweep kinds
+ * build each machine from `system`, setting only what they vary;
+ * their sections hold just the sweep axes.
+ *
  * Every field of every nested config is reflected
  * (config/fields.hh): absent keys default, unknown keys are
  * rejected with a full path, and the canonical serialization yields
@@ -28,24 +33,23 @@
 
 namespace pvsim {
 
-/** One scenario file's contents. Only the sections `kind` runs are
- *  read; validateScenario rejects a non-default value anywhere
- *  else. */
-struct Scenario {
+/**
+ * One scenario file's contents. The inherited RunBudget is every
+ * run's lengths and batch count: the timing kinds read the records
+ * and `batches`, the functional and paper kinds the refs. `kind`
+ * decides the simulation mode. validateScenario rejects a
+ * non-default value in any field or section the kind never reads.
+ */
+struct Scenario : RunBudget {
     std::string name;
     /** "timed" | "functional" | "fig9" | "qos" | "qos_hetero" | "paper" */
     std::string kind = "timed";
     /** Free-form description, carried into the result artifact. */
     std::string notes;
-
-    // ---- timed / functional runs of `system`, and paper ----------
-    uint64_t warmupRecords = 20'000;   ///< per core, timed kind
-    uint64_t measureRecords = 60'000;  ///< per core, timed kind
-    uint64_t warmupRefs = 300'000;     ///< per core, functional kind
-    uint64_t measureRefs = 600'000;    ///< per core, functional kind
+    /** The machine of every kind but `paper`. */
     SystemConfig system;
 
-    // ---- sweep kinds ----------------------------------------------
+    // ---- sweep axes ------------------------------------------------
     Fig9Options fig9;
     QosOptions qos; ///< qos and qos_hetero kinds
     PaperOptions paper;
@@ -65,6 +69,7 @@ reflectFields(Scenario &s, V &v)
     v.field("measure_records", s.measureRecords);
     v.field("warmup_refs", s.warmupRefs);
     v.field("measure_refs", s.measureRefs);
+    v.field("batches", s.batches);
     v.field("system", s.system);
     v.field("fig9", s.fig9);
     v.field("qos", s.qos);
@@ -87,9 +92,10 @@ uint64_t scenarioFingerprint(const Scenario &s);
 
 /**
  * Structural validation beyond field types: known kind, nonempty
- * name, no non-default value in a section the kind never reads,
- * nonzero budgets for the kind that runs, the qos_hetero cores%4
- * precondition, known paper figures and workloads, and
+ * name, no non-default value in a field or section the kind never
+ * reads, no `system` field a sweep sets itself, nonzero budgets for
+ * the kind that runs, the qos_hetero cores%4 precondition, known
+ * paper figures and workloads, no sweep entry listed twice, and
  * systemConfigProblem() on every machine of scenarioMachines().
  * Throws json::ConfigError naming the dotted path.
  */
@@ -107,8 +113,9 @@ std::vector<std::pair<std::string, SystemConfig>>
 scenarioMachines(const Scenario &s);
 
 /**
- * The largest simulated-core count the scenario instantiates — the
- * knob CI smoke subsets filter on (`pvsim run --max-cores`).
+ * The simulated-core count the scenario instantiates — the knob CI
+ * smoke subsets filter on (`pvsim run --max-cores`): system.numCores,
+ * or the Table 1 CMP's for the paper kind.
  */
 int scenarioCores(const Scenario &s);
 

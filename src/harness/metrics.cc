@@ -269,12 +269,11 @@ matchedPairSpeedup(const SystemConfig &base, const SystemConfig &cfg,
 }
 
 SystemConfig
-fig9Config(const WorkloadMix &mix, const Fig9Options &opt,
-           BtbMode mode, double edge_stability)
+fig9Config(const SystemConfig &system, const WorkloadMix &mix, BtbMode mode,
+           double edge_stability)
 {
-    SystemConfig cfg;
+    SystemConfig cfg = system;
     cfg.mode = SimMode::Timing;
-    cfg.numCores = opt.numCores;
     cfg.workloadMix = mix.workloads;
     // The mix's control-flow profile makes the branch stream
     // learnable; a sweep value overrides its stability so the
@@ -284,18 +283,13 @@ fig9Config(const WorkloadMix &mix, const Fig9Options &opt,
         cfg.branchProfile.edgeStability = edge_stability;
     // No data prefetcher: the pair isolates the BTB effect.
     cfg.prefetch = PrefetchMode::None;
-    cfg.btbMispredictPenalty = opt.penalty;
     cfg.btb.mode = mode;
-    cfg.btb.numSets = opt.btbSets;
-    cfg.btb.assoc = opt.btbAssoc;
     // The virtualized table needs its sets inside the per-core PV
     // reservation; the dedicated side keeps the same value so the
     // address map (and with it the timing) is identical.
     cfg.pvBytesPerCore =
         std::max<uint64_t>(cfg.pvBytesPerCore,
-                           uint64_t(opt.btbSets) * kBlockBytes);
-    cfg.pvPrefetch = opt.pvPrefetch;
-    cfg.victimEntries = opt.victimEntries;
+                           uint64_t(cfg.btb.numSets) * kBlockBytes);
     return cfg;
 }
 
@@ -333,7 +327,8 @@ presetQosSettings()
 }
 
 SystemConfig
-qosConfig(const QosOptions &opt, const QosSetting &s)
+qosConfig(const SystemConfig &system, const QosOptions &opt,
+          const QosSetting &s)
 {
     // The branchiest preset mix: learnable streams with enough
     // distinct routines to thrash the PVCache — the profile under
@@ -345,20 +340,15 @@ qosConfig(const QosOptions &opt, const QosSetting &s)
     }
     pv_assert(!mix.workloads.empty(), "preset mix 'mixed' missing");
 
-    SystemConfig cfg;
+    SystemConfig cfg = system;
     cfg.mode = SimMode::Timing;
-    cfg.numCores = opt.numCores;
     cfg.workloadMix = mix.workloads;
     cfg.branchProfile = mix.branch;
     // No data prefetcher: the aggressor is the only other tenant,
     // so the BTB deltas isolate the proxy contention effect.
     cfg.prefetch = PrefetchMode::None;
-    cfg.btbMispredictPenalty = opt.penalty;
     cfg.btb.mode = BtbMode::Virtualized;
-    cfg.btb.numSets = opt.btbSets;
-    cfg.btb.assoc = opt.btbAssoc;
     cfg.btb.qos = s.btb;
-    cfg.pvCacheEntries = opt.pvCacheEntries;
 
     VirtEngineConfig agg;
     agg.kind = VirtEngineKind::Agt;
@@ -368,13 +358,11 @@ qosConfig(const QosOptions &opt, const QosSetting &s)
     agg.assoc = 4;
     agg.tagBits = 12;
     agg.qos = s.aggressor;
-    cfg.virtEngines.push_back(agg);
+    cfg.virtEngines = {agg};
 
     cfg.pvBytesPerCore = std::max<uint64_t>(
         cfg.pvBytesPerCore,
-        uint64_t(opt.btbSets + opt.agtSets) * kBlockBytes);
-    cfg.pvPrefetch = opt.pvPrefetch;
-    cfg.victimEntries = opt.victimEntries;
+        uint64_t(cfg.btb.numSets + opt.agtSets) * kBlockBytes);
     return cfg;
 }
 

@@ -4,9 +4,10 @@
  * traffic summaries (Figures 6-8, 10), aggregate IPC and matched-pair
  * speedups with confidence intervals (Figures 9/11, using the
  * batch-means analogue of the paper's matched-pair sampling); one
- * timing run's scoreboard; the PVSIM_JOBS worker pool; and the
- * machines and options of the `fig9` and `qos` scenario kinds, whose
- * rows harness/paper.hh writes.
+ * timing run's scoreboard; the PVSIM_JOBS worker pool; and the sweep
+ * axes of the `fig9` and `qos` scenario kinds, with the builders that
+ * turn a scenario's `system` into each sweep machine (the rows are
+ * written by harness/paper.hh).
  */
 
 #ifndef PVSIM_HARNESS_METRICS_HH
@@ -254,17 +255,8 @@ std::vector<double> baselineIpcs(const SystemConfig &base,
  */
 constexpr double kFig9MixStability = -1.0;
 
-/** Knobs of the dedicated-vs-virtualized BTB IPC experiment. */
+/** The axes of the dedicated-vs-virtualized BTB IPC experiment. */
 struct Fig9Options {
-    int numCores = 4;
-    /** Capacity-matched BTB geometry for both sides of each pair. */
-    unsigned btbSets = 512;
-    unsigned btbAssoc = 8;
-    /** Front-end redirect cost per mispredict (cycles). */
-    Cycles penalty = 8;
-    uint64_t warmupRecords = 20'000;  ///< per core
-    uint64_t measureRecords = 60'000; ///< per core
-    unsigned batches = 2; ///< matched-pair batches per mix
     /** Mixes to run; empty means presetMixes(). */
     std::vector<WorkloadMix> mixes;
     /**
@@ -274,23 +266,19 @@ struct Fig9Options {
      * {kFig9MixStability} — one pass at the recorded defaults.
      */
     std::vector<double> edgeStabilities;
-    /** PVCache locality prefetch depth on the virtualized side
-     *  (paper Section 4.3); 0 keeps the detector off. */
-    unsigned pvPrefetch = 0;
-    /** Victim-buffer entries per proxy (0 = none). */
-    unsigned victimEntries = 0;
 };
 
 /**
- * Config builder for either side of one mix's matched pair: pass
- * BtbMode::Dedicated or BtbMode::Virtualized. Both sides get the
- * same (inflated-if-needed) pvBytesPerCore so their address maps —
- * and with them the timing — are identical. The mix's branch
- * profile is installed (learnable streams); edge_stability
- * overrides its stability unless it is kFig9MixStability.
+ * One side of one mix's matched pair: `system` running the mix's
+ * workloads and branch profile (edge_stability overrides its
+ * stability unless it is kFig9MixStability) with no data prefetcher
+ * and the BTB in `mode` (BtbMode::Dedicated or Virtualized). Both
+ * sides get the same pvBytesPerCore, raised if needed to fit the
+ * BTB's PVTable, so their address maps — and with them the timing —
+ * are identical.
  */
-SystemConfig fig9Config(const WorkloadMix &mix,
-                        const Fig9Options &opt, BtbMode mode,
+SystemConfig fig9Config(const SystemConfig &system, const WorkloadMix &mix,
+                        BtbMode mode,
                         double edge_stability = kFig9MixStability);
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
@@ -314,40 +302,25 @@ struct QosSetting {
  */
 std::vector<QosSetting> presetQosSettings();
 
-/** Knobs of the BTB-vs-aggressor QoS protection experiment. */
+/** The axes of the BTB-vs-aggressor QoS protection experiment. */
 struct QosOptions {
-    int numCores = 2;
-    /** Virtualized BTB geometry (the protected tenant). Small
-     *  enough that a protected PVCache share actually covers a
-     *  useful fraction of the hot sets — with a 512-set BTB the
-     *  tenant thrashes itself and the aggressor's marginal damage
-     *  (the thing QoS can remove) shrinks below 10%. */
-    unsigned btbSets = 128;
-    unsigned btbAssoc = 8;
     /** AGT aggressor geometry: every data reference is one RMW
      *  proxy operation, so this tenant is bandwidth-hungry by
      *  construction. */
     unsigned agtSets = 512;
-    /** Front-end redirect cost per mispredict (cycles). */
-    Cycles penalty = 8;
-    /** Shared PVCache entries per proxy (2x the paper's 8: the
-     *  partitioning experiment needs enough ways to split). */
-    unsigned pvCacheEntries = 16;
-    uint64_t warmupRecords = 20'000;  ///< per core
-    uint64_t measureRecords = 60'000; ///< per core
-    unsigned batches = 2;             ///< matched batches per setting
-    /** PVCache locality prefetch depth on every proxy (paper
-     *  Section 4.3); 0 keeps the detector off. */
-    unsigned pvPrefetch = 0;
-    /** Victim-buffer entries per proxy (0 = none). */
-    unsigned victimEntries = 0;
     /** Settings to run; empty means presetQosSettings(). The first
      *  is the baseline the deltas are computed against. */
     std::vector<QosSetting> settings;
 };
 
-/** Config of one QoS run (exposed so tests can pin it down). */
-SystemConfig qosConfig(const QosOptions &opt, const QosSetting &s);
+/**
+ * One QoS run: `system` running the "mixed" preset mix with no data
+ * prefetcher, a virtualized BTB under s.btb and an AGT aggressor of
+ * opt.agtSets sets under s.aggressor on every core's proxy, its
+ * pvBytesPerCore raised if needed to fit both PVTables.
+ */
+SystemConfig qosConfig(const SystemConfig &system, const QosOptions &opt,
+                       const QosSetting &s);
 
 } // namespace pvsim
 

@@ -475,7 +475,7 @@ functionalRows(Runs &r, const SystemConfig &cfg)
 }
 
 void
-fig9Rows(Runs &r, const Fig9Options &opt)
+fig9Rows(Runs &r, const SystemConfig &system, const Fig9Options &opt)
 {
     const std::vector<WorkloadMix> mixes =
         opt.mixes.empty() ? presetMixes() : opt.mixes;
@@ -485,10 +485,10 @@ fig9Rows(Runs &r, const Fig9Options &opt)
     for (double stability : stabilities) {
         for (const WorkloadMix &mix : mixes) {
             const SystemConfig cfg =
-                fig9Config(mix, opt, BtbMode::Dedicated, stability);
+                fig9Config(system, mix, BtbMode::Dedicated, stability);
             const TimedBatches ded = r.timed(cfg);
             const TimedBatches virt = r.timed(
-                fig9Config(mix, opt, BtbMode::Virtualized, stability));
+                fig9Config(system, mix, BtbMode::Virtualized, stability));
             const SpeedupResult s = speedupFromIpcs(ded.ipcs, virt.ipcs);
             const TimedRun &v = virt.sum;
             TimedRun both = ded.sum;
@@ -521,14 +521,14 @@ fig9Rows(Runs &r, const Fig9Options &opt)
 }
 
 void
-qosRows(Runs &r, const QosOptions &opt)
+qosRows(Runs &r, const SystemConfig &system, const QosOptions &opt)
 {
     const std::vector<QosSetting> settings =
         opt.settings.empty() ? presetQosSettings() : opt.settings;
-    const TimedBatches base = r.timed(qosConfig(opt, settings[0]));
+    const TimedBatches base = r.timed(qosConfig(system, opt, settings[0]));
     const double base_rate = 100.0 * base.sum.btbAvailabilityRedirectRate();
     for (const QosSetting &setting : settings) {
-        const TimedBatches mine = r.timed(qosConfig(opt, setting));
+        const TimedBatches mine = r.timed(qosConfig(system, opt, setting));
         const TimedRun &t = mine.sum;
         const double rate = 100.0 * t.btbAvailabilityRedirectRate();
         Values values = {
@@ -553,7 +553,7 @@ qosRows(Runs &r, const QosOptions &opt)
 }
 
 void
-qosHeteroRows(Runs &r, const QosOptions &opt)
+qosHeteroRows(Runs &r, const SystemConfig &system, const QosOptions &opt)
 {
     const std::vector<WorkloadMix> mixes = presetMixes();
     const std::vector<QosSetting> presets = presetQosSettings();
@@ -564,12 +564,12 @@ qosHeteroRows(Runs &r, const QosOptions &opt)
                                       &presets[2],  // 4:1
                                       &presets[4],  // equal+floor
                                       &presets[3]}; // 8:1
-    const size_t cores = size_t(opt.numCores);
+    const size_t cores = size_t(system.numCores);
     auto group = [&](size_t c) { return c * 4 / cores; };
 
     // Both runs share one config, so one address map and one seed
     // derivation: they differ only in the arbiter's entitlements.
-    SystemConfig cfg = qosConfig(opt, presets[0]);
+    SystemConfig cfg = qosConfig(system, opt, presets[0]);
     cfg.workloadMix.clear();
     TenantContracts protect;
     for (size_t c = 0; c < cores; ++c) {

@@ -29,16 +29,15 @@ struct PaperOptions {
     /** Presets; empty means paperWorkloads(), and for Figure 5 its
      *  three representatives (Apache, Oracle, Qry17). */
     std::vector<std::string> workloads;
-    /** Matched-pair batches of Figures 9 and 11. */
-    unsigned batches = 2;
 };
 
 /** What every run of one scenario gets: per-core run lengths (the
  *  functional runs read the refs, Table 2 half of measureRefs, the
- *  timed runs the records) and each timed config's batches. */
+ *  timed runs the records) and each timed config's batches. A
+ *  Scenario's top-level fields are its RunBudget. */
 struct RunBudget {
-    uint64_t warmupRefs = 0, measureRefs = 0;
-    uint64_t warmupRecords = 0, measureRecords = 0;
+    uint64_t warmupRefs = 300'000, measureRefs = 600'000;
+    uint64_t warmupRecords = 20'000, measureRecords = 60'000;
     unsigned batches = 1;
 };
 
@@ -160,13 +159,13 @@ void paperRows(Runs &r, const PaperOptions &opt);
 void timedRows(Runs &r, const SystemConfig &cfg);
 void functionalRows(Runs &r, const SystemConfig &cfg);
 
-/** Dedicated vs virtualized BTB matched pairs, one row per (edge
- *  stability, mix). */
-void fig9Rows(Runs &r, const Fig9Options &opt);
+/** Dedicated vs virtualized BTB matched pairs on fig9Config(system,
+ *  ...), one row per (edge stability, mix). */
+void fig9Rows(Runs &r, const SystemConfig &system, const Fig9Options &opt);
 
-/** The QoS contract sweep, one row per setting; deltas are against
- *  the first setting on the same seeds. */
-void qosRows(Runs &r, const QosOptions &opt);
+/** The QoS contract sweep on qosConfig(system, ...), one row per
+ *  setting; deltas are against the first setting on the same seeds. */
+void qosRows(Runs &r, const SystemConfig &system, const QosOptions &opt);
 
 /**
  * The heterogeneous per-cluster tenant matrix: the cores split into
@@ -175,10 +174,11 @@ void qosRows(Runs &r, const QosOptions &opt);
  * (equal, 4:1, equal+floor, 8:1) installed per core. The reference
  * run keeps every group on the equal contract with the same seeds.
  * One row per cluster, then a `run` row for each run. Needs
- * numCores a multiple of 4 in [4, kMaxCores]; opt.settings is
+ * system.numCores a multiple of 4 in [4, kMaxCores]; opt.settings is
  * ignored.
  */
-void qosHeteroRows(Runs &r, const QosOptions &opt);
+void qosHeteroRows(Runs &r, const SystemConfig &system,
+                   const QosOptions &opt);
 
 } // namespace pvsim
 

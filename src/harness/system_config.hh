@@ -56,6 +56,8 @@ struct BtbConfig {
 
 /** Full configuration of one simulated system. */
 struct SystemConfig {
+    /** Set by whatever runs the machine (timedRun,
+     *  runFunctionalMeasured, a scenario's kind); not a scenario key. */
     SimMode mode = SimMode::Functional;
     int numCores = 4;
 

@@ -20,7 +20,7 @@ using namespace pvsim;
 
 namespace {
 
-const RunBudget kTiny{2'000, 6'000, 500, 1'500};
+const RunBudget kTiny{2'000, 6'000, 500, 1'500, 2};
 
 /** A row's key, as check_bench.py forms it: its text fields, and a
  *  fig9 row's edge stability. */
@@ -59,6 +59,7 @@ paperScenario(const PaperOptions &opt)
     s.measureRefs = kTiny.measureRefs;
     s.warmupRecords = kTiny.warmupRecords;
     s.measureRecords = kTiny.measureRecords;
+    s.batches = kTiny.batches;
     return s;
 }
 
@@ -97,7 +98,7 @@ TEST(PaperRunner, RowsEqualTheHarnessEntryPoints)
                               .traffic.l2Requests));
     SpeedupResult sp = matchedPairSpeedup(
         baselineConfig("qry1"), pvConfig("qry1", 8), kTiny.warmupRecords,
-        kTiny.measureRecords, opt.batches);
+        kTiny.measureRecords, kTiny.batches);
     EXPECT_EQ(value(rows, "fig9/qry1/SMS-PV8", "speedup_pct"), sp.meanPct);
     EXPECT_EQ(value(rows, "fig9/qry1/SMS-PV8", "ci_pct"), sp.ciPct);
 }
@@ -113,19 +114,24 @@ TEST(PaperRunner, EveryFigureYieldsKeyedRowsForAnyWorkerCount)
         {R"({"name": "f", "kind": "functional", "warmup_refs": 2000,
              "measure_refs": 6000, "system": {"num_cores": 2,
              "prefetch": "sms_virtualized"}})", 1},
-        {R"({"name": "b", "kind": "fig9", "fig9": {"cores": 2,
-             "btb_sets": 128, "warmup_records": 500,
-             "measure_records": 1500, "mixes": ["web", "mixed"],
+        {R"({"name": "b", "kind": "fig9", "warmup_records": 500,
+             "measure_records": 1500, "batches": 2, "system":
+             {"num_cores": 2, "btb_mispredict_penalty": 8, "btb":
+             {"num_sets": 128}}, "fig9": {"mixes": ["web", "mixed"],
              "edge_stabilities": [-1, 0.5]}})", 4},
-        {R"({"name": "q", "kind": "qos", "qos": {"cores": 2,
-             "warmup_records": 500, "measure_records": 1500,
-             "settings": ["equal", "4:1", "equal+floor"]}})", 3},
-        {R"({"name": "h", "kind": "qos_hetero", "qos": {"cores": 4,
-             "warmup_records": 500, "measure_records": 1500}})", 6},
+        {R"({"name": "q", "kind": "qos", "warmup_records": 500,
+             "measure_records": 1500, "batches": 2, "system":
+             {"num_cores": 2, "btb_mispredict_penalty": 8, "btb":
+             {"num_sets": 128}, "pv_cache_entries": 16}, "qos":
+             {"settings": ["equal", "4:1", "equal+floor"]}})", 3},
+        {R"({"name": "h", "kind": "qos_hetero", "warmup_records": 500,
+             "measure_records": 1500, "batches": 2, "system":
+             {"num_cores": 4, "btb_mispredict_penalty": 8, "btb":
+             {"num_sets": 128}, "pv_cache_entries": 16}})", 6},
         {R"({"name": "p", "kind": "paper", "warmup_refs": 2000,
              "measure_refs": 6000, "warmup_records": 500,
-             "measure_records": 1500, "paper": {"workloads": ["zeus"],
-             "batches": 1}})", 0},
+             "measure_records": 1500, "paper": {"workloads":
+             ["zeus"]}})", 0},
     };
     for (const auto &[text, want] : cases) {
         const Scenario s = parseScenario(text);

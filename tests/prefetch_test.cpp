@@ -376,19 +376,25 @@ TEST_F(PrefetchQosTest, PrefetchChargesTheTenantsMshrQuota)
 
 namespace {
 
-/** The fig9 "mixed" virtualized side with the prefetcher engaged. */
+/** The fig9 "mixed" virtualized side at an 8-cycle penalty. */
 SystemConfig
-prefetchSystemConfig(unsigned depth, unsigned victims)
+mixedVirtualizedBtb()
 {
-    Fig9Options opt;
-    opt.batches = 1;
+    SystemConfig system;
+    system.btbMispredictPenalty = 8;
     WorkloadMix mix;
     for (const WorkloadMix &m : presetMixes()) {
         if (m.name == "mixed")
             mix = m;
     }
-    SystemConfig cfg =
-        fig9Config(mix, opt, BtbMode::Virtualized);
+    return fig9Config(system, mix, BtbMode::Virtualized);
+}
+
+/** mixedVirtualizedBtb() with the prefetcher engaged. */
+SystemConfig
+prefetchSystemConfig(unsigned depth, unsigned victims)
+{
+    SystemConfig cfg = mixedVirtualizedBtb();
     cfg.pvPrefetch = depth;
     cfg.victimEntries = victims;
     return cfg;
@@ -434,15 +440,7 @@ TEST(PrefetchSystem, Depth0MatchesTheDefaultMachineExactly)
     // Explicit zeros vs untouched defaults: the same machine, so
     // the same simulation — the depth-0 proxy must not construct
     // (or tick) any prefetch machinery.
-    Fig9Options opt;
-    opt.batches = 1;
-    WorkloadMix mix;
-    for (const WorkloadMix &m : presetMixes()) {
-        if (m.name == "mixed")
-            mix = m;
-    }
-    SystemConfig plain = fig9Config(mix, opt, BtbMode::Virtualized);
-    SysRun a = runSystem(plain, 3000);
+    SysRun a = runSystem(mixedVirtualizedBtb(), 3000);
     SysRun b = runSystem(prefetchSystemConfig(0, 0), 3000);
     EXPECT_EQ(a.finish, b.finish);
     EXPECT_EQ(a.stats, b.stats);

@@ -425,15 +425,17 @@ TEST_F(QosProxyTest, SingleTenantTimingIsBitIdenticalUnderContract)
 
 TEST(QosHarness, QosConfigBuildsAndRunsUnderContracts)
 {
-    QosOptions opt;
-    opt.numCores = 1;
-    opt.warmupRecords = 500;
-    opt.measureRecords = 1500;
+    // The qos sweeps' machine on one core.
+    SystemConfig system;
+    system.numCores = 1;
+    system.btbMispredictPenalty = 8;
+    system.btb.numSets = 128;
+    system.pvCacheEntries = 16;
     QosSetting s;
     s.label = "4:1";
     s.btb.weight = 4;
     s.aggressor.weight = 1;
-    SystemConfig cfg = qosConfig(opt, s);
+    SystemConfig cfg = qosConfig(system, QosOptions{}, s);
     EXPECT_EQ(cfg.btb.mode, BtbMode::Virtualized);
     EXPECT_EQ(cfg.btb.qos.weight, 4u);
     ASSERT_EQ(cfg.virtEngines.size(), 1u);

@@ -106,12 +106,16 @@ expectInvalid(const std::string &kind_and_body, const std::string &want)
 
 TEST(ScenarioCorpusTest, EveryScenarioLoadsValidatesAndRoundTrips)
 {
-    // The corpus, then the bench scenarios.
+    // The corpus, the bench scenarios, then the benchmark's workloads
+    // (read only: pvbench runs them as they are).
     std::vector<std::string> files = listScenarioFiles(scenariosDir());
     EXPECT_GE(files.size(), 14u);
-    for (const char *sweep : kBenchSweeps) {
-        std::vector<std::string> more =
-            listScenarioFiles(scenariosDir() + "/bench/" + sweep);
+    std::vector<std::string> dirs;
+    for (const char *sweep : kBenchSweeps)
+        dirs.push_back(scenariosDir() + "/bench/" + sweep);
+    dirs.push_back(std::string(PVSIM_SOURCE_DIR) + "/pvbench/workloads");
+    for (const std::string &dir : dirs) {
+        std::vector<std::string> more = listScenarioFiles(dir);
         files.insert(files.end(), more.begin(), more.end());
     }
     for (const std::string &file : files) {
@@ -305,28 +309,38 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
         // Only -1 and [0, 1] are meaningful stabilities.
         {"fig9\", \"fig9\": {\"edge_stabilities\": [1.5]}",
          "x: fig9.edge_stabilities[0]"},
+        {"fig9\", \"batches\": 0", "x: batches must be >= 1"},
         // The cluster matrix needs a multiple of 4 cores that a
         // System can run; it lists them before any machine is checked.
-        {"qos_hetero\", \"qos\": {\"cores\": 6}", "x: qos.cores"},
-        {"qos_hetero\", \"qos\": {\"cores\": -4}", "x: qos.cores"},
-        {"qos_hetero\", \"qos\": {\"cores\": 0}", "x: qos.cores"},
-        {"qos_hetero\", \"qos\": {\"cores\": 2147483644}",
-         "x: qos.cores"},
+        {"qos_hetero\", \"system\": {\"num_cores\": 6}",
+         "x: system.num_cores must be a multiple of 4"},
+        {"qos_hetero\", \"system\": {\"num_cores\": -4}",
+         "x: system.num_cores must be a multiple of 4"},
+        {"qos_hetero\", \"system\": {\"num_cores\": 0}",
+         "x: system.num_cores must be a multiple of 4"},
+        {"qos_hetero\", \"system\": {\"num_cores\": 2147483644}",
+         "x: system.num_cores must be a multiple of 4"},
+        // An entry listed twice would repeat its rows' keys.
+        {"fig9\", \"fig9\": {\"mixes\": [\"web\", \"web\"]}",
+         "x: fig9.mixes[1]: \"web\" is listed twice"},
+        {"fig9\", \"fig9\": {\"edge_stabilities\": [-1.0, -1.0]}",
+         "x: fig9.edge_stabilities[1]: \"-1.0\" is listed twice"},
+        {"qos\", \"qos\": {\"settings\": [\"4:1\", \"4:1\"]}",
+         "x: qos.settings[1]: \"4:1\" is listed twice"},
     };
     for (const auto &[body, want] : cases)
         expectInvalid(body, want);
-    // A non-default value in a section the kind never reads.
+    // A non-default value in a field or section the kind never reads.
     const std::pair<const char *, const char *> unread[] = {
-        {"fig9\", \"warmup_records\": 100", "warmup_records"},
         {"qos\", \"measure_refs\": 100", "measure_refs"},
-        {"qos_hetero\", \"system\": {\"num_cores\": 2}", "system"},
         {"timed\", \"warmup_refs\": 100", "warmup_refs"},
         {"functional\", \"measure_records\": 100", "measure_records"},
-        {"timed\", \"fig9\": {\"batches\": 3}", "fig9"},
-        {"fig9\", \"qos\": {\"cores\": 4}", "qos"},
+        {"functional\", \"batches\": 2", "batches"},
+        {"timed\", \"fig9\": {\"mixes\": [\"web\"]}", "fig9"},
+        {"fig9\", \"qos\": {\"agt_sets\": 256}", "qos"},
         {"qos_hetero\", \"qos\": {\"settings\": [\"4:1\"]}",
          "qos.settings"},
-        {"timed\", \"paper\": {\"batches\": 3}", "paper"},
+        {"timed\", \"paper\": {\"figures\": [\"fig4\"]}", "paper"},
         {"paper\", \"system\": {\"num_cores\": 2}", "system"},
     };
     for (const auto &[body, path] : unread)
@@ -334,17 +348,57 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
     // The valid spellings pass.
     for (const char *body :
          {"\"fig9\", \"fig9\": {\"edge_stabilities\": [-1.0, 0.0, 1.0]}",
+          // Every timing kind reads the records and the batches.
+          "\"fig9\", \"warmup_records\": 100, \"batches\": 3",
+          "\"timed\", \"batches\": 2",
           "\"qos\", \"qos\": {\"settings\": [\"4:1\"]}",
-          "\"qos_hetero\", \"qos\": {\"cores\": 8}",
+          "\"qos_hetero\", \"system\": {\"num_cores\": 8}",
           "\"timed\", \"system\": {\"virt_engines\": [{\"kind\": \"agt\","
           " \"num_sets\": 512, \"assoc\": 4, \"tag_bits\": 12}]}",
-          // The paper kind reads all four top-level budgets.
+          // The paper kind reads all five top-level budget fields.
           "\"paper\", \"warmup_refs\": 10, \"measure_refs\": 20,"
-          " \"warmup_records\": 10, \"measure_records\": 20, \"paper\":"
-          " {\"figures\": [\"fig9\"], \"workloads\": [\"qry1\"],"
-          " \"batches\": 3}"})
+          " \"warmup_records\": 10, \"measure_records\": 20,"
+          " \"batches\": 3, \"paper\": {\"figures\": [\"fig9\"],"
+          " \"workloads\": [\"qry1\"]}"})
         validateScenario(parseScenario(
             std::string("{\"name\": \"x\", \"kind\": ") + body + "}"));
+}
+
+TEST(ScenarioValidateTest, SweepsRejectTheFieldsTheySet)
+{
+    // Each sweep overwrites these fields of `system` on every machine
+    // it builds, so a value there would never run. The QoS sweeps
+    // also install both tenants' contracts.
+    struct Case {
+        const char *field, *path;
+        bool qosOnly;
+    };
+    const Case cases[] = {
+        {"\"workload\": \"qry1\"", "system.workload", false},
+        {"\"workload_mix\": [\"qry1\"]", "system.workload_mix", false},
+        {"\"branch_profile\": {\"enabled\": true}",
+         "system.branch_profile", false},
+        {"\"prefetch\": \"sms_virtualized\"", "system.prefetch", false},
+        {"\"btb\": {\"mode\": \"dedicated\"}", "system.btb.mode", false},
+        {"\"btb\": {\"qos\": {\"weight\": 4}}", "system.btb.qos", true},
+        {"\"virt_engines\": [{\"kind\": \"agt\"}]", "system.virt_engines",
+         true},
+    };
+    for (const std::string kind : {"fig9", "qos", "qos_hetero"}) {
+        for (const Case &c : cases) {
+            if (c.qosOnly && kind == "fig9")
+                continue;
+            expectInvalid(kind + "\", \"system\": {" + c.field + "}",
+                          std::string("x: ") + c.path + " is set, but kind \"" +
+                              kind + "\" sets it itself");
+        }
+    }
+    // fig9 runs a BTB contract and registered engines as given.
+    validateScenario(parseScenario(
+        "{\"name\": \"x\", \"kind\": \"fig9\", \"system\": {"
+        "\"btb_mispredict_penalty\": 8, \"btb\": {\"num_sets\": 128,"
+        " \"qos\": {\"weight\": 4}}, \"virt_engines\": [{\"kind\":"
+        " \"agt\", \"num_sets\": 64, \"assoc\": 4, \"tag_bits\": 12}]}}"));
 }
 
 TEST(ScenarioValidateTest, RejectsMachinesSystemCannotRun)
@@ -352,7 +406,7 @@ TEST(ScenarioValidateTest, RejectsMachinesSystemCannotRun)
     // Each passed validation once, then aborted `pvsim run` and the
     // rest of its batch: a division by zero, an assert or a
     // lost-wake-up panic in the System, or a fatal in the presets.
-    // fig9 builds its machines from its cores.
+    // fig9 builds its machines from `system`.
     const std::pair<const char *, const char *> cases[] = {
         {"timed\", \"system\": {\"l1_assoc\": 0}", "x: system.l1_assoc"},
         {"timed\", \"system\": {\"num_cores\": 129}", "x: system.num_cores"},
@@ -365,7 +419,7 @@ TEST(ScenarioValidateTest, RejectsMachinesSystemCannotRun)
         {"timed\", \"system\": {\"l1_mshrs\": 0}", "x: system.l1_mshrs"},
         {"timed\", \"system\": {\"workload\": \"nosuch\"}",
          "x: system.workload"},
-        {"fig9\", \"fig9\": {\"cores\": 0}", "system.num_cores"},
+        {"fig9\", \"system\": {\"num_cores\": 0}", "system.num_cores"},
         // 8 AGT ways of 16-bit tag + 54-bit payload need 560 of the
         // line's 512 bits.
         {"timed\", \"system\": {\"virt_engines\": [{\"kind\": \"btb\","
@@ -391,7 +445,7 @@ TEST(ScenarioValidateTest, PaperKindChecksItsSection)
          "x: paper.figures[1]: \"fig4\" is listed twice"},
         {"paper\", \"paper\": {\"workloads\": [\"apache\", \"nosuch\"]}",
          "x: paper.workloads[1]: \"nosuch\" is unknown"},
-        {"paper\", \"paper\": {\"batches\": 0}", "x: paper.batches"},
+        {"paper\", \"batches\": 0", "x: batches must be >= 1"},
         {"paper\", \"measure_refs\": 0", "x: measure_refs must be > 0"},
     };
     for (const auto &[body, want] : cases)
@@ -403,8 +457,9 @@ TEST(ScenarioValidateTest, RemovedKeysAreUnknownKeys)
     // An old file that still sets a removed key fails with the key's
     // path instead of quietly running a different machine: timing
     // always runs one event loop, the functional round-robin chunk is
-    // a constant of the model, and qos.pv_cache_entries is spelled as
-    // in `system`.
+    // a constant of the model, the kind decides the mode, a machine
+    // field lives only in `system` and the run lengths only at the
+    // top level.
     const std::pair<const char *, const char *> cases[] = {
         {"\"timed\", \"system\": {\"timing_shards\": 4}",
          "old.json.system: unknown key \"timing_shards\""},
@@ -412,6 +467,18 @@ TEST(ScenarioValidateTest, RemovedKeysAreUnknownKeys)
          "old.json.system: unknown key \"functional_chunk\""},
         {"\"qos\", \"qos\": {\"pvcache_entries\": 12}",
          "old.json.qos: unknown key \"pvcache_entries\""},
+        {"\"fig9\", \"fig9\": {\"cores\": 4}",
+         "old.json.fig9: unknown key \"cores\""},
+        {"\"fig9\", \"fig9\": {\"batches\": 2}",
+         "old.json.fig9: unknown key \"batches\""},
+        {"\"qos\", \"qos\": {\"penalty_cycles\": 8}",
+         "old.json.qos: unknown key \"penalty_cycles\""},
+        {"\"qos\", \"qos\": {\"warmup_records\": 1000}",
+         "old.json.qos: unknown key \"warmup_records\""},
+        {"\"paper\", \"paper\": {\"batches\": 2}",
+         "old.json.paper: unknown key \"batches\""},
+        {"\"functional\", \"system\": {\"mode\": \"timing\"}",
+         "old.json.system: unknown key \"mode\""},
     };
     for (const auto &[body, want] : cases) {
         SCOPED_TRACE(body);
@@ -428,17 +495,10 @@ TEST(ScenarioValidateTest, RemovedKeysAreUnknownKeys)
 TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
 {
     Scenario s;
-    s.kind = "timed";
     s.system.numCores = 3;
-    s.fig9.numCores = 7;
-    s.qos.numCores = 9;
-    EXPECT_EQ(scenarioCores(s), 3);
-    s.kind = "fig9";
-    EXPECT_EQ(scenarioCores(s), 7);
-    s.kind = "qos";
-    EXPECT_EQ(scenarioCores(s), 9);
-    s.kind = "qos_hetero";
-    EXPECT_EQ(scenarioCores(s), 9);
-    s.kind = "paper"; // the Table 1 machine
-    EXPECT_EQ(scenarioCores(s), 4);
+    for (const std::string &kind : Scenario::kinds()) {
+        s.kind = kind;
+        // Every kind runs `system` but paper, which runs Table 1's CMP.
+        EXPECT_EQ(scenarioCores(s), kind == "paper" ? 4 : 3) << kind;
+    }
 }

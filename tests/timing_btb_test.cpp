@@ -35,15 +35,21 @@ timingConfig(int cores, BtbMode mode, Cycles penalty,
     return cfg;
 }
 
-/** The rows of a fig9 scenario of opt. */
-std::vector<Row>
-runFig9(const Fig9Options &opt)
+/** A fig9 scenario: two batches of `measure` records per core on a
+ *  2-core machine with an 8-cycle penalty and a `btb_sets`-set BTB. */
+Scenario
+fig9Scenario(unsigned btb_sets, uint64_t warmup, uint64_t measure)
 {
     Scenario s;
     s.name = "fig9";
     s.kind = "fig9";
-    s.fig9 = opt;
-    return scenarioRows(s);
+    s.warmupRecords = warmup;
+    s.measureRecords = measure;
+    s.batches = 2;
+    s.system.numCores = 2;
+    s.system.btb.numSets = btb_sets;
+    s.system.btbMispredictPenalty = 8;
+    return s;
 }
 
 } // namespace
@@ -163,16 +169,10 @@ TEST(TimingBtbTest, VirtualizedBtbShowsIpcDelta)
     // pays for predictions that are not available at fetch (PVCache
     // misses waiting on L2) with redirects the SRAM side avoids, so
     // the matched pair must report a nonzero IPC delta.
-    Fig9Options opt;
-    opt.numCores = 2;
-    opt.btbSets = 128;
-    opt.penalty = 8;
-    opt.warmupRecords = 500;
-    opt.measureRecords = 2000;
-    opt.batches = 2;
-    opt.mixes = {{"web", {"apache", "zeus"}, {}}};
+    Scenario s = fig9Scenario(128, 500, 2000);
+    s.fig9.mixes = {{"web", {"apache", "zeus"}, {}}};
 
-    std::vector<Row> rows = runFig9(opt);
+    std::vector<Row> rows = scenarioRows(s);
     ASSERT_EQ(rows.size(), 1u);
     const Row &r = rows[0];
     EXPECT_GT(r.value("dedicated_ipc"), 0.0);
@@ -184,20 +184,14 @@ TEST(TimingBtbTest, VirtualizedBtbShowsIpcDelta)
 
 TEST(TimingBtbTest, MatchedPairDeterministicAcrossRerunsAndJobs)
 {
-    Fig9Options opt;
-    opt.numCores = 2;
-    opt.btbSets = 128;
-    opt.penalty = 8;
-    opt.warmupRecords = 500;
-    opt.measureRecords = 1500;
-    opt.batches = 2;
-    opt.mixes = {{"mixed", {"apache", "qry2"}, {}}};
+    Scenario s = fig9Scenario(128, 500, 1500);
+    s.fig9.mixes = {{"mixed", {"apache", "qry2"}, {}}};
 
     setenv("PVSIM_JOBS", "1", 1);
-    std::vector<Row> serial = runFig9(opt);
-    std::vector<Row> again = runFig9(opt);
+    std::vector<Row> serial = scenarioRows(s);
+    std::vector<Row> again = scenarioRows(s);
     setenv("PVSIM_JOBS", "4", 1);
-    std::vector<Row> threaded = runFig9(opt);
+    std::vector<Row> threaded = scenarioRows(s);
     unsetenv("PVSIM_JOBS");
 
     ASSERT_EQ(serial.size(), 1u);
@@ -257,19 +251,13 @@ TEST(TimingBtbTest, EdgeStabilitySweepMovesHitRateAndRows)
     // Two stability passes over one mini-mix: the sweep must emit
     // one row per (stability, mix) and a lower stability must drag
     // the dedicated hit rate down.
-    Fig9Options opt;
-    opt.numCores = 2;
-    opt.btbSets = 256;
-    opt.penalty = 8;
-    opt.warmupRecords = 1000;
-    opt.measureRecords = 3000;
-    opt.batches = 2;
+    Scenario s = fig9Scenario(256, 1000, 3000);
     WorkloadMix mini = presetMixes()[0]; // web, branch profile on
     mini.workloads = {"apache", "zeus"};
-    opt.mixes = {mini};
-    opt.edgeStabilities = {1.0, 0.55};
+    s.fig9.mixes = {mini};
+    s.fig9.edgeStabilities = {1.0, 0.55};
 
-    std::vector<Row> rows = runFig9(opt);
+    std::vector<Row> rows = scenarioRows(s);
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0].value("edge_stability"), 1.0);
     EXPECT_EQ(rows[1].value("edge_stability"), 0.55);
