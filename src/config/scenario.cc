@@ -74,8 +74,12 @@ validateScenario(const Scenario &s)
     const bool functional = s.kind == "functional";
     const bool paper = s.kind == "paper";
     const bool qos = s.kind == "qos" || s.kind == "qos_hetero";
+    const bool sweep = s.kind == "fig9" || qos;
     const bool records = !functional; // every kind that runs timing
     const bool refs = functional || paper;
+    // The kinds that compare configs on matched seed batches; `timed`
+    // runs one.
+    const bool batched = sweep || paper;
     auto differs = [](const auto &a, const auto &b) {
         return config::dumpConfig(a) != config::dumpConfig(b);
     };
@@ -91,33 +95,22 @@ validateScenario(const Scenario &s)
               "measure_records");
     reject_if(!refs && s.warmupRefs != d.warmupRefs, "warmup_refs");
     reject_if(!refs && s.measureRefs != d.measureRefs, "measure_refs");
-    reject_if(!records && s.batches != d.batches, "batches");
+    reject_if(!batched && s.batches != d.batches, "batches");
     reject_if(paper && differs(s.system, d.system), "system");
     reject_if(s.kind != "fig9" && differs(s.fig9, d.fig9), "fig9");
     reject_if(!qos && differs(s.qos, d.qos), "qos");
     reject_if(s.kind == "qos_hetero" && !s.qos.settings.empty(),
               "qos.settings");
     reject_if(!paper && differs(s.paper, d.paper), "paper");
-    if (s.kind == "fig9" || qos) { // the sweeps
-        const SystemConfig &m = s.system, &dm = d.system;
-        const char *swept = "sets it itself";
-        reject_if(m.workload != dm.workload, "system.workload", swept);
-        reject_if(m.workloadMix != dm.workloadMix, "system.workload_mix",
-                  swept);
-        reject_if(differs(m.branchProfile, dm.branchProfile),
-                  "system.branch_profile", swept);
-        reject_if(m.prefetch != dm.prefetch, "system.prefetch", swept);
-        reject_if(m.btb.mode != dm.btb.mode, "system.btb.mode", swept);
-        reject_if(qos && differs(m.btb.qos, dm.btb.qos), "system.btb.qos",
-                  swept);
-        reject_if(qos && !m.virtEngines.empty(), "system.virt_engines",
-                  swept);
+    if (sweep) {
+        const std::string swept = sweptFieldSet(s.system, qos);
+        reject_if(!swept.empty(), swept, "sets it itself");
     }
     if (records && s.measureRecords == 0)
         throw ConfigError(s.name + ": measure_records must be > 0");
     if (refs && s.measureRefs == 0)
         throw ConfigError(s.name + ": measure_refs must be > 0");
-    if (records && s.batches == 0)
+    if (batched && s.batches == 0)
         throw ConfigError(s.name + ": batches must be >= 1");
 
     // Each entry of a list names its rows: one listed twice would
@@ -136,21 +129,29 @@ validateScenario(const Scenario &s)
     };
     auto parsed = [](const std::string &) { return true; };
     if (s.kind == "fig9") {
-        std::vector<std::string> mixes, stabilities;
+        std::vector<std::string> mixes;
         for (const WorkloadMix &mix : s.fig9.mixes)
             mixes.push_back(mix.name);
         check_names(mixes, "fig9.mixes", parsed);
-        for (size_t i = 0; i < s.fig9.edgeStabilities.size(); ++i) {
-            double v = s.fig9.edgeStabilities[i];
+        const std::vector<double> &v = s.fig9.edgeStabilities;
+        for (size_t i = 0; i < v.size(); ++i) {
             // kFig9MixStability (-1) = "the mix's own stability".
-            if (v != kFig9MixStability && !(v >= 0.0 && v <= 1.0))
+            if (v[i] != kFig9MixStability && !(v[i] >= 0.0 && v[i] <= 1.0))
                 throw ConfigError(
                     s.name + ": fig9.edge_stabilities[" +
                     std::to_string(i) +
                     "] must be in [0, 1] or -1 (mix default)");
-            stabilities.push_back(json::formatReal(v));
         }
-        check_names(stabilities, "fig9.edge_stabilities", parsed);
+        // A row is keyed by its mix and the stability its machines
+        // run, which two different entries can share.
+        for (const WorkloadMix &mix :
+             s.fig9.mixes.empty() ? presetMixes() : s.fig9.mixes) {
+            std::vector<std::string> runs;
+            for (double x : v)
+                runs.push_back(mix.name + " at " +
+                               json::formatReal(fig9Stability(mix, x)));
+            check_names(runs, "fig9.edge_stabilities", parsed);
+        }
     }
     if (qos) {
         std::vector<std::string> labels;
@@ -177,6 +178,15 @@ validateScenario(const Scenario &s)
                           "in [4, " +
                           std::to_string(kMaxCores) +
                           "] for the heterogeneous cluster matrix");
+
+    // The sweeps measure what the BTB's answers are worth in IPC, and
+    // at penalty 0 a missed or late one costs nothing.
+    if (sweep && s.system.btbMispredictPenalty == 0)
+        throw ConfigError(s.name + ": system.btb_mispredict_penalty is 0, "
+                                   "but kind \"" +
+                          s.kind +
+                          "\" needs a penalty: at 0 a missed or late "
+                          "BTB prediction costs nothing");
 
     // Every machine the kind builds must be one a System can run:
     // an abort mid-batch would lose the other scenarios' results.

@@ -35,10 +35,11 @@ namespace pvsim {
 
 /**
  * One scenario file's contents. The inherited RunBudget is every
- * run's lengths and batch count: the timing kinds read the records
- * and `batches`, the functional and paper kinds the refs. `kind`
- * decides the simulation mode. validateScenario rejects a
- * non-default value in any field or section the kind never reads.
+ * run's lengths and batch count: the timing kinds read the records,
+ * the matched-pair kinds (fig9, qos, qos_hetero, paper) `batches`,
+ * the functional and paper kinds the refs. `kind` decides the
+ * simulation mode. validateScenario rejects a non-default value in
+ * any field or section the kind never reads.
  */
 struct Scenario : RunBudget {
     std::string name;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <thread>
 
+#include "config/fields.hh"
 #include "util/logging.hh"
 
 namespace pvsim {
@@ -225,47 +226,19 @@ timedIpc(SystemConfig cfg, uint64_t warmup_records,
         .ipc;
 }
 
-std::vector<double>
-baselineIpcs(const SystemConfig &base, uint64_t warmup_records,
-             uint64_t measure_records, unsigned batches)
-{
-    std::vector<double> ipcs(batches, 0.0);
-    forEachBatch(batches, [&](unsigned b) {
-        // Explicit per-batch copy: only seedOffset varies.
-        SystemConfig cfg = base;
-        cfg.seedOffset = b;
-        ipcs[b] = timedIpc(cfg, warmup_records, measure_records);
-    });
-    return ipcs;
-}
-
 SpeedupResult
 speedupFromIpcs(const std::vector<double> &base_ipcs,
                 const std::vector<double> &ipcs)
 {
     pv_assert(ipcs.size() == base_ipcs.size(),
               "matched pairs need one IPC per baseline batch");
-    SpeedupResult r;
-    r.batchPct.assign(ipcs.size(), 0.0);
+    std::vector<double> pct(ipcs.size(), 0.0);
     for (size_t b = 0; b < ipcs.size(); ++b) {
-        r.batchPct[b] = base_ipcs[b] > 0.0
-                            ? 100.0 * (ipcs[b] / base_ipcs[b] - 1.0)
-                            : 0.0;
+        pct[b] = base_ipcs[b] > 0.0 ? 100.0 * (ipcs[b] / base_ipcs[b] - 1.0)
+                                    : 0.0;
     }
-    MeanCi ci = meanCi(r.batchPct);
-    r.meanPct = ci.mean;
-    r.ciPct = ci.halfWidth;
-    return r;
-}
-
-SpeedupResult
-matchedPairSpeedup(const SystemConfig &base, const SystemConfig &cfg,
-                   uint64_t warmup_records, uint64_t measure_records,
-                   unsigned batches)
-{
-    return speedupFromIpcs(
-        baselineIpcs(base, warmup_records, measure_records, batches),
-        baselineIpcs(cfg, warmup_records, measure_records, batches));
+    const MeanCi ci = meanCi(pct);
+    return {ci.mean, ci.halfWidth};
 }
 
 SystemConfig
@@ -279,8 +252,8 @@ fig9Config(const SystemConfig &system, const WorkloadMix &mix, BtbMode mode,
     // learnable; a sweep value overrides its stability so the
     // experiment can walk hit rate from near-perfect to coin-flip.
     cfg.branchProfile = mix.branch;
-    if (mix.branch.enabled && edge_stability >= 0.0)
-        cfg.branchProfile.edgeStability = edge_stability;
+    if (mix.branch.enabled)
+        cfg.branchProfile.edgeStability = fig9Stability(mix, edge_stability);
     // No data prefetcher: the pair isolates the BTB effect.
     cfg.prefetch = PrefetchMode::None;
     cfg.btb.mode = mode;
@@ -291,6 +264,15 @@ fig9Config(const SystemConfig &system, const WorkloadMix &mix, BtbMode mode,
         std::max<uint64_t>(cfg.pvBytesPerCore,
                            uint64_t(cfg.btb.numSets) * kBlockBytes);
     return cfg;
+}
+
+double
+fig9Stability(const WorkloadMix &mix, double edge_stability)
+{
+    if (!mix.branch.enabled)
+        return 0.0;
+    return edge_stability >= 0.0 ? edge_stability
+                                 : mix.branch.edgeStability;
 }
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
@@ -364,6 +346,31 @@ qosConfig(const SystemConfig &system, const QosOptions &opt,
         cfg.pvBytesPerCore,
         uint64_t(cfg.btb.numSets + opt.agtSets) * kBlockBytes);
     return cfg;
+}
+
+std::string
+sweptFieldSet(const SystemConfig &system, bool qos)
+{
+    // What fig9Config and qosConfig assign, in their order; `workload`
+    // is shadowed by the mix they set.
+    const SystemConfig d;
+    auto differs = [](const auto &a, const auto &b) {
+        return config::dumpConfig(a) != config::dumpConfig(b);
+    };
+    const std::pair<bool, const char *> swept[] = {
+        {system.workload != d.workload, "system.workload"},
+        {system.workloadMix != d.workloadMix, "system.workload_mix"},
+        {differs(system.branchProfile, d.branchProfile),
+         "system.branch_profile"},
+        {system.prefetch != d.prefetch, "system.prefetch"},
+        {system.btb.mode != d.btb.mode, "system.btb.mode"},
+        {qos && differs(system.btb.qos, d.btb.qos), "system.btb.qos"},
+        {qos && !system.virtEngines.empty(), "system.virt_engines"},
+    };
+    for (const auto &[set, path] : swept)
+        if (set)
+            return path;
+    return "";
 }
 
 } // namespace pvsim

@@ -110,7 +110,6 @@ MeanCi meanCi(const std::vector<double> &samples);
 struct SpeedupResult {
     double meanPct = 0.0;
     double ciPct = 0.0; ///< 95% half-width
-    std::vector<double> batchPct;
 };
 
 /**
@@ -190,17 +189,17 @@ TimedRun timedRun(SystemConfig cfg, uint64_t warmup_records,
                   const TenantContracts &contracts = {},
                   std::vector<TimedRun> *cores = nullptr);
 
-/** timedRun(), keeping only the IPC (the batch drivers' unit). */
+/** timedRun(), keeping only the IPC. */
 double timedIpc(SystemConfig cfg, uint64_t warmup_records,
                 uint64_t measure_records);
 
 /**
- * Requested worker threads for the batch drivers below: the
- * PVSIM_JOBS environment variable when set (>= 1), else the
- * hardware thread count. Each batch runs a fully self-contained
- * System (its own SimContext, event queue and RNGs) and derives its
- * seeds from the batch index alone, so the sharded results are
- * bit-identical to a serial run regardless of the worker count.
+ * Requested worker threads for forEachBatch: the PVSIM_JOBS
+ * environment variable when set (>= 1), else the hardware thread
+ * count. Each planner job runs a fully self-contained System (its
+ * own SimContext, event queue and RNGs) seeded from its config
+ * alone, so the sharded results are bit-identical to a serial run
+ * regardless of the worker count.
  */
 unsigned harnessJobs();
 
@@ -227,25 +226,6 @@ void forEachBatch(unsigned jobs,
  *  ipcs[b] with base_ipcs[b] (the same seeds). */
 SpeedupResult speedupFromIpcs(const std::vector<double> &base_ipcs,
                               const std::vector<double> &ipcs);
-
-/** Matched-pair speedup of cfg vs base over `batches` seed pairs.
- *  Batches are sharded across effectiveHarnessJobs(batches)
- *  worker threads. */
-SpeedupResult matchedPairSpeedup(const SystemConfig &base,
-                                 const SystemConfig &cfg,
-                                 uint64_t warmup_records,
-                                 uint64_t measure_records,
-                                 unsigned batches);
-
-/**
- * IPCs of `base` for batches 0..n-1 (seedOffset = batch index): one
- * side of a matched pair. Sharded across
- * effectiveHarnessJobs(batches) worker threads.
- */
-std::vector<double> baselineIpcs(const SystemConfig &base,
-                                 uint64_t warmup_records,
-                                 uint64_t measure_records,
-                                 unsigned batches);
 
 // ---- Figure 9-style BTB virtualization sweep --------------------------
 
@@ -280,6 +260,10 @@ struct Fig9Options {
 SystemConfig fig9Config(const SystemConfig &system, const WorkloadMix &mix,
                         BtbMode mode,
                         double edge_stability = kFig9MixStability);
+
+/** The stability fig9Config(.., mix, .., edge_stability) runs; 0 on
+ *  a mix without a branch profile, whose streams are flat. */
+double fig9Stability(const WorkloadMix &mix, double edge_stability);
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
 
@@ -321,6 +305,10 @@ struct QosOptions {
  */
 SystemConfig qosConfig(const SystemConfig &system, const QosOptions &opt,
                        const QosSetting &s);
+
+/** The dotted path of a non-default field of `system` that
+ *  fig9Config (qos false) or qosConfig (qos true) overwrites, or "". */
+std::string sweptFieldSet(const SystemConfig &system, bool qos);
 
 } // namespace pvsim
 

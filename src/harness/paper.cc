@@ -484,9 +484,8 @@ fig9Rows(Runs &r, const SystemConfig &system, const Fig9Options &opt)
                                     : opt.edgeStabilities;
     for (double stability : stabilities) {
         for (const WorkloadMix &mix : mixes) {
-            const SystemConfig cfg =
-                fig9Config(system, mix, BtbMode::Dedicated, stability);
-            const TimedBatches ded = r.timed(cfg);
+            const TimedBatches ded = r.timed(
+                fig9Config(system, mix, BtbMode::Dedicated, stability));
             const TimedBatches virt = r.timed(
                 fig9Config(system, mix, BtbMode::Virtualized, stability));
             const SpeedupResult s = speedupFromIpcs(ded.ipcs, virt.ipcs);
@@ -495,11 +494,7 @@ fig9Rows(Runs &r, const SystemConfig &system, const Fig9Options &opt)
             both += v;
             const double n = double(ded.ipcs.size());
             Values values = {
-                // What the machines ran: 0 on a mix without a branch
-                // profile, whose streams are flat.
-                {"edge_stability", cfg.branchProfile.enabled
-                                       ? cfg.branchProfile.edgeStability
-                                       : 0.0},
+                {"edge_stability", fig9Stability(mix, stability)},
                 {"dedicated_ipc", ded.sum.ipc / n},
                 {"virtualized_ipc", v.ipc / n},
                 {"dedicated_hit_pct", 100.0 * ded.sum.btbHitRate()},

@@ -323,19 +323,32 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
         // An entry listed twice would repeat its rows' keys.
         {"fig9\", \"fig9\": {\"mixes\": [\"web\", \"web\"]}",
          "x: fig9.mixes[1]: \"web\" is listed twice"},
-        {"fig9\", \"fig9\": {\"edge_stabilities\": [-1.0, -1.0]}",
-         "x: fig9.edge_stabilities[1]: \"-1.0\" is listed twice"},
         {"qos\", \"qos\": {\"settings\": [\"4:1\", \"4:1\"]}",
          "x: qos.settings[1]: \"4:1\" is listed twice"},
+        // So would two stabilities a mix runs as one (a fig9 row is
+        // keyed by the stability its machines run).
+        {"fig9\", \"fig9\": {\"edge_stabilities\": [-1.0, -1.0]}",
+         "x: fig9.edge_stabilities[1]: \"web at 0.95\" is listed twice"},
+        {"fig9\", \"fig9\": {\"mixes\": [\"mixed\"],"
+         " \"edge_stabilities\": [-1.0, 0.93]}",
+         "x: fig9.edge_stabilities[1]: \"mixed at 0.93\" is listed twice"},
+        {"fig9\", \"fig9\": {\"mixes\": [{\"name\": \"flat\","
+         " \"workloads\": [\"apache\"]}], \"edge_stabilities\": [0.5, 0.7]}",
+         "x: fig9.edge_stabilities[1]: \"flat at 0.0\" is listed twice"},
     };
     for (const auto &[body, want] : cases)
         expectInvalid(body, want);
+    // At penalty 0 a sweep would measure no BTB effect.
+    for (const std::string kind : {"fig9", "qos", "qos_hetero"})
+        expectInvalid(kind + "\"", "x: system.btb_mispredict_penalty is 0, "
+                                   "but kind \"" + kind + "\" needs");
     // A non-default value in a field or section the kind never reads.
     const std::pair<const char *, const char *> unread[] = {
         {"qos\", \"measure_refs\": 100", "measure_refs"},
         {"timed\", \"warmup_refs\": 100", "warmup_refs"},
         {"functional\", \"measure_records\": 100", "measure_records"},
         {"functional\", \"batches\": 2", "batches"},
+        {"timed\", \"batches\": 2", "batches"},
         {"timed\", \"fig9\": {\"mixes\": [\"web\"]}", "fig9"},
         {"fig9\", \"qos\": {\"agt_sets\": 256}", "qos"},
         {"qos_hetero\", \"qos\": {\"settings\": [\"4:1\"]}",
@@ -347,12 +360,17 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
         expectInvalid(body, std::string("x: ") + path + " is set");
     // The valid spellings pass.
     for (const char *body :
-         {"\"fig9\", \"fig9\": {\"edge_stabilities\": [-1.0, 0.0, 1.0]}",
-          // Every timing kind reads the records and the batches.
-          "\"fig9\", \"warmup_records\": 100, \"batches\": 3",
-          "\"timed\", \"batches\": 2",
-          "\"qos\", \"qos\": {\"settings\": [\"4:1\"]}",
-          "\"qos_hetero\", \"system\": {\"num_cores\": 8}",
+         {"\"fig9\", \"system\": {\"btb_mispredict_penalty\": 8},"
+          " \"fig9\": {\"edge_stabilities\": [-1.0, 0.0, 1.0]}",
+          // Every timing kind reads the records; the matched-pair
+          // kinds also read the batches.
+          "\"fig9\", \"system\": {\"btb_mispredict_penalty\": 8},"
+          " \"warmup_records\": 100, \"batches\": 3",
+          "\"timed\", \"warmup_records\": 100",
+          "\"qos\", \"system\": {\"btb_mispredict_penalty\": 8},"
+          " \"qos\": {\"settings\": [\"4:1\"]}",
+          "\"qos_hetero\", \"system\": {\"num_cores\": 8,"
+          " \"btb_mispredict_penalty\": 8}",
           "\"timed\", \"system\": {\"virt_engines\": [{\"kind\": \"agt\","
           " \"num_sets\": 512, \"assoc\": 4, \"tag_bits\": 12}]}",
           // The paper kind reads all five top-level budget fields.
@@ -419,7 +437,8 @@ TEST(ScenarioValidateTest, RejectsMachinesSystemCannotRun)
         {"timed\", \"system\": {\"l1_mshrs\": 0}", "x: system.l1_mshrs"},
         {"timed\", \"system\": {\"workload\": \"nosuch\"}",
          "x: system.workload"},
-        {"fig9\", \"system\": {\"num_cores\": 0}", "system.num_cores"},
+        {"fig9\", \"system\": {\"num_cores\": 0,"
+         " \"btb_mispredict_penalty\": 8}", "system.num_cores"},
         // 8 AGT ways of 16-bit tag + 54-bit payload need 560 of the
         // line's 512 bits.
         {"timed\", \"system\": {\"virt_engines\": [{\"kind\": \"btb\","
