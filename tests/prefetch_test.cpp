@@ -15,6 +15,7 @@
 
 #include <sstream>
 
+#include "config/fields.hh"
 #include "core/pv_proxy.hh"
 #include "core/pv_qos.hh"
 #include "harness/metrics.hh"
@@ -433,6 +434,51 @@ TEST(PrefetchSystem, KnobsReachTheProxy)
     EXPECT_GT(on.prefetchFills + on.victimHits, 0u)
         << "pvPrefetch/victimEntries must plumb through to the "
            "per-core proxies";
+}
+
+TEST(PrefetchSystem, FunctionalTenantsMatchGoldenDigest)
+{
+    // pvbench's pv-tenants machine run functionally: three tenants
+    // (SMS-PV PHT, a weight-4 virtualized BTB and a weight-1 AGT
+    // aggressor) share each core's proxy with locality prefetch and
+    // victim retention on. No experiment runs the functional
+    // prefetch fill or victim reinstall, so this digest pins them:
+    // fingerprintHex(fnv1a(dumpStats())) over the measured phase.
+    SystemConfig cfg = config::parseConfig<SystemConfig>(R"({
+        "num_cores": 4,
+        "workload_mix": ["apache", "oracle", "qry2", "zeus"],
+        "branch_profile": {"enabled": true, "bb_mean_records": 1,
+            "routine_blocks": 8, "num_routines": 384,
+            "call_depth": 16, "call_fraction": 0.35,
+            "loop_fraction": 0.1, "loop_trip_mean": 2,
+            "edge_stability": 0.93},
+        "btb_mispredict_penalty": 8,
+        "prefetch": "sms_virtualized",
+        "pv_cache_entries": 16, "pv_prefetch": 2, "victim_entries": 8,
+        "btb": {"mode": "virtualized", "num_sets": 128, "assoc": 8,
+                "qos": {"weight": 4}},
+        "virt_engines": [{"kind": "agt", "name": "aggressor",
+            "num_sets": 512, "assoc": 4, "tag_bits": 12,
+            "qos": {"weight": 1}}],
+        "pv_bytes_per_core": 131072})");
+    cfg.mode = SimMode::Functional;
+    System sys(cfg);
+    sys.runFunctional(5000);
+    sys.resetStats();
+    sys.runFunctional(10000);
+
+    uint64_t prefetch_fills = 0, victim_hits = 0;
+    for (int c = 0; c < sys.numCores(); ++c) {
+        prefetch_fills += sys.pvProxy(c)->prefetchFills.value();
+        victim_hits += sys.pvProxy(c)->victimHits.value();
+    }
+    EXPECT_GT(prefetch_fills, 0u);
+    EXPECT_GT(victim_hits, 0u);
+
+    std::ostringstream dump;
+    sys.ctx().dumpStats(dump);
+    EXPECT_EQ(config::fingerprintHex(config::fnv1a(dump.str())),
+              "960d8b5e95bf4a4d");
 }
 
 TEST(PrefetchSystem, Depth0MatchesTheDefaultMachineExactly)
