@@ -128,33 +128,6 @@ reflectFields(BranchProfile &c, V &v)
 
 template <class V>
 void
-reflectFields(WorkloadParams &c, V &v)
-{
-    v.field("name", c.name);
-    v.field("seed", c.seed);
-    v.field("data_regions", c.dataRegions);
-    v.field("code_blocks", c.codeBlocks);
-    v.field("irregular_blocks", c.irregularBlocks);
-    v.field("num_trigger_pcs", c.numTriggerPcs);
-    v.field("offsets_per_pc", c.offsetsPerPc);
-    v.field("key_zipf_alpha", c.keyZipfAlpha);
-    v.field("region_zipf_alpha", c.regionZipfAlpha);
-    v.field("pattern_stability", c.patternStability);
-    v.field("pattern_noise", c.patternNoise);
-    v.field("pattern_density", c.patternDensity);
-    v.field("scan_fraction", c.scanFraction);
-    v.field("scan_streams", c.scanStreams);
-    v.field("irregular_fraction", c.irregularFraction);
-    v.field("store_fraction", c.storeFraction);
-    v.field("shared_fraction", c.sharedFraction);
-    v.field("gap_mean", c.gapMean);
-    v.field("concurrency", c.concurrency);
-    v.field("branch_model", c.branchModel);
-    v.field("branch", c.branch);
-}
-
-template <class V>
-void
 reflectFields(WorkloadMix &c, V &v)
 {
     v.field("name", c.name);

@@ -89,7 +89,6 @@ class PvSetCodec
 
     unsigned ways() const { return ways_; }
     unsigned tagBits() const { return tagBits_; }
-    unsigned payloadBits() const { return payloadBits_; }
     unsigned entryBits() const { return tagBits_ + payloadBits_; }
     unsigned usedBits() const { return ways_ * entryBits(); }
     unsigned unusedBits() const { return kBlockBytes * 8 - usedBits(); }

@@ -98,13 +98,61 @@ PvProxy::registerEngine(const PvEngineInfo &info)
 }
 
 PvProxy::CacheEntry *
-PvProxy::findEntry(unsigned line)
+PvProxy::findLine(std::vector<CacheEntry> &buffer, unsigned line)
 {
-    for (auto &e : entries_) {
+    for (auto &e : buffer) {
         if (e.valid && e.line == line)
             return &e;
     }
     return nullptr;
+}
+
+PvProxy::CacheEntry *
+PvProxy::freeEntry(std::vector<CacheEntry> &buffer)
+{
+    for (auto &e : buffer) {
+        if (!e.valid)
+            return &e;
+    }
+    return nullptr;
+}
+
+template <class Pred>
+PvProxy::CacheEntry *
+PvProxy::lruAmong(std::vector<CacheEntry> &buffer, Pred pred)
+{
+    CacheEntry *v = nullptr;
+    for (auto &e : buffer) {
+        if (e.valid && pred(e) && (!v || e.lastTouch < v->lastTouch))
+            v = &e;
+    }
+    return v;
+}
+
+void
+PvProxy::writeBack(const CacheEntry &e)
+{
+    if (!e.dirty) {
+        ++cleanEvicts;
+        return;
+    }
+    // Dirty predictor lines are sent to the memory hierarchy like
+    // any other data (paper Section 2.2).
+    pv_assert(memSide_ != nullptr, "PVProxy has no memory side");
+    if (sendQueue_.size() >= params_.evictBufferEntries)
+        ++evictOverflows;
+    auto *wb = allocPacket(MemCmd::Writeback, lineAddress(e.line),
+                           kInvalidCore);
+    wb->coherent = false;
+    wb->setData(e.bytes.data());
+    ++writebacks;
+    ++engineStats(e.table).writebacks;
+    if (isTiming()) {
+        sendQueue_.push(wb);
+        return;
+    }
+    memSide_->functionalAccess(*wb);
+    freePacket(wb);
 }
 
 void
@@ -112,32 +160,10 @@ PvProxy::evictEntry(CacheEntry &e, bool retain)
 {
     if (!e.valid)
         return;
-    if (retain && retainVictim(e)) {
-        // Moved into the victim buffer: no memory traffic, and the
-        // retained copy keeps the line's dirty state.
-        e.valid = false;
-        e.dirty = false;
-        e.prefetched = false;
-        pv_assert(cacheOcc_[e.table] > 0, "PVCache occupancy underflow");
-        --cacheOcc_[e.table];
-        return;
-    }
-    if (e.dirty) {
-        // Dirty predictor lines are sent to the memory hierarchy
-        // like any other data (paper Section 2.2).
-        if (sendQueue_.size() >= params_.evictBufferEntries)
-            ++evictOverflows;
-        auto *wb = allocPacket(MemCmd::Writeback, lineAddress(e.line),
-                               kInvalidCore);
-        wb->isPv = true;
-        wb->coherent = false;
-        wb->setData(e.bytes.data());
-        ++writebacks;
-        ++engineStats(e.table).writebacks;
-        sendDown(wb);
-    } else {
-        ++cleanEvicts;
-    }
+    // A line moved into the victim buffer keeps its dirty state
+    // there and costs no memory traffic.
+    if (!retain || !retainVictim(e))
+        writeBack(e);
     e.valid = false;
     e.dirty = false;
     e.prefetched = false;
@@ -169,35 +195,18 @@ PvProxy::retainVictim(const CacheEntry &e)
     if (cap == 0)
         return false;
 
-    auto lru_among = [this](auto pred) -> CacheEntry * {
-        CacheEntry *v = nullptr;
-        for (auto &s : victims_) {
-            if (s.valid && pred(s) &&
-                (!v || s.lastTouch < v->lastTouch))
-                v = &s;
-        }
-        return v;
-    };
-
-    CacheEntry *slot = nullptr;
-    for (auto &s : victims_) {
-        if (!s.valid) {
-            slot = &s;
-            break;
-        }
-    }
+    CacheEntry *slot = freeEntry(victims_);
     if (victimOcc_[e.table] >= cap) {
         // At its share: recycle the tenant's own coldest victim
         // rather than growing into other tenants' headroom.
-        slot = lru_among([&e](const CacheEntry &s) {
+        slot = lruAmong(victims_, [&e](const CacheEntry &s) {
             return s.table == e.table;
         });
     } else if (!slot) {
-        slot = lru_among([](const CacheEntry &) { return true; });
+        slot = lruAmong(victims_, [](const CacheEntry &) { return true; });
     }
     pv_assert(slot != nullptr, "victim buffer bookkeeping broke");
-    if (slot->valid)
-        flushVictimSlot(*slot);
+    flushVictimSlot(*slot);
     *slot = e;
     slot->valid = true;
     slot->prefetched = false;
@@ -210,20 +219,7 @@ PvProxy::flushVictimSlot(CacheEntry &slot)
 {
     if (!slot.valid)
         return;
-    if (slot.dirty) {
-        if (sendQueue_.size() >= params_.evictBufferEntries)
-            ++evictOverflows;
-        auto *wb = allocPacket(MemCmd::Writeback,
-                               lineAddress(slot.line), kInvalidCore);
-        wb->isPv = true;
-        wb->coherent = false;
-        wb->setData(slot.bytes.data());
-        ++writebacks;
-        ++engineStats(slot.table).writebacks;
-        sendDown(wb);
-    } else {
-        ++cleanEvicts;
-    }
+    writeBack(slot);
     slot.valid = false;
     slot.dirty = false;
     pv_assert(victimOcc_[slot.table] > 0, "victim occupancy underflow");
@@ -234,13 +230,7 @@ bool
 PvProxy::reinstallVictim(unsigned line, unsigned table,
                          const SetOp &op)
 {
-    CacheEntry *v = nullptr;
-    for (auto &s : victims_) {
-        if (s.valid && s.line == line) {
-            v = &s;
-            break;
-        }
-    }
+    CacheEntry *v = findLine(victims_, line);
     if (!v)
         return false;
     pv_assert(v->table == table,
@@ -264,20 +254,10 @@ PvProxy::reinstallVictim(unsigned line, unsigned table,
 PvProxy::CacheEntry *
 PvProxy::pickVictim(unsigned table)
 {
-    // LRU over the valid entries satisfying pred (nullptr if none).
-    auto lru_among = [this](auto pred) -> CacheEntry * {
-        CacheEntry *v = nullptr;
-        for (auto &e : entries_) {
-            if (e.valid && pred(e) &&
-                (!v || e.lastTouch < v->lastTouch))
-                v = &e;
-        }
-        return v;
-    };
-
+    auto any = [](const CacheEntry &) { return true; };
     if (!qos_.active() || numEngines() < 2) {
         // Legacy policy: global LRU over the shared PVCache.
-        return lru_among([](const CacheEntry &) { return true; });
+        return lruAmong(entries_, any);
     }
 
     // Weighted partitioning: a tenant under its entitlement
@@ -287,33 +267,27 @@ PvProxy::pickVictim(unsigned table)
     const unsigned ent =
         qos_.entitlement(table, PvQosArbiter::PvCache);
     if (cacheOcc_[table] < ent) {
-        CacheEntry *v = lru_among([this](const CacheEntry &e) {
+        CacheEntry *v = lruAmong(entries_, [this](const CacheEntry &e) {
             return cacheOcc_[e.table] >
                    qos_.entitlement(e.table, PvQosArbiter::PvCache);
         });
         if (v)
             return v;
     }
-    if (CacheEntry *v = lru_among([table](const CacheEntry &e) {
+    if (CacheEntry *v = lruAmong(entries_, [table](const CacheEntry &e) {
             return e.table == table;
         }))
         return v;
     // Transient corner after a contract change mid-flight (the
     // tenant owns no lines and nobody is over-entitled): fall back
     // to global LRU rather than fail.
-    return lru_among([](const CacheEntry &) { return true; });
+    return lruAmong(entries_, any);
 }
 
 PvProxy::CacheEntry &
 PvProxy::allocateEntry(unsigned line, unsigned table)
 {
-    CacheEntry *victim = nullptr;
-    for (auto &e : entries_) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-    }
+    CacheEntry *victim = freeEntry(entries_);
     if (!victim) {
         victim = pickVictim(table);
         evictEntry(*victim, /*retain=*/true);
@@ -431,18 +405,12 @@ PvProxy::access(PvRequest req)
     ++operations;
     ++eng.stats->operations;
 
-    switch (req.cls) {
-      case PvReqClass::Demand:
-        pv_assert(req.op != nullptr, "Demand PvRequest needs an op");
-        accessDemand(req.table, req.set, std::move(req.op));
-        return;
-      case PvReqClass::Prefetch:
+    if (req.cls == PvReqClass::Prefetch) {
         issuePrefetch(req.table, req.set);
         return;
-      case PvReqClass::Writeback:
-        writebackSet(req.table, req.set, req.op);
-        return;
     }
+    pv_assert(req.op != nullptr, "Demand PvRequest needs an op");
+    accessDemand(req.table, req.set, std::move(req.op));
 }
 
 void
@@ -450,7 +418,7 @@ PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
 {
     Engine &eng = engines_[table];
     unsigned line = region_.lineOf(eng.layout.setAddress(set));
-    if (CacheEntry *e = findEntry(line)) {
+    if (CacheEntry *e = findLine(entries_, line)) {
         ++pvCacheHits;
         ++eng.stats->hits;
         if (e->prefetched) {
@@ -475,34 +443,56 @@ PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
         return;
     }
 
-    if (!victims_.empty() && reinstallVictim(line, table, op)) {
-        maybePrefetch(table, set);
-        return;
-    }
-
-    if (!isTiming()) {
-        // Functional mode: fetch synchronously through the
-        // hierarchy, install, and run the operation.
-        pv_assert(memSide_ != nullptr, "PVProxy has no memory side");
-        ++memRequests;
-        Packet pkt(MemCmd::ReadReq, lineAddress(line), kInvalidCore);
-        pkt.isPv = true;
-        pkt.coherent = false;
-        memSide_->functionalAccess(pkt);
-        CacheEntry &e = allocateEntry(line, table);
-        if (pkt.hasData())
-            e.bytes = *pkt.data;
-        ++fills;
-        ++eng.stats->fills;
-        applyOp(e, op);
-        maybePrefetch(table, set);
-        return;
-    }
-
-    fetchLine(line, table, std::move(op));
+    // A victim-buffer hit needs no fetch; in timing mode the miss
+    // may instead join a fetch in flight or be dropped.
+    if (!reinstallVictim(line, table, op) &&
+        (!isTiming() || admitDemand(line, table, op)))
+        fetch(line, table, PvReqClass::Demand, std::move(op));
     // Speculate only after the demand fetch has claimed its MSHR:
     // prefetches see post-demand occupancy by construction.
     maybePrefetch(table, set);
+}
+
+bool
+PvProxy::admitDemand(unsigned line, unsigned table, SetOp &op)
+{
+    // Join an in-flight fetch for the same line when possible.
+    for (auto &f : inFlight_) {
+        if (f.line == line) {
+            if (pendingOpCount() >= params_.patternBufferEntries) {
+                dropOp(table, op, false);
+                return false;
+            }
+            if (pendingOpCount(table) >=
+                shareLimit(table, PvQosArbiter::PatternBuffer)) {
+                dropOp(table, op, true);
+                return false;
+            }
+            ++coalescedOps;
+            f.pendingOps.push_back(std::move(op));
+            return false;
+        }
+    }
+
+    if (inFlight_.size() >= params_.mshrs ||
+        pendingOpCount() >= params_.patternBufferEntries) {
+        // No MSHR / pattern-buffer space: report a predictor miss
+        // rather than stalling the engine (paper Section 2.2).
+        dropOp(table, op, false);
+        return false;
+    }
+    if (inFlightCount(table) >=
+            shareLimit(table, PvQosArbiter::Mshrs) ||
+        pendingOpCount(table) >=
+            shareLimit(table, PvQosArbiter::PatternBuffer)) {
+        // This tenant already holds its share of the MSHR file or
+        // pattern buffer — the legacy fair reservation, or its QoS
+        // entitlement once any tenant carries weights/floors; the
+        // remaining slots belong to the other tenants.
+        dropOp(table, op, true);
+        return false;
+    }
+    return true;
 }
 
 void
@@ -549,153 +539,82 @@ PvProxy::issuePrefetch(unsigned table, unsigned set)
 {
     Engine &eng = engines_[table];
     unsigned line = region_.lineOf(eng.layout.setAddress(set));
-    if (findEntry(line))
+    if (findLine(entries_, line) || findLine(victims_, line))
         return;
-    for (const auto &s : victims_) {
-        if (s.valid && s.line == line)
-            return;
-    }
     for (const auto &f : inFlight_) {
         if (f.line == line)
             return;
     }
-    if (shareLimit(table, PvQosArbiter::PvCache) == 0) {
+    // Low-priority by construction: a tenant entitled to no PVCache
+    // entries never speculates, and in timing mode a speculative
+    // fetch never takes the last free MSHR and is charged against
+    // the owning tenant's MSHR entitlement — a zero-entitlement
+    // tenant's prefetches drop first, and demand traffic always
+    // keeps headroom.
+    if (shareLimit(table, PvQosArbiter::PvCache) == 0 ||
+        (isTiming() &&
+         (inFlight_.size() + 1 >= params_.mshrs ||
+          inFlightCount(table) >=
+              shareLimit(table, PvQosArbiter::Mshrs)))) {
         ++prefetchDrops;
         ++eng.stats->prefetchDrops;
         return;
     }
-    if (!isTiming()) {
-        pv_assert(memSide_ != nullptr, "PVProxy has no memory side");
-        ++memRequests;
-        Packet pkt(MemCmd::ReadReq, lineAddress(line), kInvalidCore);
-        pkt.isPv = true;
-        pkt.isPrefetch = true;
-        pkt.coherent = false;
-        memSide_->functionalAccess(pkt);
-        CacheEntry &e = allocateEntry(line, table);
-        if (pkt.hasData())
-            e.bytes = *pkt.data;
-        e.prefetched = true;
-        ++prefetchFills;
-        ++eng.stats->prefetchFills;
-        return;
-    }
-    // Low-priority by construction: a speculative fetch never takes
-    // the last free MSHR, and it is charged against the owning
-    // tenant's MSHR entitlement — a zero-entitlement tenant's
-    // prefetches drop first, and demand traffic always keeps
-    // headroom.
-    if (inFlight_.size() + 1 >= params_.mshrs ||
-        inFlightCount(table) >=
-            shareLimit(table, PvQosArbiter::Mshrs)) {
-        ++prefetchDrops;
-        ++eng.stats->prefetchDrops;
-        return;
-    }
-    inFlight_.push_back(InFlight{line, table, PvReqClass::Prefetch, {}});
-    ++memRequests;
-    auto *pkt = allocPacket(MemCmd::ReadReq, lineAddress(line),
-                            kInvalidCore);
-    pkt->isPv = true;
-    pkt->isPrefetch = true;
-    pkt->coherent = false;
-    pkt->src = this;
-    pkt->issueTick = curTick();
-    sendDown(pkt);
+    fetch(line, table, PvReqClass::Prefetch, nullptr);
 }
 
 void
-PvProxy::writebackSet(unsigned table, unsigned set, const SetOp &op)
-{
-    Engine &eng = engines_[table];
-    unsigned line = region_.lineOf(eng.layout.setAddress(set));
-    if (CacheEntry *e = findEntry(line)) {
-        ++pvCacheHits;
-        ++eng.stats->hits;
-        if (op)
-            applyOp(*e, op);
-        // An explicit writeback bypasses victim retention: the
-        // engine is telling us the line is done.
-        evictEntry(*e, /*retain=*/false);
-        return;
-    }
-    ++pvCacheMisses;
-    ++eng.stats->misses;
-    for (auto &s : victims_) {
-        if (s.valid && s.line == line) {
-            flushVictimSlot(s);
-            break;
-        }
-    }
-    if (op) {
-        PvLineView view{nullptr, nullptr, nullptr};
-        op(view);
-    }
-}
-
-void
-PvProxy::fetchLine(unsigned line, unsigned table, SetOp op)
-{
-    // Join an in-flight fetch for the same line when possible.
-    for (auto &f : inFlight_) {
-        if (f.line == line) {
-            if (pendingOpCount() >= params_.patternBufferEntries) {
-                dropOp(table, op, false);
-                return;
-            }
-            if (pendingOpCount(table) >=
-                shareLimit(table, PvQosArbiter::PatternBuffer)) {
-                dropOp(table, op, true);
-                return;
-            }
-            ++coalescedOps;
-            f.pendingOps.push_back(std::move(op));
-            return;
-        }
-    }
-
-    if (inFlight_.size() >= params_.mshrs ||
-        pendingOpCount() >= params_.patternBufferEntries) {
-        // No MSHR / pattern-buffer space: report a predictor miss
-        // rather than stalling the engine (paper Section 2.2).
-        dropOp(table, op, false);
-        return;
-    }
-    if (inFlightCount(table) >=
-            shareLimit(table, PvQosArbiter::Mshrs) ||
-        pendingOpCount(table) >=
-            shareLimit(table, PvQosArbiter::PatternBuffer)) {
-        // This tenant already holds its share of the MSHR file or
-        // pattern buffer — the legacy fair reservation, or its QoS
-        // entitlement once any tenant carries weights/floors; the
-        // remaining slots belong to the other tenants.
-        dropOp(table, op, true);
-        return;
-    }
-
-    inFlight_.push_back(InFlight{line, table, PvReqClass::Demand, {}});
-    inFlight_.back().pendingOps.push_back(std::move(op));
-
-    ++memRequests;
-    auto *pkt = allocPacket(MemCmd::ReadReq, lineAddress(line),
-                            kInvalidCore);
-    pkt->isPv = true;
-    pkt->coherent = false;
-    pkt->src = this;
-    pkt->issueTick = curTick();
-    sendDown(pkt);
-}
-
-void
-PvProxy::sendDown(PacketPtr pkt)
+PvProxy::fetch(unsigned line, unsigned table, PvReqClass cls, SetOp op)
 {
     pv_assert(memSide_ != nullptr, "PVProxy has no memory side");
-    if (!isTiming()) {
-        memSide_->functionalAccess(*pkt);
-        freePacket(pkt);
+    ++memRequests;
+    std::vector<SetOp> ops;
+    if (op)
+        ops.push_back(std::move(op));
+    auto *pkt = allocPacket(MemCmd::ReadReq, lineAddress(line),
+                            kInvalidCore);
+    pkt->isPrefetch = cls == PvReqClass::Prefetch;
+    pkt->coherent = false;
+    pkt->src = this;
+    pkt->issueTick = curTick();
+    if (isTiming()) {
+        inFlight_.push_back(InFlight{line, table, cls, std::move(ops)});
+        sendQueue_.push(pkt);
         return;
     }
-    sendQueue_.push(pkt);
+    memSide_->functionalAccess(*pkt);
+    install(line, table, cls, *pkt, ops);
+    freePacket(pkt);
+}
+
+void
+PvProxy::install(unsigned line, unsigned table, PvReqClass cls,
+                 const Packet &pkt, const std::vector<SetOp> &ops)
+{
+    CacheEntry &e = allocateEntry(line, table);
+    if (pkt.hasData())
+        e.bytes = *pkt.data;
+    EngineStats &es = engineStats(table);
+    if (cls == PvReqClass::Prefetch) {
+        ++prefetchFills;
+        ++es.prefetchFills;
+        // Demand-fill latency stays undiluted: speculative fills
+        // contribute no fill_latency_ticks.
+        if (ops.empty()) {
+            e.prefetched = true;
+        } else {
+            // A demand op coalesced onto the speculative fetch
+            // while it was in flight: timely prefetch.
+            ++prefetchUseful;
+            ++es.prefetchUseful;
+        }
+    } else {
+        ++fills;
+        ++es.fills;
+        es.fillLatencyTicks += curTick() - pkt.issueTick;
+    }
+    for (const SetOp &op : ops)
+        applyOp(e, op);
 }
 
 void
@@ -716,32 +635,8 @@ PvProxy::recvResponse(PacketPtr pkt)
     ops.swap(it->pendingOps);
     inFlight_.erase(it);
 
-    CacheEntry &e = allocateEntry(line, table);
-    if (pkt->hasData())
-        e.bytes = *pkt->data;
-    if (cls == PvReqClass::Prefetch) {
-        ++prefetchFills;
-        ++engineStats(table).prefetchFills;
-        // Demand-fill latency stays undiluted: speculative fills
-        // contribute no fill_latency_ticks.
-        if (ops.empty()) {
-            e.prefetched = true;
-        } else {
-            // A demand op coalesced onto the speculative fetch
-            // while it was in flight: timely prefetch.
-            ++prefetchUseful;
-            ++engineStats(table).prefetchUseful;
-        }
-    } else {
-        ++fills;
-        ++engineStats(table).fills;
-        engineStats(table).fillLatencyTicks +=
-            curTick() - pkt->issueTick;
-    }
+    install(line, table, cls, *pkt, ops);
     freePacket(pkt);
-
-    for (const SetOp &op : ops)
-        applyOp(e, op);
 }
 
 void

@@ -21,12 +21,14 @@
  * bandwidth-hungry one.
  *
  * Every entry point is one PvRequest descriptor: (table, set, class,
- * op), where the class is Demand, Prefetch or Writeback. Demand
- * requests are the engines' ordinary set operations; Prefetch
- * requests ask for a speculative fill of a set's line without an
- * operation attached; Writeback requests force a set's line out to
- * memory. On top of the demand stream the proxy runs the paper's
- * Section 4.3 locality optimizations when enabled:
+ * op), where the class is Demand or Prefetch. Demand requests are
+ * the engines' ordinary set operations; Prefetch requests ask for a
+ * speculative fill of a set's line without an operation attached.
+ * A line takes one route through the proxy: fetch() requests it
+ * from the L2, install() enters it into the PVCache, and
+ * writeBack() sends it back when it leaves dirty. On top of the
+ * demand stream the proxy runs the paper's Section 4.3 locality
+ * optimizations when enabled:
  *
  *  - `prefetchDepth` > 0 arms a per-tenant sequential-set stride
  *    detector; a demand access extending a detected stride issues
@@ -46,7 +48,8 @@
  *
  * All PVProxy memory traffic is made of ordinary requests injected
  * at the L2 ("on the backside of the L1"); the hierarchy is
- * oblivious to what it is caching. Speculative fills are ReadReq
+ * oblivious to what it is caching, and only the address map tells
+ * PV traffic apart for statistics. Speculative fills are ReadReq
  * packets flagged isPrefetch, taking the exact same path as demand
  * fills.
  */
@@ -127,17 +130,14 @@ using PvSetOp = std::function<void(PvLineView view)>;
 
 /** Request classes a PvRequest may carry. */
 enum class PvReqClass {
-    Demand,    ///< ordinary engine operation (needs an op)
-    Prefetch,  ///< speculative fill of the set's line (no op)
-    Writeback, ///< force the set's line out to memory
+    Demand,   ///< ordinary engine operation (needs an op)
+    Prefetch, ///< speculative fill of the set's line (no op)
 };
 
 /**
  * The proxy's single entry descriptor: every engine-visible access
  * is one of these, flowing proxy -> QoS arbiter -> boundary/L2.
- * Demand requests require `op`; Prefetch requests ignore it;
- * Writeback requests run `op` (when present) on the line before
- * flushing it, or with a null view when the line is not resident.
+ * Demand requests require `op`; Prefetch requests ignore it.
  */
 struct PvRequest {
     unsigned table = 0;
@@ -189,8 +189,7 @@ class PvProxy : public SimObject, public MemClient
      * Perform one request (see PvRequest). Demand requests fetch
      * the set's line from the memory hierarchy on a PVCache miss;
      * Prefetch requests issue a speculative fill subject to the
-     * MSHR-headroom and entitlement rules; Writeback requests flush
-     * the set's line (bypassing victim retention).
+     * MSHR-headroom and entitlement rules.
      */
     void access(PvRequest req);
 
@@ -379,12 +378,41 @@ class PvProxy : public SimObject, public MemClient
     static constexpr int kSequentialWindow = 8;
 
     void accessDemand(unsigned table, unsigned set, SetOp op);
-    void writebackSet(unsigned table, unsigned set, const SetOp &op);
+    /**
+     * Timing-mode admission of a demand miss: join a fetch of the
+     * line already in flight, or drop the op when the MSHR file or
+     * pattern buffer is full or the tenant holds its share of one.
+     * True when the miss may fetch; otherwise `op` was consumed.
+     */
+    bool admitDemand(unsigned line, unsigned table, SetOp &op);
     /** Stride detection + speculative issue after a demand access. */
     void maybePrefetch(unsigned table, unsigned set);
     /** One speculative fill, subject to headroom/entitlement. */
     void issuePrefetch(unsigned table, unsigned set);
-    CacheEntry *findEntry(unsigned line);
+    /**
+     * Request a line from the L2: synchronously in functional mode
+     * (then install() it), as an in-flight entry plus one ReadReq
+     * in timing mode (installed by recvResponse). `op`, if any,
+     * runs on the line once it is installed.
+     */
+    void fetch(unsigned line, unsigned table, PvReqClass cls, SetOp op);
+    /** Enter a fetched line into the PVCache, count the fill by
+     *  class, and run the operations waiting on it. */
+    void install(unsigned line, unsigned table, PvReqClass cls,
+                 const Packet &pkt, const std::vector<SetOp> &ops);
+    /** Send a line leaving the proxy back to the L2 if dirty;
+     *  count a clean eviction otherwise. */
+    void writeBack(const CacheEntry &e);
+    /** The valid entry of `buffer` holding `line`, or nullptr. */
+    static CacheEntry *findLine(std::vector<CacheEntry> &buffer,
+                                unsigned line);
+    /** The first invalid entry of `buffer`, or nullptr. */
+    static CacheEntry *freeEntry(std::vector<CacheEntry> &buffer);
+    /** The least recently touched valid entry of `buffer` that
+     *  satisfies pred (the first on ties), or nullptr. */
+    template <class Pred>
+    static CacheEntry *lruAmong(std::vector<CacheEntry> &buffer,
+                                Pred pred);
     CacheEntry &allocateEntry(unsigned line, unsigned table);
     CacheEntry *pickVictim(unsigned table);
     void applyOp(CacheEntry &e, const SetOp &op);
@@ -399,8 +427,6 @@ class PvProxy : public SimObject, public MemClient
     void flushVictimSlot(CacheEntry &slot);
     /** Victim-buffer entries tenant `table` may occupy. */
     unsigned victimShare(unsigned table) const;
-    void sendDown(PacketPtr pkt);
-    void fetchLine(unsigned line, unsigned table, SetOp op);
     unsigned pendingOpCount() const;
     unsigned pendingOpCount(unsigned table) const;
     unsigned inFlightCount(unsigned table) const;

@@ -26,9 +26,7 @@ void
 VirtualizedBtb::lookup(Addr pc, LookupCallback cb)
 {
     table().find(keyOf(pc),
-                 [this, cb = std::move(cb)](bool found,
-                                            uint64_t payload) {
-        noteLookup(found);
+                 [cb = std::move(cb)](bool found, uint64_t payload) {
         cb(found, Addr(payload) << 2);
     });
 }

@@ -48,12 +48,4 @@ VirtualizedPht::insert(PhtKey key, SpatialPattern pattern)
     table().store(key, pattern);
 }
 
-std::string
-VirtualizedPht::phtName() const
-{
-    PhtGeometry g{segment().numSets(), codec().ways()};
-    return "PV" + std::to_string(proxy().params().pvCacheEntries) +
-           "(" + g.label() + ")";
-}
-
 } // namespace pvsim

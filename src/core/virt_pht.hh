@@ -56,7 +56,6 @@ class VirtualizedPht : public PatternHistoryTable, public VirtEngine
         return proxyStorageBits();
     }
 
-    std::string phtName() const override;
     std::string kindName() const override { return "pht"; }
 
     /** Entry width in bits (43 for the paper's geometry). */

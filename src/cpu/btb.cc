@@ -29,11 +29,9 @@ DedicatedBtb::lookup(Addr pc, LookupCallback cb)
     uint64_t key = keyOf(pc);
     if (Entry *e = find(setOf(key), tagOf(key))) {
         e->lastTouch = ++touchClock_;
-        noteLookup(true);
         cb(true, e->target);
         return;
     }
-    noteLookup(false);
     cb(false, 0);
 }
 

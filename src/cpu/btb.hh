@@ -42,45 +42,6 @@ class BtbPredictor
 
     /** Learn/refresh a branch target. @pre target != 0. */
     virtual void update(Addr pc, Addr target) = 0;
-
-    // ---- Predictor-level statistics --------------------------------
-    // Kept on the seam so dedicated and virtualized tables report
-    // comparably. "Found" counts lookups that produced *an* entry —
-    // whether its target was right is scored by the core
-    // (btb_hits / btb_mispredicts), which knows the actual branch.
-
-    uint64_t lookups() const { return lookups_; }
-
-    /** Clear the lookup counters. System::resetStats() calls this
-     *  at the warmup/measure boundary so foundRate() covers the
-     *  same window as the core's per-phase stats. */
-    void
-    resetLookupStats()
-    {
-        lookups_ = 0;
-        lookupsFound_ = 0;
-    }
-
-    /** Fraction of lookups answered with an entry. */
-    double
-    foundRate() const
-    {
-        return lookups_ ? double(lookupsFound_) / double(lookups_)
-                        : 0.0;
-    }
-
-  protected:
-    /** Implementations score every resolved lookup through this. */
-    void
-    noteLookup(bool found)
-    {
-        ++lookups_;
-        lookupsFound_ += found;
-    }
-
-  private:
-    uint64_t lookups_ = 0;
-    uint64_t lookupsFound_ = 0;
 };
 
 /** Dedicated BTB geometry (mirrors VirtEngineConfig's BTB fields). */

@@ -125,15 +125,6 @@ class TraceCore final : public SimObject, public MemClient
                       : 0.0;
     }
 
-    /** Aggregate IPC since the last stats reset (timing mode). */
-    double
-    ipc(Tick elapsed) const
-    {
-        return elapsed ? double(instsRetired.value()) /
-                             double(elapsed)
-                       : 0.0;
-    }
-
     stats::Scalar records;
     stats::Scalar instsRetired;
     stats::Scalar loadStallCycles;

@@ -8,18 +8,6 @@
 namespace pvsim {
 
 const char *
-prefetchModeName(PrefetchMode mode)
-{
-    switch (mode) {
-      case PrefetchMode::None: return "baseline";
-      case PrefetchMode::SmsInfinite: return "SMS-Infinite";
-      case PrefetchMode::SmsDedicated: return "SMS";
-      case PrefetchMode::SmsVirtualized: return "SMS-PV";
-    }
-    return "unknown";
-}
-
-const char *
 btbModeName(BtbMode mode)
 {
     switch (mode) {
@@ -427,16 +415,6 @@ void
 System::resetStats()
 {
     ctx_.resetStats();
-    for (auto &btb : dedicatedBtbs_) {
-        if (btb)
-            btb->resetLookupStats();
-    }
-    for (auto &engines : engines_) {
-        for (auto &e : engines) {
-            if (auto *vb = dynamic_cast<VirtualizedBtb *>(e.get()))
-                vb->resetLookupStats();
-        }
-    }
 }
 
 uint64_t

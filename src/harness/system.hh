@@ -110,9 +110,7 @@ class System
     /** Whether timing runs sharded: never. */
     bool shardedTiming() const { return false; }
 
-    /** Reset all statistics (end of warmup), including the BTB
-     *  predictors' lookup counters, which live outside the stats
-     *  framework. */
+    /** Reset all statistics (end of warmup). */
     void resetStats();
 
     /** Sum of instructions retired across cores. */

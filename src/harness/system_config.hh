@@ -28,8 +28,6 @@ enum class PrefetchMode {
     SmsVirtualized, ///< SMS with the PV PHT (the paper's design)
 };
 
-const char *prefetchModeName(PrefetchMode mode);
-
 /** How each core's branch target buffer is provisioned. */
 enum class BtbMode {
     None,        ///< no BTB (taken branches cost nothing)

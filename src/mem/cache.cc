@@ -84,9 +84,8 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
     tags_.assign(blocks_.size(), kInvalidTag);
     lastTouch_.assign(blocks_.size(), 0);
     bankFreeAt_.assign(std::max(1u, params_.banks), 0);
-    if (params_.dropPvWritebacks)
-        pv_assert(addrMap_ != nullptr,
-                  "dropPvWritebacks requires an address map");
+    pv_assert(addrMap_ != nullptr, "%s: needs an address map",
+              name().c_str());
 }
 
 int
@@ -112,26 +111,14 @@ Cache::attachClient(MemClient *client)
 // Lookup helpers
 // ---------------------------------------------------------------------
 
-CacheBlk *
-Cache::findBlock(Addr block_addr)
+const CacheBlk *
+Cache::peekBlock(Addr block_addr) const
 {
     Addr aligned = blockAlign(block_addr);
     const size_t base = setBase(setIndex(aligned));
     const Addr *tags = tags_.data() + base;
     for (unsigned w = 0; w < params_.assoc; ++w) {
         if (tags[w] == aligned)
-            return &blocks_[base + w];
-    }
-    return nullptr;
-}
-
-const CacheBlk *
-Cache::peekBlock(Addr block_addr) const
-{
-    Addr aligned = blockAlign(block_addr);
-    const size_t base = setBase(setIndex(aligned));
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (tags_[base + w] == aligned)
             return &blocks_[base + w];
     }
     return nullptr;
@@ -172,9 +159,7 @@ Cache::quiesced() const
 void
 Cache::countRequest(const Packet &pkt, bool hit)
 {
-    const bool is_pv =
-        addrMap_ ? addrMap_->classify(pkt.addr) == AddrClass::Pv
-                 : pkt.isPv;
+    const bool is_pv = isPv(pkt.addr);
     if (is_pv)
         ++requestsPv;
     else
@@ -266,11 +251,28 @@ Cache::recallIfDirtyAbove(CacheBlk &blk)
 // Core state machine, shared between functional and timing modes
 // ---------------------------------------------------------------------
 
-void
-Cache::serveHit(Packet &pkt, CacheBlk &blk)
+CacheBlk *
+Cache::lookup(Packet &pkt)
 {
-    countRequest(pkt, true);
-    completeAccess_(pkt, blk);
+    CacheBlk *blk = findBlock(pkt.addr);
+
+    // Upgrade with the line still present needs no fill; with the
+    // line lost (race with eviction) it degenerates to a write miss.
+    if (pkt.isUpgrade() && !blk)
+        pkt.cmd = MemCmd::WriteReq;
+
+    if (listener_ && !pkt.isPrefetch) {
+        listener_->onAccess(pkt.pc, pkt.addr,
+                            pkt.isWrite() || pkt.isUpgrade(),
+                            blk != nullptr);
+        // In functional mode the listener may have prefetched this
+        // very block (a perfectly timely prefetch): re-probe, so it
+        // counts as a covered miss through the hit path. A timing
+        // prefetch only allocates an MSHR, so this finds nothing.
+        if (!blk)
+            blk = findBlock(pkt.addr);
+    }
+    return blk;
 }
 
 void
@@ -323,8 +325,7 @@ Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
 }
 
 CacheBlk &
-Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
-                    bool is_inst, bool was_prefetch,
+Cache::installBlock(Addr block_addr, bool writable, bool was_prefetch,
                     const Packet::Data *data)
 {
     Addr aligned = blockAlign(block_addr);
@@ -356,8 +357,6 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
     frame->dirty = false;
     frame->writable = writable;
     frame->wasPrefetched = was_prefetch;
-    frame->isInst = is_inst;
-    frame->isPv = is_pv;
     frame->ownerSlot = -1;
     lastTouch_[f] = ++accessCounter_;
     if (data)
@@ -390,9 +389,7 @@ Cache::evictBlock(CacheBlk &blk)
     if (blk.wasPrefetched)
         ++overpredictions;
 
-    const bool is_pv =
-        addrMap_ ? addrMap_->classify(baddr) == AddrClass::Pv
-                 : blk.isPv;
+    const bool is_pv = isPv(baddr);
 
     if (blk.dirty) {
         if (params_.dropPvWritebacks && is_pv) {
@@ -405,8 +402,6 @@ Cache::evictBlock(CacheBlk &blk)
                                    kInvalidCore);
             wb->coherent = !params_.directory;
             wb->srcSlot = slotAtLower_;
-            wb->isPv = blk.isPv;
-            wb->isInstFetch = blk.isInst;
             if (blk.hasData())
                 wb->setData(blk.data->data());
             ++writebacksOut;
@@ -421,7 +416,6 @@ Cache::evictBlock(CacheBlk &blk)
         auto *ce = allocPacket(MemCmd::CleanEvict, baddr,
                                kInvalidCore);
         ce->srcSlot = slotAtLower_;
-        ce->isPv = blk.isPv;
         ++cleanEvictsOut;
         emitDown(ce);
     }
@@ -436,13 +430,7 @@ void
 Cache::handleWriteback(Packet &pkt)
 {
     CacheBlk *blk = findBlock(pkt.addr);
-    const bool is_pv =
-        addrMap_ ? addrMap_->classify(pkt.addr) == AddrClass::Pv
-                 : pkt.isPv;
-    if (is_pv)
-        ++requestsPv;
-    else
-        ++requestsApp;
+    countRequest(pkt, true);
 
     // The writer above drops its copy.
     auto drop_sharer = [&] {
@@ -468,8 +456,7 @@ Cache::handleWriteback(Packet &pkt)
     } else {
         // Allocate-on-writeback (e.g. a PVProxy line after the L2
         // copy was evicted, or a race with this level's eviction).
-        CacheBlk &nb = installBlock(pkt.addr, true, pkt.isPv,
-                                    pkt.isInstFetch, false,
+        CacheBlk &nb = installBlock(pkt.addr, true, false,
                                     pkt.data.get());
         nb.dirty = true;
     }
@@ -502,29 +489,7 @@ Cache::functionalAccess(Packet &pkt)
         return;
     }
 
-    CacheBlk *blk = findBlock(pkt.addr);
-
-    // Upgrade with the line still present needs no fill; with the
-    // line lost (race with eviction) it degenerates to a write miss.
-    bool hit = blk != nullptr;
-    if (pkt.isUpgrade() && !hit)
-        pkt.cmd = MemCmd::WriteReq;
-
-    if (listener_ && !pkt.isPrefetch) {
-        listener_->onAccess(pkt.pc, pkt.addr,
-                            pkt.isWrite() || pkt.isUpgrade(), hit,
-                            hit && blk->wasPrefetched &&
-                                !pkt.isInstFetch);
-        if (!hit) {
-            // The listener may have prefetched this very block (a
-            // perfectly timely prefetch); re-probe and count it as
-            // a covered miss through the normal hit path.
-            blk = findBlock(pkt.addr);
-            hit = blk != nullptr;
-        }
-    }
-
-    if (hit) {
+    if (CacheBlk *blk = lookup(pkt)) {
         if ((pkt.isWrite() || pkt.isUpgrade()) &&
             !params_.directory && !blk->writable) {
             // Store hit without write permission: upgrade below so
@@ -540,7 +505,8 @@ Cache::functionalAccess(Packet &pkt)
             memSide_->functionalAccess(up);
             blk->writable = true;
         }
-        serveHit(pkt, *blk);
+        countRequest(pkt, true);
+        completeAccess_(pkt, *blk);
         return;
     }
 
@@ -553,15 +519,12 @@ Cache::functionalAccess(Packet &pkt)
                                           : pkt.cmd;
     Packet dpkt(down_cmd, blockAlign(pkt.addr), pkt.coreId);
     dpkt.pc = pkt.pc;
-    dpkt.isInstFetch = pkt.isInstFetch;
-    dpkt.isPv = pkt.isPv;
     dpkt.isPrefetch = pkt.isPrefetch;
     dpkt.coherent = pkt.coherent;
     dpkt.srcSlot = slotAtLower_;
     memSide_->functionalAccess(dpkt);
 
     CacheBlk &nb = installBlock(pkt.addr, dpkt.grantsWritable,
-                                pkt.isPv, pkt.isInstFetch,
                                 pkt.isPrefetch, dpkt.data.get());
     completeAccess_(pkt, nb);
 }
@@ -660,28 +623,15 @@ Cache::probeAccess(PacketPtr pkt)
     if (pkt->issueTick == 0)
         pkt->issueTick = curTick();
 
-    CacheBlk *blk = findBlock(pkt->addr);
-    bool hit = blk != nullptr;
-
-    if (pkt->isUpgrade() && !hit)
-        pkt->cmd = MemCmd::WriteReq;
-
-    if (listener_ && !pkt->isPrefetch) {
-        listener_->onAccess(pkt->pc, pkt->addr,
-                            pkt->isWrite() || pkt->isUpgrade(), hit,
-                            hit && blk->wasPrefetched &&
-                                !pkt->isInstFetch);
-    }
-
-    if (hit) {
+    if (CacheBlk *blk = lookup(*pkt)) {
+        countRequest(*pkt, true);
         if ((pkt->isWrite() || pkt->isUpgrade()) &&
             !params_.directory && !blk->writable) {
             // Store hit without write permission: upgrade below.
-            countRequest(*pkt, true);
             missToMshr_(pkt, MemCmd::UpgradeReq);
             return false;
         }
-        serveHit(*pkt, *blk);
+        completeAccess_(*pkt, *blk);
         return true;
     }
 
@@ -745,7 +695,7 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
         return;
     }
 
-    Mshr &m = mshrs_.allocate(baddr, curTick());
+    Mshr &m = mshrs_.allocate(baddr);
     releaseBlock(baddr); // later misses may coalesce
     m.needsWritable = pkt->needsWritable();
     m.prefetchOnly = pkt->isPrefetch;
@@ -759,14 +709,11 @@ Cache::missToMshr_(PacketPtr pkt, MemCmd down_cmd)
 
     auto *dpkt = allocPacket(down_cmd, baddr, pkt->coreId);
     dpkt->pc = pkt->pc;
-    dpkt->isInstFetch = pkt->isInstFetch;
-    dpkt->isPv = pkt->isPv;
     dpkt->isPrefetch = pkt->isPrefetch;
     dpkt->coherent = pkt->coherent;
     dpkt->src = this;
     dpkt->srcSlot = slotAtLower_;
     dpkt->issueTick = curTick();
-    m.inService = true;
     sendDownstream(dpkt);
 }
 
@@ -795,9 +742,8 @@ Cache::recvResponse(PacketPtr pkt)
         if (pkt->hasData())
             blk->ensureData() = *pkt->data;
     } else {
-        blk = &installBlock(baddr, pkt->grantsWritable, pkt->isPv,
-                            pkt->isInstFetch, mshr->prefetchOnly,
-                            pkt->data.get());
+        blk = &installBlock(baddr, pkt->grantsWritable,
+                            mshr->prefetchOnly, pkt->data.get());
     }
 
     // Complete the waiting targets in arrival order.
@@ -866,14 +812,13 @@ Cache::issuePrefetch(Addr block_addr, Addr pc)
     if (!isTiming()) {
         pv_assert(memSide_ != nullptr, "prefetch with no memory side");
         ++prefetchIssued;
-        countRequest_prefetch_(baddr);
         Packet dpkt(MemCmd::PrefetchReq, baddr, kInvalidCore);
         dpkt.pc = pc;
         dpkt.isPrefetch = true;
         dpkt.srcSlot = slotAtLower_;
+        countRequest(dpkt, false);
         memSide_->functionalAccess(dpkt);
-        installBlock(baddr, false, false, false, true,
-                     dpkt.data.get());
+        installBlock(baddr, false, true, dpkt.data.get());
         return true;
     }
 
@@ -887,12 +832,10 @@ Cache::issuePrefetch(Addr block_addr, Addr pc)
     }
 
     ++prefetchIssued;
-    countRequest_prefetch_(baddr);
-    Mshr &m = mshrs_.allocate(baddr, curTick());
+    Mshr &m = mshrs_.allocate(baddr);
     releaseBlock(baddr);
     m.prefetchOnly = true;
     m.wasPrefetch = true;
-    m.inService = true;
 
     auto *dpkt = allocPacket(MemCmd::PrefetchReq, baddr, kInvalidCore);
     dpkt->pc = pc;
@@ -900,22 +843,9 @@ Cache::issuePrefetch(Addr block_addr, Addr pc)
     dpkt->src = this;
     dpkt->srcSlot = slotAtLower_;
     dpkt->issueTick = curTick();
+    countRequest(*dpkt, false);
     sendDownstream(dpkt);
     return true;
-}
-
-void
-Cache::countRequest_prefetch_(Addr baddr)
-{
-    const bool is_pv =
-        addrMap_ && addrMap_->classify(baddr) == AddrClass::Pv;
-    if (is_pv) {
-        ++requestsPv;
-        ++missesPv;
-    } else {
-        ++requestsApp;
-        ++missesApp;
-    }
 }
 
 } // namespace pvsim

@@ -10,7 +10,8 @@
  *
  * The PVProxy injects its requests here exactly like an L1 would
  * ("on the backside of the L1", paper Section 1) — the cache is
- * oblivious to PV data except for statistics classification.
+ * oblivious to PV data except for statistics classification, which
+ * asks the address map (isPv).
  */
 
 #ifndef PVSIM_MEM_CACHE_HH
@@ -53,7 +54,7 @@ struct CacheParams {
     /**
      * Paper Section 2.2 design option: drop dirty PV-range victim
      * blocks instead of writing them off-chip ("the caches become
-     * virtualization aware"). Requires an AddrMap.
+     * virtualization aware").
      */
     bool dropPvWritebacks = false;
 };
@@ -70,12 +71,10 @@ class CacheListener
 
     /**
      * Demand access completed its lookup.
-     * @param hit            Block was present.
-     * @param prefetched_hit Hit on a not-yet-demand-touched
-     *                       prefetched block (a covered miss).
+     * @param hit Block was present.
      */
-    virtual void onAccess(Addr pc, Addr addr, bool is_write, bool hit,
-                          bool prefetched_hit) = 0;
+    virtual void onAccess(Addr pc, Addr addr, bool is_write,
+                          bool hit) = 0;
 
     /** A valid block left the cache by replacement. */
     virtual void onEvict(Addr block_addr) = 0;
@@ -88,8 +87,13 @@ class CacheListener
 class Cache final : public SimObject, public MemDevice, public MemClient
 {
   public:
+    /**
+     * `addr_map` (required) tells PVTable addresses apart, for the
+     * app/PV statistics and the dropPvWritebacks option; no packet
+     * or frame carries that distinction.
+     */
     Cache(SimContext &ctx, const CacheParams &params,
-          const AddrMap *addr_map = nullptr);
+          const AddrMap *addr_map);
 
     // -- Wiring -----------------------------------------------------
 
@@ -257,7 +261,18 @@ class Cache final : public SimObject, public MemDevice, public MemClient
         return unsigned(blockNumber(block_addr) % params_.banks);
     }
 
-    CacheBlk *findBlock(Addr block_addr);
+    CacheBlk *
+    findBlock(Addr block_addr)
+    {
+        return const_cast<CacheBlk *>(peekBlock(block_addr));
+    }
+
+    /** The address map's verdict: a PVTable address. */
+    bool
+    isPv(Addr addr) const
+    {
+        return addrMap_->classify(addr) == AddrClass::Pv;
+    }
 
     /** First block index of a set in the flat arrays. */
     size_t
@@ -311,11 +326,12 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     // -- Core state machine (shared functional/timing) ----------------
 
     /**
-     * Serve a request that hit in blk: coherence actions, dirty/LRU
-     * updates, stats, payload copy, response conversion. Leaves pkt
-     * as a response.
+     * The front of a demand or prefetch access in either mode: find
+     * the block, turn an upgrade that lost its line into a write,
+     * and tell the listener. Returns the block, re-probed after the
+     * listener on a miss (it may have prefetched the very block).
      */
-    void serveHit(Packet &pkt, CacheBlk &blk);
+    CacheBlk *lookup(Packet &pkt);
 
     /**
      * The hit/fill completion common to both modes: coherence,
@@ -327,16 +343,12 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Timing: route a missing request into the MSHR file. */
     void missToMshr_(PacketPtr pkt, MemCmd down_cmd);
 
-    /** Count a self-issued prefetch in the request class stats. */
-    void countRequest_prefetch_(Addr baddr);
-
     /**
      * Allocate (possibly evicting) a block frame for block_addr and
      * fill it from a response/fill packet's point of view.
      */
-    CacheBlk &installBlock(Addr block_addr, bool writable, bool is_pv,
-                           bool is_inst, bool was_prefetch,
-                           const Packet::Data *data);
+    CacheBlk &installBlock(Addr block_addr, bool writable,
+                           bool was_prefetch, const Packet::Data *data);
 
     /** Evict blk: back-invalidate, write back or drop, notify. */
     void evictBlock(CacheBlk &blk);
@@ -353,7 +365,8 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Send a writeback/clean-evict downstream (mode dependent). */
     void emitDown(PacketPtr pkt);
 
-    /** Classify and count a served request. */
+    /** Classify and count a served request (a writeback or
+     *  clean-evict notice counts as a request, never a miss). */
     void countRequest(const Packet &pkt, bool hit);
 
     // -- Timing machinery ----------------------------------------------

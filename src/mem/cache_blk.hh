@@ -2,7 +2,9 @@
  * @file
  * Cache block (line) state. One CacheBlk per way per set; payload
  * storage is lazily allocated because only PV data carries real
- * bytes through the hierarchy.
+ * bytes through the hierarchy. A frame does not record whether it
+ * holds PV or instruction data: the owning Cache classifies a block
+ * by its address (Cache::isPv).
  */
 
 #ifndef PVSIM_MEM_CACHE_BLK_HH
@@ -40,10 +42,6 @@ struct CacheBlk {
 
     /** Filled by a prefetch and not yet touched by demand. */
     bool wasPrefetched = false;
-    /** Instruction-side block (for stats only). */
-    bool isInst = false;
-    /** PV-range block (stats classification only). */
-    bool isPv = false;
 
     bool hasData() const { return data != nullptr; }
 
@@ -64,8 +62,6 @@ struct CacheBlk {
         dirty = false;
         writable = false;
         wasPrefetched = false;
-        isInst = false;
-        isPv = false;
         ownerSlot = -1;
         data.reset();
     }

@@ -19,14 +19,15 @@ Dram::Dram(SimContext &ctx, const DramParams &params,
       writeBytes(this, "write_bytes", "bytes written to DRAM"),
       params_(params), addrMap_(addr_map)
 {
+    pv_assert(addrMap_ != nullptr, "%s: needs an address map",
+              name().c_str());
 }
 
 bool
 Dram::handle(Packet &pkt)
 {
     Addr baddr = blockAlign(pkt.addr);
-    const bool is_pv =
-        addrMap_ && addrMap_->classify(baddr) == AddrClass::Pv;
+    const bool is_pv = addrMap_->classify(baddr) == AddrClass::Pv;
 
     switch (pkt.cmd) {
       case MemCmd::ReadReq:

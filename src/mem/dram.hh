@@ -34,8 +34,9 @@ struct DramParams {
 class Dram : public SimObject, public MemDevice
 {
   public:
+    /** `addr_map` (required) splits traffic into app and PV. */
     Dram(SimContext &ctx, const DramParams &params,
-         const AddrMap *addr_map = nullptr);
+         const AddrMap *addr_map);
 
     // MemDevice
     bool recvRequest(PacketPtr pkt) override;

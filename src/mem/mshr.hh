@@ -23,15 +23,12 @@ namespace pvsim {
 struct Mshr {
     bool valid = false;
     Addr blockAddr = 0;
-    /** Downstream request has been sent. */
-    bool inService = false;
     /** Fill must grant write permission. */
     bool needsWritable = false;
     /** Allocated by a prefetch and no demand target joined yet. */
     bool prefetchOnly = false;
     /** Was allocated by a prefetch (even if demand joined later). */
     bool wasPrefetch = false;
-    Tick allocTick = 0;
     /** Waiting packets, completed in order at fill time. */
     std::vector<PacketPtr> targets;
 
@@ -39,7 +36,6 @@ struct Mshr {
     reset()
     {
         valid = false;
-        inService = false;
         needsWritable = false;
         prefetchOnly = false;
         wasPrefetch = false;
@@ -67,7 +63,7 @@ class MshrFile
 
     /** Allocate an entry for block_addr. @pre !full() && !find(). */
     Mshr &
-    allocate(Addr block_addr, Tick now)
+    allocate(Addr block_addr)
     {
         pv_assert(!full(), "MSHR allocate on full file");
         pv_assert(!find(block_addr), "duplicate MSHR for block");
@@ -77,7 +73,6 @@ class MshrFile
                 m.reset();
                 m.valid = true;
                 m.blockAddr = block_addr;
-                m.allocTick = now;
                 index_[block_addr] = i;
                 ++used_;
                 return m;
@@ -95,20 +90,6 @@ class MshrFile
         index_.erase(m.blockAddr);
         m.reset();
         --used_;
-    }
-
-    /** All entries, valid or not (diagnostics/debug dumps). */
-    const std::vector<Mshr> &entries() const { return mshrs_; }
-
-    /**
-     * Storage cost of the MSHR file in bits, for the Section 4.6
-     * style accounting: address tag + status bits per entry.
-     */
-    uint64_t
-    storageBits(unsigned addr_bits) const
-    {
-        // valid + inService + needsWritable + prefetchOnly = 4 bits.
-        return mshrs_.size() * (uint64_t(addr_bits) + 4);
     }
 
   private:

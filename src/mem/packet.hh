@@ -3,7 +3,10 @@
  * Memory request/response packets exchanged between cores, caches,
  * prefetchers, PVProxies and DRAM. A packet is created as a request,
  * travels down the hierarchy, and is turned into a response in place
- * (makeResponse()) before travelling back up.
+ * (makeResponse()) before travelling back up. A packet does not say
+ * whether it carries PV traffic: the hierarchy is oblivious to PV
+ * data (paper Section 2.2), and the statistics that tell PVTable
+ * addresses apart ask the AddrMap.
  *
  * Ownership follows gem5 convention: raw pointers, and the component
  * that completes a packet deletes it. Static live-count bookkeeping
@@ -81,14 +84,9 @@ class Packet
     /** PC of the triggering instruction (0 when not applicable). */
     Addr pc = 0;
 
-    /** Set for instruction-side traffic. */
+    /** Set on a core's instruction fetches: the core tells their
+     *  responses from its loads' by it. */
     bool isInstFetch = false;
-    /**
-     * Set for PVProxy traffic. The caches do NOT consult this flag
-     * for any behaviour (the hierarchy is oblivious to PV data, as
-     * in the paper); it exists purely for statistics classification.
-     */
-    bool isPv = false;
     /** Set for prefetcher-generated requests. */
     bool isPrefetch = false;
     /**

@@ -70,9 +70,6 @@ class PatternHistoryTable
 
     /** Dedicated on-chip storage in bits (Table 3 accounting). */
     virtual uint64_t storageBits() const = 0;
-
-    /** Human-readable configuration name (e.g. "1K-11a"). */
-    virtual std::string phtName() const = 0;
 };
 
 /** Unbounded PHT: the paper's "Infinite" configuration (Figure 4). */
@@ -101,8 +98,6 @@ class InfinitePht : public PatternHistoryTable
         // Unbounded by definition; report the current footprint.
         return uint64_t(map_.size()) * (kPhtKeyBits + 32);
     }
-
-    std::string phtName() const override { return "Infinite"; }
 
     size_t size() const { return map_.size(); }
 
@@ -164,8 +159,6 @@ class SetAssocPht : public PatternHistoryTable
     {
         return geom_.storageBits();
     }
-
-    std::string phtName() const override { return geom_.label(); }
 
     const PhtGeometry &geometry() const { return geom_; }
 

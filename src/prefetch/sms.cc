@@ -30,7 +30,7 @@ SmsPrefetcher::SmsPrefetcher(SimContext &ctx, const SmsParams &params,
 
 void
 SmsPrefetcher::onAccess(Addr pc, Addr addr, bool /*is_write*/,
-                        bool /*hit*/, bool /*prefetched_hit*/)
+                        bool /*hit*/)
 {
     bool triggered = agt_.recordAccess(pc, addr);
     if (!triggered)
@@ -102,7 +102,7 @@ NextLinePrefetcher::NextLinePrefetcher(SimContext &ctx,
 
 void
 NextLinePrefetcher::onAccess(Addr /*pc*/, Addr addr, bool /*is_write*/,
-                             bool hit, bool /*prefetched_hit*/)
+                             bool hit)
 {
     if (hit)
         return;

@@ -53,8 +53,8 @@ class SmsPrefetcher : public SimObject, public CacheListener
                   Cache *target, PatternHistoryTable *pht);
 
     // CacheListener (wired to the target L1D)
-    void onAccess(Addr pc, Addr addr, bool is_write, bool hit,
-                  bool prefetched_hit) override;
+    void onAccess(Addr pc, Addr addr, bool is_write,
+                  bool hit) override;
     void onEvict(Addr block_addr) override;
     void onInvalidate(Addr block_addr) override;
 
@@ -98,8 +98,8 @@ class NextLinePrefetcher : public SimObject, public CacheListener
     NextLinePrefetcher(SimContext &ctx, const std::string &name,
                        Cache *target);
 
-    void onAccess(Addr pc, Addr addr, bool is_write, bool hit,
-                  bool prefetched_hit) override;
+    void onAccess(Addr pc, Addr addr, bool is_write,
+                  bool hit) override;
     void onEvict(Addr) override {}
     void onInvalidate(Addr) override {}
 

@@ -51,16 +51,16 @@ struct TestClient : public MemClient {
 struct RecordingListener : public CacheListener {
     struct Access {
         Addr pc, addr;
-        bool write, hit, prefetched;
+        bool write, hit;
     };
     std::vector<Access> accesses;
     std::vector<Addr> evicted;
     std::vector<Addr> invalidated;
 
     void
-    onAccess(Addr pc, Addr addr, bool w, bool h, bool p) override
+    onAccess(Addr pc, Addr addr, bool w, bool h) override
     {
-        accesses.push_back({pc, addr, w, h, p});
+        accesses.push_back({pc, addr, w, h});
     }
     void onEvict(Addr a) override { evicted.push_back(a); }
     void onInvalidate(Addr a) override { invalidated.push_back(a); }
@@ -409,9 +409,9 @@ TEST_F(FunctionalCacheTest, DropPvWritebacksKeepsDirtyPvLinesOnChip)
     params.directory = true;
     params.dropPvWritebacks = true;
     build(2 * kBlockBytes, 2); // 1 set, 2 ways
-    auto write_back = [&](Addr addr, bool is_pv) {
+    // The address alone makes a line PV: the cache asks its map.
+    auto write_back = [&](Addr addr) {
         Packet wb(MemCmd::Writeback, addr, kInvalidCore);
-        wb.isPv = is_pv;
         wb.coherent = false;
         cache->functionalAccess(wb);
     };
@@ -421,7 +421,7 @@ TEST_F(FunctionalCacheTest, DropPvWritebacksKeepsDirtyPvLinesOnChip)
     };
 
     const Addr pv = amap.pvStart(0);
-    write_back(pv, true); // allocated dirty
+    write_back(pv); // allocated dirty
     read(0x1000);
     read(0x2000); // evicts the dirty PV line
     ASSERT_FALSE(cache->contains(pv));
@@ -430,7 +430,7 @@ TEST_F(FunctionalCacheTest, DropPvWritebacksKeepsDirtyPvLinesOnChip)
     EXPECT_EQ(dram.writesPv.value(), 0u);
     EXPECT_FALSE(dram.hasBlock(pv));
 
-    write_back(0x3000, false); // a dirty application line
+    write_back(0x3000); // a dirty application line
     read(0x4000);
     read(0x5000); // evicts it
     ASSERT_FALSE(cache->contains(0x3000));
@@ -458,7 +458,6 @@ TEST_F(FunctionalCacheTest, PayloadRoundTripsThroughCacheAndDram)
     // eviction would).
     {
         Packet wb(MemCmd::Writeback, addr, kInvalidCore);
-        wb.isPv = true;
         wb.coherent = false;
         wb.setData(data.data());
         cache->functionalAccess(wb);
@@ -468,7 +467,6 @@ TEST_F(FunctionalCacheTest, PayloadRoundTripsThroughCacheAndDram)
     // Read it back through the cache.
     {
         Packet rd(MemCmd::ReadReq, addr, kInvalidCore);
-        rd.isPv = true;
         rd.coherent = false;
         cache->functionalAccess(rd);
         ASSERT_TRUE(rd.hasData());
