@@ -63,6 +63,9 @@ Runs::get(Job::Kind kind, const SystemConfig &cfg,
 void
 Runs::execute(Job &job) const
 {
+    // A job builds and drops its System on this thread, and the
+    // packet count is per thread: it must come back unchanged.
+    const int64_t live_before = Packet::liveCount();
     const RunBudget &b = budget_;
     if (job.kind == Job::Measured) {
         job.functional =
@@ -87,6 +90,11 @@ Runs::execute(Job &job) const
             {"store_pct", 100.0 * double(stores) /
                               double(std::max<uint64_t>(1, records))}};
     }
+    const int64_t leaked = Packet::liveCount() - live_before;
+    if (leaked != 0)
+        panic("%s: %lld packet%s still live after the run",
+              job.cfg.label().c_str(), (long long)leaked,
+              leaked == 1 ? "" : "s");
 }
 
 // ---- The paper's figures and tables -----------------------------------

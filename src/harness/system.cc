@@ -376,14 +376,17 @@ System::runTiming(uint64_t records_per_core)
     for (auto &core : cores_)
         core->start(records_per_core);
 
+    // A core is done from the tick it consumed its last record
+    // until the next start(), so the cores before first_busy stay
+    // done and each tick resumes the check there.
     Tick last_finish = 0;
+    size_t first_busy = 0;
     auto &eq = ctx_.events();
     while (!eq.empty()) {
         eq.runOneTick();
-        bool all_done = true;
-        for (auto &core : cores_)
-            all_done = all_done && core->done();
-        if (all_done) {
+        while (first_busy < cores_.size() && cores_[first_busy]->done())
+            ++first_busy;
+        if (first_busy == cores_.size()) {
             if (last_finish == 0)
                 last_finish = eq.curTick();
             // Keep draining in-flight prefetches and writebacks.

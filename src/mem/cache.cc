@@ -149,7 +149,8 @@ Cache::sharerSlots(Addr block_addr) const
 bool
 Cache::quiesced() const
 {
-    return mshrs_.used() == 0 && sendQueue_.empty();
+    return mshrs_.used() == 0 && pendingLookups_ == 0 &&
+           sendQueue_.empty();
 }
 
 // ---------------------------------------------------------------------
@@ -746,8 +747,12 @@ Cache::recvResponse(PacketPtr pkt)
                             mshr->prefetchOnly, pkt->data.get());
     }
 
-    // Complete the waiting targets in arrival order.
+    // Complete the waiting targets in arrival order. They move out
+    // through the scratch vector, which leaves the entry an empty
+    // vector with capacity; a drain that re-entered here would find
+    // the scratch empty and only allocate.
     std::vector<PacketPtr> targets;
+    targets.swap(drainScratch_);
     targets.swap(mshr->targets);
     mshrs_.deallocate(*mshr);
     ctx().events().noteRelease(*this);
@@ -767,6 +772,8 @@ Cache::recvResponse(PacketPtr pkt)
                  [dst, t] { dst->recvResponse(t); },
                  EventQueue::kPrioResponse);
     }
+    targets.clear();
+    drainScratch_.swap(targets);
 
     freePacket(pkt);
 }

@@ -197,7 +197,8 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Downstream requests queued behind backpressure. */
     const SendQueue &sendQueue() const { return sendQueue_; }
 
-    /** True when no activity is pending inside the cache. */
+    /** True when no activity is pending inside the cache: no MSHR
+     *  in use, no accepted lookup unresolved, nothing queued below. */
     bool quiesced() const;
 
     const CacheParams &params() const { return params_; }
@@ -434,6 +435,9 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     unsigned pendingLookups_ = 0;
     /** Downstream packets awaiting acceptance (misses, writebacks). */
     SendQueue sendQueue_;
+    /** recvResponse's spare targets vector: an MSHR's targets leave
+     *  through it, and it hands its capacity to the entry. */
+    std::vector<PacketPtr> drainScratch_;
 
     /**
      * The blocks given an MSHR or installed, the latest kReleaseLog

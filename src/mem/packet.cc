@@ -4,8 +4,6 @@
 
 namespace pvsim {
 
-std::atomic<int64_t> Packet::liveCount_{0};
-
 void
 Packet::DataDeleter::operator()(Data *d) const
 {

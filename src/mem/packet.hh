@@ -9,15 +9,17 @@
  * addresses apart ask the AddrMap.
  *
  * Ownership follows gem5 convention: raw pointers, and the component
- * that completes a packet deletes it. Static live-count bookkeeping
- * lets tests assert leak-freedom.
+ * that completes a packet deletes it. A live count lets tests and
+ * the harness assert leak-freedom. It is per thread, a plain
+ * counter: every System runs on one thread and its packets never
+ * cross to another, so a thread's count changes only by its own
+ * packets, and no constructor pays for an atomic update.
  */
 
 #ifndef PVSIM_MEM_PACKET_HH
 #define PVSIM_MEM_PACKET_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -170,11 +172,12 @@ class Packet
         }
     }
 
-    /** Live packet count, for leak assertions in tests. */
-    static int64_t liveCount() { return liveCount_.load(); }
+    /** Packets the calling thread has constructed and not yet
+     *  destroyed, for leak assertions. */
+    static int64_t liveCount() { return liveCount_; }
 
   private:
-    static std::atomic<int64_t> liveCount_;
+    static inline thread_local int64_t liveCount_ = 0;
 };
 
 using PacketPtr = Packet *;

@@ -6,7 +6,8 @@
  * record at a time, the chunked functional round-robin must
  * conserve every per-core stream, the harness worker pool must clamp
  * to the hardware and the job count, and the packet pool must
- * recycle storage without disturbing live-count bookkeeping.
+ * recycle storage without disturbing live-count bookkeeping, which
+ * is per thread.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -242,6 +244,32 @@ TEST(PacketPoolTest, TimingRunLeaksNothingThroughThePool)
         sys.runTiming(4000);
     }
     EXPECT_EQ(Packet::liveCount(), before);
+}
+
+TEST(PacketPoolTest, LiveCountIsPerThread)
+{
+    // A packet a worker holds counts on the worker only: the batch
+    // harness checks each job's packets against its own thread.
+    const int64_t main_before = Packet::liveCount();
+    std::promise<void> held, released;
+    int64_t worker_start = 0, worker_holding = 0, worker_end = 0;
+    std::thread worker([&] {
+        worker_start = Packet::liveCount();
+        PacketPtr pkt = allocPacket(MemCmd::ReadReq, 0x1000, 0);
+        worker_holding = Packet::liveCount();
+        held.set_value();
+        released.get_future().wait();
+        freePacket(pkt);
+        worker_end = Packet::liveCount();
+    });
+    held.get_future().wait();
+    EXPECT_EQ(Packet::liveCount(), main_before)
+        << "the worker's packet moved the main thread's count";
+    released.set_value();
+    worker.join();
+    EXPECT_EQ(worker_holding, worker_start + 1);
+    EXPECT_EQ(worker_end, worker_start);
+    EXPECT_EQ(Packet::liveCount(), main_before);
 }
 
 TEST(PacketPoolTest, RecyclesPayloadBuffers)

@@ -3,11 +3,12 @@
  * Unit tests for the cache model: hits/misses, LRU, writebacks,
  * inclusion/back-invalidation, MSI coherence actions, prefetch
  * bookkeeping (covered misses / overpredictions), payload transport,
- * MSHR coalescing and timing latencies.
+ * MSHR coalescing and timing latencies, and the MSHR file's index.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "mem/dram.hh"
 #include "mem/packet_pool.hh"
 #include "sim/sim_object.hh"
+#include "util/random.hh"
 
 using namespace pvsim;
 
@@ -539,6 +541,19 @@ TEST_F(TimingCacheTest, MissLatencyIncludesMemoryRoundTrip)
     EXPECT_TRUE(cache->quiesced());
 }
 
+TEST_F(TimingCacheTest, AcceptedLookupIsNotQuiesced)
+{
+    // An accepted request is in flight before any MSHR holds it:
+    // its tag lookup has not resolved yet.
+    build();
+    ASSERT_TRUE(cache->quiesced());
+    ASSERT_TRUE(cache->recvRequest(makeRead(0x1000)));
+    EXPECT_EQ(cache->outstandingMisses(), 0u);
+    EXPECT_FALSE(cache->quiesced());
+    ctx.events().runUntil();
+    EXPECT_TRUE(cache->quiesced());
+}
+
 TEST_F(TimingCacheTest, HitLatencyIsTagPlusData)
 {
     build();
@@ -811,4 +826,83 @@ TEST_F(TimingCacheTest, NoLeaksAfterTimingRun)
     EXPECT_EQ(client.responses.size(), 20u);
     client.clearResponses();
     EXPECT_EQ(Packet::liveCount(), before);
+}
+
+// ---------------------------------------------------------------------
+// MSHR file index
+// ---------------------------------------------------------------------
+
+TEST(MshrFileTest, RandomOpsMatchAMapModelUnderCollisions)
+{
+    // Eight entries, sixteen slots. Most addresses share one of three
+    // home slots: two adjacent ones, whose probe runs merge, and the
+    // last slot, whose run wraps to slot 0. Entries leave in random
+    // order, so a deletion that broke a run would hide a later key
+    // of it from find().
+    MshrFile file(8);
+    ASSERT_EQ(file.numSlots(), 16u);
+    std::vector<Addr> pool;
+    for (size_t home : {size_t(3), size_t(4), file.numSlots() - 1}) {
+        unsigned found = 0;
+        for (Addr a = 0; found < 6; a += kBlockBytes) {
+            if (file.homeSlot(a) == home) {
+                pool.push_back(a);
+                ++found;
+            }
+        }
+    }
+    for (Addr a = 0x100000; pool.size() < 24; a += 7 * kBlockBytes)
+        pool.push_back(a);
+
+    // Entry i is first[i]: an empty file hands out entries in order.
+    std::vector<Mshr *> first;
+    for (unsigned i = 0; i < file.capacity(); ++i)
+        first.push_back(&file.allocate(pool[i]));
+    EXPECT_TRUE(file.full());
+    for (unsigned i = 0; i < file.capacity(); ++i) {
+        EXPECT_EQ(first[i], first[0] + i);
+        file.deallocate(*first[i]);
+    }
+
+    std::map<Addr, unsigned> model; // block -> entry index
+    Rng rng(25);
+    unsigned full_refusals = 0, allocs = 0, deallocs = 0;
+    for (int op = 0; op < 20000; ++op) {
+        const Addr a = pool[rng.below(pool.size())];
+        const auto it = model.find(a);
+        const uint64_t kind = rng.below(10);
+        if (kind < 5 && it == model.end()) {
+            if (file.full()) {
+                ASSERT_EQ(model.size(), file.capacity());
+                ++full_refusals;
+                continue;
+            }
+            // The lowest entry the model does not hold.
+            std::vector<bool> taken(file.capacity());
+            for (const auto &kv : model)
+                taken[kv.second] = true;
+            unsigned lowest = 0;
+            while (taken[lowest])
+                ++lowest;
+            Mshr &m = file.allocate(a);
+            ASSERT_EQ(&m, first[lowest]) << "op " << op;
+            EXPECT_EQ(m.blockAddr, a);
+            model[a] = lowest;
+            ++allocs;
+        } else if (kind < 9 && it != model.end()) {
+            file.deallocate(*first[it->second]);
+            model.erase(it);
+            ++deallocs;
+        }
+        ASSERT_EQ(file.used(), model.size()) << "op " << op;
+        for (Addr b : pool) {
+            const auto m = model.find(b);
+            ASSERT_EQ(file.find(b),
+                      m == model.end() ? nullptr : first[m->second])
+                << "op " << op << ", block " << std::hex << b;
+        }
+    }
+    EXPECT_GT(full_refusals, 100u);
+    EXPECT_GT(allocs, 2000u);
+    EXPECT_GT(deallocs, 2000u);
 }

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/metrics.hh"
 #include "harness/system.hh"
@@ -185,6 +187,50 @@ TEST(SystemTiming, VirtualizedRunsAndDrains)
     EXPECT_TRUE(sys.ctx().events().empty());
     TrafficMetrics t = trafficOf(sys);
     EXPECT_GT(t.l2RequestsPv, 0u);
+}
+
+TEST(SystemTiming, FinishTickIsTheLastCoreToFinish)
+{
+    // Cores on different workloads finish out of index order, and
+    // prefetches are still in flight when the last one finishes. The
+    // tick runTiming returns must be the first tick at which every
+    // core is done, found here on an identical machine stepped by
+    // hand, over a warmup phase and a measured one.
+    SystemConfig cfg = smallConfig("qry2", PrefetchMode::SmsDedicated);
+    cfg.numCores = 4;
+    cfg.workloadMix = {"qry1", "apache", "zeus", "db2"};
+    cfg.mode = SimMode::Timing;
+    System timed(cfg);
+    System stepped(cfg);
+    EventQueue &eq = stepped.ctx().events();
+    for (uint64_t records : {1000u, 2500u}) {
+        const Tick finish = timed.runTiming(records);
+
+        for (int c = 0; c < stepped.numCores(); ++c)
+            stepped.core(c).start(records);
+        std::vector<Tick> done_at(size_t(stepped.numCores()), 0);
+        Tick all_done_at = 0;
+        while (!eq.empty()) {
+            eq.runOneTick();
+            bool all_done = true;
+            for (int c = 0; c < stepped.numCores(); ++c) {
+                if (!stepped.core(c).done())
+                    all_done = false;
+                else if (done_at[c] == 0)
+                    done_at[c] = eq.curTick();
+            }
+            if (all_done && all_done_at == 0)
+                all_done_at = eq.curTick();
+        }
+        EXPECT_EQ(finish, all_done_at) << records << " records";
+        EXPECT_LT(all_done_at, eq.curTick())
+            << "premise: work drains after the last core finishes";
+        EXPECT_NE(std::max_element(done_at.begin(), done_at.end()),
+                  done_at.end() - 1)
+            << "premise: the last core is not the last to finish";
+        EXPECT_FALSE(std::is_sorted(done_at.begin(), done_at.end()))
+            << "premise: cores finish out of index order";
+    }
 }
 
 namespace {
