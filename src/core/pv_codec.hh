@@ -68,6 +68,12 @@ struct PvSet {
  * Bit-granular (de)serializer between PvSet and a 64-byte line.
  * Geometry is (ways, tagBits, payloadBits); entry i occupies bits
  * [i*entryBits, (i+1)*entryBits) with the tag in the low tagBits.
+ *
+ * The per-way accessors (findTag, findFree, tagAt, payloadAt,
+ * writeWay) work on the packed line in place and are what the PV
+ * path uses: a find reads tags only until one matches, and a write
+ * rewrites one way's bits. decode() and encode() convert whole sets;
+ * they are the reference the accessors are tested against.
  */
 class PvSetCodec
 {
@@ -92,6 +98,58 @@ class PvSetCodec
     unsigned entryBits() const { return tagBits_ + payloadBits_; }
     unsigned usedBits() const { return ways_ * entryBits(); }
     unsigned unusedBits() const { return kBlockBytes * 8 - usedBits(); }
+
+    /** Way w's tag (0 for a tagless codec). */
+    uint32_t
+    tagAt(const uint8_t *line, unsigned w) const
+    {
+        if (tagBits_ == 0)
+            return 0;
+        return uint32_t(reader(line).read(size_t(w) * entryBits(),
+                                          int(tagBits_)));
+    }
+
+    /** Way w's payload (0 marks an empty way). */
+    uint64_t
+    payloadAt(const uint8_t *line, unsigned w) const
+    {
+        return reader(line).read(size_t(w) * entryBits() + tagBits_,
+                                 int(payloadBits_));
+    }
+
+    /** The first valid way holding tag, or -1 (PvSet::findTag). */
+    int
+    findTag(const uint8_t *line, uint32_t tag) const
+    {
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (tagAt(line, w) == tag && payloadAt(line, w) != 0)
+                return int(w);
+        }
+        return -1;
+    }
+
+    /** The first empty way, or -1 (PvSet::findFree). */
+    int
+    findFree(const uint8_t *line) const
+    {
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (payloadAt(line, w) == 0)
+                return int(w);
+        }
+        return -1;
+    }
+
+    /** Rewrite way w's tag and payload; every other bit stays. */
+    void
+    writeWay(uint8_t *line, unsigned w, uint32_t tag,
+             uint64_t payload) const
+    {
+        BitSpan s(line, kBlockBytes);
+        size_t base = size_t(w) * entryBits();
+        if (tagBits_ > 0)
+            s.write(base, int(tagBits_), tag);
+        s.write(base + tagBits_, int(payloadBits_), payload);
+    }
 
     /** Decode a 64-byte line into entries. */
     PvSet
@@ -130,6 +188,13 @@ class PvSetCodec
     }
 
   private:
+    /** Reads only: BitSpan takes a mutable buffer. */
+    static BitSpan
+    reader(const uint8_t *line)
+    {
+        return BitSpan(const_cast<uint8_t *>(line), kBlockBytes);
+    }
+
     unsigned ways_;
     unsigned tagBits_;
     unsigned payloadBits_;

@@ -74,6 +74,12 @@ PvProxy::PvProxy(SimContext &ctx, const PvProxyParams &params,
     pv_assert(params_.pvCacheEntries > 0, "PVCache needs entries");
     entries_.resize(params_.pvCacheEntries);
     victims_.resize(params_.victimEntries);
+    // The pattern buffer bounds the ops of all MSHRs together, so
+    // no op vector ever grows past this.
+    inFlight_.resize(params_.mshrs);
+    for (auto &f : inFlight_)
+        f.pendingOps.reserve(params_.patternBufferEntries);
+    opScratch_.reserve(params_.patternBufferEntries);
     qos_.setCapacities(params_.pvCacheEntries, params_.mshrs,
                        params_.patternBufferEntries);
 }
@@ -228,7 +234,7 @@ PvProxy::flushVictimSlot(CacheEntry &slot)
 
 bool
 PvProxy::reinstallVictim(unsigned line, unsigned table,
-                         const SetOp &op)
+                         const PvOp &op)
 {
     CacheEntry *v = findLine(victims_, line);
     if (!v)
@@ -308,7 +314,7 @@ PvProxy::allocateEntry(unsigned line, unsigned table)
 }
 
 void
-PvProxy::applyOp(CacheEntry &e, const SetOp &op)
+PvProxy::applyOp(CacheEntry &e, const PvOp &op)
 {
     e.lastTouch = ++touchCounter_;
     // Refresh the high-watermark on hits too: a stats reset zeroes
@@ -318,12 +324,12 @@ PvProxy::applyOp(CacheEntry &e, const SetOp &op)
     EngineStats &es = engineStats(e.table);
     if (cacheOcc_[e.table] > es.pvCachePeak.value())
         es.pvCachePeak.set(cacheOcc_[e.table]);
-    PvLineView view{e.bytes.data(), &e.dirty, &e.ages};
-    op(view);
+    op.target->complete(op, PvLineView{e.bytes.data(), &e.dirty,
+                                       &e.ages});
 }
 
 void
-PvProxy::dropOp(unsigned table, const SetOp &op, bool fairness)
+PvProxy::dropOp(unsigned table, const PvOp &op, bool fairness)
 {
     ++droppedOps;
     ++engineStats(table).drops;
@@ -331,17 +337,17 @@ PvProxy::dropOp(unsigned table, const SetOp &op, bool fairness)
         ++fairnessDrops;
         ++engineStats(table).qosDrops;
     }
-    PvLineView view{nullptr, nullptr, nullptr};
-    op(view);
+    op.target->complete(op, PvLineView{nullptr, nullptr, nullptr});
 }
 
-unsigned
-PvProxy::pendingOpCount() const
+PvProxy::InFlight *
+PvProxy::findInFlight(unsigned line)
 {
-    unsigned n = 0;
-    for (const auto &f : inFlight_)
-        n += unsigned(f.pendingOps.size());
-    return n;
+    for (auto &f : inFlight_) {
+        if (f.valid && f.line == line)
+            return &f;
+    }
+    return nullptr;
 }
 
 unsigned
@@ -349,7 +355,7 @@ PvProxy::pendingOpCount(unsigned table) const
 {
     unsigned n = 0;
     for (const auto &f : inFlight_) {
-        if (f.table == table)
+        if (f.valid && f.table == table)
             n += unsigned(f.pendingOps.size());
     }
     return n;
@@ -360,7 +366,7 @@ PvProxy::inFlightCount(unsigned table) const
 {
     unsigned n = 0;
     for (const auto &f : inFlight_) {
-        if (f.table == table)
+        if (f.valid && f.table == table)
             ++n;
     }
     return n;
@@ -394,7 +400,7 @@ PvProxy::shareLimit(unsigned table, PvQosArbiter::Resource r) const
 }
 
 void
-PvProxy::access(PvRequest req)
+PvProxy::access(const PvRequest &req)
 {
     pv_assert(req.table < numEngines(), "table-id %u not registered",
               req.table);
@@ -409,12 +415,12 @@ PvProxy::access(PvRequest req)
         issuePrefetch(req.table, req.set);
         return;
     }
-    pv_assert(req.op != nullptr, "Demand PvRequest needs an op");
-    accessDemand(req.table, req.set, std::move(req.op));
+    pv_assert(req.op.target != nullptr, "Demand PvRequest needs an op");
+    accessDemand(req.table, req.set, req.op);
 }
 
 void
-PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
+PvProxy::accessDemand(unsigned table, unsigned set, const PvOp &op)
 {
     Engine &eng = engines_[table];
     unsigned line = region_.lineOf(eng.layout.setAddress(set));
@@ -437,7 +443,7 @@ PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
     if (shareLimit(table, PvQosArbiter::PvCache) == 0) {
         // A best-effort tenant entitled to no PVCache entries never
         // allocates: every miss is a predictor miss (starved, not
-        // deadlocked — the callback still runs). Applies in both
+        // deadlocked — the op still completes). Applies in both
         // modes, so starvation is mode-independent.
         dropOp(table, op, true);
         return;
@@ -447,35 +453,34 @@ PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
     // may instead join a fetch in flight or be dropped.
     if (!reinstallVictim(line, table, op) &&
         (!isTiming() || admitDemand(line, table, op)))
-        fetch(line, table, PvReqClass::Demand, std::move(op));
+        fetch(line, table, PvReqClass::Demand, &op);
     // Speculate only after the demand fetch has claimed its MSHR:
     // prefetches see post-demand occupancy by construction.
     maybePrefetch(table, set);
 }
 
 bool
-PvProxy::admitDemand(unsigned line, unsigned table, SetOp &op)
+PvProxy::admitDemand(unsigned line, unsigned table, const PvOp &op)
 {
     // Join an in-flight fetch for the same line when possible.
-    for (auto &f : inFlight_) {
-        if (f.line == line) {
-            if (pendingOpCount() >= params_.patternBufferEntries) {
-                dropOp(table, op, false);
-                return false;
-            }
-            if (pendingOpCount(table) >=
-                shareLimit(table, PvQosArbiter::PatternBuffer)) {
-                dropOp(table, op, true);
-                return false;
-            }
-            ++coalescedOps;
-            f.pendingOps.push_back(std::move(op));
+    if (InFlight *f = findInFlight(line)) {
+        if (pendingOps_ >= params_.patternBufferEntries) {
+            dropOp(table, op, false);
             return false;
         }
+        if (pendingOpCount(table) >=
+            shareLimit(table, PvQosArbiter::PatternBuffer)) {
+            dropOp(table, op, true);
+            return false;
+        }
+        ++coalescedOps;
+        f->pendingOps.push_back(op);
+        ++pendingOps_;
+        return false;
     }
 
-    if (inFlight_.size() >= params_.mshrs ||
-        pendingOpCount() >= params_.patternBufferEntries) {
+    if (numInFlight_ >= params_.mshrs ||
+        pendingOps_ >= params_.patternBufferEntries) {
         // No MSHR / pattern-buffer space: report a predictor miss
         // rather than stalling the engine (paper Section 2.2).
         dropOp(table, op, false);
@@ -539,12 +544,9 @@ PvProxy::issuePrefetch(unsigned table, unsigned set)
 {
     Engine &eng = engines_[table];
     unsigned line = region_.lineOf(eng.layout.setAddress(set));
-    if (findLine(entries_, line) || findLine(victims_, line))
+    if (findLine(entries_, line) || findLine(victims_, line) ||
+        findInFlight(line))
         return;
-    for (const auto &f : inFlight_) {
-        if (f.line == line)
-            return;
-    }
     // Low-priority by construction: a tenant entitled to no PVCache
     // entries never speculates, and in timing mode a speculative
     // fetch never takes the last free MSHR and is charged against
@@ -553,7 +555,7 @@ PvProxy::issuePrefetch(unsigned table, unsigned set)
     // keeps headroom.
     if (shareLimit(table, PvQosArbiter::PvCache) == 0 ||
         (isTiming() &&
-         (inFlight_.size() + 1 >= params_.mshrs ||
+         (numInFlight_ + 1 >= params_.mshrs ||
           inFlightCount(table) >=
               shareLimit(table, PvQosArbiter::Mshrs)))) {
         ++prefetchDrops;
@@ -564,13 +566,11 @@ PvProxy::issuePrefetch(unsigned table, unsigned set)
 }
 
 void
-PvProxy::fetch(unsigned line, unsigned table, PvReqClass cls, SetOp op)
+PvProxy::fetch(unsigned line, unsigned table, PvReqClass cls,
+               const PvOp *op)
 {
     pv_assert(memSide_ != nullptr, "PVProxy has no memory side");
     ++memRequests;
-    std::vector<SetOp> ops;
-    if (op)
-        ops.push_back(std::move(op));
     auto *pkt = allocPacket(MemCmd::ReadReq, lineAddress(line),
                             kInvalidCore);
     pkt->isPrefetch = cls == PvReqClass::Prefetch;
@@ -578,18 +578,35 @@ PvProxy::fetch(unsigned line, unsigned table, PvReqClass cls, SetOp op)
     pkt->src = this;
     pkt->issueTick = curTick();
     if (isTiming()) {
-        inFlight_.push_back(InFlight{line, table, cls, std::move(ops)});
+        InFlight *f = nullptr;
+        for (auto &slot : inFlight_) {
+            if (!slot.valid) {
+                f = &slot;
+                break;
+            }
+        }
+        pv_assert(f != nullptr, "%s: fetch with every MSHR busy",
+                  name().c_str());
+        f->valid = true;
+        f->line = line;
+        f->table = table;
+        f->cls = cls;
+        if (op) {
+            f->pendingOps.push_back(*op);
+            ++pendingOps_;
+        }
+        ++numInFlight_;
         sendQueue_.push(pkt);
         return;
     }
     memSide_->functionalAccess(*pkt);
-    install(line, table, cls, *pkt, ops);
+    install(line, table, cls, *pkt, op, op ? 1 : 0);
     freePacket(pkt);
 }
 
 void
 PvProxy::install(unsigned line, unsigned table, PvReqClass cls,
-                 const Packet &pkt, const std::vector<SetOp> &ops)
+                 const Packet &pkt, const PvOp *ops, size_t num_ops)
 {
     CacheEntry &e = allocateEntry(line, table);
     if (pkt.hasData())
@@ -600,7 +617,7 @@ PvProxy::install(unsigned line, unsigned table, PvReqClass cls,
         ++es.prefetchFills;
         // Demand-fill latency stays undiluted: speculative fills
         // contribute no fill_latency_ticks.
-        if (ops.empty()) {
+        if (num_ops == 0) {
             e.prefetched = true;
         } else {
             // A demand op coalesced onto the speculative fetch
@@ -613,30 +630,82 @@ PvProxy::install(unsigned line, unsigned table, PvReqClass cls,
         ++es.fills;
         es.fillLatencyTicks += curTick() - pkt.issueTick;
     }
-    for (const SetOp &op : ops)
-        applyOp(e, op);
+    for (size_t i = 0; i < num_ops; ++i)
+        applyOp(e, ops[i]);
 }
 
 void
 PvProxy::recvResponse(PacketPtr pkt)
 {
     unsigned line = region_.lineOf(blockAlign(pkt->addr));
+    InFlight *f = findInFlight(line);
+    pv_assert(f != nullptr, "PVProxy response for line %u with no MSHR",
+              line);
 
-    auto it = std::find_if(inFlight_.begin(), inFlight_.end(),
-                           [line](const InFlight &f) {
-                               return f.line == line;
-                           });
-    pv_assert(it != inFlight_.end(),
-              "PVProxy response for line %u with no MSHR", line);
+    // The MSHR is released before its ops run: they run from the
+    // scratch vector, and the MSHR keeps the scratch's capacity. A
+    // response that re-entered here would find the scratch empty and
+    // only allocate.
+    const unsigned table = f->table;
+    const PvReqClass cls = f->cls;
+    std::vector<PvOp> ops;
+    ops.swap(opScratch_);
+    ops.swap(f->pendingOps);
+    f->valid = false;
+    --numInFlight_;
+    pendingOps_ -= unsigned(ops.size());
 
-    unsigned table = it->table;
-    PvReqClass cls = it->cls;
-    std::vector<SetOp> ops;
-    ops.swap(it->pendingOps);
-    inFlight_.erase(it);
-
-    install(line, table, cls, *pkt, ops);
+    install(line, table, cls, *pkt, ops.data(), ops.size());
+    ops.clear();
+    opScratch_.swap(ops);
     freePacket(pkt);
+}
+
+void
+PvProxy::checkOccupancy() const
+{
+    const char *who = name().c_str();
+    unsigned cached_total = 0, retained_total = 0;
+    for (unsigned t = 0; t < numEngines(); ++t) {
+        unsigned cached = 0, retained = 0;
+        for (const auto &e : entries_)
+            cached += e.valid && e.table == t;
+        for (const auto &v : victims_)
+            retained += v.valid && v.table == t;
+        if (cached != cacheOcc_[t] || retained != victimOcc_[t]) {
+            panic("%s: tenant %s holds %u PVCache and %u victim "
+                  "entries but is charged %u and %u",
+                  who, engines_[t].info.name.c_str(), cached, retained,
+                  cacheOcc_[t], victimOcc_[t]);
+        }
+        cached_total += cached;
+        retained_total += retained;
+    }
+    unsigned fetching = 0, waiting = 0;
+    for (const auto &f : inFlight_) {
+        if (f.valid) {
+            ++fetching;
+            waiting += unsigned(f.pendingOps.size());
+        } else if (!f.pendingOps.empty()) {
+            panic("%s: a free MSHR holds %zu ops", who,
+                  f.pendingOps.size());
+        }
+    }
+    if (fetching != numInFlight_ || waiting != pendingOps_) {
+        panic("%s: %u fetches in flight with %u ops waiting, but "
+              "counted %u and %u",
+              who, fetching, waiting, numInFlight_, pendingOps_);
+    }
+    if (cached_total > params_.pvCacheEntries ||
+        retained_total > params_.victimEntries ||
+        fetching > params_.mshrs ||
+        waiting > params_.patternBufferEntries) {
+        panic("%s: occupancy over capacity: PVCache %u/%u, victims "
+              "%u/%u, MSHRs %u/%u, pattern buffer %u/%u",
+              who, cached_total, params_.pvCacheEntries,
+              retained_total, params_.victimEntries, fetching,
+              params_.mshrs, waiting, params_.patternBufferEntries);
+    }
 }
 
 void

@@ -24,6 +24,12 @@
  * op), where the class is Demand or Prefetch. Demand requests are
  * the engines' ordinary set operations; Prefetch requests ask for a
  * speculative fill of a set's line without an operation attached.
+ * An operation is a PvOp value. The proxy holds it (in in-flight
+ * storage it reuses) until the set's line is in the PVCache, then
+ * completes it with one virtual call, PvOpTarget::complete(op,
+ * line), on the engine that issued it. Ops on one line complete in
+ * arrival order, and a dropped op completes at once with a null
+ * line.
  * A line takes one route through the proxy: fetch() requests it
  * from the L2, install() enters it into the PVCache, and
  * writeBack() sends it back when it leaves dirty. On top of the
@@ -58,7 +64,6 @@
 #define PVSIM_CORE_PV_PROXY_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,7 +111,7 @@ struct PvEngineInfo {
 };
 
 /**
- * Mutable view of one cached PVTable line handed to operations.
+ * Mutable view of one cached PVTable line handed to an operation.
  * `dirty` must be set by operations that modify the bytes; `ages`
  * is sideband per-way recency metadata that lives only while the
  * line is in the PVCache (the packed line's trailing bits stay
@@ -119,14 +124,46 @@ struct PvLineView {
     std::array<uint8_t, kPvMaxWays> *ages;
 };
 
+/** What a PvOp asks of its set; the target's complete() reads it. */
+enum class PvOpKind : uint8_t {
+    Find,   ///< read one entry
+    Store,  ///< write one entry's payload
+    Mutate, ///< read-modify-write one entry
+};
+
+class PvOpTarget;
+
 /**
- * An operation against one table set. Runs exactly once, either
+ * An operation against one table set, as a value. The proxy reads
+ * only `target`; the rest is the target's to interpret.
+ */
+struct PvOp {
+    /** Completes the op (the engine that issued it). */
+    PvOpTarget *target = nullptr;
+    PvOpKind kind = PvOpKind::Find;
+    /** The key's tag within its set. */
+    uint32_t tag = 0;
+    /** What the op writes, e.g. a Store's payload. */
+    uint64_t operand = 0;
+    /** Handed back untouched: what the target needs to finish the
+     *  op, e.g. the access that triggered a lookup. */
+    std::array<uint64_t, 2> token{};
+};
+
+/**
+ * Whoever issues PvOps: each one completes exactly once, either
  * immediately (PVCache hit / functional mode) or when the set
  * arrives from the memory hierarchy. If the proxy must drop the
- * operation (buffers full), it runs with view.bytes == nullptr —
- * the engine then sees a predictor miss (paper Section 2.2).
+ * operation (buffers full), it completes with view.bytes == nullptr
+ * and the engine sees a predictor miss (paper Section 2.2).
  */
-using PvSetOp = std::function<void(PvLineView view)>;
+class PvOpTarget
+{
+  public:
+    virtual ~PvOpTarget() = default;
+
+    virtual void complete(const PvOp &op, PvLineView view) = 0;
+};
 
 /** Request classes a PvRequest may carry. */
 enum class PvReqClass {
@@ -137,22 +174,20 @@ enum class PvReqClass {
 /**
  * The proxy's single entry descriptor: every engine-visible access
  * is one of these, flowing proxy -> QoS arbiter -> boundary/L2.
- * Demand requests require `op`; Prefetch requests ignore it.
+ * Demand requests require an op with a target; Prefetch requests
+ * ignore `op`.
  */
 struct PvRequest {
     unsigned table = 0;
     unsigned set = 0;
     PvReqClass cls = PvReqClass::Demand;
-    PvSetOp op;
+    PvOp op;
 };
 
 /** The proxy. */
 class PvProxy : public SimObject, public MemClient
 {
   public:
-    /** Engine-facing alias for the set-operation callback. */
-    using SetOp = PvSetOp;
-
     /**
      * The proxy fronts the PV region [region_start, region_start +
      * region_bytes). Engines claim segments with registerEngine()
@@ -191,7 +226,7 @@ class PvProxy : public SimObject, public MemClient
      * Prefetch requests issue a speculative fill subject to the
      * MSHR-headroom and entitlement rules.
      */
-    void access(PvRequest req);
+    void access(const PvRequest &req);
 
     /** Write back all dirty lines (all tenants) and drop clean ones. */
     void flush();
@@ -199,8 +234,17 @@ class PvProxy : public SimObject, public MemClient
     /** True when nothing is in flight (timing mode draining). */
     bool quiesced() const
     {
-        return inFlight_.empty() && sendQueue_.empty();
+        return numInFlight_ == 0 && sendQueue_.empty();
     }
+
+    /**
+     * Recount every tenant's PVCache and victim-buffer entries, the
+     * fetches in flight and the ops waiting on them from the buffers
+     * themselves, and panic unless the recounts equal the running
+     * counts the proxy charges and admits by and stay within the
+     * configured capacities.
+     */
+    void checkOccupancy() const;
 
     const PvProxyParams &params() const { return params_; }
     const PvRegionLayout &region() const { return region_; }
@@ -365,26 +409,31 @@ class PvProxy : public SimObject, public MemClient
         std::array<uint8_t, kPvMaxWays> ages{};
     };
 
-    /** One pending fetch, tagged with tenant and request class. */
+    /** One MSHR: a pending fetch, tagged with tenant and request
+     *  class, and the ops waiting on its line. */
     struct InFlight {
+        bool valid = false;
         unsigned line = 0;
         unsigned table = 0;
         PvReqClass cls = PvReqClass::Demand;
-        std::vector<SetOp> pendingOps;
+        /** In arrival order. Keeps its capacity when the fetch
+         *  completes, so a warm proxy allocates nothing. */
+        std::vector<PvOp> pendingOps;
     };
 
     /** Strides this close count as one sequential walk even when
      *  consecutive hops differ (block lengths vary in real code). */
     static constexpr int kSequentialWindow = 8;
 
-    void accessDemand(unsigned table, unsigned set, SetOp op);
+    void accessDemand(unsigned table, unsigned set, const PvOp &op);
     /**
      * Timing-mode admission of a demand miss: join a fetch of the
      * line already in flight, or drop the op when the MSHR file or
      * pattern buffer is full or the tenant holds its share of one.
-     * True when the miss may fetch; otherwise `op` was consumed.
+     * True when the miss may fetch; otherwise `op` was queued or
+     * completed as dropped.
      */
-    bool admitDemand(unsigned line, unsigned table, SetOp &op);
+    bool admitDemand(unsigned line, unsigned table, const PvOp &op);
     /** Stride detection + speculative issue after a demand access. */
     void maybePrefetch(unsigned table, unsigned set);
     /** One speculative fill, subject to headroom/entitlement. */
@@ -392,14 +441,15 @@ class PvProxy : public SimObject, public MemClient
     /**
      * Request a line from the L2: synchronously in functional mode
      * (then install() it), as an in-flight entry plus one ReadReq
-     * in timing mode (installed by recvResponse). `op`, if any,
-     * runs on the line once it is installed.
+     * in timing mode (installed by recvResponse). `op`, if not
+     * null, completes on the line once it is installed.
      */
-    void fetch(unsigned line, unsigned table, PvReqClass cls, SetOp op);
+    void fetch(unsigned line, unsigned table, PvReqClass cls,
+               const PvOp *op);
     /** Enter a fetched line into the PVCache, count the fill by
-     *  class, and run the operations waiting on it. */
+     *  class, and complete the `num_ops` ops waiting on it. */
     void install(unsigned line, unsigned table, PvReqClass cls,
-                 const Packet &pkt, const std::vector<SetOp> &ops);
+                 const Packet &pkt, const PvOp *ops, size_t num_ops);
     /** Send a line leaving the proxy back to the L2 if dirty;
      *  count a clean eviction otherwise. */
     void writeBack(const CacheEntry &e);
@@ -415,19 +465,20 @@ class PvProxy : public SimObject, public MemClient
                                 Pred pred);
     CacheEntry &allocateEntry(unsigned line, unsigned table);
     CacheEntry *pickVictim(unsigned table);
-    void applyOp(CacheEntry &e, const SetOp &op);
-    void dropOp(unsigned table, const SetOp &op, bool fairness);
+    void applyOp(CacheEntry &e, const PvOp &op);
+    void dropOp(unsigned table, const PvOp &op, bool fairness);
     void evictEntry(CacheEntry &e, bool retain);
     /** Move an evicted line into the victim buffer (when allowed). */
     bool retainVictim(const CacheEntry &e);
     /** Serve a demand miss from the victim buffer, if retained. */
     bool reinstallVictim(unsigned line, unsigned table,
-                         const SetOp &op);
+                         const PvOp &op);
     /** Flush one victim slot to memory (writeback/clean-evict). */
     void flushVictimSlot(CacheEntry &slot);
     /** Victim-buffer entries tenant `table` may occupy. */
     unsigned victimShare(unsigned table) const;
-    unsigned pendingOpCount() const;
+    /** The MSHR fetching `line`, or nullptr. */
+    InFlight *findInFlight(unsigned line);
     unsigned pendingOpCount(unsigned table) const;
     unsigned inFlightCount(unsigned table) const;
 
@@ -465,7 +516,13 @@ class PvProxy : public SimObject, public MemClient
 
     std::vector<CacheEntry> entries_;
     std::vector<CacheEntry> victims_;
+    /** params_.mshrs slots; numInFlight_ of them valid. */
     std::vector<InFlight> inFlight_;
+    unsigned numInFlight_ = 0;
+    /** Ops waiting in all MSHRs: the pattern buffer's occupancy. */
+    unsigned pendingOps_ = 0;
+    /** recvResponse's ops, moved out of their MSHR before they run. */
+    std::vector<PvOp> opScratch_;
     /** Requests (fetches, writebacks) toward the L2. */
     SendQueue sendQueue_;
     uint64_t touchCounter_ = 0;

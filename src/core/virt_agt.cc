@@ -47,43 +47,56 @@ VirtualizedAgt::patternOf(uint64_t payload)
 void
 VirtualizedAgt::observe(Addr pc, Addr addr)
 {
-    const uint64_t key = geom_.regionTag(addr);
+    // The operand is the entry this access starts when its region
+    // has none: the access is its trigger and its one block.
     const unsigned offset = geom_.blockOffset(addr);
-    const PhtKey trigger = makePhtKey(pc, offset);
-    table().mutate(key, [this, trigger, offset](bool found,
-                                                uint64_t old) {
-        if (!found) {
-            // Triggering access: a fresh one-block generation (the
-            // dedicated AGT's filter-table entry).
-            ++generationsStarted;
-            return pack(trigger, SpatialPattern(1) << offset);
-        }
-        SpatialPattern pattern =
-            patternOf(old) | (SpatialPattern(1) << offset);
-        if (unsigned(popCount(pattern)) >= blockBudget_) {
-            // Budget reached: the generation completes. Deliver it
-            // and restart the region with this access as the new
-            // trigger.
-            ++generationsEnded;
-            if (sink_)
-                sink_(triggerOf(old), pattern);
-            ++generationsStarted;
-            return pack(trigger, SpatialPattern(1) << offset);
-        }
-        return pack(triggerOf(old), pattern);
-    });
+    table().issue(geom_.regionTag(addr),
+                  PvOp{this, PvOpKind::Mutate, 0,
+                       pack(makePhtKey(pc, offset),
+                            SpatialPattern(1) << offset)});
 }
 
 SpatialPattern
 VirtualizedAgt::patternFor(Addr addr)
 {
-    SpatialPattern result = 0;
-    table().find(geom_.regionTag(addr),
-                 [&result](bool found, uint64_t payload) {
-        if (found)
-            result = patternOf(payload);
+    probed_ = 0;
+    table().issue(geom_.regionTag(addr), PvOp{this, PvOpKind::Find});
+    return probed_;
+}
+
+void
+VirtualizedAgt::complete(const PvOp &op, PvLineView view)
+{
+    if (op.kind == PvOpKind::Find) {
+        probed_ = patternOf(table().findIn(view, op.tag));
+        return;
+    }
+    const uint64_t fresh = op.operand;
+    PhtKey ended_key = 0;
+    SpatialPattern ended = 0;
+    table().mutateIn(view, op.tag, [&](bool found, uint64_t old) {
+        if (!found) {
+            // Triggering access: a fresh one-block generation (the
+            // dedicated AGT's filter-table entry).
+            ++generationsStarted;
+            return fresh;
+        }
+        SpatialPattern pattern = patternOf(old) | patternOf(fresh);
+        if (unsigned(popCount(pattern)) >= blockBudget_) {
+            // Budget reached: the generation completes, and the
+            // region restarts with this access as the new trigger.
+            ++generationsEnded;
+            ended_key = triggerOf(old);
+            ended = pattern;
+            ++generationsStarted;
+            return fresh;
+        }
+        return pack(triggerOf(old), pattern);
     });
-    return result;
+    // Delivered once the entry is written, so a sink that reaches
+    // the proxy again finds the line settled.
+    if (ended != 0 && sink_)
+        sink_(ended_key, ended);
 }
 
 } // namespace pvsim

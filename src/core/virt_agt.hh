@@ -5,9 +5,9 @@
  * virtualized as one more VirtEngine tenant — with the PHT and BTB
  * adapters, every SMS table can now live behind the shared proxy.
  * The third adapter, and the heaviest read-modify-write tenant:
- * every observed access is one VirtualizedAssocTable::mutate against
- * the shared proxy (the PHT reads-then-stores, the BTB mostly
- * stores; the AGT accumulates in place).
+ * every observed access is one Mutate op against the shared proxy
+ * (the PHT reads-then-stores, the BTB mostly stores; the AGT
+ * accumulates in place, in complete()).
  *
  * Semantics differ from the dedicated AGT in one honest way: the
  * dedicated table ends a generation when one of its blocks leaves
@@ -80,6 +80,9 @@ class VirtualizedAgt : public VirtEngine
      *  functional-mode introspection for tests). */
     SpatialPattern patternFor(Addr addr);
 
+    /** The read-modify-write of observe(), or patternFor()'s read. */
+    void complete(const PvOp &op, PvLineView view) override;
+
     std::string kindName() const override { return "agt"; }
 
     const RegionGeometry &geometry() const { return geom_; }
@@ -100,6 +103,8 @@ class VirtualizedAgt : public VirtEngine
     RegionGeometry geom_;
     GenerationSink sink_;
     unsigned blockBudget_;
+    /** What patternFor()'s Find op read. */
+    SpatialPattern probed_ = 0;
 };
 
 } // namespace pvsim

@@ -23,19 +23,27 @@ VirtualizedBtb::VirtualizedBtb(PvProxy &proxy,
 }
 
 void
-VirtualizedBtb::lookup(Addr pc, LookupCallback cb)
+VirtualizedBtb::lookup(Addr pc, uint64_t token)
 {
-    table().find(keyOf(pc),
-                 [cb = std::move(cb)](bool found, uint64_t payload) {
-        cb(found, Addr(payload) << 2);
-    });
+    table().issue(keyOf(pc), PvOp{this, PvOpKind::Find, 0, 0, {token, 0}});
 }
 
 void
 VirtualizedBtb::update(Addr pc, Addr target)
 {
     pv_assert(target != 0, "zero target is the empty marker");
-    table().store(keyOf(pc), target >> 2);
+    table().issue(keyOf(pc), PvOp{this, PvOpKind::Store, 0, target >> 2});
+}
+
+void
+VirtualizedBtb::complete(const PvOp &op, PvLineView view)
+{
+    if (op.kind == PvOpKind::Store) {
+        table().storeIn(view, op.tag, op.operand);
+        return;
+    }
+    const uint64_t payload = table().findIn(view, op.tag);
+    answer(op.token[0], payload != 0, Addr(payload) << 2);
 }
 
 } // namespace pvsim

@@ -14,8 +14,6 @@
 #ifndef PVSIM_CORE_VIRT_BTB_HH
 #define PVSIM_CORE_VIRT_BTB_HH
 
-#include <functional>
-
 #include "core/virt_engine.hh"
 #include "cpu/btb.hh"
 
@@ -25,8 +23,6 @@ namespace pvsim {
 class VirtualizedBtb : public VirtEngine, public BtbPredictor
 {
   public:
-    using LookupCallback = BtbPredictor::LookupCallback;
-
     /** 46 target bits cover a 48-bit VA space of 4-byte-aligned
      *  PCs; each packed entry is tagBits + kTargetBits wide. */
     static constexpr unsigned kTargetBits = 46;
@@ -38,13 +34,16 @@ class VirtualizedBtb : public VirtEngine, public BtbPredictor
 
     /**
      * Predict the target of the branch at pc. In timing mode the
-     * callback may fire later (after the PV line fills) or report
+     * answer may come later (after the PV line fills) or report
      * not-found when the proxy drops the operation.
      */
-    void lookup(Addr pc, LookupCallback cb) override;
+    void lookup(Addr pc, uint64_t token) override;
 
     /** Learn/refresh a branch target. @pre target != 0. */
     void update(Addr pc, Addr target) override;
+
+    /** A lookup answers the listener; an update stores the target. */
+    void complete(const PvOp &op, PvLineView view) override;
 
     std::string kindName() const override { return "btb"; }
 

@@ -7,9 +7,12 @@
  * is that framework's seam. A concrete engine (PHT, BTB, AGT)
  * supplies a packing codec and a set count, registers itself as
  * one tenant of a (possibly shared) PvProxy, and talks to its
- * segment through a VirtualizedAssocTable. Name, table-id, codec,
- * storage accounting, and per-engine statistics all hang off this
- * base, so virtualizing one more structure is a ~100-line adapter.
+ * segment through a VirtualizedAssocTable: it issues each operation
+ * as a PvOp and finishes it in complete(), the one virtual call the
+ * proxy makes back into it, keyed by the op's kind. Name, table-id,
+ * codec, storage accounting, and per-engine statistics all hang off
+ * this base, so virtualizing one more structure is a ~100-line
+ * adapter.
  */
 
 #ifndef PVSIM_CORE_VIRT_ENGINE_HH
@@ -54,7 +57,7 @@ struct VirtEngineConfig {
 };
 
 /** A virtualized predictor table registered with a PvProxy. */
-class VirtEngine
+class VirtEngine : public PvOpTarget
 {
   public:
     /**
@@ -73,7 +76,7 @@ class VirtEngine
                const PvSetCodec &codec, unsigned num_sets,
                const PvTenantQos &qos = {});
 
-    virtual ~VirtEngine() = default;
+    ~VirtEngine() override = default;
 
     VirtEngine(const VirtEngine &) = delete;
     VirtEngine &operator=(const VirtEngine &) = delete;

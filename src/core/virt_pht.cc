@@ -32,12 +32,10 @@ VirtualizedPht::VirtualizedPht(PvProxy &proxy,
 }
 
 void
-VirtualizedPht::lookup(PhtKey key, LookupCallback cb)
+VirtualizedPht::lookup(PhtKey key, const PhtTrigger &trigger)
 {
-    table().find(key, [cb = std::move(cb)](bool found,
-                                           uint64_t payload) {
-        cb(found, SpatialPattern(payload));
-    });
+    table().issue(key, PvOp{this, PvOpKind::Find, 0, 0,
+                            {trigger.pc, trigger.addr}});
 }
 
 void
@@ -45,7 +43,19 @@ VirtualizedPht::insert(PhtKey key, SpatialPattern pattern)
 {
     if (pattern == 0)
         return; // nothing to learn; zero marks empty entries
-    table().store(key, pattern);
+    table().issue(key, PvOp{this, PvOpKind::Store, 0, pattern});
+}
+
+void
+VirtualizedPht::complete(const PvOp &op, PvLineView view)
+{
+    if (op.kind == PvOpKind::Store) {
+        table().storeIn(view, op.tag, op.operand);
+        return;
+    }
+    const uint64_t payload = table().findIn(view, op.tag);
+    answer(PhtTrigger{op.token[0], op.token[1]}, payload != 0,
+           SpatialPattern(payload));
 }
 
 } // namespace pvsim

@@ -43,8 +43,11 @@ class VirtualizedPht : public PatternHistoryTable, public VirtEngine
                    const PvTenantQos &qos = {});
 
     // PatternHistoryTable
-    void lookup(PhtKey key, LookupCallback cb) override;
+    void lookup(PhtKey key, const PhtTrigger &trigger) override;
     void insert(PhtKey key, SpatialPattern pattern) override;
+
+    /** A lookup answers the listener; an insert stores the pattern. */
+    void complete(const PvOp &op, PvLineView view) override;
 
     /**
      * Dedicated on-chip storage: just the PVProxy (the PVTable

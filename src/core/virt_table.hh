@@ -7,6 +7,13 @@
  * packed line's trailing bits stay unused, as the paper leaves
  * them), and write-allocate dirty tracking.
  *
+ * An engine sends a PvOp to a key's set with issue(). The proxy
+ * hands the op back, with the set's line, to the engine's
+ * complete(), which reads or writes the line through the helpers
+ * findIn(), storeIn() and mutateIn(). They work on the packed line
+ * in place: a find stops at the matching tag, and a write rewrites
+ * only the way it changes.
+ *
  * VirtualizedPht (the paper's case study), VirtualizedBtb (its
  * future-work suggestion) and VirtualizedAgt (the SMS table it
  * leaves in SRAM) are thin VirtEngine adapters over this class,
@@ -16,8 +23,6 @@
 
 #ifndef PVSIM_CORE_VIRT_TABLE_HH
 #define PVSIM_CORE_VIRT_TABLE_HH
-
-#include <functional>
 
 #include "core/pv_codec.hh"
 #include "core/pv_proxy.hh"
@@ -29,17 +34,6 @@ namespace pvsim {
 class VirtualizedAssocTable
 {
   public:
-    /** Result delivery for find(); fires exactly once. */
-    using FindCallback =
-        std::function<void(bool found, uint64_t payload)>;
-
-    /**
-     * Transform for mutate(): receives the current payload (0 when
-     * the key is absent) and returns the new payload, or 0 to leave
-     * the table unchanged.
-     */
-    using MutateFn = std::function<uint64_t(bool found, uint64_t old)>;
-
     /**
      * @param proxy    The PVProxy fronting this table's segment. Not
      *                 owned; one proxy may serve many tables.
@@ -74,76 +68,74 @@ class VirtualizedAssocTable
     PvProxy &proxy() { return *proxy_; }
 
     /**
-     * Retrieve the payload for key. A dropped operation (proxy
-     * buffers full) reports "not found", as the paper allows.
+     * Send op to key's set with key's tag. The proxy completes it
+     * exactly once through op.target, with a null line when it had
+     * to drop the op (the predictor misses, as the paper allows).
      */
     void
-    find(uint64_t key, FindCallback cb)
+    issue(uint64_t key, PvOp op)
     {
-        unsigned set = setOf(key);
-        uint32_t tag = tagOf(key);
-        proxy_->access({tableId_, set, PvReqClass::Demand,
-                        [this, tag, cb = std::move(cb)](PvLineView view) {
-            if (!view.bytes) {
-                cb(false, 0);
-                return;
-            }
-            PvSet s = codec_.decode(view.bytes);
-            int way = s.findTag(tag);
-            if (way < 0) {
-                cb(false, 0);
-                return;
-            }
-            touch(*view.ages, unsigned(way));
-            cb(true, s.ways[way].payload);
-        }});
+        op.tag = tagOf(key);
+        proxy_->access({tableId_, setOf(key), PvReqClass::Demand, op});
     }
 
     /**
-     * Store payload for key (insert or update). @pre payload != 0
-     * (zero is the invalid-entry marker). Dropped silently when the
-     * proxy's buffers are full — predictor updates are advisory.
+     * The payload stored under tag, or 0 when it is absent or the op
+     * was dropped (view.bytes == nullptr). A hit refreshes the way's
+     * recency.
+     */
+    uint64_t
+    findIn(PvLineView view, uint32_t tag) const
+    {
+        if (!view.bytes)
+            return 0;
+        int way = codec_.findTag(view.bytes, tag);
+        if (way < 0)
+            return 0;
+        touch(*view.ages, unsigned(way));
+        return codec_.payloadAt(view.bytes, unsigned(way));
+    }
+
+    /**
+     * Store payload under tag (insert or update). @pre payload != 0
+     * (zero is the invalid-entry marker). A dropped op stores
+     * nothing: predictor updates are advisory.
      */
     void
-    store(uint64_t key, uint64_t payload)
+    storeIn(PvLineView view, uint32_t tag, uint64_t payload) const
     {
         pv_assert(payload != 0, "zero payload is the empty marker");
-        mutate(key, [payload](bool, uint64_t) { return payload; });
+        mutateIn(view, tag, [payload](bool, uint64_t) { return payload; });
     }
 
     /**
-     * Read-modify-write in one proxy operation: fn sees the current
-     * payload for key (0 when absent) and returns the new one (0 to
-     * leave the set untouched). Dropped silently under buffer
-     * pressure, like store().
+     * Read-modify-write of tag's entry: fn(found, old) sees the
+     * current payload (0 when absent) and returns the new one (0 to
+     * leave the set untouched). An absent tag takes the first empty
+     * way, else the least recently used one. A dropped op does
+     * nothing, like storeIn().
      */
+    template <class Fn>
     void
-    mutate(uint64_t key, MutateFn fn)
+    mutateIn(PvLineView view, uint32_t tag, Fn &&fn) const
     {
-        unsigned set = setOf(key);
-        uint32_t tag = tagOf(key);
-        proxy_->access({tableId_, set, PvReqClass::Demand,
-                        [this, tag, fn = std::move(fn)](PvLineView view) {
-            if (!view.bytes)
-                return; // dropped: the update is lost, harmlessly
-            PvSet s = codec_.decode(view.bytes);
-            int way = s.findTag(tag);
-            uint64_t old = way >= 0 ? s.ways[way].payload : 0;
-            uint64_t next = fn(way >= 0, old);
-            if (next == 0)
-                return;
-            if (way < 0)
-                way = s.findFree();
-            if (way < 0)
-                way = victimWay(*view.ages);
-            if (next != old || s.ways[way].tag != tag) {
-                s.ways[way].tag = tag;
-                s.ways[way].payload = next;
-                codec_.encode(s, view.bytes);
-                *view.dirty = true;
-            }
-            touch(*view.ages, unsigned(way));
-        }});
+        if (!view.bytes)
+            return; // dropped: the update is lost, harmlessly
+        int way = codec_.findTag(view.bytes, tag);
+        uint64_t old =
+            way >= 0 ? codec_.payloadAt(view.bytes, unsigned(way)) : 0;
+        uint64_t next = fn(way >= 0, old);
+        if (next == 0)
+            return;
+        if (way < 0)
+            way = codec_.findFree(view.bytes);
+        if (way < 0)
+            way = int(victimWay(*view.ages));
+        if (next != old || codec_.tagAt(view.bytes, unsigned(way)) != tag) {
+            codec_.writeWay(view.bytes, unsigned(way), tag, next);
+            *view.dirty = true;
+        }
+        touch(*view.ages, unsigned(way));
     }
 
     unsigned setOf(uint64_t key) const

@@ -24,15 +24,15 @@ DedicatedBtb::find(unsigned set, uint32_t tag)
 }
 
 void
-DedicatedBtb::lookup(Addr pc, LookupCallback cb)
+DedicatedBtb::lookup(Addr pc, uint64_t token)
 {
     uint64_t key = keyOf(pc);
     if (Entry *e = find(setOf(key), tagOf(key))) {
         e->lastTouch = ++touchClock_;
-        cb(true, e->target);
+        answer(token, true, e->target);
         return;
     }
-    cb(false, 0);
+    answer(token, false, 0);
 }
 
 void

@@ -6,42 +6,63 @@
  * Two implementations exist: DedicatedBtb (below) models the
  * on-chip table a real front end owns, and VirtualizedBtb
  * (core/virt_btb.hh) stores the same table in the memory hierarchy
- * behind a PVProxy. Both answer through the same callback-style
- * lookup so the core is agnostic — which is what makes matched-pair
- * "dedicated SRAM vs virtualized" IPC comparisons (Figure 9-style)
- * possible.
+ * behind a PVProxy. Both answer lookups through the same listener,
+ * set once when the core attaches the BTB, so the core is agnostic —
+ * which is what makes matched-pair "dedicated SRAM vs virtualized"
+ * IPC comparisons (Figure 9-style) possible.
  */
 
 #ifndef PVSIM_CPU_BTB_HH
 #define PVSIM_CPU_BTB_HH
 
-#include <functional>
 #include <vector>
 
 #include "sim/types.hh"
 #include "util/bitfield.hh"
+#include "util/logging.hh"
 
 namespace pvsim {
+
+/** Hears the answers to a BTB's lookups. */
+class BtbListener
+{
+  public:
+    virtual ~BtbListener() = default;
+
+    /** The answer to lookup(pc, token): the target, if found. */
+    virtual void btbAnswer(uint64_t token, bool found, Addr target) = 0;
+};
 
 /** Target predictor the core consults for every taken branch. */
 class BtbPredictor
 {
   public:
-    /**
-     * Result delivery for lookup(); fires exactly once. A dedicated
-     * BTB answers synchronously; a virtualized one may answer later
-     * (after a PV fill) or report not-found under buffer pressure.
-     */
-    using LookupCallback =
-        std::function<void(bool found, Addr target)>;
-
     virtual ~BtbPredictor() = default;
 
-    /** Predict the target of the branch at pc. */
-    virtual void lookup(Addr pc, LookupCallback cb) = 0;
+    /** Where lookups are answered; set once, at wiring. */
+    void setListener(BtbListener *listener) { listener_ = listener; }
+
+    /**
+     * Predict the target of the branch at pc. The listener hears the
+     * answer exactly once, with `token`. A dedicated BTB answers at
+     * once; a virtualized one may answer later (after a PV fill) or
+     * report not-found under buffer pressure.
+     */
+    virtual void lookup(Addr pc, uint64_t token) = 0;
 
     /** Learn/refresh a branch target. @pre target != 0. */
     virtual void update(Addr pc, Addr target) = 0;
+
+  protected:
+    void
+    answer(uint64_t token, bool found, Addr target)
+    {
+        pv_assert(listener_ != nullptr, "BTB lookup with no listener");
+        listener_->btbAnswer(token, found, target);
+    }
+
+  private:
+    BtbListener *listener_ = nullptr;
 };
 
 /** Dedicated BTB geometry (mirrors VirtEngineConfig's BTB fields). */
@@ -64,7 +85,7 @@ class DedicatedBtb final : public BtbPredictor
   public:
     explicit DedicatedBtb(const DedicatedBtbParams &params);
 
-    void lookup(Addr pc, LookupCallback cb) override;
+    void lookup(Addr pc, uint64_t token) override;
     void update(Addr pc, Addr target) override;
 
     /** Dedicated on-chip storage: tag + 46-bit target per entry. */

@@ -75,22 +75,14 @@ TraceCore::noteRecordBoundary()
         }
         if (btb_ && rec_.pc != 0) {
             Addr target = rec_.pc;
-            // Members, not locals: a virtualized BTB may hold the
-            // callback until its PV line fills, long after this
-            // frame returns. The hit/mispredict stats score the
-            // eventual answer; the redirect decision below only
-            // trusts an answer available *now* (at fetch).
+            // Members, not locals: a virtualized BTB may answer
+            // when its PV line fills, long after this frame
+            // returns. The hit/mispredict stats score the eventual
+            // answer; the redirect decision below only trusts an
+            // answer available *now* (at fetch).
             lookupResolved_ = false;
             lookupCorrect_ = false;
-            btb_->lookup(prevPc_,
-                         [this, target](bool found, Addr predicted) {
-                lookupResolved_ = true;
-                lookupCorrect_ = found && predicted == target;
-                if (lookupCorrect_)
-                    ++btbHits;
-                else
-                    ++btbMispredicts;
-            });
+            btb_->lookup(prevPc_, target);
             if (!lookupResolved_)
                 ++btbUnavailable;
             if (isTiming() && params_.btbMispredictPenalty > 0 &&
@@ -107,6 +99,17 @@ TraceCore::noteRecordBoundary()
 
     if (agt_)
         agt_->observe(rec_.pc, rec_.addr);
+}
+
+void
+TraceCore::btbAnswer(uint64_t target, bool found, Addr predicted)
+{
+    lookupResolved_ = true;
+    lookupCorrect_ = found && predicted == Addr(target);
+    if (lookupCorrect_)
+        ++btbHits;
+    else
+        ++btbMispredicts;
 }
 
 // -----------------------------------------------------------------------

@@ -57,7 +57,9 @@ struct CoreParams {
 };
 
 /** The core. */
-class TraceCore final : public SimObject, public MemClient
+class TraceCore final : public SimObject,
+                        public MemClient,
+                        public BtbListener
 {
   public:
     /** Records pulled from the source per batched stepping chunk. */
@@ -69,9 +71,15 @@ class TraceCore final : public SimObject, public MemClient
     /**
      * Attach a BTB (dedicated or virtualized): every taken branch
      * reconstructed from the trace is predicted and trained
-     * through it.
+     * through it, and its lookups answer to this core.
      */
-    void setBtb(BtbPredictor *btb) { btb_ = btb; }
+    void
+    setBtb(BtbPredictor *btb)
+    {
+        btb_ = btb;
+        if (btb_)
+            btb_->setListener(this);
+    }
 
     /**
      * Attach a virtualized AGT: every data access is observed
@@ -106,6 +114,10 @@ class TraceCore final : public SimObject, public MemClient
     // MemClient
     void recvResponse(PacketPtr pkt) override;
     std::string clientName() const override { return name(); }
+
+    /** BTB answer for the taken branch whose target is `target`:
+     *  scores it a hit or a mispredict. */
+    void btbAnswer(uint64_t target, bool found, Addr predicted) override;
 
     // ---- Measurement -----------------------------------------------------
 
@@ -192,11 +204,11 @@ class TraceCore final : public SimObject, public MemClient
     Addr prevFallthrough_ = 0; ///< pc the next record "should" have
 
     /**
-     * Redirect bookkeeping for the mispredict penalty: the lookup
-     * callback sets lookupResolved_/lookupCorrect_; a callback
-     * still unresolved when noteRecordBoundary returns (a
-     * virtualized BTB waiting on its PV fill) counts as a
-     * mispredict for timing, whatever it eventually reports.
+     * Redirect bookkeeping for the mispredict penalty: btbAnswer
+     * sets lookupResolved_/lookupCorrect_; a lookup still
+     * unanswered when noteRecordBoundary returns (a virtualized BTB
+     * waiting on its PV fill) counts as a mispredict for timing,
+     * whatever it eventually reports.
      */
     bool lookupResolved_ = false;
     bool lookupCorrect_ = false;

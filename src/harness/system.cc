@@ -366,6 +366,7 @@ System::runFunctional(uint64_t refs_per_core)
                 --live_count;
         }
     }
+    checkOccupancy();
 }
 
 Tick
@@ -411,6 +412,9 @@ System::runTiming(uint64_t records_per_core)
                   "%s: event queue drained mid-run — lost response",
                   core->name().c_str());
     }
+    pv_assert(quiesced(),
+              "event queue drained with requests still in flight");
+    checkOccupancy();
     return last_finish ? last_finish : eq.curTick();
 }
 
@@ -427,6 +431,15 @@ System::totalInstructions() const
     for (const auto &core : cores_)
         total += core->instructionsRetired();
     return total;
+}
+
+void
+System::checkOccupancy() const
+{
+    for (const auto &p : pvProxies_) {
+        if (p)
+            p->checkOccupancy();
+    }
 }
 
 bool

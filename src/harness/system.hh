@@ -85,7 +85,8 @@ class System
 
     /**
      * Functional execution: steps the cores round-robin until each
-     * consumed refs_per_core records (or its trace ended).
+     * consumed refs_per_core records (or its trace ended), then
+     * checks every proxy's occupancy (PvProxy::checkOccupancy).
      */
     void runFunctional(uint64_t refs_per_core);
 
@@ -93,6 +94,8 @@ class System
      * Timing execution: each core runs until it consumed
      * records_per_core records; returns the tick at which the last
      * core finished (remaining in-flight work is then drained).
+     * Panics unless the drained machine is quiesced() and every
+     * proxy's occupancy checks out.
      */
     Tick runTiming(uint64_t records_per_core);
 
@@ -121,6 +124,9 @@ class System
     bool quiesced() const;
 
   private:
+    /** PvProxy::checkOccupancy on every core's proxy. */
+    void checkOccupancy() const;
+
     /** First engine of core i of concrete type T, or nullptr. */
     template <class T>
     T *

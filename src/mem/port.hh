@@ -12,8 +12,8 @@
 #ifndef PVSIM_MEM_PORT_HH
 #define PVSIM_MEM_PORT_HH
 
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "mem/packet.hh"
 #include "sim/event_queue.hh"
@@ -121,6 +121,9 @@ class MemDevice : public Refuser
  * the device counts exactly what a sender re-asking every cycle
  * would have cost it. When a full queue makes its owner refuse
  * requests, every pop is a release at the owner.
+ *
+ * The packets sit in a ring of power-of-two size that doubles when
+ * full and never shrinks, so a warm queue allocates nothing.
  */
 class SendQueue
 {
@@ -143,13 +146,16 @@ class SendQueue
     void
     push(PacketPtr pkt)
     {
-        q_.push_back(pkt);
+        if (size_ == ring_.size())
+            grow();
+        ring_[(head_ + size_) & (ring_.size() - 1)] = pkt;
+        ++size_;
         if (!parked_)
             drain();
     }
 
-    size_t size() const { return q_.size(); }
-    bool empty() const { return q_.empty(); }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /** Resumed drains whose first request was refused again: a
      *  wake-up that bought nothing. */
@@ -161,12 +167,13 @@ class SendQueue
     drain()
     {
         size_t sent = 0;
-        while (!q_.empty()) {
-            if (!dev_->recvRequest(q_.front())) {
+        while (size_ != 0) {
+            if (!dev_->recvRequest(ring_[head_])) {
                 park();
                 break;
             }
-            q_.pop_front();
+            head_ = (head_ + 1) & (ring_.size() - 1);
+            --size_;
             ++sent;
             if (releases_)
                 eq_.noteRelease(*releases_);
@@ -188,7 +195,7 @@ class SendQueue
     bool
     resume()
     {
-        if (dev_->certainlyRefuses(*q_.front(), mark_))
+        if (dev_->certainlyRefuses(*ring_[head_], mark_))
             return false;
         parked_ = false;
         dev_->creditRejects(eq_.curTick() - refusedAt_ - 1);
@@ -197,11 +204,30 @@ class SendQueue
         return true;
     }
 
+    /** Double the ring (to kMinSlots from empty), moving the queued
+     *  packets to its front in order. */
+    void
+    grow()
+    {
+        std::vector<PacketPtr> bigger(
+            ring_.empty() ? kMinSlots : 2 * ring_.size());
+        for (size_t i = 0; i < size_; ++i)
+            bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+        ring_.swap(bigger);
+        head_ = 0;
+    }
+
+    static constexpr size_t kMinSlots = 16;
+
     EventQueue &eq_;
     const std::string &owner_;
     const Refuser *releases_;
     MemDevice *dev_ = nullptr;
-    std::deque<PacketPtr> q_;
+    /** The queue is ring_[head_], ring_[head_ + 1], ... (mod the
+     *  ring's size), size_ packets long. */
+    std::vector<PacketPtr> ring_;
+    size_t head_ = 0;
+    size_t size_ = 0;
     /** A drain waits in the retry lane since refusedAt_. */
     bool parked_ = false;
     Tick refusedAt_ = 0;

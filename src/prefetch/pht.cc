@@ -12,18 +12,18 @@ SetAssocPht::SetAssocPht(const PhtGeometry &geom) : geom_(geom)
 }
 
 void
-SetAssocPht::lookup(PhtKey key, LookupCallback cb)
+SetAssocPht::lookup(PhtKey key, const PhtTrigger &trigger)
 {
     auto &set = sets_[setIndex(key)];
     uint32_t tag = tagOf(key);
     for (auto &e : set) {
         if (e.valid && e.tag == tag) {
             e.lastTouch = ++touchCounter_;
-            cb(true, e.pattern);
+            answer(trigger, true, e.pattern);
             return;
         }
     }
-    cb(false, 0);
+    answer(trigger, false, 0);
 }
 
 void

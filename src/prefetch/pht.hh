@@ -5,18 +5,18 @@
  * concatenated with the 5-bit trigger block offset (paper
  * Section 3.2.1) — to a 32-bit spatial pattern.
  *
- * The interface is callback-based: a dedicated table answers a
- * lookup synchronously, while the virtualized table (core/virt_pht)
- * may answer later, after its PVProxy fetches the set from the
- * memory hierarchy. This non-uniform latency is exactly the property
- * the paper argues SMS tolerates (Section 2.4).
+ * A table answers lookups through a listener set once, when the
+ * table is wired to its prefetcher: a dedicated table answers at
+ * once, while the virtualized table (core/virt_pht) may answer
+ * later, after its PVProxy fetches the set from the memory
+ * hierarchy. This non-uniform latency is exactly the property the
+ * paper argues SMS tolerates (Section 2.4).
  */
 
 #ifndef PVSIM_PREFETCH_PHT_HH
 #define PVSIM_PREFETCH_PHT_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +25,7 @@
 #include "sim/sim_object.hh"
 #include "stats/stat.hh"
 #include "util/bitfield.hh"
+#include "util/logging.hh"
 
 namespace pvsim {
 
@@ -49,27 +50,56 @@ makePhtKey(Addr pc, unsigned trigger_offset)
                   (trigger_offset & mask(kPhtOffsetBits)));
 }
 
+/** The access that triggered a lookup, handed back with its answer. */
+struct PhtTrigger {
+    Addr pc = 0;
+    Addr addr = 0;
+};
+
+/** Hears the answers to a PHT's lookups. */
+class PhtListener
+{
+  public:
+    virtual ~PhtListener() = default;
+
+    /** The answer to lookup(key, trigger): the pattern, if found. */
+    virtual void phtAnswer(const PhtTrigger &trigger, bool found,
+                           SpatialPattern pattern) = 0;
+};
+
 /** Abstract PHT: the predictor table the paper virtualizes. */
 class PatternHistoryTable
 {
   public:
-    using LookupCallback =
-        std::function<void(bool found, SpatialPattern pattern)>;
-
     virtual ~PatternHistoryTable() = default;
 
+    /** Where lookups are answered; set once, at wiring. */
+    void setListener(PhtListener *listener) { listener_ = listener; }
+
     /**
-     * Retrieve the pattern for key. The callback fires exactly once:
-     * immediately for dedicated tables, possibly later for
-     * virtualized ones.
+     * Retrieve the pattern for key. The listener hears the answer
+     * exactly once, with `trigger`: immediately for dedicated
+     * tables, possibly later for virtualized ones.
      */
-    virtual void lookup(PhtKey key, LookupCallback cb) = 0;
+    virtual void lookup(PhtKey key, const PhtTrigger &trigger) = 0;
 
     /** Store (or update) the pattern for key. */
     virtual void insert(PhtKey key, SpatialPattern pattern) = 0;
 
     /** Dedicated on-chip storage in bits (Table 3 accounting). */
     virtual uint64_t storageBits() const = 0;
+
+  protected:
+    void
+    answer(const PhtTrigger &trigger, bool found,
+           SpatialPattern pattern)
+    {
+        pv_assert(listener_ != nullptr, "PHT lookup with no listener");
+        listener_->phtAnswer(trigger, found, pattern);
+    }
+
+  private:
+    PhtListener *listener_ = nullptr;
 };
 
 /** Unbounded PHT: the paper's "Infinite" configuration (Figure 4). */
@@ -77,13 +107,13 @@ class InfinitePht : public PatternHistoryTable
 {
   public:
     void
-    lookup(PhtKey key, LookupCallback cb) override
+    lookup(PhtKey key, const PhtTrigger &trigger) override
     {
         auto it = map_.find(key);
         if (it == map_.end())
-            cb(false, 0);
+            answer(trigger, false, 0);
         else
-            cb(true, it->second);
+            answer(trigger, true, it->second);
     }
 
     void
@@ -152,7 +182,7 @@ class SetAssocPht : public PatternHistoryTable
   public:
     explicit SetAssocPht(const PhtGeometry &geom);
 
-    void lookup(PhtKey key, LookupCallback cb) override;
+    void lookup(PhtKey key, const PhtTrigger &trigger) override;
     void insert(PhtKey key, SpatialPattern pattern) override;
 
     uint64_t storageBits() const override

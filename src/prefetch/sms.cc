@@ -26,6 +26,7 @@ SmsPrefetcher::SmsPrefetcher(SimContext &ctx, const SmsParams &params,
 {
     pv_assert(target_ != nullptr, "SMS needs a target cache");
     pv_assert(pht_ != nullptr, "SMS needs a PHT");
+    pht_->setListener(this);
 }
 
 void
@@ -37,27 +38,25 @@ SmsPrefetcher::onAccess(Addr pc, Addr addr, bool /*is_write*/,
         return;
 
     ++triggers;
-    Addr region_base = geom_.regionBase(addr);
-    unsigned offset = geom_.blockOffset(addr);
-    PhtKey key = makePhtKey(pc, offset);
-    // The lookup may complete now (dedicated PHT / PVCache hit) or
+    // The lookup may be answered now (dedicated PHT / PVCache hit) or
     // after a memory round trip (virtualized PHT miss); SMS does not
-    // care — prediction() runs whenever the pattern arrives.
-    pht_->lookup(key, [this, region_base, offset, pc](
-                          bool found, SpatialPattern pattern) {
-        prediction(region_base, offset, pc, found, pattern);
-    });
+    // care — phtAnswer() runs whenever the pattern arrives.
+    pht_->lookup(makePhtKey(pc, geom_.blockOffset(addr)),
+                 PhtTrigger{pc, addr});
 }
 
 void
-SmsPrefetcher::prediction(Addr region_base, unsigned trigger_offset,
-                          Addr pc, bool found, SpatialPattern pattern)
+SmsPrefetcher::phtAnswer(const PhtTrigger &trigger, bool found,
+                         SpatialPattern pattern)
 {
     if (!found) {
         ++phtMisses;
         return;
     }
     ++phtHits;
+
+    const Addr region_base = geom_.regionBase(trigger.addr);
+    const unsigned trigger_offset = geom_.blockOffset(trigger.addr);
 
     unsigned issued = 0;
     for (unsigned off = 0;
@@ -70,7 +69,7 @@ SmsPrefetcher::prediction(Addr region_base, unsigned trigger_offset,
             continue;
         ++prefetchCandidates;
         if (target_->issuePrefetch(geom_.blockAddr(region_base, off),
-                                   pc)) {
+                                   trigger.pc)) {
             ++prefetchesIssued;
             ++issued;
         }

@@ -41,13 +41,15 @@ struct SmsParams {
 };
 
 /** The SMS optimization engine. */
-class SmsPrefetcher : public SimObject, public CacheListener
+class SmsPrefetcher : public SimObject,
+                      public CacheListener,
+                      public PhtListener
 {
   public:
     /**
      * @param target The L1D this prefetcher observes and fills.
      * @param pht    Pattern history table (dedicated or virtualized);
-     *               not owned.
+     *               not owned. Its lookups answer to this prefetcher.
      */
     SmsPrefetcher(SimContext &ctx, const SmsParams &params,
                   Cache *target, PatternHistoryTable *pht);
@@ -57,6 +59,11 @@ class SmsPrefetcher : public SimObject, public CacheListener
                   bool hit) override;
     void onEvict(Addr block_addr) override;
     void onInvalidate(Addr block_addr) override;
+
+    /** PHT lookup answer: stream the predicted blocks of the
+     *  trigger's region. */
+    void phtAnswer(const PhtTrigger &trigger, bool found,
+                   SpatialPattern pattern) override;
 
     /** Flush in-flight generations into the PHT (end of a run). */
     void flush() { agt_.flush(); }
@@ -76,10 +83,6 @@ class SmsPrefetcher : public SimObject, public CacheListener
     stats::Scalar prefetchesIssued;
 
   private:
-    /** PHT lookup completion: stream the predicted blocks. */
-    void prediction(Addr region_base, unsigned trigger_offset,
-                    Addr pc, bool found, SpatialPattern pattern);
-
     SmsParams params_;
     RegionGeometry geom_;
     Cache *target_;

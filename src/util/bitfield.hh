@@ -59,39 +59,41 @@ popCount(uint64_t val)
  * is bit ((offset + i) % 8) of byte ((offset + i) / 8).
  *
  * This is the codec primitive for packing 43-bit PHT entries into a
- * 64-byte PVTable line.
+ * 64-byte PVTable line. Each access loads one 8-byte window as a
+ * little-endian word: the window starts at the field's first byte, or
+ * at the buffer's last eight bytes for a field that ends near the
+ * end, so it never reads past the buffer.
  */
 class BitSpan
 {
   public:
+    static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                  "BitSpan loads its windows as little-endian words");
+
+    /** @pre size_bytes >= 8 (one window). */
     BitSpan(uint8_t *data, size_t size_bytes)
         : data_(data), sizeBits_(size_bytes * 8)
-    {}
+    {
+        assert(size_bytes >= 8);
+    }
 
     /**
-     * Read an nbits-wide field starting at bit offset. Byte-at-a-
-     * time assembly (not per-bit) keeps the packed-set codec cheap.
+     * Read an nbits-wide field starting at bit offset.
      * @pre nbits <= 57 and the field lies within the span (57 so the
-     *      value plus intra-byte shift fits one 64-bit read window).
+     *      value plus intra-byte shift fits one 64-bit window).
      */
     uint64_t
     read(size_t offset, int nbits) const
     {
         assert(nbits > 0 && nbits <= 57);
         assert(offset + size_t(nbits) <= sizeBits_);
-        size_t byte = offset >> 3;
-        unsigned shift = unsigned(offset & 7);
-        unsigned need_bits = shift + unsigned(nbits);
-        uint64_t window = 0;
-        unsigned got = 0;
-        for (; got < need_bits; got += 8)
-            window |= uint64_t(data_[byte + (got >> 3)]) << got;
-        return (window >> shift) & mask(nbits);
+        const size_t byte = windowByte(offset);
+        return (load(byte) >> (offset - 8 * byte)) & mask(nbits);
     }
 
     /**
      * Write the low nbits of val into the field starting at bit
-     * offset.
+     * offset; every other bit of the window is stored unchanged.
      * @pre nbits <= 57 (see read()).
      */
     void
@@ -99,20 +101,32 @@ class BitSpan
     {
         assert(nbits > 0 && nbits <= 57);
         assert(offset + size_t(nbits) <= sizeBits_);
-        size_t byte = offset >> 3;
-        unsigned shift = unsigned(offset & 7);
-        unsigned need_bits = shift + unsigned(nbits);
-        unsigned need_bytes = (need_bits + 7) >> 3;
-        uint64_t window = 0;
-        for (unsigned i = 0; i < need_bytes; ++i)
-            window |= uint64_t(data_[byte + i]) << (8 * i);
-        uint64_t m = mask(nbits) << shift;
-        window = (window & ~m) | ((val << shift) & m);
-        for (unsigned i = 0; i < need_bytes; ++i)
-            data_[byte + i] = uint8_t(window >> (8 * i));
+        const size_t byte = windowByte(offset);
+        const unsigned shift = unsigned(offset - 8 * byte);
+        const uint64_t m = mask(nbits) << shift;
+        const uint64_t window =
+            (load(byte) & ~m) | ((val << shift) & m);
+        std::memcpy(data_ + byte, &window, sizeof(window));
     }
 
   private:
+    /** First byte of the window that holds a field at offset. */
+    size_t
+    windowByte(size_t offset) const
+    {
+        const size_t last = sizeBits_ / 8 - sizeof(uint64_t);
+        const size_t byte = offset >> 3;
+        return byte < last ? byte : last;
+    }
+
+    uint64_t
+    load(size_t byte) const
+    {
+        uint64_t window;
+        std::memcpy(&window, data_ + byte, sizeof(window));
+        return window;
+    }
+
     uint8_t *data_;
     size_t sizeBits_;
 };

@@ -15,6 +15,7 @@
 #include "harness/system.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -59,12 +60,12 @@ TEST_F(EdgeFixture, PatternBufferLimitDropsOpsBeforeMshrLimit)
 
     int dropped = 0, completed = 0;
     for (unsigned s = 0; s < 3; ++s) {
-        proxy.access({0, s, PvReqClass::Demand, [&](PvLineView v) {
+        proxy.access({0, s, PvReqClass::Demand, fnOp([&](PvLineView v) {
             if (v.bytes)
                 ++completed;
             else
                 ++dropped;
-        }});
+        })});
     }
     EXPECT_EQ(dropped, 1) << "third op exceeds the pattern buffer";
     ctxp->events().runUntil();
@@ -81,12 +82,12 @@ TEST_F(EdgeFixture, TimingFlushDrainsDirtyLines)
     proxy.setMemSide(l2.get());
 
     for (unsigned s = 0; s < 4; ++s) {
-        proxy.access({0, s, PvReqClass::Demand, [](PvLineView v) {
+        proxy.access({0, s, PvReqClass::Demand, fnOp([](PvLineView v) {
             if (v.bytes) {
                 v.bytes[0] = 0x55;
                 *v.dirty = true;
             }
-        }});
+        })});
     }
     ctxp->events().runUntil();
     proxy.flush();
@@ -219,5 +220,10 @@ TEST(GuardRails, StoreOfZeroPayloadIsRejected)
     PvSetCodec codec(11, 11, 32);
     VirtualizedAssocTable table(
         &proxy, proxy.registerEngine({"table0", 64, 0, {}}), codec);
-    EXPECT_DEATH(table.store(5, 0), "empty marker");
+    std::array<uint8_t, kBlockBytes> line{};
+    bool dirty = false;
+    std::array<uint8_t, kPvMaxWays> ages{};
+    EXPECT_DEATH(table.storeIn({line.data(), &dirty, &ages},
+                               table.tagOf(5), 0),
+                 "empty marker");
 }

@@ -486,6 +486,65 @@ TEST(RetryLane, CreditedRejectsEqualPolling)
 
 namespace {
 
+/** A device that takes requests only while open. */
+struct OpenGate : MemDevice {
+    bool open = false;
+    std::vector<Addr> accepted;
+
+    bool
+    recvRequest(PacketPtr pkt) override
+    {
+        if (!open)
+            return false;
+        accepted.push_back(pkt->addr);
+        delete pkt;
+        return true;
+    }
+
+    void functionalAccess(Packet &) override {}
+    std::string deviceName() const override { return "gate"; }
+};
+
+} // namespace
+
+TEST(SendQueueRing, KeepsFifoOrderAcrossWrapAndGrowth)
+{
+    EventQueue q;
+    OpenGate gate;
+    static const std::string kSender = "sender";
+    SendQueue sq(q, kSender, nullptr);
+    sq.setDevice(&gate);
+    std::vector<Addr> pushed;
+    int next = 0;
+    auto push = [&](int n) {
+        for (int i = 0; i < n; ++i, ++next) {
+            pushed.push_back(Addr(0x1000 + 64 * next));
+            sq.push(request(next));
+        }
+    };
+    auto open = [&] {
+        gate.open = true;
+        q.noteRelease(gate);
+    };
+    // Ten requests wait behind a refusal and drain: the queue's head
+    // is now slot 10 of the first 16.
+    q.schedule(0, EventQueue::kPrioCpu, [&] { push(10); });
+    q.schedule(5, open);
+    // Forty more wait: they wrap past slot 15, and the ring doubles
+    // twice while wrapped.
+    q.schedule(10, [&] {
+        gate.open = false;
+        push(40);
+        EXPECT_EQ(sq.size(), 40u);
+    });
+    q.schedule(20, open);
+    q.runUntil();
+    EXPECT_TRUE(sq.empty());
+    EXPECT_EQ(gate.accepted, pushed);
+}
+
+namespace {
+
 /**
  * A cache-like device. Every accepted request holds one of
  * `capacity` slots through a two-tick lookup; a lookup for a block

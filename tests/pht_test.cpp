@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "prefetch/pht.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -19,7 +20,7 @@ probe(PatternHistoryTable &pht, PhtKey key, SpatialPattern &out)
 {
     bool found = false;
     SpatialPattern pat = 0;
-    pht.lookup(key, [&](bool f, SpatialPattern p) {
+    lookup(pht, key, [&](bool f, SpatialPattern p) {
         found = f;
         pat = p;
     });

@@ -22,6 +22,7 @@
 #include "harness/system.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -70,11 +71,11 @@ struct PrefetchProxyTest : public ::testing::Test {
     poke(unsigned set, uint8_t value)
     {
         proxy->access({0, set, PvReqClass::Demand,
-                       [value](PvLineView v) {
+                       fnOp([value](PvLineView v) {
             ASSERT_NE(v.bytes, nullptr);
             v.bytes[0] = value;
             *v.dirty = true;
-        }});
+        })});
     }
 
     uint8_t
@@ -82,10 +83,10 @@ struct PrefetchProxyTest : public ::testing::Test {
     {
         uint8_t out = 0xEE;
         proxy->access({0, set, PvReqClass::Demand,
-                       [&out](PvLineView v) {
+                       fnOp([&out](PvLineView v) {
             ASSERT_NE(v.bytes, nullptr);
             out = v.bytes[0];
-        }});
+        })});
         return out;
     }
 };
@@ -188,7 +189,7 @@ TEST_F(PrefetchProxyTest, PrefetchFillsAreNotDemandFills)
     // scored useful.
     bool done = false;
     proxy->access({0, 9, PvReqClass::Demand,
-                   [&](PvLineView v) { done = v.bytes != nullptr; }});
+                   fnOp([&](PvLineView v) { done = v.bytes != nullptr; })});
     EXPECT_TRUE(done);
     EXPECT_EQ(proxy->prefetchUseful.value(), 1u);
     EXPECT_EQ(proxy->pvCacheHits.value(), 1u);
@@ -200,16 +201,16 @@ TEST_F(PrefetchProxyTest, PrefetchNeverTakesTheLastMshr)
     // Default 4 MSHRs: three demand misses in flight leave one
     // slot, which speculation must not claim...
     for (unsigned s = 0; s < 3; ++s)
-        proxy->access({0, s, PvReqClass::Demand, [](PvLineView) {}});
+        proxy->access({0, s, PvReqClass::Demand, fnOp([](PvLineView) {})});
     proxy->access({0, 10, PvReqClass::Prefetch, {}});
     EXPECT_EQ(proxy->prefetchDrops.value(), 1u);
     EXPECT_EQ(proxy->prefetchFills.value(), 0u);
     // ... so the next demand miss still gets it.
     int dropped = 0;
-    proxy->access({0, 11, PvReqClass::Demand, [&](PvLineView v) {
+    proxy->access({0, 11, PvReqClass::Demand, fnOp([&](PvLineView v) {
         if (!v.bytes)
             ++dropped;
-    }});
+    })});
     EXPECT_EQ(dropped, 0);
     ctxp->events().runUntil();
     EXPECT_EQ(proxy->fills.value(), 4u);
@@ -224,7 +225,7 @@ TEST_F(PrefetchProxyTest, CoalescedDemandOnPrefetchScoresUseful)
     // flight: coalesces onto it and proves the prefetch useful.
     int completed = 0;
     proxy->access({0, 7, PvReqClass::Demand,
-                   [&](PvLineView) { ++completed; }});
+                   fnOp([&](PvLineView) { ++completed; })});
     ctxp->events().runUntil();
     EXPECT_EQ(completed, 1);
     EXPECT_EQ(proxy->memRequests.value(), 1u);
@@ -277,6 +278,48 @@ TEST_F(PrefetchProxyTest, FlushDrainsTheVictimBuffer)
     EXPECT_EQ(peek(1), 0x11);
     EXPECT_EQ(peek(2), 0x22);
     EXPECT_EQ(peek(3), 0x33);
+}
+
+TEST_F(PrefetchProxyTest, OccupancyRecountsHoldInFlightAndAtRest)
+{
+    // checkOccupancy() panics on any mismatch between the running
+    // counts and the buffers, so each call here is an assertion.
+    build(/*depth=*/2, /*victims=*/2, /*pvcache=*/2, SimMode::Timing);
+    int completed = 0;
+    auto dirty = [&](PvLineView v) {
+        if (v.bytes) {
+            v.bytes[0] = 0x5a;
+            *v.dirty = true;
+        }
+        ++completed;
+    };
+    // Three fetches in flight, two more ops coalesced on set 0.
+    for (unsigned s : {0u, 1u, 2u, 0u, 0u})
+        proxy->access({0, s, PvReqClass::Demand, fnOp(dirty)});
+    EXPECT_EQ(proxy->mshrOccupancy(0), 3u);
+    EXPECT_EQ(proxy->patternOccupancy(0), 5u);
+    proxy->checkOccupancy();
+    ctxp->events().runUntil();
+    EXPECT_EQ(completed, 5);
+    EXPECT_EQ(proxy->mshrOccupancy(0), 0u);
+    EXPECT_EQ(proxy->patternOccupancy(0), 0u);
+    EXPECT_GT(proxy->victimOccupancy(0), 0u)
+        << "premise: three lines through two PVCache entries";
+    proxy->checkOccupancy();
+    // A walk that evicts through the victim buffer and prefetches.
+    for (unsigned s = 3; s < 12; ++s) {
+        proxy->access({0, s, PvReqClass::Demand, fnOp(dirty)});
+        proxy->checkOccupancy();
+        ctxp->events().runUntil();
+        proxy->checkOccupancy();
+    }
+    EXPECT_GT(proxy->prefetchFills.value(), 0u);
+    proxy->flush();
+    ctxp->events().runUntil();
+    EXPECT_EQ(proxy->pvCacheOccupancy(0), 0u);
+    EXPECT_EQ(proxy->victimOccupancy(0), 0u);
+    proxy->checkOccupancy();
+    EXPECT_TRUE(proxy->quiesced());
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +401,7 @@ TEST_F(PrefetchQosTest, PrefetchChargesTheTenantsMshrQuota)
     unsigned agg = addTenant("agg", 1);
     // 4 MSHRs split 3:1: the aggressor's single slot is consumed by
     // its demand miss, so its speculation drops under the quota...
-    proxy->access({agg, 0, PvReqClass::Demand, [](PvLineView) {}});
+    proxy->access({agg, 0, PvReqClass::Demand, fnOp([](PvLineView) {})});
     proxy->access({agg, 1, PvReqClass::Prefetch, {}});
     EXPECT_EQ(proxy->engineStats(agg).prefetchDrops.value(), 1u);
     EXPECT_EQ(proxy->mshrOccupancy(agg), 1u);

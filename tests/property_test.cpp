@@ -30,6 +30,7 @@
 #include "mem/dram.hh"
 #include "prefetch/pht.hh"
 #include "util/random.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -211,7 +212,7 @@ TEST_P(PhtGeometryProperty, RetainsAllKeysWithinCapacity)
                 continue;
             SpatialPattern p = 0;
             bool found = false;
-            pht.lookup(key, [&](bool f, SpatialPattern pat) {
+            lookup(pht, key, [&](bool f, SpatialPattern pat) {
                 found = f;
                 p = pat;
             });

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/pv_codec.hh"
 #include "core/pv_layout.hh"
 #include "mem/addr_map.hh"
@@ -123,6 +125,145 @@ TEST(PvSetTest, FindTagAndFindFree)
     EXPECT_EQ(s.findTag(0x30), 2);
     EXPECT_EQ(s.findTag(0x99), -1);
     EXPECT_EQ(s.findFree(), 1);
+}
+
+// ---------------------------------------------------------------------
+// In-place accessors against the decode()/encode() reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The engines' packings, plus a tagless one. */
+struct CodecGeom {
+    const char *name;
+    unsigned ways, tag, payload;
+};
+
+const CodecGeom kEngineGeoms[] = {
+    {"pht", 11, 11, 32},
+    {"btb", 8, 16, 46},
+    {"agt", 4, 12, 54},
+    {"tagless", 16, 0, 32},
+};
+
+/**
+ * A random set that exercises the searches: tags drawn from a pool
+ * smaller than the ways (so tags repeat, valid and invalid), and
+ * about a third of the payloads zero (empty ways).
+ */
+PvSet
+randomSet(Rng &rng, const CodecGeom &g)
+{
+    PvSet s;
+    s.numWays = g.ways;
+    for (unsigned w = 0; w < g.ways; ++w) {
+        s.ways[w].tag = uint32_t(rng.below(g.ways / 2 + 1) &
+                                 mask(int(g.tag)));
+        s.ways[w].payload =
+            rng.chance(0.33) ? 0 : rng.next() & mask(int(g.payload));
+    }
+    return s;
+}
+
+} // namespace
+
+TEST(PvSetCodecInPlace, AccessorsAgreeWithDecode)
+{
+    Rng rng(7);
+    for (const CodecGeom &g : kEngineGeoms) {
+        PvSetCodec codec(g.ways, g.tag, g.payload);
+        for (int iter = 0; iter < 500; ++iter) {
+            // Half the lines are encoded sets, half raw random bytes
+            // (whose trailing unused bits are not zero).
+            uint8_t line[kBlockBytes];
+            if (iter % 2 == 0) {
+                codec.encode(randomSet(rng, g), line);
+            } else {
+                for (uint8_t &b : line)
+                    b = uint8_t(rng.next());
+            }
+            const PvSet ref = codec.decode(line);
+            for (unsigned w = 0; w < g.ways; ++w) {
+                ASSERT_EQ(codec.tagAt(line, w), ref.ways[w].tag)
+                    << g.name << " way " << w;
+                ASSERT_EQ(codec.payloadAt(line, w), ref.ways[w].payload)
+                    << g.name << " way " << w;
+                ASSERT_EQ(codec.findTag(line, ref.ways[w].tag),
+                          ref.findTag(ref.ways[w].tag))
+                    << g.name << " tag of way " << w;
+            }
+            const uint32_t other = uint32_t(rng.next() & mask(int(g.tag)));
+            ASSERT_EQ(codec.findTag(line, other), ref.findTag(other))
+                << g.name;
+            ASSERT_EQ(codec.findFree(line), ref.findFree()) << g.name;
+        }
+    }
+}
+
+TEST(PvSetCodecInPlace, WriteWayMatchesEncodeOfTheModifiedSet)
+{
+    Rng rng(8);
+    for (const CodecGeom &g : kEngineGeoms) {
+        PvSetCodec codec(g.ways, g.tag, g.payload);
+        for (int iter = 0; iter < 500; ++iter) {
+            PvSet set = randomSet(rng, g);
+            uint8_t line[kBlockBytes];
+            codec.encode(set, line);
+
+            const unsigned w = unsigned(rng.below(g.ways));
+            const uint32_t tag = uint32_t(rng.next() & mask(int(g.tag)));
+            const uint64_t payload = rng.next() & mask(int(g.payload));
+            codec.writeWay(line, w, tag, payload);
+            set.ways[w] = {tag, payload};
+            uint8_t want[kBlockBytes];
+            codec.encode(set, want);
+            ASSERT_EQ(std::memcmp(line, want, kBlockBytes), 0)
+                << g.name << " way " << w;
+        }
+    }
+}
+
+TEST(BitSpanWindow, ReadAndWriteMatchBitByBitReference)
+{
+    // Every offset and width of a 64-byte line, including the fields
+    // that end in its last byte, where the window is the line's last
+    // eight bytes rather than the field's own.
+    Rng rng(9);
+    auto bit = [](const uint8_t *buf, size_t i) {
+        return uint64_t(buf[i / 8] >> (i % 8)) & 1;
+    };
+    for (int iter = 0; iter < 4; ++iter) {
+        uint8_t line[kBlockBytes];
+        for (uint8_t &b : line)
+            b = uint8_t(rng.next());
+        BitSpan span(line, sizeof(line));
+        unsigned ending_in_last_byte = 0;
+        for (int nbits = 1; nbits <= 57; ++nbits) {
+            for (size_t off = 0; off + size_t(nbits) <= 512; ++off) {
+                uint64_t ref = 0;
+                for (int i = 0; i < nbits; ++i)
+                    ref |= bit(line, off + size_t(i)) << i;
+                ASSERT_EQ(span.read(off, nbits), ref)
+                    << "offset " << off << " width " << nbits;
+                ending_in_last_byte += off + size_t(nbits) > 504;
+
+                uint8_t copy[kBlockBytes];
+                std::memcpy(copy, line, sizeof(copy));
+                const uint64_t val = rng.next() & mask(nbits);
+                BitSpan(copy, sizeof(copy)).write(off, nbits, val);
+                for (size_t i = 0; i < 512; ++i) {
+                    const bool in = i >= off && i < off + size_t(nbits);
+                    const uint64_t want =
+                        in ? (val >> (i - off)) & 1 : bit(line, i);
+                    ASSERT_EQ(bit(copy, i), want)
+                        << "write offset " << off << " width " << nbits
+                        << " bit " << i;
+                }
+            }
+        }
+        // Eight end positions in the last byte, for each width.
+        EXPECT_EQ(ending_in_last_byte, 57u * 8u);
+    }
 }
 
 // ---------------------------------------------------------------------

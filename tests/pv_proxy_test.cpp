@@ -11,6 +11,7 @@
 #include "core/pv_proxy.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -62,11 +63,11 @@ struct PvProxyTest : public ::testing::Test {
     poke(unsigned set, uint8_t value)
     {
         proxy->access({0, set, PvReqClass::Demand,
-                       [value](PvLineView v) {
+                       fnOp([value](PvLineView v) {
             ASSERT_NE(v.bytes, nullptr);
             v.bytes[0] = value;
             *v.dirty = true;
-        }});
+        })});
     }
 
     /** Read back byte 0 of a set's line. */
@@ -75,10 +76,10 @@ struct PvProxyTest : public ::testing::Test {
     {
         uint8_t out = 0xEE;
         proxy->access({0, set, PvReqClass::Demand,
-                       [&out](PvLineView v) {
+                       fnOp([&out](PvLineView v) {
             ASSERT_NE(v.bytes, nullptr);
             out = v.bytes[0];
-        }});
+        })});
         return out;
     }
 };
@@ -194,10 +195,10 @@ TEST_F(PvProxyTest, TimingModeFetchesAsynchronously)
     build(8, SimMode::Timing);
     bool done = false;
     uint8_t seen = 0xFF;
-    proxy->access({0, 9, PvReqClass::Demand, [&](PvLineView v) {
+    proxy->access({0, 9, PvReqClass::Demand, fnOp([&](PvLineView v) {
         done = true;
         seen = v.bytes ? v.bytes[0] : 0xEE;
-    }});
+    })});
     EXPECT_FALSE(done) << "miss must complete later";
     ctx().events().runUntil();
     EXPECT_TRUE(done);
@@ -213,7 +214,7 @@ TEST_F(PvProxyTest, TimingCoalescesOpsOnOneFetch)
     int completed = 0;
     for (int i = 0; i < 3; ++i)
         proxy->access({0, 9, PvReqClass::Demand,
-                       [&](PvLineView) { ++completed; }});
+                       fnOp([&](PvLineView) { ++completed; })});
     ctx().events().runUntil();
     EXPECT_EQ(completed, 3);
     EXPECT_EQ(proxy->memRequests.value(), 1u);
@@ -227,12 +228,12 @@ TEST_F(PvProxyTest, TimingDropsOpsWhenMshrsAreFull)
     // must still call back (as a predictor miss).
     int dropped_cb = 0, completed = 0;
     for (unsigned s = 0; s < 5; ++s) {
-        proxy->access({0, s, PvReqClass::Demand, [&](PvLineView v) {
+        proxy->access({0, s, PvReqClass::Demand, fnOp([&](PvLineView v) {
             if (v.bytes)
                 ++completed;
             else
                 ++dropped_cb;
-        }});
+        })});
     }
     EXPECT_EQ(dropped_cb, 1) << "dropped op reports predictor miss";
     ctx().events().runUntil();
@@ -243,11 +244,11 @@ TEST_F(PvProxyTest, TimingDropsOpsWhenMshrsAreFull)
 TEST_F(PvProxyTest, TimingHitIsSynchronous)
 {
     build(8, SimMode::Timing);
-    proxy->access({0, 3, PvReqClass::Demand, [](PvLineView) {}});
+    proxy->access({0, 3, PvReqClass::Demand, fnOp([](PvLineView) {})});
     ctx().events().runUntil();
     bool done = false;
     proxy->access({0, 3, PvReqClass::Demand,
-                   [&](PvLineView) { done = true; }});
+                   fnOp([&](PvLineView) { done = true; })});
     EXPECT_TRUE(done) << "PVCache hits complete with zero latency";
 }
 

@@ -16,6 +16,7 @@
 #include "harness/system.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -170,7 +171,7 @@ struct QosProxyTest : public ::testing::Test {
     {
         bool ok = false;
         proxy->access({table, set, PvReqClass::Demand,
-                       [&](PvLineView v) { ok = v.bytes != nullptr; }});
+                       fnOp([&](PvLineView v) { ok = v.bytes != nullptr; })});
         return ok;
     }
 };
@@ -216,9 +217,9 @@ TEST_F(QosProxyTest, ZeroWeightTenantIsStarvedButNotDeadlocked)
     int null_views = 0, real_views = 0;
     for (unsigned s = 0; s < 5; ++s) {
         proxy->access({starved, s, PvReqClass::Demand,
-                       [&](PvLineView v) {
+                       fnOp([&](PvLineView v) {
             v.bytes ? ++real_views : ++null_views;
-        }});
+        })});
     }
     EXPECT_EQ(null_views, 5);
     EXPECT_EQ(real_views, 0);
@@ -240,9 +241,9 @@ TEST_F(QosProxyTest, ZeroWeightStarvationDrainsInTimingMode)
     int starved_cbs = 0, served_cbs = 0;
     for (unsigned s = 0; s < 8; ++s)
         proxy->access({starved, s, PvReqClass::Demand,
-                       [&](PvLineView) { ++starved_cbs; }});
+                       fnOp([&](PvLineView) { ++starved_cbs; })});
     proxy->access({0, 1, PvReqClass::Demand,
-                   [&](PvLineView) { ++served_cbs; }});
+                   fnOp([&](PvLineView) { ++served_cbs; })});
     EXPECT_EQ(starved_cbs, 8)
         << "starved ops must complete (as misses) immediately";
     ctxp->events().runUntil();
@@ -264,14 +265,14 @@ TEST_F(QosProxyTest, MshrQuotaReservesSlotsByWeight)
     // sets drop under the quota.
     for (unsigned s = 0; s < 4; ++s)
         proxy->access({agg, s, PvReqClass::Demand,
-                       [](PvLineView) {}});
+                       fnOp([](PvLineView) {})});
     EXPECT_EQ(proxy->mshrOccupancy(agg), 1u);
     EXPECT_EQ(proxy->engineStats(agg).qosDrops.value(), 3u);
 
     // The protected tenant still gets its three slots.
     for (unsigned s = 0; s < 3; ++s)
         proxy->access({btb, s, PvReqClass::Demand,
-                       [](PvLineView) {}});
+                       fnOp([](PvLineView) {})});
     EXPECT_EQ(proxy->mshrOccupancy(btb), 3u);
     EXPECT_EQ(proxy->engineStats(btb).qosDrops.value(), 0u);
     ctxp->events().runUntil();
@@ -282,7 +283,7 @@ TEST_F(QosProxyTest, FillLatencyIsChargedPerTenant)
 {
     build(SimMode::Timing);
     unsigned t = addTenant("t", 64, weighted(2));
-    proxy->access({t, 5, PvReqClass::Demand, [](PvLineView) {}});
+    proxy->access({t, 5, PvReqClass::Demand, fnOp([](PvLineView) {})});
     ctxp->events().runUntil();
     EXPECT_EQ(proxy->engineStats(t).fills.value(), 1u);
     // At least the L2 round trip elapsed between issue and fill.
@@ -362,20 +363,20 @@ TEST_F(QosProxyTest, SingleTenantWithContractDegradesToPreQos)
         for (unsigned round = 0; round < 3; ++round) {
             for (unsigned s = 0; s < 12; ++s) {
                 p.access({0, s, PvReqClass::Demand,
-                          [round](PvLineView v) {
+                          fnOp([round](PvLineView v) {
                     ASSERT_NE(v.bytes, nullptr);
                     if (round == 1) {
                         v.bytes[0] = uint8_t(0x40 + round);
                         *v.dirty = true;
                     }
-                }});
+                })});
             }
             for (unsigned s = 0; s < 4; ++s)
                 p.access({0, s, PvReqClass::Demand,
-                          [](PvLineView) {}});
+                          fnOp([](PvLineView) {})});
         }
         p.flush();
-        p.access({0, 2, PvReqClass::Demand, [](PvLineView) {}});
+        p.access({0, 2, PvReqClass::Demand, fnOp([](PvLineView) {})});
     };
 
     build();
@@ -398,7 +399,7 @@ TEST_F(QosProxyTest, SingleTenantTimingIsBitIdenticalUnderContract)
         for (unsigned wave = 0; wave < 4; ++wave) {
             for (unsigned s = 0; s < 6; ++s)
                 p.access({0, wave * 3 + s, PvReqClass::Demand,
-                          [](PvLineView) {}});
+                          fnOp([](PvLineView) {})});
             ctxp->events().runUntil();
         }
     };

@@ -16,6 +16,7 @@
 #include "cpu/btb.hh"
 #include "harness/metrics.hh"
 #include "harness/system.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -65,16 +66,16 @@ TEST(DedicatedBtbTest, LearnsLooksUpAndEvictsLru)
         target = t;
     };
 
-    btb.lookup(0x1000, capture);
+    lookup(btb, 0x1000, capture);
     EXPECT_FALSE(found) << "cold BTB predicts nothing";
 
     btb.update(0x1000, 0x2000);
-    btb.lookup(0x1000, capture);
+    lookup(btb, 0x1000, capture);
     EXPECT_TRUE(found);
     EXPECT_EQ(target, 0x2000u);
 
     btb.update(0x1000, 0x3000); // retarget in place
-    btb.lookup(0x1000, capture);
+    lookup(btb, 0x1000, capture);
     EXPECT_TRUE(found);
     EXPECT_EQ(target, 0x3000u);
 
@@ -82,13 +83,13 @@ TEST(DedicatedBtbTest, LearnsLooksUpAndEvictsLru)
     // (0x1000 was refreshed by the lookups above) must survive.
     // Set index = (pc >> 2) % 4, so pcs 16 apart collide.
     btb.update(0x1010, 0x4000);
-    btb.lookup(0x1000, capture); // refresh 0x1000's recency
+    lookup(btb, 0x1000, capture); // refresh 0x1000's recency
     btb.update(0x1020, 0x5000);  // evicts 0x1010
-    btb.lookup(0x1000, capture);
+    lookup(btb, 0x1000, capture);
     EXPECT_TRUE(found) << "recently touched entry survives";
-    btb.lookup(0x1020, capture);
+    lookup(btb, 0x1020, capture);
     EXPECT_TRUE(found);
-    btb.lookup(0x1010, capture);
+    lookup(btb, 0x1010, capture);
     EXPECT_FALSE(found) << "LRU way was evicted";
 
     EXPECT_EQ(btb.storageBits(), 4u * 2u * (16u + 46u));

@@ -17,6 +17,7 @@
 #include "harness/system.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -96,7 +97,7 @@ TEST_F(SharedProxyTest, SameSetIndexOfTwoTenantsDoesNotAlias)
 
     SpatialPattern p = 0;
     bool found = false;
-    pht->lookup(7, [&](bool f, SpatialPattern pat) {
+    lookup(*pht, 7, [&](bool f, SpatialPattern pat) {
         found = f;
         p = pat;
     });
@@ -104,7 +105,7 @@ TEST_F(SharedProxyTest, SameSetIndexOfTwoTenantsDoesNotAlias)
     EXPECT_EQ(p, 0xAAAA0001u);
 
     Addr target = 0;
-    btb->lookup(Addr(7 * 4), [&](bool f, Addr t) {
+    lookup(*btb, Addr(7 * 4), [&](bool f, Addr t) {
         found = f;
         target = t;
     });
@@ -116,7 +117,7 @@ TEST_F(SharedProxyTest, StatsAreAttributedPerEngine)
 {
     build();
     pht->insert(3, 0x1111);           // pht: 1 op (miss)
-    pht->lookup(3, [](bool, SpatialPattern) {}); // pht: 1 op (hit)
+    lookup(*pht, 3, [](bool, SpatialPattern) {}); // pht: 1 op (hit)
     btb->update(0x4000, 0x5000);      // btb: 1 op (miss)
 
     PvProxy::EngineStats &ps = pht->engineStats();
@@ -158,14 +159,14 @@ TEST_F(SharedProxyTest, FlushDrainsAllTenants)
     // Both tenants' data survives the round trip through the L2.
     SpatialPattern p = 0;
     bool found = false;
-    pht->lookup(11, [&](bool f, SpatialPattern pat) {
+    lookup(*pht, 11, [&](bool f, SpatialPattern pat) {
         found = f;
         p = pat;
     });
     EXPECT_TRUE(found);
     EXPECT_EQ(p, 0x2222u);
     Addr t = 0;
-    btb->lookup(0x8000, [&](bool f, Addr tgt) {
+    lookup(*btb, 0x8000, [&](bool f, Addr tgt) {
         found = f;
         t = tgt;
     });
@@ -180,7 +181,7 @@ TEST_F(SharedProxyTest, TenantsShareThePvCacheCapacity)
     btb->update(0x4000, 0x5000); // second entry
     btb->update(0x4040, 0x5040); // different set: evicts pht line
     uint64_t misses = proxy->pvCacheMisses.value();
-    pht->lookup(1, [](bool, SpatialPattern) {});
+    lookup(*pht, 1, [](bool, SpatialPattern) {});
     EXPECT_EQ(proxy->pvCacheMisses.value(), misses + 1)
         << "the BTB's footprint must have evicted the PHT line";
 }
@@ -201,14 +202,14 @@ TEST_F(SharedProxyTest, FairShareReservesPatternBufferSlots)
     VirtualizedBtb fbtb(fair, "btb", 128, 8, 16);
 
     for (unsigned s = 0; s < 4; ++s)
-        fpht.lookup(PhtKey(s), [](bool, SpatialPattern) {});
+        lookup(fpht, PhtKey(s), [](bool, SpatialPattern) {});
     EXPECT_EQ(fair.fairnessDrops.value(), 1u)
         << "the 4th PHT op must be dropped for the BTB's slot";
     EXPECT_EQ(fpht.engineStats().drops.value(), 1u);
 
     // The BTB can still get an op in despite the PHT flood.
     bool btb_done = false;
-    fbtb.lookup(0x4000, [&](bool, Addr) { btb_done = true; });
+    lookup(fbtb, 0x4000, [&](bool, Addr) { btb_done = true; });
     EXPECT_EQ(fbtb.engineStats().drops.value(), 0u)
         << "the BTB op must be accepted, not dropped";
     ctxp->events().runUntil();
@@ -223,11 +224,11 @@ TEST_F(SharedProxyTest, FairShareReservesAnMshrForEachTenant)
     // in flight; the 4th distinct set is a fairness drop and the
     // BTB's own fetch still finds an MSHR.
     for (unsigned s = 0; s < 4; ++s)
-        pht->lookup(PhtKey(s), [](bool, SpatialPattern) {});
+        lookup(*pht, PhtKey(s), [](bool, SpatialPattern) {});
     EXPECT_EQ(proxy->fairnessDrops.value(), 1u);
 
     bool btb_done = false;
-    btb->lookup(0x4000, [&](bool, Addr) { btb_done = true; });
+    lookup(*btb, 0x4000, [&](bool, Addr) { btb_done = true; });
     EXPECT_EQ(btb->engineStats().drops.value(), 0u)
         << "the reserved MSHR must serve the BTB";
     ctxp->events().runUntil();

@@ -15,6 +15,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "util/random.hh"
+#include "pv_test_ops.hh"
 
 using namespace pvsim;
 
@@ -74,7 +75,7 @@ bool
 probe(PatternHistoryTable &pht, PhtKey key, SpatialPattern &out)
 {
     bool found = false;
-    pht.lookup(key, [&](bool f, SpatialPattern p) {
+    lookup(pht, key, [&](bool f, SpatialPattern p) {
         found = f;
         out = p;
     });
@@ -209,13 +210,13 @@ TEST_F(VirtTableTest, TimingModeLookupCompletesAfterFetch)
     // the proxy has only 4 MSHRs and drops excess concurrent ops).
     for (unsigned s = 0; s < 16; ++s) {
         pht->proxy().access({0, (0x31u + 1 + s) % 64,
-                             PvReqClass::Demand, [](PvLineView) {}});
+                             PvReqClass::Demand, fnOp([](PvLineView) {})});
         ctxp->events().runUntil();
     }
 
     bool done = false;
     SpatialPattern seen = 0;
-    pht->lookup(0x31, [&](bool f, SpatialPattern p) {
+    lookup(*pht, 0x31, [&](bool f, SpatialPattern p) {
         done = true;
         seen = f ? p : 0;
     });
@@ -291,14 +292,14 @@ TEST_F(VirtTableTest, BtbLearnsAndPredictsTargets)
 
     Addr target = 0;
     bool found = false;
-    btb.lookup(0x40001000, [&](bool f, Addr t) {
+    lookup(btb, 0x40001000, [&](bool f, Addr t) {
         found = f;
         target = t;
     });
     EXPECT_TRUE(found);
     EXPECT_EQ(target, 0x40002000u);
 
-    btb.lookup(0x40009999 & ~3ull, [&](bool f, Addr) { found = f; });
+    lookup(btb, 0x40009999 & ~3ull, [&](bool f, Addr) { found = f; });
     EXPECT_FALSE(found);
 }
 
