@@ -7,6 +7,13 @@
 
 namespace pvsim {
 
+namespace {
+
+const char *const kResourceNames[PvQosArbiter::NumResources] = {
+    "PVCache", "MSHR", "pattern-buffer"};
+
+} // namespace
+
 void
 PvQosArbiter::setCapacities(unsigned pvcache_entries, unsigned mshrs,
                             unsigned pattern_entries)
@@ -115,6 +122,18 @@ PvQosArbiter::recompute()
             ++entitlements_[order[i % order.size()]][r];
             --leftover;
         }
+
+        // entitlement() promises this sum: with it, every slot has
+        // an owner and no tenant is promised a slot that does not
+        // exist, so strict enforcement cannot deadlock the proxy.
+        uint64_t entitled = 0;
+        for (unsigned t = 0; t < n; ++t)
+            entitled += entitlements_[t][r];
+        if (entitled != cap)
+            panic("PvQosArbiter: %s entitlements of %u tenant(s) sum "
+                  "to %llu, not the capacity %u",
+                  kResourceNames[r], n, (unsigned long long)entitled,
+                  cap);
     }
 }
 

@@ -117,6 +117,9 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Record this cache's directory slot at the level below. */
     void setLowerSlot(int slot) { slotAtLower_ = slot; }
 
+    /** This cache's directory slot at the level below, or -1. */
+    int lowerSlot() const { return slotAtLower_; }
+
     /** Observer of this cache's demand activity (may be nullptr). */
     void setListener(CacheListener *l) { listener_ = l; }
 

@@ -1,8 +1,11 @@
 /**
  * @file
  * Cache block (line) state. One CacheBlk per way per set; payload
- * storage is lazily allocated because only PV data carries real
- * bytes through the hierarchy. A frame does not record whether it
+ * storage is attached lazily because only PV data carries real
+ * bytes through the hierarchy, and it comes from the thread-local
+ * PacketPool's payload freelist, as a packet's does, so a cache
+ * that installs and evicts PV lines recycles their payloads instead
+ * of allocating one per install. A frame does not record whether it
  * holds PV or instruction data: the owning Cache classifies a block
  * by its address (Cache::isPv).
  */
@@ -10,11 +13,10 @@
 #ifndef PVSIM_MEM_CACHE_BLK_HH
 #define PVSIM_MEM_CACHE_BLK_HH
 
-#include <array>
 #include <cstdint>
-#include <memory>
 
-#include "sim/types.hh"
+#include "mem/packet.hh"
+#include "mem/packet_pool.hh"
 
 namespace pvsim {
 
@@ -26,8 +28,8 @@ namespace pvsim {
  * (sharers_).
  */
 struct CacheBlk {
-    /** Optional payload (PV blocks only in practice). */
-    std::unique_ptr<std::array<uint8_t, kBlockBytes>> data;
+    /** Optional payload (PV blocks only in practice), pooled. */
+    Packet::DataPtr data;
 
     /**
      * Directory state (inclusive L2 only): the upstream client slot
@@ -45,17 +47,17 @@ struct CacheBlk {
 
     bool hasData() const { return data != nullptr; }
 
-    std::array<uint8_t, kBlockBytes> &
+    /** The payload, drawn zeroed from the pool if there is none. */
+    Packet::Data &
     ensureData()
     {
-        if (!data) {
-            data = std::make_unique<std::array<uint8_t, kBlockBytes>>();
-            data->fill(0);
-        }
+        if (!data)
+            data.reset(PacketPool::local().allocData());
         return *data;
     }
 
-    /** Return to the empty state, releasing any payload. */
+    /** Return to the empty state, returning any payload to the
+     *  pool. */
     void
     invalidate()
     {
@@ -69,7 +71,8 @@ struct CacheBlk {
 
 // A 64-core System holds about 262k frames. At 16 bytes, four
 // frames share one 64-byte host cache line, and a frame with its
-// tag and LRU stamp takes 32 bytes.
+// tag and LRU stamp takes 32 bytes. The payload pointer's deleter
+// is empty, so it costs 8 bytes like a plain pointer.
 static_assert(sizeof(CacheBlk) <= 16, "CacheBlk grew past 16 bytes");
 
 } // namespace pvsim

@@ -4,10 +4,16 @@
  * pattern construction for regions with an in-flight generation.
  * Split into a filter table (regions with exactly one access so far;
  * filters one-off touches out of the PHT) and an accumulation table
- * (regions with two or more distinct blocks touched). Each table
- * keeps its entries' region tags in an array of their own, which
- * is also each entry's only validity record, so a lookup scans 8
- * bytes per entry.
+ * (regions with two or more distinct blocks touched).
+ *
+ * In hardware each lookup is one associative match over the tags.
+ * Here every operation but flush() takes constant time: a region
+ * sits in at most one of the two tables, so one SlotTable maps a
+ * region tag to its entry, and each table keeps its free entries in
+ * a bit mask (the lowest free entry fills first) and its entries in
+ * use in a recency list (the head is the capacity victim). These
+ * stand in for the associative match and the LRU stamps; they are
+ * not modelled storage (storageBits()).
  */
 
 #ifndef PVSIM_PREFETCH_AGT_HH
@@ -20,6 +26,7 @@
 #include "prefetch/pht.hh"
 #include "prefetch/region.hh"
 #include "sim/types.hh"
+#include "util/slot_table.hh"
 
 namespace pvsim {
 
@@ -87,41 +94,78 @@ class ActiveGenerationTable
   private:
     /** Region tag of an empty entry: no address has this region. */
     static constexpr Addr kNoRegion = ~Addr(0);
-    /** find()'s answer when no entry holds the region. */
-    static constexpr unsigned kNone = ~0u;
+    /** Marks a filter entry's index value; accumulation entries are
+     *  stored as their plain number. */
+    static constexpr uint32_t kFilterBit = uint32_t(1) << 31;
 
     struct FilterEntry {
+        Addr tag = kNoRegion; ///< the region, kNoRegion while empty
         Addr pc = 0;
         uint8_t offset = 0;
-        uint64_t lastTouch = 0;
     };
 
     struct AccumEntry {
-        Addr pc = 0;     ///< trigger PC
-        uint8_t offset = 0; ///< trigger offset
+        Addr tag = kNoRegion; ///< the region, kNoRegion while empty
+        Addr pc = 0;          ///< trigger PC
+        uint8_t offset = 0;   ///< trigger offset
         SpatialPattern pattern = 0;
-        uint64_t lastTouch = 0;
     };
 
-    /** Index of the first entry whose tag is region_tag, or kNone
-     *  (kNoRegion finds the first empty entry). */
-    static unsigned find(const std::vector<Addr> &tags,
-                         Addr region_tag);
-    /** Index of the least recently touched entry, ties to the
-     *  lowest. */
-    template <typename Entry>
-    static unsigned lruEntry(const std::vector<Entry> &entries);
+    /**
+     * Which entries of one table hold a region. The free mask is a
+     * two-level bitmap: bit i of free_ marks entry i free, and bit w
+     * of nonEmpty_ marks word w of free_ non-zero, so finding the
+     * lowest free entry reads one summary word per 4,096 entries
+     * (one at any realistic size). The recency list links the
+     * entries in use from least to most recently touched. Every
+     * other operation is constant time.
+     */
+    class Occupancy
+    {
+      public:
+        explicit Occupancy(unsigned entries);
+
+        unsigned used() const { return used_; }
+        bool full() const { return used_ == sentinel(); }
+        /** The lowest free entry. @pre !full(). */
+        unsigned lowestFree() const;
+        /** The least recently touched entry. @pre used() > 0. */
+        unsigned lru() const { return next_[sentinel()]; }
+        /** Free entry i comes into use as the most recent. */
+        void fill(unsigned i);
+        /** Entry i in use becomes the most recent. */
+        void touch(unsigned i);
+        /** Entry i in use becomes free. */
+        void release(unsigned i);
+
+      private:
+        /** The list's head and tail node, after the entries. */
+        unsigned sentinel() const { return unsigned(next_.size() - 1); }
+        void unlink(unsigned i);
+        void append(unsigned i);
+
+        std::vector<uint64_t> free_;
+        std::vector<uint64_t> nonEmpty_;
+        std::vector<uint32_t> prev_;
+        std::vector<uint32_t> next_;
+        unsigned used_ = 0;
+    };
+
+    /** End accumulation entry i's generation: emit its pattern and
+     *  free it. */
     void endGeneration(unsigned i);
+    void releaseFilter(unsigned i);
+    void releaseAccum(unsigned i);
 
     AgtParams params_;
     RegionGeometry geom_;
     GenerationSink sink_;
-    /** Entry i's region, kNoRegion while entry i is empty. */
-    std::vector<Addr> filterTags_;
     std::vector<FilterEntry> filter_;
-    std::vector<Addr> accumTags_;
     std::vector<AccumEntry> accum_;
-    uint64_t touchCounter_ = 0;
+    Occupancy filterUse_;
+    Occupancy accumUse_;
+    /** Region tag -> accumulation entry, or filter entry | kFilterBit. */
+    SlotTable index_;
 };
 
 } // namespace pvsim

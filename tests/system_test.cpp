@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,6 +81,98 @@ TEST(SystemFunctional, InclusionHoldsBetweenL1AndL2)
         EXPECT_EQ(violations, 0u)
             << "L1D blocks missing from the inclusive L2";
     }
+}
+
+namespace {
+
+/** What checkDirectory found. */
+struct DirectoryCheck {
+    uint64_t l1Blocks = 0;
+    /** L1 blocks absent from the L2 or without their L1's bit. */
+    uint64_t missing = 0;
+    /** Set sharer bits whose L1 does not hold the block. */
+    uint64_t stale = 0;
+    /** The highest sharer slot seen set. */
+    unsigned maxSlot = 0;
+    std::string first;
+};
+
+/**
+ * The L2 directory against the L1s, both ways: every valid L1D and
+ * L1I block is in the L2 with that L1's sharer bit set, and every
+ * set sharer bit names an L1 that holds the block.
+ */
+DirectoryCheck
+checkDirectory(System &sys)
+{
+    DirectoryCheck d;
+    Cache &l2 = sys.l2();
+    std::map<unsigned, const Cache *> by_slot;
+    for (int c = 0; c < sys.numCores(); ++c) {
+        for (const Cache *l1 : {&sys.l1d(c), &sys.l1i(c)}) {
+            const unsigned slot = unsigned(l1->lowerSlot());
+            by_slot[slot] = l1;
+            l1->forEachValidBlock([&](Addr a, const CacheBlk &) {
+                ++d.l1Blocks;
+                const std::vector<unsigned> s = l2.sharerSlots(a);
+                if (!std::binary_search(s.begin(), s.end(), slot)) {
+                    if (d.first.empty()) {
+                        std::ostringstream os;
+                        os << l1->name() << " holds 0x" << std::hex << a
+                           << (l2.contains(a) ? " without its sharer bit"
+                                              : ", which the L2 lacks");
+                        d.first = os.str();
+                    }
+                    ++d.missing;
+                }
+            });
+        }
+    }
+    l2.forEachValidBlock([&](Addr a, const CacheBlk &) {
+        for (unsigned slot : l2.sharerSlots(a)) {
+            d.maxSlot = std::max(d.maxSlot, slot);
+            const auto it = by_slot.find(slot);
+            if (it == by_slot.end() || !it->second->contains(a)) {
+                if (d.first.empty()) {
+                    std::ostringstream os;
+                    os << "sharer slot " << slot << " of 0x" << std::hex
+                       << a << " names an L1 without the block";
+                    d.first = os.str();
+                }
+                ++d.stale;
+            }
+        }
+    });
+    return d;
+}
+
+} // namespace
+
+TEST(SystemDirectory, SharerBitsAgreeWithTheL1s)
+{
+    // A functional SMS-PV machine: prefetches, PV fills and
+    // back-invalidations all move L1 contents.
+    SystemConfig fcfg = smallConfig("apache", PrefetchMode::SmsVirtualized);
+    fcfg.numCores = 4;
+    fcfg.workloadMix = {"apache", "oracle", "qry2", "zeus"};
+    System fsys(fcfg);
+    fsys.runFunctional(20000);
+    const DirectoryCheck f = checkDirectory(fsys);
+    EXPECT_EQ(f.missing + f.stale, 0u) << f.first;
+    EXPECT_GT(f.l1Blocks, 1000u);
+
+    // A timing machine with 128 directory clients, so each frame has
+    // two sharer words.
+    SystemConfig tcfg = smallConfig("apache", PrefetchMode::None);
+    tcfg.numCores = 64;
+    tcfg.workloadMix = {"apache", "qry2", "db2", "zeus"};
+    tcfg.mode = SimMode::Timing;
+    System tsys(tcfg);
+    tsys.runTiming(200);
+    const DirectoryCheck t = checkDirectory(tsys);
+    EXPECT_EQ(t.missing + t.stale, 0u) << t.first;
+    EXPECT_GT(t.l1Blocks, 10000u);
+    EXPECT_GE(t.maxSlot, 64u) << "premise: the second sharer word is used";
 }
 
 TEST(SystemFunctional, SmsImprovesCoverageOverBaseline)
