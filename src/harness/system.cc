@@ -1,6 +1,7 @@
 #include "harness/system.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "trace/workload.hh"
 #include "util/logging.hh"
@@ -47,6 +48,21 @@ systemConfigProblem(const SystemConfig &cfg)
     if (cfg.numCores < 1 || cfg.numCores > kMaxCores)
         return "num_cores: must be in [1, " + std::to_string(kMaxCores) +
                "] (the L2 directory tracks an L1I and an L1D per core)";
+    const std::pair<const char *, Cycles> delays[] = {
+        {"l1_tag_latency", cfg.l1TagLatency},
+        {"l1_data_latency", cfg.l1DataLatency},
+        {"l2_tag_latency", cfg.l2TagLatency},
+        {"l2_data_latency", cfg.l2DataLatency},
+        {"mem_latency", cfg.memLatency},
+        {"mem_service_interval", cfg.memServiceInterval},
+        {"btb_mispredict_penalty", cfg.btbMispredictPenalty},
+    };
+    for (const auto &[key, cycles] : delays) {
+        if (cycles > kMaxDelayCycles)
+            return std::string(key) + ": must be <= " +
+                   std::to_string(kMaxDelayCycles) +
+                   " cycles (a run's tick sums must not wrap)";
+    }
     auto cache = [](const std::string &l, uint64_t bytes, unsigned assoc,
                     Cycles tag_latency, unsigned mshrs) -> std::string {
         if (assoc < 1)

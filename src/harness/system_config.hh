@@ -227,6 +227,13 @@ struct SystemConfig {
  *  and L1Ds make 256 L2 directory clients. */
 constexpr int kMaxCores = 128;
 
+/** The longest latency, interval or penalty a machine may set, in
+ *  cycles. An event schedules its successors, and a DRAM request
+ *  reserves the channel, at most one such delay past the latest tick
+ *  reached so far, so at 2^32 each a run needs about 2^31 events
+ *  before a tick could wrap 64 bits: far past any scenario's length. */
+constexpr Cycles kMaxDelayCycles = Cycles(1) << 32;
+
 /**
  * The first rule `cfg` breaks that a System would abort or hang on,
  * as "<json field>: <why>" (e.g. "l1_assoc: must be >= 1"), or "".

@@ -6,15 +6,41 @@
 
 namespace pvsim {
 
+EventQueue::EventQueue() : wheel_(std::make_unique<Bucket[]>(kWheelTicks))
+{
+}
+
+template <typename Fn>
+void
+EventQueue::clearWheel(Fn fn)
+{
+    for (size_t w = 0; w < kBusyWords; ++w) {
+        for (uint64_t bits = busy_[w]; bits; bits &= bits - 1) {
+            Bucket &b = wheel_[w * 64 + unsigned(__builtin_ctzll(bits))];
+            for (size_t c = 0; c < kNumClasses; ++c) {
+                for (Event *e = b.head[c]; e;) {
+                    Event *next = e->next;
+                    fn(e);
+                    e = next;
+                }
+                b.head[c] = b.tail[c] = nullptr;
+            }
+        }
+        busy_[w] = 0;
+    }
+    onWheel_ = 0;
+}
+
 EventQueue::~EventQueue()
 {
-    // Heap entries and parked lane entries still own their
+    // Wheel, overflow and parked lane entries still own their
     // callables. Chunk storage is released by chunks_.
     auto destroy = [](Event *e) {
         if (e->destroy)
             e->destroy(e->storage);
     };
-    std::for_each(heap_.begin(), heap_.end(), destroy);
+    clearWheel(destroy);
+    std::for_each(overflow_.begin(), overflow_.end(), destroy);
     std::for_each(lane_.begin(), lane_.end(), destroy);
     std::for_each(front_.begin(), front_.end(), destroy);
 }
@@ -25,14 +51,14 @@ EventQueue::acquire()
     if (!freeHead_) {
         auto chunk = std::make_unique<Event[]>(kChunkEvents);
         for (size_t i = 0; i < kChunkEvents; ++i) {
-            chunk[i].nextFree = freeHead_;
+            chunk[i].next = freeHead_;
             freeHead_ = &chunk[i];
         }
         freeCount_ += kChunkEvents;
         chunks_.push_back(std::move(chunk));
     }
     Event *e = freeHead_;
-    freeHead_ = e->nextFree;
+    freeHead_ = e->next;
     --freeCount_;
     return e;
 }
@@ -59,16 +85,20 @@ EventQueue::commit(Event *e)
                   runningPrio_ < kPrioRetry ||
                   (parked_ == 0 && runningPrio_ != kPrioRetry),
               "priority %d scheduled at the current tick after its "
-              "retry pass slot", e->priority);
+              "retry pass slot", int(e->priority));
+    if (e->when - curTick_ < kWheelTicks) {
+        append(e);
+        return;
+    }
     e->seq = nextSeq_++;
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    overflow_.push_back(e);
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
 }
 
 void
 EventQueue::release(Event *e)
 {
-    e->nextFree = freeHead_;
+    e->next = freeHead_;
     freeHead_ = e;
     ++freeCount_;
 }
@@ -82,40 +112,93 @@ EventQueue::discard(Event *e)
 }
 
 void
+EventQueue::append(Event *e)
+{
+    const size_t b = e->when & (kWheelTicks - 1);
+    Bucket &bucket = wheel_[b];
+    e->next = nullptr;
+    if (Event *tail = bucket.tail[e->priority])
+        tail->next = e;
+    else
+        bucket.head[e->priority] = e;
+    bucket.tail[e->priority] = e;
+    busy_[b / 64] |= uint64_t(1) << (b % 64);
+    ++onWheel_;
+}
+
+EventQueue::Event *
+EventQueue::popFront(size_t b)
+{
+    Bucket &bucket = wheel_[b];
+    size_t c = 0;
+    while (!bucket.head[c])
+        ++c;
+    Event *e = bucket.head[c];
+    bucket.head[c] = e->next;
+    if (!e->next) {
+        bucket.tail[c] = nullptr;
+        if (std::none_of(bucket.head, bucket.head + kNumClasses,
+                         [](const Event *h) { return h; }))
+            busy_[b / 64] &= ~(uint64_t(1) << (b % 64));
+    }
+    --onWheel_;
+    return e;
+}
+
+Tick
+EventQueue::busyOffset() const
+{
+    const size_t now = curTick_ & (kWheelTicks - 1);
+    size_t w = now / 64;
+    uint64_t bits = busy_[w] & (~uint64_t(0) << (now % 64));
+    // At most one lap: past the last bucket the scan wraps to the
+    // first, and ends in now's word below now.
+    while (!bits) {
+        w = (w + 1) % kBusyWords;
+        bits = busy_[w];
+    }
+    const size_t b = w * 64 + unsigned(__builtin_ctzll(bits));
+    return (b - now) & (kWheelTicks - 1);
+}
+
+void
+EventQueue::advance(Tick t)
+{
+    curTick_ = t;
+    while (!overflow_.empty() &&
+           overflow_.front()->when - t < kWheelTicks) {
+        std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+        append(overflow_.back());
+        overflow_.pop_back();
+    }
+}
+
+void
 EventQueue::setCurTick(Tick to)
 {
     pv_assert(to >= curTick_, "cannot rewind time");
     pv_assert(empty() || nextTick() >= to,
               "setCurTick would skip pending events");
-    curTick_ = to;
+    advance(to);
 }
 
 Tick
 EventQueue::nextTick() const
 {
-    pv_assert(!heap_.empty(), "nextTick on an empty queue");
-    return heap_.front()->when;
-}
-
-EventQueue::Event *
-EventQueue::popTop()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event *e = heap_.back();
-    heap_.pop_back();
-    return e;
+    pv_assert(!empty(), "nextTick on an empty queue");
+    // Every overflow event lies beyond every wheel event.
+    return onWheel_ ? curTick_ + busyOffset() : overflow_.front()->when;
 }
 
 uint64_t
-EventQueue::runUntil(Tick limit)
+EventQueue::runTick()
 {
+    const size_t b = curTick_ & (kWheelTicks - 1);
     uint64_t executed = 0;
-    while (!heap_.empty() && heap_.front()->when <= limit) {
-        Event *e = popTop();
-        pv_assert(e->when >= curTick_, "event queue went backwards");
-        curTick_ = e->when;
+    while (busy_[b / 64] >> (b % 64) & 1) {
+        Event *e = popFront(b);
         // The callable may schedule (allocating nodes); this node is
-        // out of the heap and off the freelist, so its storage stays
+        // off the wheel and off the freelist, so its storage stays
         // valid until released below.
         runningPrio_ = e->priority;
         e->invoke(e->storage);
@@ -130,19 +213,35 @@ EventQueue::runUntil(Tick limit)
 }
 
 uint64_t
+EventQueue::runUntil(Tick limit)
+{
+    uint64_t executed = 0;
+    while (!empty()) {
+        const Tick t = nextTick();
+        if (t > limit)
+            break;
+        advance(t);
+        executed += runTick();
+    }
+    return executed;
+}
+
+uint64_t
 EventQueue::runOneTick()
 {
     if (empty())
         return 0;
-    return runUntil(nextTick());
+    advance(nextTick());
+    return runTick();
 }
 
 void
 EventQueue::reset()
 {
-    for (Event *e : heap_)
+    clearWheel([this](Event *e) { discard(e); });
+    for (Event *e : overflow_)
         discard(e);
-    heap_.clear();
+    overflow_.clear();
     for (const auto *seg : {&front_, &lane_}) {
         for (Event *e : *seg) {
             unwait(e);

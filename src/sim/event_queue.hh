@@ -2,15 +2,42 @@
  * @file
  * Discrete-event queue: the backbone of timing-mode simulation.
  * Events are closures scheduled at absolute ticks; same-tick events
- * are ordered by priority (lower first), then by scheduling order.
+ * run by priority class (response, default, retry, CPU), and within
+ * a class in scheduling order.
+ *
+ * The calendar wheel. Timing delays are short (DRAM responses, the
+ * longest, land a few hundred ticks ahead), so the queue is a
+ * calendar (R. Brown, "Calendar queues", CACM 31(10), 1988) of
+ * kWheelTicks one-tick buckets: the event due at tick t sits in
+ * bucket t mod kWheelTicks, which holds one intrusive FIFO per
+ * priority class, and a bitmap marks the busy buckets. Only the
+ * ticks [curTick, curTick + kWheelTicks) are on the wheel, so a
+ * bucket holds one tick's events. schedule() appends to a FIFO; the
+ * run loop finds the next busy bucket in the bitmap (wrapping from
+ * the last bucket to the first) and pops the lowest busy class's
+ * head until the bucket drains. An event may schedule into its own
+ * tick, a lower class included: that class runs next.
+ *
+ * The overflow heap. An event kWheelTicks or more ticks ahead waits
+ * in a binary heap ordered by (tick, class, scheduling sequence)
+ * and moves onto the wheel, in that order, as soon as time comes
+ * within kWheelTicks of it: each time curTick advances, before any
+ * event of the new tick runs. Nothing can be scheduled directly
+ * into a tick before it is on the wheel, so the migrated events of
+ * a tick lead every class FIFO of it, in sequence order, ahead of
+ * the events scheduled directly there later. Every same-tick order
+ * is therefore exactly the order of one heap keyed by (tick, class,
+ * sequence).
  *
  * Event nodes are pooled: each node carries inline storage for the
  * scheduled callable, and executed nodes return to an intrusive
- * freelist instead of the heap — doing for events what PacketPool
- * did for packets. Steady-state scheduling allocates nothing
- * (asserted in tests). Callables larger than the inline slot are
- * boxed on the heap transparently. A scheduled event always runs,
- * unless reset() drops it first: there is no cancellation.
+ * freelist instead of being freed — doing for events what
+ * PacketPool did for packets. The wheel links pooled nodes and is
+ * allocated once with the queue, so steady-state scheduling
+ * allocates nothing (asserted in tests). Callables larger than the
+ * inline slot are boxed on the heap transparently. A scheduled
+ * event always runs, unless reset() drops it first: there is no
+ * cancellation.
  *
  * The retry lane. A memory device that refuses a request
  * (MSHRs full, send queue clogged) changes nothing but a reject
@@ -71,7 +98,7 @@
  * block by scheduling order, so such events (one-tick cache
  * lookups) enter the lane through deferToNextPass() instead, which
  * forces a pass on the next tick. commit() asserts the premises:
- * while anything is parked, no default-priority heap event is
+ * while anything is parked, no default-priority event is
  * scheduled fewer than two ticks ahead, and nothing is scheduled to
  * run ahead of a tick's pass slot once that slot has gone by.
  */
@@ -113,15 +140,21 @@ class Refuser
 class EventQueue
 {
   public:
-    /** Standard event priorities (lower executes first). */
-    enum Priority {
-        kPrioResponse = -10, ///< deliver responses before new requests
-        kPrioDefault = 0,
-        kPrioRetry = 5, ///< retry-lane passes (see the file comment)
-        kPrioCpu = 10,  ///< CPU ticks run after memory-system events
+    /** The priority classes of a tick (lower executes first); each
+     *  is one FIFO of a wheel bucket. */
+    enum Priority : uint8_t {
+        kPrioResponse, ///< deliver responses before new requests
+        kPrioDefault,
+        kPrioRetry, ///< retry-lane passes (see the file comment)
+        kPrioCpu,   ///< CPU ticks run after memory-system events
     };
+    static constexpr size_t kNumClasses = kPrioCpu + 1;
 
-    EventQueue() = default;
+    /** Ticks on the wheel: an event this far ahead or further waits
+     *  in the overflow heap (see the file comment). */
+    static constexpr Tick kWheelTicks = 1024;
+
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -133,7 +166,7 @@ class EventQueue
      */
     template <typename F>
     void
-    schedule(Tick when, int priority, F &&fn)
+    schedule(Tick when, Priority priority, F &&fn)
     {
         Event *e = acquire();
         e->when = when;
@@ -220,10 +253,10 @@ class EventQueue
 
     /** True if no events are pending. Parked lane entries do not
      *  count: only a release wakes them. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return numPending() == 0; }
 
     /** Number of pending events. */
-    size_t numPending() const { return heap_.size(); }
+    size_t numPending() const { return onWheel_ + overflow_.size(); }
 
     /** Tick of the earliest pending event. @pre !empty(). */
     Tick nextTick() const;
@@ -264,18 +297,20 @@ class EventQueue
     static constexpr int kIdle = INT_MAX;
 
     struct Event {
-        /** Heap: due tick. Lane: tick the entry was parked. */
+        /** Event: due tick. Lane: tick the entry was parked. */
         Tick when;
         union {
-            /** Heap: scheduling order (same-tick tie-break). */
+            /** Overflow heap: scheduling order (same-tick
+             *  tie-break; the wheel's FIFOs keep it implicitly). */
             uint64_t seq;
             /** Lane: the sender's name (diagnostics). */
             const std::string *who;
-            /** Intrusive freelist link (only while free). */
-            Event *nextFree;
+            /** Wheel: the next event of its tick and class.
+             *  Freelist: the next free node. */
+            Event *next;
         };
         union {
-            /** Heap: run the stored callable. */
+            /** Event: run the stored callable. */
             void (*invoke)(void *storage);
             /** Lane: re-attempt; false when the entry keeps its
              *  slot without having run. */
@@ -283,7 +318,7 @@ class EventQueue
         };
         /** Destroy it without running (nullptr when trivial). */
         void (*destroy)(void *storage);
-        int priority;
+        Priority priority;
         /** Lane: the device the entry waits on (nullptr for a
          *  deferred one-tick event). */
         Refuser *by;
@@ -369,8 +404,9 @@ class EventQueue
     /** Take a node from the pool (growing it by a chunk if empty). */
     Event *acquire();
 
-    /** Insert an initialized node into the heap; checks the lane's
-     *  ordering premises. */
+    /** Queue an initialized node on the wheel or, kWheelTicks or
+     *  more ahead, in the overflow heap; checks the lane's ordering
+     *  premises. */
     void commit(Event *e);
 
     /** Destroy an unexecuted node's callable and recycle the node. */
@@ -379,8 +415,8 @@ class EventQueue
     /** Recycle a node whose callable has already been consumed. */
     void release(Event *e);
 
-    /** Min-heap comparator: earliest tick, then lowest priority
-     *  value, then scheduling order for stability. */
+    /** Overflow min-heap comparator: earliest tick, then lowest
+     *  class, then scheduling order for stability. */
     struct Later {
         bool
         operator()(const Event *a, const Event *b) const
@@ -393,8 +429,30 @@ class EventQueue
         }
     };
 
-    /** Pop the heap top. */
-    Event *popTop();
+    // -- Wheel internals -------------------------------------------------
+
+    /** Append e to the FIFO of its tick and class. @pre e->when is
+     *  within kWheelTicks of curTick_. */
+    void append(Event *e);
+
+    /** Unlink the head of bucket b's lowest busy class. @pre bucket
+     *  b is busy. */
+    Event *popFront(size_t b);
+
+    /** Ticks from curTick_ to the earliest busy bucket. @pre an
+     *  event is on the wheel. */
+    Tick busyOffset() const;
+
+    /** Move time to t (>= curTick_) and bring the overflow events
+     *  now within kWheelTicks onto the wheel. */
+    void advance(Tick t);
+
+    /** Run the events of curTick_, new same-tick ones included. */
+    uint64_t runTick();
+
+    /** Unlink every wheel event, passing each to fn. */
+    template <typename Fn>
+    void clearWheel(Fn fn);
 
     // -- Lane internals -------------------------------------------------
 
@@ -427,7 +485,26 @@ class EventQueue
             --e->by->waiters_;
     }
 
-    std::vector<Event *> heap_;
+    /** One tick's events: a FIFO per class, linked through next. */
+    struct Bucket {
+        Event *head[kNumClasses];
+        Event *tail[kNumClasses];
+    };
+    static constexpr size_t kBusyWords = kWheelTicks / 64;
+    static_assert(kWheelTicks % 64 == 0 &&
+                      (kWheelTicks & (kWheelTicks - 1)) == 0,
+                  "the wheel is a power of two of whole bitmap words");
+
+    /** Bucket t mod kWheelTicks: the events of tick t, for t in
+     *  [curTick_, curTick_ + kWheelTicks). */
+    std::unique_ptr<Bucket[]> wheel_;
+    /** Bit b set iff bucket b holds an event. */
+    uint64_t busy_[kBusyWords] = {};
+    /** Events on the wheel. */
+    size_t onWheel_ = 0;
+    /** Events kWheelTicks or more ahead when scheduled, as a
+     *  min-heap under Later. */
+    std::vector<Event *> overflow_;
     std::vector<std::unique_ptr<Event[]>> chunks_;
     Event *freeHead_ = nullptr;
     size_t freeCount_ = 0;

@@ -93,7 +93,7 @@ class SimObject : public stats::Group
     template <typename F>
     void
     schedule(Cycles delay, F &&fn,
-             int priority = EventQueue::kPrioDefault)
+             EventQueue::Priority priority = EventQueue::kPrioDefault)
     {
         EventQueue &eq = ctx_.events();
         eq.schedule(eq.curTick() + delay, priority, std::forward<F>(fn));

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the discrete-event queue: ordering, priorities, stable
- * same-tick order, bounded runs, time control, the node pool, and
- * the retry lane that stands in for per-cycle backpressure polling.
+ * same-tick order, bounded runs, time control, the node pool, the
+ * retry lane that stands in for per-cycle backpressure polling, and
+ * the calendar wheel against an ordered map of every event.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,11 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -242,6 +246,31 @@ TEST(EventPool, ResetDestroysPendingAndParkedClosures)
     EXPECT_EQ(q.poolFree(), q.poolCapacity());
     q.noteRelease(dev);
     q.runUntil();
+    EXPECT_EQ(fired, 0);
+}
+
+TEST(EventPool, WheelAndOverflowClosuresAreDestroyedUnrun)
+{
+    // One closure on the wheel, one in the overflow heap: reset()
+    // and the destructor must each release both.
+    auto near = std::make_shared<int>(1);
+    auto far = std::make_shared<int>(2);
+    int fired = 0;
+    auto schedule = [&](EventQueue &q) {
+        q.schedule(3, [near, &fired] { ++fired; });
+        q.schedule(3 * EventQueue::kWheelTicks, [far, &fired] { ++fired; });
+    };
+    {
+        EventQueue q;
+        schedule(q);
+        EXPECT_EQ(q.numPending(), 2u);
+        EXPECT_EQ(near.use_count() + far.use_count(), 4);
+        q.reset();
+        EXPECT_EQ(near.use_count() + far.use_count(), 2);
+        EXPECT_EQ(q.poolFree(), q.poolCapacity());
+        schedule(q);
+    }
+    EXPECT_EQ(near.use_count() + far.use_count(), 2);
     EXPECT_EQ(fired, 0);
 }
 
@@ -721,3 +750,224 @@ TEST(RetryLane, BlockReleasesWakeCoalescingSendsLikePolling)
     EXPECT_LT(lq.numExecuted(), pq.numExecuted());
 }
 
+
+// ---------------------------------------------------------------------
+// The calendar wheel against one ordered map of every event
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The order the wheel must keep: one map keyed by (tick, class,
+ *  scheduling sequence), the key of the binary heap it replaced. */
+class ReferenceQueue
+{
+  public:
+    void
+    schedule(Tick when, EventQueue::Priority prio, std::function<void()> fn)
+    {
+        ASSERT_GE(when, cur_);
+        events_.emplace(std::make_tuple(when, int(prio), seq_++),
+                        std::move(fn));
+    }
+
+    uint64_t
+    runUntil(Tick limit = kMaxTick)
+    {
+        uint64_t executed = 0;
+        while (!events_.empty() && nextTick() <= limit) {
+            auto first = events_.begin();
+            cur_ = std::get<0>(first->first);
+            std::function<void()> fn = std::move(first->second);
+            events_.erase(first);
+            fn();
+            ++executed;
+        }
+        return executed;
+    }
+
+    uint64_t
+    runOneTick()
+    {
+        return events_.empty() ? 0 : runUntil(nextTick());
+    }
+
+    void setCurTick(Tick to) { cur_ = to; }
+
+    void
+    reset()
+    {
+        events_.clear();
+        cur_ = 0;
+    }
+
+    Tick curTick() const { return cur_; }
+    bool empty() const { return events_.empty(); }
+    size_t numPending() const { return events_.size(); }
+    Tick nextTick() const { return std::get<0>(events_.begin()->first); }
+
+  private:
+    std::map<std::tuple<Tick, int, uint64_t>, std::function<void()>>
+        events_;
+    Tick cur_ = 0;
+    uint64_t seq_ = 0;
+};
+
+constexpr Tick kH = EventQueue::kWheelTicks;
+
+/** splitmix64: a run's callbacks draw from their event's id, so both
+ *  queues see the same children for the same id. */
+uint64_t
+mix(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** A delay from 0 to three horizons, weighted toward the edges:
+ *  the current tick, one tick, and either side of the horizon. */
+Tick
+drawDelay(uint64_t r)
+{
+    switch (r % 8) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return 2 + (r >> 8) % 16;
+      case 3: return kH - 3 + (r >> 8) % 6; // kH-3 .. kH+2
+      case 4: return 2 * kH - 1 + (r >> 8) % 3;
+      default: return (r >> 8) % (3 * kH + 1);
+    }
+}
+
+/**
+ * Schedules identified events on Q and logs the ids it runs. An
+ * event spawns children drawn from its id: same-tick ones in any
+ * class (a lower one included), and ones past the horizon.
+ */
+template <class Q>
+struct Scheduler {
+    Q q;
+    std::vector<uint64_t> ran;
+    uint64_t nextId = 0;
+
+    void
+    add(Tick when, EventQueue::Priority prio)
+    {
+        const uint64_t id = nextId++;
+        q.schedule(when, prio, [this, id, prio] { fire(id, prio); });
+    }
+
+    void
+    fire(uint64_t id, EventQueue::Priority prio)
+    {
+        ran.push_back(id);
+        uint64_t r = mix(id);
+        // 0, 1 or 2 children, 0.9 on average: the population
+        // drifts down between the stream's own schedules.
+        const unsigned kids = r % 10 < 3 ? 0 : r % 10 < 8 ? 1 : 2;
+        for (unsigned k = 0; k < kids; ++k) {
+            r = mix(r);
+            const Tick delay = drawDelay(r >> 4);
+            auto cls =
+                EventQueue::Priority((r >> 2) % EventQueue::kNumClasses);
+            // The retry lane's premise: a retry-class event puts
+            // nothing ahead of its own slot at its own tick.
+            if (delay == 0 && prio == EventQueue::kPrioRetry &&
+                cls <= EventQueue::kPrioRetry)
+                cls = EventQueue::kPrioCpu;
+            add(q.curTick() + delay, cls);
+        }
+    }
+};
+
+/** Run one seeded stream of steps through the wheel and the
+ *  reference, comparing them after every step. */
+void
+runDifferential(uint64_t seed, int steps)
+{
+    Scheduler<EventQueue> wheel;
+    Scheduler<ReferenceQueue> ref;
+    std::mt19937_64 rng(seed);
+    auto expectSame = [&](int step, const char *what) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " step "
+                                          << step << " (" << what << ")");
+        ASSERT_EQ(wheel.ran, ref.ran);
+        ASSERT_EQ(wheel.q.curTick(), ref.q.curTick());
+        ASSERT_EQ(wheel.q.numPending(), ref.q.numPending());
+        ASSERT_EQ(wheel.q.empty(), ref.q.empty());
+        if (!ref.q.empty()) {
+            ASSERT_EQ(wheel.q.nextTick(), ref.q.nextTick());
+        }
+    };
+    for (int step = 0; step < steps; ++step) {
+        const uint64_t r = rng();
+        const char *what = "";
+        switch (r % 16) {
+          case 0: case 1: case 2: case 3: case 4: case 5: {
+            what = "schedule";
+            const unsigned n = 1 + (r >> 4) % 8;
+            for (unsigned i = 0; i < n; ++i) {
+                const uint64_t d = rng();
+                const Tick when = ref.q.curTick() + drawDelay(d);
+                const auto cls = EventQueue::Priority(
+                    (d >> 2) % EventQueue::kNumClasses);
+                wheel.add(when, cls);
+                ref.add(when, cls);
+            }
+            break;
+          }
+          case 6: case 7: case 8: {
+            what = "runOneTick";
+            ASSERT_EQ(wheel.q.runOneTick(), ref.q.runOneTick());
+            break;
+          }
+          case 9: case 10: case 11: {
+            what = "runUntil";
+            const Tick limit = ref.q.curTick() + (r >> 4) % (2 * kH);
+            ASSERT_EQ(wheel.q.runUntil(limit), ref.q.runUntil(limit));
+            break;
+          }
+          case 12: case 13: {
+            // Up to three horizons, never past a pending event.
+            what = "setCurTick";
+            Tick to = ref.q.curTick() + (r >> 4) % (3 * kH + 1);
+            if (!ref.q.empty())
+                to = std::min(to, ref.q.nextTick());
+            wheel.q.setCurTick(to);
+            ref.q.setCurTick(to);
+            break;
+          }
+          case 14: {
+            what = "drain";
+            ASSERT_EQ(wheel.q.runUntil(), ref.q.runUntil());
+            break;
+          }
+          default: {
+            if ((r >> 4) % 8 != 0)
+                continue;
+            what = "reset";
+            wheel.q.reset();
+            ref.q.reset();
+            break;
+          }
+        }
+        expectSame(step, what);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    wheel.q.runUntil();
+    ref.q.runUntil();
+    expectSame(steps, "final drain");
+}
+
+} // namespace
+
+TEST(EventWheel, MatchesOneOrderedMapStepByStep)
+{
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        runDifferential(seed, 1500);
+        if (HasFatalFailure())
+            return;
+    }
+}

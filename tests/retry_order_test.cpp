@@ -3,14 +3,15 @@
  * Golden digests of contended timing systems. Each case is a small
  * machine whose caches or PV proxies refuse requests under load:
  * a one-tick L2 tag stage, L1s with two MSHRs, a 4-MSHR L2 that
- * refuses PvProxy sends, and next-line instruction prefetch into
- * 3-MSHR L1s. The digest is FNV-1a over the full dumpStats() text
- * of the measured phase, so any change to when or in which order a
- * refused request is re-attempted shows up as a mismatch. The
- * digests were recorded with a simulator that re-asked a refusing
- * device every cycle: the reference the retry lane
- * (sim/event_queue.hh) must reproduce. The pvbench reference seeds
- * never reach these paths.
+ * refuses PvProxy sends, next-line instruction prefetch into 3-MSHR
+ * L1s, and a DRAM channel whose responses land on both sides of the
+ * event queue's wheel horizon. The digest is FNV-1a over the full
+ * dumpStats() text of the measured phase, so any change to when or
+ * in which order a refused request is re-attempted shows up as a
+ * mismatch. The first four digests were recorded with a simulator
+ * that re-asked a refusing device every cycle: the reference the
+ * retry lane (sim/event_queue.hh) must reproduce. The pvbench
+ * reference seeds never reach these paths.
  */
 
 #include <gtest/gtest.h>
@@ -75,6 +76,17 @@ const GoldenCase kCases[] = {
          "workload_mix": ["apache", "qry2", "db2", "zeus"],
          "next_line_l1i": true, "l1_mshrs": 3, "l2_mshrs": 8})",
      500, 1500, true, "dc2e59229e72a123"},
+    // A slow, narrow DRAM channel queues some responses past the
+    // event queue's wheel (EventQueue::kWheelTicks or more ahead):
+    // they wait in the overflow heap, then migrate onto the wheel.
+    // Its digest was recorded with one binary heap of all events,
+    // not with the polling reference.
+    {"dram_beyond_wheel",
+     R"({"num_cores": 8,
+         "workload_mix": ["apache", "qry2", "db2", "zeus"],
+         "l2_mshrs": 8, "mem_latency": 1000,
+         "mem_service_interval": 16})",
+     500, 1500, true, "e1338481d36c79c5"},
 };
 
 class RetryOrder : public ::testing::TestWithParam<GoldenCase>

@@ -455,6 +455,26 @@ TEST(ScenarioValidateTest, RejectsMachinesSystemCannotRun)
         "{\"name\": \"x\", \"system\": {\"num_cores\": 128}}"));
 }
 
+TEST(ScenarioValidateTest, RejectsDelaysThatWrapTicks)
+{
+    // At 2^64 - 1 each of these validated, then `pvsim run` aborted
+    // on the event queue's "event scheduled in the past" panic.
+    const std::string bound = std::to_string(kMaxDelayCycles);
+    for (const char *key :
+         {"l1_tag_latency", "l1_data_latency", "l2_tag_latency",
+          "l2_data_latency", "mem_latency", "mem_service_interval",
+          "btb_mispredict_penalty"}) {
+        const std::string system = std::string("\"system\": {\"") + key;
+        expectInvalid("timed\", " + system +
+                          "\": 18446744073709551615}",
+                      std::string("x: system.") + key + ": must be <= " +
+                          bound + " cycles");
+        validateScenario(parseScenario(
+            "{\"name\": \"x\", \"kind\": \"timed\", " + system +
+            "\": " + bound + "}}"));
+    }
+}
+
 TEST(ScenarioValidateTest, PaperKindChecksItsSection)
 {
     const std::pair<const char *, const char *> cases[] = {
